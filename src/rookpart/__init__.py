@@ -3,6 +3,7 @@
 from .scalars import Rational, XI, XiPoly, falling_factorial
 from .formal import FormalSum
 from .linalg import (
+    CommutingFamily,
     ExactMatrix,
     commutant_dimension,
     mat_mul,

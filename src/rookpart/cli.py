@@ -34,8 +34,27 @@ def parse_level(text: str) -> Fraction:
     return jm.as_level(Fraction(text))
 
 
+def parse_int_lists(text: str, depth: int, what: str):
+    """A JSON argument made of lists of integers nested exactly depth deep."""
+    value = json.loads(text)
+
+    def fits(x, d):
+        if d == 0:
+            return type(x) is int
+        return isinstance(x, list) and all(fits(y, d - 1) for y in x)
+
+    if not fits(value, depth):
+        raise ValueError(f"{what} must be JSON lists of integers nested {depth} deep")
+    return value
+
+
+def parse_diagram(text: str, size: int | None = None) -> diagram.PartitionDiagram:
+    parse_int_lists(text, 2, "a diagram")
+    return diagram.PartitionDiagram.parse(text, size=size)
+
+
 def parse_rook(text: str, n: int) -> RookElement:
-    pairs = json.loads(text)
+    pairs = parse_int_lists(text, 2, "--sigma")
     return RookElement.from_pairs(n, [tuple(p) for p in pairs])
 
 
@@ -53,15 +72,15 @@ def emit(payload) -> None:
 
 
 def _cmd_compose(args) -> int:
-    d1 = diagram.PartitionDiagram.parse(args.d1)
-    d2 = diagram.PartitionDiagram.parse(args.d2, size=d1.size)
+    d1 = parse_diagram(args.d1)
+    d2 = parse_diagram(args.d2, size=d1.size)
     composed, loops = diagram.compose(d1, d2)
     emit({"diagram": str(composed), "xi_power": loops})
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    d = diagram.PartitionDiagram.parse(args.diagram)
+    d = parse_diagram(args.diagram)
     elem = diagram.AlgebraElement.from_diagram(
         d, basis="orbit" if args.direction == "from-orbit" else "diagram"
     )
@@ -109,7 +128,7 @@ def _cmd_dims(args) -> int:
             for mu in graph.vertices[li]
         }
     if not out:
-        raise SystemExit("dims needs --n and/or --t")
+        raise ValueError("dims needs --n and/or --t")
     emit(out)
     return 0
 
@@ -129,12 +148,14 @@ def _cmd_mult(args) -> int:
 
 def _cmd_rsk(args) -> int:
     if args.to_tableau:
-        data = json.loads(args.to_tableau)
+        data = parse_int_lists(args.to_tableau, 2, "--to-tableau")
         shapes = [tuple(s) for s in data]
         tab = rsk.path_to_spt(shapes)
         emit({"tableau": [[list(b) for b in row] for row in tab]})
     else:
-        rows = json.loads(args.to_path)
+        if args.k is None:
+            raise ValueError("--to-path needs --k")
+        rows = parse_int_lists(args.to_path, 3, "--to-path")
         tab = tuple(tuple(tuple(b) for b in row) for row in rows)
         path = rsk.spt_to_path(tab, args.k)
         emit(
@@ -178,7 +199,7 @@ def _cmd_jm(args) -> int:
         return 0 if all(r["ok"] for r in reports) else 1
     t = parse_level(args.t)
     if args.n is None:
-        raise SystemExit("jm needs --n for the eigenvalue table")
+        raise ValueError("jm needs --n for the eigenvalue table")
     report = jm.gt_decompose(t, args.n)
     rows = [
         {

@@ -30,7 +30,7 @@ from .diagram import (
     orbit_product_tppa,
     to_orbit,
 )
-from .linalg import simultaneous_eigenspace
+from .linalg import CommutingFamily, simultaneous_eigenspace
 from .rook import kappa, kappa_tilde
 from .tensor import TensorSpace, phi_element, psi_element
 
@@ -305,6 +305,8 @@ def gt_decompose(t, n: int) -> dict:
     for y in levels:
         ops.append(phi_element(build_m(y, t), space))
         ops.append(phi_element(build_m_tilde(y, t), space))
+    # checked to commute once here, not again for every path
+    ops = CommutingFamily(ops)
 
     entries = []
     failures = []

@@ -1,119 +1,178 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Gaussian elimination with exact pivoting only; there is no tolerance
-anywhere.  Matrices are immutable dense grids of Fractions.
+Matrices are immutable and stored by rows: each row is a dict
+``{column: value}`` holding only its nonzero entries.  Values stay Python
+ints until a division forces a Fraction; every value handed back to a caller
+(entries, traces, diagonals, kernel and solution vectors) is a Fraction.
+
+All elimination goes through one sparse Gauss-Jordan routine with exact
+pivoting; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+_ZERO = Fraction(0)
+
+
+def _exact(value):
+    """The value as an int when it is integral, as a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _div(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _axpy(row: dict, f, other: dict) -> None:
+    """row += f * other in place, keeping only nonzero entries."""
+    for k, v in other.items():
+        s = row.get(k, 0) + f * v
+        if s:
+            row[k] = s
+        else:
+            row.pop(k, None)
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "data")
+    """Immutable rows x cols matrix of exact rationals, stored as sparse rows."""
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in data)
+        grid = [list(row) for row in data]
         width = len(grid[0]) if grid else 0
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
-        self.data = grid
         self.rows = len(grid)
         self.cols = width
+        self._rows = tuple({j: _exact(x) for j, x in enumerate(row) if x} for row in grid)
 
     @classmethod
-    def identity(cls, d: int) -> "ExactMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(d)] for i in range(d)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        zero_row = (Fraction(0),) * cols
+    def _from_rows(cls, cols: int, rows) -> "ExactMatrix":
+        # rows: sparse row dicts without zeros, owned by the new matrix
         m = cls.__new__(cls)
-        m.data = (zero_row,) * rows
-        m.rows = rows
+        m._rows = tuple(rows)
+        m.rows = len(m._rows)
         m.cols = cols
         return m
 
     @classmethod
+    def identity(cls, d: int) -> "ExactMatrix":
+        return cls._from_rows(d, ({i: 1} for i in range(d)))
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
+        return cls._from_rows(cols, ({} for _ in range(rows)))
+
+    @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
-        grid = [[Fraction(0)] * cols for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for (i, j), v in entries.items():
-            grid[i][j] = Fraction(v)
-        return cls(grid)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if v:
+                out[i][j] = _exact(v)
+        return cls._from_rows(cols, out)
+
+    @property
+    def data(self) -> tuple:
+        """Read-only dense view: a tuple of rows of Fractions."""
+        out = []
+        for row in self._rows:
+            dense = [_ZERO] * self.cols
+            for j, v in row.items():
+                dense[j] = Fraction(v)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
+        return Fraction(self._rows[i].get(j, 0))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.data == other.data
+        return self.cols == other.cols and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.cols, tuple(frozenset(r.items()) for r in self._rows)))
+
+    def _combine(self, other, f) -> "ExactMatrix":
+        self._check_same_shape(other)
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            _axpy(row, f, rb)
+            out.append(row)
+        return ExactMatrix._from_rows(self.cols, out)
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in row] for row in self.data])
+        return self.scaled(-1)
 
     def scaled(self, c) -> "ExactMatrix":
-        c = Fraction(c)
-        return ExactMatrix([[c * a for a in row] for row in self.data])
+        c = _exact(c)
+        if not c:
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return ExactMatrix._from_rows(
+            self.cols, ({j: c * v for j, v in row.items()} for row in self._rows)
+        )
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} != {other.rows}")
-        # row-by-row accumulation, skipping zero entries; the matrices around
-        # here are mostly sparse 0/1 grids
-        zero = Fraction(0)
+        right = other._rows
         out = []
-        for row in self.data:
-            acc = [zero] * other.cols
-            for j, v in enumerate(row):
-                if v:
-                    orow = other.data[j]
-                    if v == 1:
-                        acc = [a + b for a, b in zip(acc, orow)]
-                    else:
-                        acc = [a + v * b for a, b in zip(acc, orow)]
+        for row in self._rows:
+            acc = {}
+            for j, v in row.items():
+                _axpy(acc, v, right[j])
             out.append(acc)
-        return ExactMatrix(out)
+        return ExactMatrix._from_rows(other.cols, out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data))) if self.rows else ExactMatrix([])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return ExactMatrix._from_rows(self.rows, out)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self._rows)))
 
     def is_diagonal(self) -> bool:
-        return all(
-            not v for i, row in enumerate(self.data) for j, v in enumerate(row) if i != j
-        )
+        return all(row.keys() <= {i} for i, row in enumerate(self._rows))
 
     def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(
+            Fraction(self._rows[i].get(i, 0)) for i in range(min(self.rows, self.cols))
+        )
 
     def apply(self, vector):
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(
-            sum((a * x for a, x in zip(row, vector)), Fraction(0)) for row in self.data
+            Fraction(sum(v * vector[j] for j, v in row.items())) for row in self._rows
         )
 
     def _check_same_shape(self, other):
@@ -128,41 +187,45 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b
 
 
-def _echelon(rows: list) -> list:
-    """Forward-eliminate in place; returns the list of pivot columns."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
+def _gauss_jordan(rows, reduced: bool) -> dict:
+    """Sparse Gauss-Jordan elimination of rows given as {column: value} dicts.
+
+    Returns ``{pivot column: pivot row}``, each pivot row scaled to a leading
+    1 at its pivot column; the number of pivots is the rank.  Rows are taken
+    one at a time and eliminated at their lowest column until they either
+    start a new pivot or empty out (a dependent row), so pivot rows stay
+    sparse.  With ``reduced`` each pivot column is also cleared from the
+    pivot rows above it, giving the reduced row echelon form.  That form is
+    unique, so kernel bases and solutions do not depend on the row order;
+    rank-only callers skip the step.  The input rows are not modified.
+    """
+    pivots = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                lead = row[c]
+                if lead != 1:
+                    row = {k: _div(v, lead) for k, v in row.items()}
+                pivots[c] = row
+                break
+            _axpy(row, -row[c], p)
+    if reduced:
+        order = sorted(pivots)
+        for idx in range(len(order) - 1, 0, -1):
+            p = pivots[order[idx]]
+            for c in order[:idx]:
+                q = pivots[c]
+                f = q.get(order[idx])
+                if f:
+                    _axpy(q, -f, p)
     return pivots
 
 
 def rank(m: ExactMatrix) -> int:
-    rows = [list(r) for r in m.data]
-    return len(_echelon(rows)) if rows else 0
-
-
-def _normalize(vec):
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        return tuple(vec)
-    inv = 1 / lead
-    return tuple(inv * x for x in vec)
+    return len(_gauss_jordan(m._rows, reduced=False))
 
 
 def nullspace(m: ExactMatrix) -> list:
@@ -170,19 +233,18 @@ def nullspace(m: ExactMatrix) -> list:
 
     Each basis vector has its first nonzero coordinate normalized to 1.
     """
-    rows = [list(r) for r in m.data]
-    if not rows:
-        return [_normalize([Fraction(int(i == j)) for i in range(m.cols)]) for j in range(m.cols)]
-    pivots = _echelon(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    pivots = _gauss_jordan(m._rows, reduced=True)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for r_idx, c in enumerate(pivots):
-            vec[c] = -rows[r_idx][f]
-        basis.append(_normalize(vec))
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = {f: 1}
+        for c, row in pivots.items():
+            v = row.get(f)
+            if v:
+                vec[c] = -v
+        lead = vec[min(vec)]
+        basis.append(tuple(Fraction(vec.get(j, 0)) / lead for j in range(m.cols)))
     return basis
 
 
@@ -190,57 +252,47 @@ def solve_unique(a: ExactMatrix, rhs) -> tuple:
     """Solve a x = rhs when the solution exists and is unique; raise otherwise."""
     if len(rhs) != a.rows:
         raise ValueError("dimension mismatch")
-    rows = [list(r) + [Fraction(v)] for r, v in zip(a.data, rhs)]
-    pivots = _echelon(rows)
-    if a.cols in pivots:
+    n = a.cols
+    augmented = []
+    for row, v in zip(a._rows, rhs):
+        v = _exact(v)
+        augmented.append({**row, n: v} if v else row)
+    pivots = _gauss_jordan(augmented, reduced=True)
+    if n in pivots:
         raise ValueError("inconsistent system")
-    if len(pivots) != a.cols:
+    if len(pivots) != n:
         raise ValueError("underdetermined system")
-    sol = [Fraction(0)] * a.cols
-    for r_idx, c in enumerate(pivots):
-        sol[c] = rows[r_idx][-1]
-    return tuple(sol)
-
-
-def _sparse_rank(rows) -> int:
-    """Rank of a system given as dicts {column: coefficient}.
-
-    Pivot rows stay normalized so elimination never divides twice; with the
-    two-entry rows produced by commutant systems this does essentially no
-    fill-in.
-    """
-    pivots = {}
-    rank_ = 0
-    for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = 1 / row[c]
-                pivots[c] = {k: inv * v for k, v in row.items()}
-                rank_ += 1
-                break
-            f = row[c]
-            for k, v in pivots[c].items():
-                nv = row.get(k, Fraction(0)) - f * v
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-        # an emptied row is dependent
-    return rank_
+    return tuple(Fraction(pivots[c].get(n, 0)) for c in range(n))
 
 
 def sparse_rank_of_vectors(vectors) -> int:
     """Rank of a family of vectors given as {index: coefficient} dicts."""
-    return _sparse_rank(vectors)
+    rows = ({k: _exact(v) for k, v in vec.items() if v} for vec in vectors)
+    return len(_gauss_jordan(rows, reduced=False))
+
+
+def _commutator_rows(g: ExactMatrix):
+    """Rows of the linear system M g - g M = 0 in the unknowns M_{ab} (index
+    a * d + b), one per entry (i, k) of the commutator."""
+    d = g.rows
+    col_nz = [[] for _ in range(d)]
+    for j, row in enumerate(g._rows):
+        for k, v in row.items():
+            col_nz[k].append((j, v))
+    for i, g_row in enumerate(g._rows):
+        for k in range(d):
+            row = {i * d + j: v for j, v in col_nz[k]}
+            for j, v in g_row.items():
+                key = j * d + k
+                row[key] = row.get(key, 0) - v
+            yield row
 
 
 def commutant_dimension(generators) -> int:
     """Dimension of {M : M g = g M for every generator g}.
 
-    Builds the stacked linear system in d^2 unknowns M_{ab} and returns
-    d^2 minus its rank.
+    Eliminates the stacked linear system in d^2 unknowns M_{ab}, generated
+    row by row, and returns d^2 minus its rank.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -248,52 +300,52 @@ def commutant_dimension(generators) -> int:
     for g in generators:
         if g.rows != d or g.cols != d:
             raise ValueError("dimension mismatch among generators")
-    rows = []
-    for g in generators:
-        col_nz = [[] for _ in range(d)]
-        row_nz = [[] for _ in range(d)]
-        for j in range(d):
-            for k in range(d):
-                v = g.data[j][k]
-                if v:
-                    col_nz[k].append((j, v))
-                    row_nz[j].append((k, v))
-        for i in range(d):
-            for k in range(d):
-                row = {}
-                for j, v in col_nz[k]:
-                    row[i * d + j] = row.get(i * d + j, Fraction(0)) + v
-                for j, v in row_nz[i]:
-                    row[j * d + k] = row.get(j * d + k, Fraction(0)) - v
-                row = {key: val for key, val in row.items() if val}
-                if row:
-                    rows.append(row)
-    return d * d - _sparse_rank(rows)
+    rows = chain.from_iterable(_commutator_rows(g) for g in generators)
+    return d * d - len(_gauss_jordan(rows, reduced=False))
+
+
+class CommutingFamily(tuple):
+    """Square matrices of one size, checked on construction to commute pairwise.
+
+    Construction raises ValueError naming the first pair of indices (i, j)
+    with ``ops[i] * ops[j] != ops[j] * ops[i]``.  The check runs at every size
+    and under ``python -O``; a caller that reuses one family for many
+    eigenspaces builds it once and pays for the check once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ops):
+        ops = tuple(ops)
+        if not ops:
+            raise ValueError("need at least one operator")
+        d = ops[0].rows
+        for op in ops:
+            if op.rows != d or op.cols != d:
+                raise ValueError("operators must be square and same size")
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                if ops[i] * ops[j] != ops[j] * ops[i]:
+                    raise ValueError(f"operators {i} and {j} do not commute")
+        return super().__new__(cls, ops)
 
 
 def simultaneous_eigenspace(ops, eigenvalues) -> list:
     """Exact basis of the intersection of ker(op_i - lambda_i I).
 
-    The operators are expected to commute pairwise; this is the caller's
-    responsibility and is only asserted in debug mode.
+    The operators must commute pairwise: unless ``ops`` is already a
+    :class:`CommutingFamily`, it is checked here and a non-commuting pair
+    raises ValueError.
     """
     if len(ops) != len(eigenvalues):
         raise ValueError("one eigenvalue per operator")
-    if not ops:
-        raise ValueError("need at least one operator")
-    d = ops[0].rows
-    for op in ops:
-        if op.rows != d or op.cols != d:
-            raise ValueError("operators must be square and same size")
-    if __debug__ and d <= 64:
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                assert ops[i] * ops[j] == ops[j] * ops[i], "operators do not commute"
+    if not isinstance(ops, CommutingFamily):
+        ops = CommutingFamily(ops)
     stacked = []
     for op, lam in zip(ops, eigenvalues):
-        lam = Fraction(lam)
-        for i in range(d):
-            row = list(op.data[i])
-            row[i] -= lam
-            stacked.append(row)
-    return nullspace(ExactMatrix(stacked))
+        lam = _exact(lam)
+        for i, row in enumerate(op._rows):
+            shifted = dict(row)
+            _axpy(shifted, -lam, {i: 1})
+            stacked.append(shifted)
+    return nullspace(ExactMatrix._from_rows(ops[0].cols, stacked))

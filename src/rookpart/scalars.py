@@ -118,6 +118,9 @@ class XiPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # equal values hash equal: a constant compares equal to its Fraction
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(("XiPoly", self.coeffs))
 
     def subs(self, value: int | Fraction) -> Fraction:

@@ -13,7 +13,6 @@ products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 
 from .diagram import AlgebraElement, PartitionDiagram, is_half
@@ -31,6 +30,8 @@ class TensorSpace:
     def __init__(self, n: int, k: int, half: bool = False):
         if n < 1 or k < 1:
             raise ValueError("n and k must be positive")
+        if half and n < 2:
+            raise ValueError("a half space needs n >= 2")
         if n**k > _DIM_GUARD:
             raise ValueError(f"dimension n^k = {n**k} exceeds the guard {_DIM_GUARD}")
         self.n = n
@@ -65,6 +66,7 @@ def _entries_from_assignments(d, space, injective: bool) -> dict:
     (all assignments for the diagram basis, injective ones for the orbit
     basis); on half spaces the block holding the hidden slot is pinned to n.
     """
+    _check_diagram(d, space)
     n, k = space.n, space.k
     blocks = d.blocks
     pinned = None
@@ -87,13 +89,21 @@ def _entries_from_assignments(d, space, injective: bool) -> dict:
                 value_of[v] = assign[b_idx]
         top = tuple(value_of[j] for j in range(1, k + 1))
         bottom = tuple(value_of[-j] for j in range(1, k + 1))
-        entries[(space.index[top], space.index[bottom])] = Fraction(1)
+        entries[(space.index[top], space.index[bottom])] = 1
     return entries
+
+
+def _combination(space: TensorSpace, terms) -> ExactMatrix:
+    """Matrix of sum c * E over (c, entries) pairs, summed in one entry dict."""
+    acc = {}
+    for coeff, entries in terms:
+        for key, v in entries.items():
+            acc[key] = acc.get(key, 0) + coeff * v
+    return ExactMatrix.from_entries(space.dim, space.dim, acc)
 
 
 def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
     """Right action of a diagram-basis element (row convention)."""
-    _check_diagram(d, space)
     return ExactMatrix.from_entries(
         space.dim, space.dim, _entries_from_assignments(d, space, injective=False)
     )
@@ -104,34 +114,23 @@ def phi_orbit(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
 
     Zero whenever the diagram has more than n blocks.
     """
-    _check_diagram(d, space)
     return ExactMatrix.from_entries(
         space.dim, space.dim, _entries_from_assignments(d, space, injective=True)
     )
 
 
-def _orbit_entry_dict(d: PartitionDiagram, space: TensorSpace) -> dict:
-    _check_diagram(d, space)
-    return _entries_from_assignments(d, space, injective=True)
-
-
 def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
     """Linear extension of the diagram action; xi coefficients evaluate at n."""
-    single = phi_orbit if a.basis == "orbit" else phi_diagram
-    out = ExactMatrix.zeros(space.dim, space.dim)
+    injective = a.basis == "orbit"
+    terms = []
     for d, coeff in a.sum.items():
         if isinstance(coeff, XiPoly):
             coeff = coeff.subs(space.n)
-        out = out + single(d, space).scaled(coeff)
-    return out
+        terms.append((coeff, _entries_from_assignments(d, space, injective)))
+    return _combination(space, terms)
 
 
-def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
-    """Diagonal left action of a rook element (column convention).
-
-    On a half space, rho must have size n-1 and is embedded fixing the last
-    basis vector.
-    """
+def _rook_entries(rho: RookElement, space: TensorSpace) -> dict:
     if space.half:
         if rho.n != space.n - 1:
             raise ValueError(f"half space needs rook elements of size {space.n - 1}")
@@ -142,15 +141,21 @@ def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
     for idx, tup in enumerate(space.basis):
         images = tuple(rho.image(i) for i in tup)
         if all(images):
-            entries[(space.index[images], idx)] = Fraction(1)
-    return ExactMatrix.from_entries(space.dim, space.dim, entries)
+            entries[(space.index[images], idx)] = 1
+    return entries
+
+
+def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
+    """Diagonal left action of a rook element (column convention).
+
+    On a half space, rho must have size n-1 and is embedded fixing the last
+    basis vector.
+    """
+    return ExactMatrix.from_entries(space.dim, space.dim, _rook_entries(rho, space))
 
 
 def psi_element(x: FormalSum, space: TensorSpace) -> ExactMatrix:
-    out = ExactMatrix.zeros(space.dim, space.dim)
-    for rho, coeff in x.items():
-        out = out + psi_rook(rho, space).scaled(coeff)
-    return out
+    return _combination(space, [(coeff, _rook_entries(rho, space)) for rho, coeff in x.items()])
 
 
 def _rook_generators(n: int) -> list[RookElement]:
@@ -171,34 +176,21 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     diagrams = enumerate_monoid("I_half" if half else "I", k)
     rook_n = n - 1 if half else n
 
-    rows = []
-    expected_kernel = 0
-    for d in diagrams:
-        if d.n_blocks() > n:
-            expected_kernel += 1
-        rows.append(_orbit_entry_dict(d, space))
-    flat = [
-        {i * space.dim + j: v for (i, j), v in row.items()} for row in rows
-    ]
-    image_dim = sparse_rank_of_vectors(flat)
+    def flat(entries):
+        return {i * space.dim + j: v for (i, j), v in entries.items()}
+
+    expected_kernel = sum(1 for d in diagrams if d.n_blocks() > n)
+    image_dim = sparse_rank_of_vectors(
+        [flat(_entries_from_assignments(d, space, injective=True)) for d in diagrams]
+    )
     kernel_dim = len(diagrams) - image_dim
 
     gens = [psi_rook(g, space) for g in _rook_generators(rook_n)]
     commutant_dim = commutant_dimension(gens)
 
-    rook_elements = enumerate_rook(rook_n)
-    psi_flat = []
-    for rho in rook_elements:
-        mat = psi_rook(rho, space)
-        psi_flat.append(
-            {
-                i * space.dim + j: v
-                for i, row in enumerate(mat.data)
-                for j, v in enumerate(row)
-                if v
-            }
-        )
-    psi_image_dim = sparse_rank_of_vectors(psi_flat)
+    psi_image_dim = sparse_rank_of_vectors(
+        [flat(_rook_entries(rho, space)) for rho in enumerate_rook(rook_n)]
+    )
     phi_gens = [phi_diagram(d, space) for d in diagrams]
     phi_commutant_dim = commutant_dimension(phi_gens)
 

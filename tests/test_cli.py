@@ -137,6 +137,28 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["mult", "--lambda", "1,2", "--k", "1", "--n", "2"]) == 2
 
 
+def test_malformed_arguments_exit_2_without_traceback(capsys):
+    cases = [
+        (["rsk", "--to-path", "[[[1]]]"], "error: --to-path needs --k"),
+        (["schur-weyl", "--half", "--n", "1", "--k", "1"], "error: a half space needs n >= 2"),
+        (["rsk", "--to-tableau", "5"], "error: --to-tableau must be JSON lists"),
+        (["rsk", "--to-path", "[[1]]", "--k", "2"], "error: --to-path must be JSON lists"),
+        (["character", "--lambda", "1", "--sigma", "5", "--n", "3"], "error: --sigma must be"),
+        (["compose", "--d1", "5", "--d2", "[[1,-1]]"], "error: a diagram must be"),
+        (["orbit", "--diagram", "{}"], "error: a diagram must be"),
+        (["dims"], "error: dims needs --n and/or --t"),
+        (["jm", "--t", "2"], "error: jm needs --n"),
+        (["schur-weyl", "--n", "2"], None),
+        (["mult", "--lambda", "1", "--k", "x", "--n", "2"], None),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        if message is not None:
+            assert len(err.splitlines()) == 1 and err.startswith(message), (argv, err)
+
+
 def test_json_round_trips(capsys):
     # every emitted document parses back and reruns byte-identically
     for argv in (

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import rookpart
 from rookpart.diagram import enumerate_monoid
 from rookpart.linalg import (
+    CommutingFamily,
     ExactMatrix,
     commutant_dimension,
     mat_mul,
@@ -161,3 +167,151 @@ def test_simultaneous_eigenspace_dimensions_exhaust():
     report = gt_decompose(2, 2)
     assert report["ok"]
     assert sum(e["dimension"] for e in report["entries"]) == 4
+
+
+def test_non_commuting_operators_are_rejected_past_the_old_debug_limit():
+    # a 65 x 65 family: the first pair that fails is named
+    d = 65
+    e01 = ExactMatrix.from_entries(d, d, {(0, 1): 1})
+    e10 = ExactMatrix.from_entries(d, d, {(1, 0): 1})
+    ops = [ExactMatrix.identity(d), e01, e10]
+    with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
+        simultaneous_eigenspace(ops, [1, 0, 0])
+    with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
+        CommutingFamily(ops)
+
+
+def test_commuting_family_is_checked_once():
+    family = CommutingFamily([ExactMatrix.identity(3), ExactMatrix.from_entries(3, 3, {(0, 0): 2})])
+    assert CommutingFamily(family) == family
+    assert len(simultaneous_eigenspace(family, [1, 2])) == 1
+    with pytest.raises(ValueError):
+        CommutingFamily([ExactMatrix.identity(2), ExactMatrix.identity(3)])
+
+
+def test_commutation_check_survives_optimized_mode():
+    src = str(Path(rookpart.__file__).resolve().parent.parent)
+    code = (
+        "assert False, 'asserts are stripped under -O'\n"
+        "from rookpart.linalg import ExactMatrix, simultaneous_eigenspace\n"
+        "a = ExactMatrix([[0, 1], [0, 0]])\n"
+        "b = ExactMatrix([[0, 0], [1, 0]])\n"
+        "try:\n"
+        "    simultaneous_eigenspace([a, b], [0, 0])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "operators 0 and 1 do not commute"
+
+
+# --- the dense route, kept as an independent small-size oracle ----------------
+
+
+def dense_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def dense_rref(rows, n_cols):
+    """Textbook Gauss-Jordan on lists of Fractions: (nonzero rows, pivots)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_nullspace(rows, n_cols):
+    reduced, pivots = dense_rref(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        lead = next(x for x in vec if x)
+        basis.append(tuple(x / lead for x in vec))
+    return basis
+
+
+def dense_solve(rows, rhs):
+    n = len(rows[0])
+    reduced, pivots = dense_rref([list(r) + [v] for r, v in zip(rows, rhs)], n + 1)
+    if n in pivots or len(pivots) != n:
+        return None
+    return tuple(r[n] for r in reduced)
+
+
+# zero entries are drawn often, so zero rows and columns are common
+entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def grids(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def arithmetic_cases(draw):
+    a = draw(grids())
+    b = draw(grids(rows=len(a), cols=len(a[0])))
+    c = draw(grids(rows=len(a[0])))
+    return a, b, c, draw(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arithmetic_cases())
+def test_sparse_arithmetic_matches_dense_oracle(case):
+    a, b, c, s = case
+    ma, mb, mc = ExactMatrix(a), ExactMatrix(b), ExactMatrix(c)
+    assert ma.data == tuple(map(tuple, a))
+    assert (ma + mb).data == tuple(tuple(x + y for x, y in zip(r, q)) for r, q in zip(a, b))
+    assert (ma - mb).data == tuple(tuple(x - y for x, y in zip(r, q)) for r, q in zip(a, b))
+    assert (-ma).data == tuple(tuple(-x for x in r) for r in a)
+    assert ma.scaled(s).data == tuple(tuple(s * x for x in r) for r in a)
+    assert (ma * mc).data == tuple(map(tuple, dense_mul(a, c)))
+    assert ma.transpose().data == tuple(zip(*a))
+    square = dense_mul(a, [list(r) for r in zip(*a)])
+    assert (ma * ma.transpose()).trace() == sum(square[i][i] for i in range(len(a)))
+    assert ma.diagonal() == tuple(a[i][i] for i in range(min(len(a), len(a[0]))))
+    assert all(ma[i, j] == a[i][j] for i in range(len(a)) for j in range(len(a[0])))
+    assert (ma == mb) == (a == b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_sparse_elimination_matches_dense_oracle(a, data):
+    m = ExactMatrix(a)
+    n_cols = len(a[0])
+    assert rank(m) == len(dense_rref(a, n_cols)[1])
+    assert nullspace(m) == dense_nullspace(a, n_cols)
+    rhs = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    expected = dense_solve(a, rhs)
+    if expected is None:
+        with pytest.raises(ValueError):
+            solve_unique(m, rhs)
+    else:
+        assert solve_unique(m, rhs) == expected

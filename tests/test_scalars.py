@@ -30,6 +30,27 @@ def test_basic_arithmetic():
     assert str(XiPoly((Fraction(1, 2), Fraction(-5, 2)))) == "-5/2*xi + 1/2"
 
 
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2).map(XiPoly.const),
+    st.lists(st.integers(-2, 2), max_size=3).map(XiPoly),
+)
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_constant_polynomials_share_sets_with_numbers():
+    assert {XiPoly.const(2), Fraction(2), 2} == {2}
+    assert hash(XiPoly(())) == hash(0)
+    assert XI not in {Fraction(0), 1}
+
+
 def test_constant_comparison_with_numbers():
     assert XiPoly.const(3) == 3
     assert XiPoly.const(Fraction(1, 2)) == Fraction(1, 2)

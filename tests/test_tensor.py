@@ -10,13 +10,16 @@ from rookpart.diagram import (
     enumerate_monoid,
     from_orbit,
 )
+from rookpart.formal import FormalSum
 from rookpart.linalg import ExactMatrix
-from rookpart.rook import RookElement, generator
+from rookpart.rook import RookElement, enumerate_rook, generator
+from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
     TensorSpace,
     phi_diagram,
     phi_element,
     phi_orbit,
+    psi_element,
     psi_rook,
     schur_weyl_report,
 )
@@ -86,6 +89,44 @@ def test_phi_is_multiplicative_on_a2():
                 assert phi_diagram(d1, space) * phi_diagram(d2, space) == phi_element(
                     prod, space
                 )
+
+
+COEFFS = (Fraction(1, 2), Fraction(-3), XI - 2, Fraction(5), XI * XI, Fraction(-7, 3))
+
+
+def termwise(single, terms, space):
+    """The action summed the old way: one scaled matrix per term."""
+    out = ExactMatrix.zeros(space.dim, space.dim)
+    for key, c in terms:
+        c = c.subs(space.n) if isinstance(c, XiPoly) else c
+        out = out + single(key, space).scaled(c)
+    return out
+
+
+def test_phi_element_is_the_termwise_sum():
+    for n in (2, 3):
+        space = TensorSpace(n, 2)
+        diagrams = enumerate_monoid("I", 2)
+        elements = [AlgebraElement.from_diagram(d, basis="orbit") for d in diagrams]
+        elements.append(
+            AlgebraElement(2, "orbit", [(d, COEFFS[i % len(COEFFS)]) for i, d in enumerate(diagrams)])
+        )
+        for a in elements:
+            assert phi_element(a, space) == termwise(phi_orbit, a.sum.items(), space)
+            dia = from_orbit(a)
+            assert phi_element(dia, space) == termwise(phi_diagram, dia.sum.items(), space)
+
+
+def test_psi_element_is_the_termwise_sum():
+    rationals = [c for c in COEFFS if not isinstance(c, XiPoly)]
+    for n in (2, 3):
+        space = TensorSpace(n, 2)
+        pool = enumerate_rook(n)
+        x = FormalSum([(rho, rationals[i % len(rationals)]) for i, rho in enumerate(pool)])
+        assert psi_element(x, space) == termwise(psi_rook, x.items(), space)
+        for rho in pool:
+            single = FormalSum([(rho, Fraction(-2))])
+            assert psi_element(single, space) == termwise(psi_rook, single.items(), space)
 
 
 def test_psi_examples():
@@ -174,3 +215,5 @@ def test_schur_weyl_reports():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         TensorSpace(3, 7)
+    with pytest.raises(ValueError, match="a half space needs n >= 2"):
+        TensorSpace(1, 1, half=True)

@@ -10,13 +10,12 @@ the dimension of the joint eigenspace it cuts out of the tensor power.
 import sys
 from fractions import Fraction
 
-from rookpart.jm import gt_decompose
+from rookpart.jm import gt_decompose, size_and_half
 
 
 def main() -> int:
     level = Fraction(sys.argv[1]) if len(sys.argv) > 1 else Fraction(5, 2)
-    default_n = int(level) + 1 if level.denominator == 1 else int(level + Fraction(1, 2)) + 1
-    n = int(sys.argv[2]) if len(sys.argv) > 2 else default_n
+    n = int(sys.argv[2]) if len(sys.argv) > 2 else size_and_half(level)[0] + 1
     report = gt_decompose(level, n)
     print(f"level {level}, n = {n}: {'ok' if report['ok'] else 'FAILED'}")
     for entry in report["entries"]:

@@ -6,7 +6,6 @@ from .linalg import (
     CommutingFamily,
     ExactMatrix,
     commutant_dimension,
-    mat_mul,
     nullspace,
     rank,
     simultaneous_eigenspace,
@@ -77,5 +76,3 @@ from .jm import (
     verify_centrality,
     verify_operator_identity,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

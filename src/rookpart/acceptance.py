@@ -244,7 +244,7 @@ def crit_centrality():
 def crit_gt_decomposition():
     levels = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
     for t in levels:
-        n = int(t) + 1 if t.denominator == 1 else int(t + HALF) + 1
+        n = jm.size_and_half(t)[0] + 1
         report = jm.gt_decompose(t, n)
         if not report["ok"]:
             return False, f"level {t}, n={n}: {report['failures'][:3]}"

@@ -1,9 +1,12 @@
 """Graded branching graphs and path counting.
 
-Three families are built here:
+One constructor, ``GradedGraph(kind, levels, vertices, step)``, builds every
+graph from its vertex lists and a per-kind edge rule ``step(i, shape)``, which
+lists the (upper shape, label) pairs leaving a shape at level index i.  Three
+families are built here:
 
-* ``rook_tower(n)``: levels 0..n, level m holding all shapes of size <= m,
-  with an edge when the lower shape is the upper one or removes one box;
+* ``rook_tower(n)``: levels 0..n, level m holding all shapes of size <= m;
+  a shape steps up to itself and to its one-box additions;
 * ``rhat(n, kmax)``: levels 1..kmax of nonempty shapes of size <= min(k, n);
   an upward step either adds a box or moves a box (remove one corner, add one
   box).  Move steps carry one parallel edge per removable corner, labelled by
@@ -12,6 +15,7 @@ Three families are built here:
   tower, with the single starting vertex at level 1/2.
 
 Paths record the traversed edge labels, so parallel edges stay distinguishable.
+``as_level`` and ``levels_upto`` are the one home of the half-integer levels.
 """
 
 from __future__ import annotations
@@ -32,6 +36,18 @@ from .combinat import (
 HALF = Fraction(1, 2)
 
 
+def as_level(t) -> Fraction:
+    t = Fraction(t)
+    if t <= 0 or t % HALF != 0:
+        raise ValueError(f"not a positive half-integer level: {t}")
+    return t
+
+
+def levels_upto(t) -> list[Fraction]:
+    """The tower levels 1/2, 1, 3/2, ... up to and including t."""
+    return [HALF * i for i in range(1, int(2 * as_level(t)) + 1)]
+
+
 @dataclass(frozen=True)
 class GraphPath:
     levels: tuple[Fraction, ...]
@@ -46,19 +62,36 @@ class GraphPath:
 
 
 class GradedGraph:
-    """Levels of shape lists plus labelled edges between consecutive levels."""
+    """Levels of shape lists plus labelled edges between consecutive levels.
 
-    def __init__(self, kind: str, levels, vertices, edges):
+    ``step(i, shape)`` lists the (upper shape, label) pairs of the edges from
+    a shape at level index i; upper shapes missing from level i+1 are dropped.
+    """
+
+    def __init__(self, kind: str, levels, vertices, step):
         self.kind = kind
         self.levels = tuple(Fraction(l) for l in levels)
-        self.vertices = tuple(tuple(vs) for vs in vertices)
-        # edges[i]: dict (u_idx at level i, v_idx at level i+1) -> tuple of labels
-        self.edges = tuple(dict(e) for e in edges)
-        if len(self.edges) != max(len(self.levels) - 1, 0):
-            raise ValueError("need one edge dict per consecutive level pair")
+        self.vertices = tuple(tuple(sorted(vs, key=shape_key)) for vs in vertices)
         self._index = [
             {shape: i for i, shape in enumerate(vs)} for vs in self.vertices
         ]
+        # edges[i]: dict (u_idx at level i, v_idx at level i+1) -> tuple of labels
+        edges = []
+        for i in range(len(self.levels) - 1):
+            upper = self._index[i + 1]
+            e: dict[tuple[int, int], tuple] = {}
+            for u, shape in enumerate(self.vertices[i]):
+                for high, label in step(i, shape):
+                    if high in upper:
+                        key = (u, upper[high])
+                        e[key] = e.get(key, ()) + (label,)
+            edges.append(e)
+        self.edges = tuple(edges)
+        # _out[i][u]: the (v_idx, labels) pairs leaving u, sorted by v_idx
+        self._out = [[[] for _ in self.vertices[i]] for i in range(len(edges))]
+        for i, e in enumerate(edges):
+            for (u, v), labels in sorted(e.items()):
+                self._out[i][u].append((v, labels))
 
     def level_index(self, level) -> int:
         level = Fraction(level)
@@ -120,9 +153,7 @@ class GradedGraph:
                         )
                     )
                 return
-            for (uu, v), labels in sorted(self.edges[step].items()):
-                if uu != u:
-                    continue
+            for v, labels in self._out[step][u]:
                 for label in labels:
                     walk(
                         step + 1,
@@ -174,17 +205,11 @@ def rook_tower(n: int) -> GradedGraph:
     size <= m; a shape at level m+1 joins itself and its one-box removals."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    vertices = [sorted(partitions_upto(m), key=shape_key) for m in range(n + 1)]
-    edges = []
-    for m in range(n):
-        lower = {s: i for i, s in enumerate(vertices[m])}
-        e = {}
-        for v_idx, lam in enumerate(vertices[m + 1]):
-            for nu in corner_set(lam, "minus_eq"):
-                if nu in lower:
-                    e[(lower[nu], v_idx)] = (None,)
-        edges.append(e)
-    return GradedGraph("rook", range(n + 1), vertices, edges)
+
+    def step(m, nu):
+        return [(lam, None) for lam in corner_set(nu, "plus_eq", m + 1)]
+
+    return GradedGraph("rook", range(n + 1), [partitions_upto(m) for m in range(n + 1)], step)
 
 
 def rhat(n: int, kmax: int) -> GradedGraph:
@@ -193,25 +218,13 @@ def rhat(n: int, kmax: int) -> GradedGraph:
     edge per removable corner)."""
     if n < 1 or kmax < 1:
         raise ValueError("n and kmax must be positive")
-    vertices = [
-        [s for s in sorted(partitions_upto(min(k, n)), key=shape_key) if s]
-        for k in range(1, kmax + 1)
-    ]
-    edges = []
-    for k in range(1, kmax):
-        upper = {s: i for i, s in enumerate(vertices[k])}
-        e = {}
-        for u_idx, lam in enumerate(vertices[k - 1]):
-            labels: dict[Partition, list] = {}
-            for omega, mu in move_steps(lam):
-                labels.setdefault(mu, []).append(omega)
-            for mu in corner_set(lam, "plus_n", n):
-                labels.setdefault(mu, []).append(None)
-            for mu, ls in labels.items():
-                if mu in upper:
-                    e[(u_idx, upper[mu])] = tuple(ls)
-        edges.append(e)
-    return GradedGraph("rhat", range(1, kmax + 1), vertices, edges)
+    vertices = [[s for s in partitions_upto(min(k, n)) if s] for k in range(1, kmax + 1)]
+
+    def step(i, lam):
+        moves = [(mu, omega) for omega, mu in move_steps(lam)]
+        return moves + [(mu, None) for mu in corner_set(lam, "plus_n", n)]
+
+    return GradedGraph("rhat", range(1, kmax + 1), vertices, step)
 
 
 def ihat(tmax) -> GradedGraph:
@@ -222,43 +235,17 @@ def ihat(tmax) -> GradedGraph:
     from k to k+1/2 keeps the shape or removes a box; going from k+1/2 to k+1
     adds a box.
     """
-    tmax = Fraction(tmax)
-    if tmax < HALF or tmax % HALF != 0:
-        raise ValueError("tmax must be a positive half-integer")
-    levels = []
-    cur = HALF
-    while cur <= tmax:
-        levels.append(cur)
-        cur += HALF
-    vertices = []
-    for lv in levels:
-        if lv == HALF:
-            vertices.append([()])
-        elif lv.denominator == 1:
-            vertices.append([s for s in sorted(partitions_upto(int(lv)), key=shape_key) if s])
-        else:
-            vertices.append(sorted(partitions_upto(int(lv - HALF)), key=shape_key))
-    edges = []
-    for idx in range(len(levels) - 1):
-        low, high = levels[idx], levels[idx + 1]
-        lower = vertices[idx]
-        upper = {s: i for i, s in enumerate(vertices[idx + 1])}
-        e = {}
-        if low == HALF:
-            e[(0, upper[(1,)])] = (None,)
-        elif low.denominator == 1:
-            for u_idx, mu in enumerate(lower):
-                for nu in corner_set(mu, "minus_eq"):
-                    if nu in upper:
-                        e[(u_idx, upper[nu])] = (None,)
-        else:
-            bound = int(high)
-            for u_idx, nu in enumerate(lower):
-                for lam in corner_set(nu, "plus_n", bound):
-                    if lam in upper:
-                        e[(u_idx, upper[lam])] = (None,)
-        edges.append(e)
-    return GradedGraph("ihat", levels, vertices, edges)
+    levels = levels_upto(tmax)
+    vertices = [
+        [s for s in partitions_upto(int(lv)) if s or lv.denominator == 2] for lv in levels
+    ]
+
+    def step(i, shape):
+        if levels[i].denominator == 1:
+            return [(nu, None) for nu in corner_set(shape, "minus_eq")]
+        return [(lam, None) for lam in corner_set(shape, "plus_n", int(levels[i + 1]))]
+
+    return GradedGraph("ihat", levels, vertices, step)
 
 
 def path_to_tableau(path: GraphPath):

@@ -87,10 +87,6 @@ def chi_star(lam, sigma: RookElement) -> int:
     return sum(_sym_char_by_type(lam, cycle_type(perm)) for _, perm in support_data(sigma, r))
 
 
-def fixed_point_count(sigma: RookElement) -> int:
-    return len(sigma.fixed_points())
-
-
 def defining_product_multiset(lam, n: int) -> dict[Partition, int]:
     """Multiset of shapes in the product of the defining character with lam's.
 

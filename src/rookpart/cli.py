@@ -235,9 +235,7 @@ def _cmd_rook_jm(args) -> int:
 def _cmd_verify(args) -> int:
     numbers = None
     if args.suite:
-        numbers = acceptance.SUITES.get(args.suite)
-        if numbers is None:
-            raise SystemExit(f"unknown suite {args.suite!r}; have {sorted(acceptance.SUITES)}")
+        numbers = acceptance.SUITES[args.suite]
     if args.criterion:
         numbers = args.criterion
     results = acceptance.run_criteria(numbers)
@@ -315,9 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rook_jm)
 
     p = sub.add_parser("verify", help="run acceptance suites")
-    p.add_argument("--suite", help=f"one of {sorted(acceptance.SUITES)}")
-    p.add_argument("--criterion", type=int, nargs="*", help="explicit criterion numbers")
-    p.add_argument("--n", type=int, help="accepted for compatibility; suites fix their own sizes")
+    p.add_argument("--suite", choices=sorted(acceptance.SUITES))
+    p.add_argument(
+        "--criterion",
+        type=int,
+        nargs="+",
+        choices=[c[0] for c in acceptance.CRITERIA],
+        metavar="N",
+        help="explicit criterion numbers",
+    )
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -21,7 +21,6 @@ from .scalars import XI, XiPoly, falling_factorial
 
 _GUARD_A = 6
 _GUARD_I = 5
-_GUARD_PATH = 200_000
 
 
 def _enum_cap(default: int) -> int:

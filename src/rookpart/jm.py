@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bratteli import HALF, GraphPath, ihat
+from .bratteli import HALF, GraphPath, as_level, ihat, levels_upto
 from .combinat import content_sum, set_partitions, standard_tableaux
 from .diagram import (
     AlgebraElement,
@@ -37,35 +37,31 @@ from .tensor import TensorSpace, phi_element, psi_element
 _CENTRALITY_GUARD = Fraction(7, 2)
 
 
-def as_level(t) -> Fraction:
-    t = Fraction(t)
-    if t <= 0 or t % HALF != 0:
-        raise ValueError(f"not a positive half-integer level: {t}")
-    return t
+def size_and_half(t) -> tuple[int, bool]:
+    """Diagram size and half flag of the level-t algebra (level 1/2 is read as
+    I_1): k at level k, and k+1 with the half flag at level k+1/2."""
+    t = max(as_level(t), Fraction(1))
+    return int(t + HALF), t.denominator == 2
 
 
-def is_half_level(t) -> bool:
-    return as_level(t).denominator == 2
-
-
-def level_size(t) -> int:
-    """Number of columns of the diagrams living at level t."""
+def tensor_space(t, n: int) -> TensorSpace:
+    """The tensor space the level-t algebra acts on: k = floor(t) factors of
+    C^n, plus the hidden slot at half levels; n must reach the diagram size."""
     t = as_level(t)
-    return int(t) if t.denominator == 1 else int(t + HALF)
+    size, half = size_and_half(t)
+    if n < size:
+        raise ValueError(f"need n >= {size} at level {t}")
+    return TensorSpace(n, int(t), half=half)
 
 
 def zero_element(t) -> AlgebraElement:
-    t = as_level(t)
-    if t == HALF:
-        t = Fraction(1)
-    return AlgebraElement.zero(level_size(t), "orbit", half=is_half_level(t))
+    size, half = size_and_half(t)
+    return AlgebraElement.zero(size, "orbit", half=half)
 
 
 def identity_element(t) -> AlgebraElement:
-    t = as_level(t)
-    if t == HALF:
-        t = Fraction(1)
-    return AlgebraElement.one(level_size(t), "orbit", half=is_half_level(t))
+    size, half = size_and_half(t)
+    return AlgebraElement.one(size, "orbit", half=half)
 
 
 def build_z(t) -> AlgebraElement:
@@ -165,23 +161,9 @@ def build_m_tilde(y, t) -> AlgebraElement:
     return tower_lift(build_z_tilde(y), t) - tower_lift(build_z_tilde(y - HALF), t)
 
 
-def _levels_upto(t) -> list[Fraction]:
-    t = as_level(t)
-    out = []
-    cur = HALF
-    while cur <= t:
-        out.append(cur)
-        cur += HALF
-    return out
-
-
 def _diagram_basis_elements(t) -> list[PartitionDiagram]:
-    t = as_level(t)
-    if t == HALF:
-        t = Fraction(1)
-    if t.denominator == 1:
-        return enumerate_monoid("I", int(t))
-    return enumerate_monoid("I_half", int(t - HALF))
+    size, half = size_and_half(t)
+    return enumerate_monoid("I_half", size - 1) if half else enumerate_monoid("I", size)
 
 
 def verify_centrality(t) -> dict:
@@ -201,7 +183,7 @@ def verify_centrality(t) -> dict:
             if left != right:
                 failures.append(f"{name} at level {t} does not commute with {g}")
     family = []
-    for y in _levels_upto(t):
+    for y in levels_upto(t):
         family.append((f"M_{y}", build_m(y, t)))
         family.append((f"M~_{y}", build_m_tilde(y, t)))
     for i in range(len(family)):
@@ -222,22 +204,11 @@ def verify_operator_identity(n: int, t) -> dict:
     space: Z against kappa and Z~ against kappa~, with the rook size dropping
     by one at half levels."""
     t = as_level(t)
-    if t.denominator == 1:
-        k = int(t)
-        if n < k:
-            raise ValueError("need n >= k")
-        space = TensorSpace(n, k)
-        rook_n = n
-    else:
-        k = int(t - HALF)
-        if n < k + 1:
-            raise ValueError("need n >= k+1 at a half level")
-        space = TensorSpace(n, k, half=True)
-        rook_n = n - 1
+    space = tensor_space(t, n)
     failures = []
     pairs = [
-        ("Z", build_z(t), kappa(rook_n)),
-        ("Z~", build_z_tilde(t), kappa_tilde(rook_n)),
+        ("Z", build_z(t), kappa(space.rook_n)),
+        ("Z~", build_z_tilde(t), kappa_tilde(space.rook_n)),
     ]
     for name, elem, rook_elem in pairs:
         lhs = phi_element(elem, space)
@@ -287,22 +258,10 @@ def gt_decompose(t, n: int) -> dict:
     distinct.
     """
     t = as_level(t)
-    rook_n = n
-    if t.denominator == 1:
-        k = int(t)
-        if n < k:
-            raise ValueError("need n >= level")
-        space = TensorSpace(n, k)
-    else:
-        k = int(t - HALF)
-        if n < k + 1:
-            raise ValueError("need n >= level rounded up")
-        space = TensorSpace(n, k, half=True)
-        rook_n = n - 1
+    space = tensor_space(t, n)
     graph = ihat(t)
-    levels = _levels_upto(t)
     ops = []
-    for y in levels:
+    for y in levels_upto(t):
         ops.append(phi_element(build_m(y, t), space))
         ops.append(phi_element(build_m_tilde(y, t), space))
     # checked to commute once here, not again for every path
@@ -317,7 +276,7 @@ def gt_decompose(t, n: int) -> dict:
             predicted = predicted_eigenvalues(path)
             flat = [v for pair in predicted for v in pair]
             basis = simultaneous_eigenspace(ops, flat)
-            expected_dim = len(standard_tableaux(mu, rook_n))
+            expected_dim = len(standard_tableaux(mu, space.rook_n))
             total += len(basis)
             key = tuple(flat)
             if key in seen_tuples:

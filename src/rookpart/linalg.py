@@ -183,10 +183,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b
-
-
 def _gauss_jordan(rows, reduced: bool) -> dict:
     """Sparse Gauss-Jordan elimination of rows given as {column: value} dicts.
 

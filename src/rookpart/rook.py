@@ -222,10 +222,6 @@ def algebra_mul(a: FormalSum, b: FormalSum) -> FormalSum:
     return a.bilinear(b, lambda x, y: FormalSum.term(rook_mul(x, y)))
 
 
-def algebra_identity(n: int) -> FormalSum:
-    return FormalSum.term(RookElement.identity(n))
-
-
 @cache
 def jm_x(i: int, n: int) -> FormalSum:
     """X_1 = 1 - P_1 and X_i = s_{i-1} X_{i-1} s_{i-1}."""
@@ -284,10 +280,6 @@ def embed(rho: RookElement, n: int) -> RookElement:
         raise ValueError("cannot shrink")
     mapping = list(rho.mapping) + list(range(rho.n + 1, n + 1))
     return RookElement(n, mapping)
-
-
-def embed_sum(x: FormalSum, n: int) -> FormalSum:
-    return x.map_keys(lambda rho: embed(rho, n))
 
 
 # --- character support data ---------------------------------------------------

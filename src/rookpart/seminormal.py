@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .bratteli import tableau_to_path
 from .combinat import (
     Partition,
     check_partition,
@@ -72,13 +73,7 @@ def act_p1(lam: Partition, n: int, tab) -> FormalSum:
 
 def _path_sort_key(tab, n: int):
     """Branching path of the tableau, read from level n-1 down to level 0."""
-    keys = []
-    for m in range(n - 1, -1, -1):
-        shape = tuple(
-            count for count in (sum(1 for e in row if e <= m) for row in tab) if count
-        )
-        keys.append(shape_key(shape))
-    return tuple(keys)
+    return tuple(shape_key(s) for s in reversed(tableau_to_path(tab, n).shapes[:-1]))
 
 
 class RookIrrep:

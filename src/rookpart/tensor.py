@@ -47,6 +47,12 @@ class TensorSpace:
     def diagram_size(self) -> int:
         return self.k + 1 if self.half else self.k
 
+    @property
+    def rook_n(self) -> int:
+        """Size of the rook elements acting here: a half space fixes its last
+        basis vector, leaving n-1 letters."""
+        return self.n - 1 if self.half else self.n
+
     def __repr__(self):
         tag = "+1/2" if self.half else ""
         return f"TensorSpace(n={self.n}, k={self.k}{tag})"
@@ -131,12 +137,10 @@ def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
 
 
 def _rook_entries(rho: RookElement, space: TensorSpace) -> dict:
+    if rho.n != space.rook_n:
+        raise ValueError(f"{space!r} needs rook elements of size {space.rook_n}")
     if space.half:
-        if rho.n != space.n - 1:
-            raise ValueError(f"half space needs rook elements of size {space.n - 1}")
         rho = embed(rho, space.n)
-    elif rho.n != space.n:
-        raise ValueError("size mismatch")
     entries = {}
     for idx, tup in enumerate(space.basis):
         images = tuple(rho.image(i) for i in tup)
@@ -174,7 +178,6 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
 
     space = TensorSpace(n, k, half)
     diagrams = enumerate_monoid("I_half" if half else "I", k)
-    rook_n = n - 1 if half else n
 
     def flat(entries):
         return {i * space.dim + j: v for (i, j), v in entries.items()}
@@ -185,11 +188,11 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     )
     kernel_dim = len(diagrams) - image_dim
 
-    gens = [psi_rook(g, space) for g in _rook_generators(rook_n)]
+    gens = [psi_rook(g, space) for g in _rook_generators(space.rook_n)]
     commutant_dim = commutant_dimension(gens)
 
     psi_image_dim = sparse_rank_of_vectors(
-        [flat(_rook_entries(rho, space)) for rho in enumerate_rook(rook_n)]
+        [flat(_rook_entries(rho, space)) for rho in enumerate_rook(space.rook_n)]
     )
     phi_gens = [phi_diagram(d, space) for d in diagrams]
     phi_commutant_dim = commutant_dimension(phi_gens)

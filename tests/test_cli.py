@@ -186,7 +186,14 @@ def test_jm_bad_level_exits_2(capsys):
 
 
 def test_verify_unknown_suite_exits(capsys):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "nonsense"])
+    for argv in (
+        ["verify", "--suite", "nonsense"],
+        ["verify", "--criterion", "99"],
+        ["verify", "--criterion", "1", "99"],
+        ["verify", "--criterion"],
+        ["verify", "--n", "3"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err, argv

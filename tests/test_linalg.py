@@ -14,7 +14,6 @@ from rookpart.linalg import (
     CommutingFamily,
     ExactMatrix,
     commutant_dimension,
-    mat_mul,
     nullspace,
     rank,
     simultaneous_eigenspace,
@@ -35,9 +34,9 @@ def square_matrices(d):
 
 def test_mat_mul_identity_and_involution():
     ident = ExactMatrix.identity(2)
-    assert mat_mul(ident, ident) == ident
+    assert ident * ident == ident
     flip = ExactMatrix([[0, 1], [1, 0]])
-    assert mat_mul(flip, flip) == ident
+    assert flip * flip == ident
 
 
 def test_mat_mul_seminormal_involution():
@@ -49,7 +48,7 @@ def test_mat_mul_seminormal_involution():
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(ExactMatrix([[1, 2]]), ExactMatrix([[1, 2]]))
+        ExactMatrix([[1, 2]]) * ExactMatrix([[1, 2]])
 
 
 def test_nullspace_trivial_cases():

@@ -387,6 +387,10 @@ SUITES = {
 def run_criteria(numbers=None) -> list[dict]:
     import time
 
+    if numbers is not None:
+        unknown = sorted(set(numbers) - {num for num, *_ in CRITERIA})
+        if unknown:
+            raise ValueError(f"unknown criterion numbers: {unknown}")
     out = []
     for num, name, fn, budget in CRITERIA:
         if numbers is not None and num not in numbers:

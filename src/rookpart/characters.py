@@ -1,14 +1,21 @@
 """Characters of the rook monoid and the defining-representation product rule.
 
+A rook character is a class function: its value at a rook element depends only
+on the cycle type of the element's closed part, the cycles of the partial map
+(W. D. Munn, Proc. Cambridge Philos. Soc. 53, 1957).  ``closed_type`` reads
+that type and ``class_representatives`` gives one element per class, a
+permutation of type mu on {1..|mu|} undefined on the rest, for every partition
+mu of size at most n.
+
 The irreducible character attached to a shape lam evaluates at a rook element
 by summing symmetric-group character values over the invariant index subsets
-of size |lam|.  Symmetric-group values are traces of the seminormal modules at
-n = |lam| and are cached by cycle type.
+of size |lam|.  Symmetric-group values come from the Murnaghan-Nakayama rule
+and are cached by (shape, cycle type); ``chi_sym``, the trace of the seminormal
+module, is the independent route kept for comparison.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .combinat import (
@@ -20,7 +27,7 @@ from .combinat import (
     shape_key,
 )
 from .linalg import ExactMatrix, solve_unique
-from .rook import RookElement, enumerate_rook, support_data
+from .rook import RookElement, _cycles, support_data
 from .seminormal import RookIrrep
 
 
@@ -42,14 +49,29 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def _perm_of_type(ctype: tuple[int, ...]) -> RookElement:
+def closed_type(sigma: RookElement) -> Partition:
+    """Cycle type of the closed part of a rook element: the lengths of the
+    cycles of the partial map, largest first.  Rook characters read nothing
+    else of sigma."""
+    return tuple(sorted((len(c) for c in _cycles(sigma)), reverse=True))
+
+
+def _perm_of_type(ctype: tuple[int, ...], n: int) -> RookElement:
+    """Permutation of cycle type ctype on {1..|ctype|}, undefined up to n."""
     mapping = []
     offset = 0
     for length in ctype:
-        cycle = list(range(offset + 2, offset + length + 1)) + [offset + 1]
-        mapping.extend(cycle)
+        mapping.extend(range(offset + 2, offset + length + 1))
+        mapping.append(offset + 1)
         offset += length
-    return RookElement(offset, tuple(mapping))
+    return RookElement(n, mapping + [0] * (n - offset))
+
+
+@cache
+def class_representatives(n: int) -> tuple[tuple[Partition, RookElement], ...]:
+    """One (mu, rep) per class of R_n, for mu in ``partitions_upto(n)``, with
+    ``closed_type(rep) == mu``."""
+    return tuple((mu, _perm_of_type(mu, n)) for mu in partitions_upto(n))
 
 
 @cache
@@ -59,9 +81,30 @@ def _irrep(lam: Partition, n: int) -> RookIrrep:
 
 @cache
 def _sym_char_by_type(lam: Partition, ctype: tuple[int, ...]) -> int:
-    value = _irrep(lam, sum(lam)).rep_rook(_perm_of_type(ctype)).trace()
-    assert value.denominator == 1
-    return int(value)
+    """Symmetric-group character of lam at cycle type ctype, by the
+    Murnaghan-Nakayama rule: remove a rim hook of length ctype[0] in every
+    way, each with sign (-1)^(leg length), and recurse on the rest of ctype.
+
+    On the beta-numbers lam_i + l - i of lam (l parts), removing a rim hook
+    of length r moves a bead b to a free position b - r >= 0, and the leg
+    length is the number of beads strictly between b - r and b.
+    """
+    if sum(lam) != sum(ctype):
+        raise ValueError(f"shape {lam} and cycle type {ctype} differ in size")
+    if not ctype:
+        return 1
+    r, rest = ctype[0], ctype[1:]
+    top = len(lam) - 1
+    beta = [part + top - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        leg = sum(1 for c in beta if b - r < c < b)
+        moved = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+        mu = tuple(p for p in (c - top + i for i, c in enumerate(moved)) if p)
+        total += (-1) ** leg * _sym_char_by_type(mu, rest)
+    return total
 
 
 def chi_sym(lam, sigma: RookElement) -> int:
@@ -71,7 +114,8 @@ def chi_sym(lam, sigma: RookElement) -> int:
     if sigma.n != sum(lam) or not sigma.is_permutation():
         raise ValueError(f"need a permutation of 1..{sum(lam)}")
     value = _irrep(lam, sigma.n).rep_rook(sigma).trace()
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"seminormal trace of {lam} at sigma={sigma!r} is {value}")
     return int(value)
 
 
@@ -100,7 +144,7 @@ def defining_product_multiset(lam, n: int) -> dict[Partition, int]:
         out[mu] = out.get(mu, 0) + 1
     added = corner_set(lam, "plus_n", n)
     if set(added) & set(out):
-        raise AssertionError("move and add parts unexpectedly overlap")
+        raise RuntimeError(f"move and add parts overlap for lam={lam}, n={n}")
     for mu in added:
         out[mu] = out.get(mu, 0) + 1
     return out
@@ -111,8 +155,9 @@ def kronecker_with_defining(lam, n: int, verify: bool = True) -> dict[Partition,
 
     When ``verify`` is set, the character identity
     chi*_(1)(sigma) chi*_lam(sigma) = sum over the multiset of chi*_mu(sigma)
-    is checked pointwise over the whole monoid; a failure raises with the
-    witnessing element.
+    is checked at every class representative of R_n.  That covers the whole
+    monoid, since every character involved is a class function; a failure
+    raises with the witnessing representative.
     """
     lam = check_partition(lam)
     if sum(lam) > n:
@@ -120,7 +165,7 @@ def kronecker_with_defining(lam, n: int, verify: bool = True) -> dict[Partition,
     out = defining_product_multiset(lam, n)
     if verify:
         one = (1,)
-        for sigma in enumerate_rook(n):
+        for _, sigma in class_representatives(n):
             lhs = chi_star(one, sigma) * chi_star(lam, sigma)
             rhs = sum(m * chi_star(mu, sigma) for mu, m in out.items())
             if lhs != rhs:
@@ -191,20 +236,25 @@ def tensor_multiplicities(n: int, k: int) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the k-th tensor power of the
     defining representation, solved exactly from characters.
 
-    The trace of the tensor action is computed from actual matrices on the
-    tensor space, so this route is independent of any branching-graph count.
+    The system is square, one row per class of R_n: at the representative of
+    type mu the tensor character is the trace of sigma on V^(x)k, which is
+    (#fixed points)^k = mu.count(1)^k.  The right-hand side comes from the
+    action on the tensor space, not from any branching-graph count.
     """
-    from .tensor import TensorSpace, psi_rook
-
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     shapes = partitions_upto(n)
-    space = TensorSpace(n, k)
-    elements = enumerate_rook(n)
-    rows = [[Fraction(chi_star(lam, sigma)) for lam in shapes] for sigma in elements]
-    rhs = [psi_rook(sigma, space).trace() for sigma in elements]
+    classes = class_representatives(n)
+    rows = [[chi_star(lam, rep) for lam in shapes] for _, rep in classes]
+    rhs = [mu.count(1) ** k for mu, _ in classes]
     sol = solve_unique(ExactMatrix(rows), rhs)
     out = {}
     for lam, m in zip(shapes, sol):
+        if m.denominator != 1 or m < 0:
+            raise ValueError(
+                f"multiplicity of {lam} in the tensor power n={n}, k={k} is {m}, "
+                "not a nonnegative integer"
+            )
         if m:
-            assert m.denominator == 1 and m > 0
             out[lam] = int(m)
     return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))

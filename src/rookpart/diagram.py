@@ -411,7 +411,8 @@ def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         if not rows_match(d1, d2):
             return FormalSum.zero()
         comp, internal = compose(d1, d2)
-        assert internal == 0
+        if internal:
+            raise RuntimeError(f"composing {d1} with {d2} leaves {internal} internal blocks")
         return FormalSum.term(comp, Fraction(1))
 
     return a._like(a.sum.bilinear(b.sum, pair))

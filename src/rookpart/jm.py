@@ -46,8 +46,11 @@ def size_and_half(t) -> tuple[int, bool]:
 
 def tensor_space(t, n: int) -> TensorSpace:
     """The tensor space the level-t algebra acts on: k = floor(t) factors of
-    C^n, plus the hidden slot at half levels; n must reach the diagram size."""
+    C^n, plus the hidden slot at half levels; n must reach the diagram size.
+    Level 1/2 has no factor, so the tower acts on tensor space from level 1."""
     t = as_level(t)
+    if t < 1:
+        raise ValueError(f"level {t} has no tensor space; need a level >= 1")
     size, half = size_and_half(t)
     if n < size:
         raise ValueError(f"need n >= {size} at level {t}")

@@ -24,3 +24,8 @@ def test_criterion(number, name, fn, budget):
 
 def test_every_criterion_is_registered():
     assert [c[0] for c in CRITERIA] == list(range(1, 15))
+
+
+def test_run_criteria_rejects_unknown_numbers():
+    with pytest.raises(ValueError, match=r"unknown criterion numbers: \[0, 99\]"):
+        run_criteria([99, 1, 0])

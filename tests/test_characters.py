@@ -1,18 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from rookpart.characters import (
+    _sym_char_by_type,
     check_frobenius,
     chi_star,
     chi_sym,
+    class_representatives,
+    closed_type,
     cycle_type,
     kronecker_with_defining,
     mod_induce,
     mod_restrict,
     tensor_multiplicities,
 )
-from rookpart.combinat import f_lambda, partitions_upto
+from rookpart.combinat import f_lambda, partitions, partitions_upto
+from rookpart.linalg import ExactMatrix, solve_unique
 from rookpart.rook import RookElement, enumerate_rook, generator, rook_mul
 from rookpart.seminormal import RookIrrep
 from rookpart.tensor import TensorSpace, psi_rook
@@ -152,17 +157,101 @@ def test_tensor_multiplicities_against_traces():
         assert lhs == rhs
 
 
-def test_kronecker_failure_reports_witness():
+def test_kronecker_failure_reports_witness(monkeypatch):
     # force a failure by lying about the multiset
     from rookpart import characters
 
     good = characters.defining_product_multiset((1,), 2)
     bad = dict(good)
     bad[(2,)] += 1
-    ident = RookElement.identity(2)
-    lhs = chi_star((1,), ident) * chi_star((1,), ident)
-    rhs = sum(m * chi_star(mu, ident) for mu, m in bad.items())
-    assert lhs != rhs
+    monkeypatch.setattr(characters, "defining_product_multiset", lambda lam, n: dict(bad))
+    with pytest.raises(RuntimeError, match=r"lam=\(1,\), n=2 at sigma=RookElement"):
+        kronecker_with_defining((1,), 2)
+    assert kronecker_with_defining((1,), 2, verify=False)[(2,)] == 2
+
+
+def test_tensor_multiplicities_rejects_non_integral_solution(monkeypatch):
+    from rookpart import characters
+
+    shapes = partitions_upto(2)
+    fake = tuple(Fraction(1, 2) if lam == (1,) else Fraction(0) for lam in shapes)
+    monkeypatch.setattr(characters, "solve_unique", lambda a, rhs: fake)
+    with pytest.raises(ValueError, match=r"multiplicity of \(1,\).* is 1/2"):
+        tensor_multiplicities(2, 1)
+
+
+def test_tensor_multiplicities_needs_positive_sizes():
+    for n, k in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="n and k must be positive"):
+            tensor_multiplicities(n, k)
+
+
+def test_closed_type_reads_only_cycles():
+    assert closed_type(RookElement(3, (2, 3, 1))) == (3,)
+    assert closed_type(RookElement(4, (2, 1, 4, 0))) == (2,)  # 3 -> 4 -> undefined
+    assert closed_type(RookElement(4, (1, 0, 0, 4))) == (1, 1)
+    assert closed_type(RookElement.zero(3)) == ()
+    for sigma in enumerate_rook(3):
+        if sigma.is_permutation():
+            assert closed_type(sigma) == cycle_type(sigma.mapping)
+
+
+def test_class_representatives():
+    for n in range(0, 6):
+        classes = class_representatives(n)
+        assert [mu for mu, _ in classes] == partitions_upto(n)
+        for mu, rep in classes:
+            assert rep.n == n and rep.rank() == sum(mu)
+            assert closed_type(rep) == mu
+
+
+# --- oracles: the routes the class-function code replaced -----------------------
+
+
+def test_psi_rook_trace_is_fixed_points_to_the_k():
+    for n in range(1, 4):
+        for k in range(1, 4):
+            space = TensorSpace(n, k)
+            for sigma in enumerate_rook(n):
+                assert psi_rook(sigma, space).trace() == len(sigma.fixed_points()) ** k
+
+
+def test_murnaghan_nakayama_matches_seminormal_trace():
+    for r in range(1, 7):
+        for ctype, rep in class_representatives(r)[-len(partitions(r)):]:
+            for lam in partitions(r):
+                assert _sym_char_by_type(lam, ctype) == chi_sym(lam, rep), (lam, ctype)
+
+
+def test_murnaghan_nakayama_checks_sizes():
+    with pytest.raises(ValueError, match="differ in size"):
+        _sym_char_by_type((2, 1), (2,))
+
+
+def test_chi_star_is_a_class_function_exhaustive():
+    for n in range(1, 5):
+        reps = dict(class_representatives(n))
+        for sigma in enumerate_rook(n):
+            rep = reps[closed_type(sigma)]
+            for lam in partitions_upto(n):
+                assert chi_star(lam, sigma) == chi_star(lam, rep), (lam, sigma)
+
+
+def _tensor_multiplicities_over_monoid(n, k):
+    # the former route: one row per element of R_n, traces of actual matrices
+    shapes = partitions_upto(n)
+    space = TensorSpace(n, k)
+    elements = enumerate_rook(n)
+    rows = [[Fraction(chi_star(lam, sigma)) for lam in shapes] for sigma in elements]
+    rhs = [psi_rook(sigma, space).trace() for sigma in elements]
+    sol = solve_unique(ExactMatrix(rows), rhs)
+    return {lam: int(m) for lam, m in zip(shapes, sol) if m}
+
+
+def test_tensor_multiplicities_match_monoid_system():
+    for n in range(1, 5):
+        for k in range(1, 5):
+            assert tensor_multiplicities(n, k) == _tensor_multiplicities_over_monoid(n, k)
 
 
 def test_pairing_rows_distinguish_shapes():

@@ -185,6 +185,14 @@ def test_jm_bad_level_exits_2(capsys):
     assert main(["jm", "--t", "1/3", "--n", "2"]) == 2
 
 
+def test_jm_level_below_one_names_the_level(capsys):
+    capsys.readouterr()
+    assert main(["jm", "--t", "1/2", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level 1/2 has no tensor space; need a level >= 1\n"
+
+
 def test_verify_unknown_suite_exits(capsys):
     for argv in (
         ["verify", "--suite", "nonsense"],

@@ -240,8 +240,11 @@ def _cmd_verify(args) -> int:
         numbers = args.criterion
     results = acceptance.run_criteria(numbers)
     for rec in results:
-        # wall-clock timing would break byte-identical reruns
+        # wall-clock timing would break byte-identical reruns, so it goes to stderr
         emit({k: v for k, v in rec.items() if k != "seconds"})
+        if args.timings:
+            timing = {"criterion": rec["criterion"], "seconds": rec["seconds"]}
+            print(json.dumps(timing, sort_keys=True), file=sys.stderr)
     ok = all(r["ok"] for r in results)
     emit({"passed": sum(r["ok"] for r in results), "total": len(results), "ok": ok})
     return 0 if ok else 1
@@ -321,6 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[c[0] for c in acceptance.CRITERIA],
         metavar="N",
         help="explicit criterion numbers",
+    )
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="write each criterion's seconds to stderr as one JSON line",
     )
     p.set_defaults(fn=_cmd_verify)
 

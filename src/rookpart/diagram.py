@@ -4,7 +4,23 @@ Vertices of a size-k diagram are encoded as +1..+k (top row) and -1..-k
 (bottom row).  A diagram at a half level k+1/2 is stored as a size-(k+1)
 diagram with ``half=True``; its last top and bottom vertices must share a
 block.  All diagrams are kept in a canonical form, so they are hashable and
-comparable.
+comparable.  Each diagram reads its two row partitions once and keeps them.
+
+Products do only the work whose result they keep:
+
+- An orbit-basis product x_{d1} x_{d2} vanishes unless the bottom row of d1
+  and the top row of d2 induce the same set partition (the middle rows
+  match), so the orbit products index the right factor's terms by top row and
+  pair each left term only with the terms its bottom row matches.
+- ``compose`` joins the blocks of the two factors through the middle row
+  (a union-find over b1 + b2 blocks, not over 3k vertices) and reads the
+  result's blocks off in canonical order, so nothing is re-sorted.
+- ``diagram_product`` sums coefficient products per (diagram, loop count)
+  and multiplies by xi^loops once per such pair; ``to_orbit`` only adds,
+  since every coarsening enters with coefficient 1.
+
+Inside a product, integral coefficients are summed and multiplied as ints;
+results carry Fraction or XiPoly coefficients, never ints.
 """
 
 from __future__ import annotations
@@ -36,26 +52,46 @@ def _vertex_key(v: int) -> tuple[int, int]:
 class PartitionDiagram:
     """Set partition of {1..k, -1..-k} in canonical block order."""
 
-    __slots__ = ("size", "half", "blocks")
+    __slots__ = ("size", "half", "blocks", "_rows", "_hash")
 
     def __init__(self, size: int, blocks, half: bool = False):
         if size < 1:
             raise ValueError("size must be positive")
+        blocks = [tuple(b) for b in blocks]
+        for i, b in enumerate(blocks):
+            if not b:
+                raise ValueError(f"block {i + 1} of the diagram is empty")
         canon = tuple(
             sorted(
-                (tuple(sorted(set(b), key=_vertex_key)) for b in blocks),
+                (tuple(sorted(b, key=_vertex_key)) for b in blocks),
                 key=lambda b: _vertex_key(b[0]),
             )
         )
         vertices = [v for b in canon for v in b]
         expected = set(range(1, size + 1)) | set(range(-size, 0))
         if len(vertices) != 2 * size or set(vertices) != expected:
+            for b in blocks:
+                if len(set(b)) != len(b):
+                    raise ValueError(f"block {list(b)} repeats a vertex")
             raise ValueError(f"blocks must partition the {2 * size} vertices")
         if half and not _joins_last_column(canon, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
         self.size = size
         self.half = half
         self.blocks = canon
+        self._rows = None
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, size: int, blocks: tuple, half: bool) -> "PartitionDiagram":
+        """Diagram from blocks already in canonical form, without checks."""
+        d = object.__new__(cls)
+        d.size = size
+        d.half = half
+        d.blocks = blocks
+        d._rows = None
+        d._hash = None
+        return d
 
     @classmethod
     def identity(cls, size: int, half: bool = False) -> "PartitionDiagram":
@@ -74,15 +110,22 @@ class PartitionDiagram:
                 return b
         raise KeyError(v)
 
+    def _row_partitions(self) -> tuple:
+        # canonical block order puts the top parts in canonical order already;
+        # the bottom parts need one sort by their first element
+        if self._rows is None:
+            top = (tuple(v for v in b if v > 0) for b in self.blocks)
+            bottom = (tuple(-v for v in b if v < 0) for b in self.blocks)
+            self._rows = (tuple(p for p in top if p), tuple(sorted(p for p in bottom if p)))
+        return self._rows
+
     def top_partition(self) -> tuple:
         """Restriction to the top row, as a set partition of {1..k}."""
-        parts = [tuple(v for v in b if v > 0) for b in self.blocks]
-        return canonical_set_partition([p for p in parts if p])
+        return self._row_partitions()[0]
 
     def bottom_partition(self) -> tuple:
         """Restriction to the bottom row, unprimed."""
-        parts = [tuple(-v for v in b if v < 0) for b in self.blocks]
-        return canonical_set_partition([p for p in parts if p])
+        return self._row_partitions()[1]
 
     def flip(self) -> "PartitionDiagram":
         """Swap top and bottom rows."""
@@ -94,10 +137,12 @@ class PartitionDiagram:
     def __eq__(self, other):
         if not isinstance(other, PartitionDiagram):
             return NotImplemented
-        return (self.size, self.half, self.blocks) == (other.size, other.half, other.blocks)
+        return self.blocks == other.blocks and self.half == other.half and self.size == other.size
 
     def __hash__(self):
-        return hash((self.size, self.half, self.blocks))
+        if self._hash is None:
+            self._hash = hash((self.size, self.half, self.blocks))
+        return self._hash
 
     def __lt__(self, other):
         return (self.size, self.half, self.blocks) < (other.size, other.half, other.blocks)
@@ -112,6 +157,8 @@ class PartitionDiagram:
     @classmethod
     def parse(cls, text: str, size: int | None = None, half: bool = False) -> "PartitionDiagram":
         blocks = json.loads(text)
+        if not blocks:
+            raise ValueError("the diagram is empty")
         if size is None:
             size = max(abs(v) for b in blocks for v in b)
         return cls(size, [tuple(b) for b in blocks], half)
@@ -123,7 +170,8 @@ def _joins_last_column(blocks, size: int) -> bool:
 
 def is_totally_propagating(d: PartitionDiagram) -> bool:
     """Every block meets both the top and the bottom row."""
-    return all(any(v > 0 for v in b) and any(v < 0 for v in b) for b in d.blocks)
+    # a canonical block lists its top vertices first
+    return all(b[0] > 0 > b[-1] for b in d.blocks)
 
 
 def is_half(d: PartitionDiagram) -> bool:
@@ -134,54 +182,51 @@ def is_half(d: PartitionDiagram) -> bool:
 def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagram, int]:
     """Concatenation d1 over d2; returns (diagram, number of internal components).
 
-    The middle row identifies the bottom of d1 with the top of d2; components
-    living entirely in the middle row are dropped and counted.
+    The middle row identifies the bottom of d1 with the top of d2.  A
+    union-find over the blocks of both factors joins a block of d1 with a
+    block of d2 whenever they share a middle vertex.  Components living
+    entirely in the middle row are dropped and counted.  The result's blocks
+    are read off by visiting 1..k, then -1..-k, so each block comes out
+    sorted and the blocks come out in canonical order.
     """
     if d1.size != d2.size or d1.half != d2.half:
         raise ValueError("size mismatch")
     k = d1.size
-    # vertex ids: 0..k-1 top, k..2k-1 middle, 2k..3k-1 bottom
-    parent = list(range(3 * k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def top_id(v):
-        return v - 1 if v > 0 else k + (-v - 1)
-
-    def bot_id(v):
-        return k + (v - 1) if v > 0 else 2 * k + (-v - 1)
-
-    for b in d1.blocks:
-        first = top_id(b[0])
-        for v in b[1:]:
-            union(first, top_id(v))
-    for b in d2.blocks:
-        first = bot_id(b[0])
-        for v in b[1:]:
-            union(first, bot_id(v))
-
+    n1 = len(d1.blocks)
+    # block ids: 0..n1-1 for d1, n1.. for d2; a parent id is always larger
+    # than its child's, since a block of d2 only ever adopts earlier ids
+    parent = list(range(n1 + len(d2.blocks)))
+    top = [0] * (k + 1)  # top vertex -> block of d1
+    middle = [0] * (k + 1)  # middle vertex -> block of d1 holding its bottom copy
+    bottom = [0] * (k + 1)  # bottom vertex -> block of d2
+    for i, b in enumerate(d1.blocks):
+        for v in b:
+            if v > 0:
+                top[v] = i
+            else:
+                middle[-v] = i
+    joins = 0
+    for i, b in enumerate(d2.blocks, n1):
+        for v in b:
+            if v > 0:
+                x = middle[v]
+                while parent[x] != x:
+                    x = parent[x]
+                if x != i:
+                    parent[x] = i
+                    joins += 1
+            else:
+                bottom[-v] = i
+    for x in range(len(parent) - 1, -1, -1):
+        parent[x] = parent[parent[x]]  # now the root of x
     comps: dict[int, list[int]] = {}
-    for x in range(3 * k):
-        comps.setdefault(find(x), []).append(x)
-
-    blocks = []
-    internal = 0
-    for members in comps.values():
-        outer = [m for m in members if m < k or m >= 2 * k]
-        if not outer:
-            internal += 1
-            continue
-        blocks.append(tuple(m + 1 if m < k else -(m - 2 * k + 1) for m in outer))
-    return PartitionDiagram(k, blocks, d1.half), internal
+    for v in range(1, k + 1):
+        comps.setdefault(parent[top[v]], []).append(v)
+    for v in range(1, k + 1):
+        comps.setdefault(parent[bottom[v]], []).append(-v)
+    blocks = tuple(tuple(c) for c in comps.values())
+    internal = len(parent) - joins - len(blocks)
+    return PartitionDiagram._canonical(k, blocks, d1.half), internal
 
 
 def is_coarser(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
@@ -221,7 +266,7 @@ class AlgebraElement:
         if basis not in ("diagram", "orbit"):
             raise ValueError(f"unknown basis {basis!r}")
         s = terms if isinstance(terms, FormalSum) else FormalSum(terms)
-        for key in s.keys():
+        for key, _ in s.terms():
             if key.size != size or key.half != half:
                 raise ValueError("all keys must live at the same level")
         self.size = size
@@ -298,23 +343,41 @@ class AlgebraElement:
         return f"AlgebraElement({self.basis}, level={self.level}, {self.sum!r})"
 
 
+def _terms(s: FormalSum) -> list:
+    """Terms of s with integral Fraction coefficients read as ints, so that
+    coefficient arithmetic stays in ints as long as it can."""
+    return [
+        (d, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        for d, c in s.terms()
+    ]
+
+
+def _exact_sum(acc: dict) -> FormalSum:
+    """FormalSum of acc with its int coefficients made Fractions."""
+    return FormalSum({d: Fraction(c) if isinstance(c, int) else c for d, c in acc.items()})
+
+
 def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2)."""
+    """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2).
+
+    The products c1*c2 are summed per (d1 ∘ d2, l), and each such sum is
+    multiplied by xi^l once.
+    """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
     a._check_compatible(b)
-
-    def pair(d1, d2):
-        d, loops = compose(d1, d2)
-        return FormalSum.term(d, _xi_power(loops))
-
-    return a._like(a.sum.bilinear(b.sum, pair))
-
-
-def _xi_power(l: int):
-    if l == 0:
-        return Fraction(1)
-    return XiPoly([0] * l + [1])
+    right = _terms(b.sum)
+    grouped = {}
+    for d1, c1 in _terms(a.sum):
+        for d2, c2 in right:
+            key = compose(d1, d2)
+            grouped[key] = grouped.get(key, 0) + c1 * c2
+    acc = {}
+    for (d, loops), c in grouped.items():
+        if loops:
+            c = c * XiPoly([0] * loops + [1])
+        acc[d] = acc.get(d, 0) + c
+    return a._like(_exact_sum(acc))
 
 
 @cache
@@ -341,16 +404,17 @@ def from_orbit(a: AlgebraElement) -> AlgebraElement:
 def to_orbit(a: AlgebraElement) -> AlgebraElement:
     """Rewrite a diagram-basis element in the orbit basis.
 
-    Uses d = sum over the coarsening upset of d of the orbit elements, so only
-    the support's coarsenings are ever touched.
+    Uses d = sum over the coarsening upset of d of the orbit elements: every
+    coarsening of a support diagram gets that diagram's coefficient added,
+    and nothing outside the support's coarsenings is touched.
     """
     if a.basis != "diagram":
         raise ValueError("to_orbit needs a diagram-basis element")
-
-    def expand(d):
-        return FormalSum([(c, Fraction(1)) for c in coarsenings(d)])
-
-    return AlgebraElement(a.size, "orbit", a.sum.map_terms(expand), a.half)
+    acc = {}
+    for d, coeff in _terms(a.sum):
+        for c in coarsenings(d):
+            acc[c] = acc.get(c, 0) + coeff
+    return AlgebraElement(a.size, "orbit", _exact_sum(acc), a.half)
 
 
 def rows_match(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
@@ -358,15 +422,28 @@ def rows_match(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
     return d1.bottom_partition() == d2.top_partition()
 
 
-def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> FormalSum:
-    """Orbit-basis structure constants.
+def _matched_pairs(a: AlgebraElement, b: AlgebraElement):
+    """(d1, c1, d2, c2) for each term d1 of a and term d2 of b whose middle
+    rows match.
 
-    Zero unless the middle rows match; otherwise a sum over the coarsenings of
-    d1 ∘ d2 obtained by matching top-row-only blocks of d1 with
-    bottom-row-only blocks of d2, with falling-factorial coefficients.
+    b's terms are indexed by top row, so each term of a meets only the terms
+    its bottom row matches; the orbit products of all other pairs vanish.
     """
-    if not rows_match(d1, d2):
-        return FormalSum.zero()
+    by_top: dict[tuple, list] = {}
+    for d2, c2 in _terms(b.sum):
+        by_top.setdefault(d2.top_partition(), []).append((d2, c2))
+    for d1, c1 in _terms(a.sum):
+        for d2, c2 in by_top.get(d1.bottom_partition(), ()):
+            yield d1, c1, d2, c2
+
+
+def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
+    """Orbit-basis structure constants of two diagrams whose middle rows match.
+
+    A sum, as (diagram, coefficient) terms with distinct diagrams, over the
+    coarsenings of d1 ∘ d2 obtained by matching top-row-only blocks of d1
+    with bottom-row-only blocks of d2, with falling-factorial coefficients.
+    """
     comp, internal = compose(d1, d2)
     top_only = [b for b in d1.blocks if all(v > 0 for v in b)]
     bottom_only = [b for b in d2.blocks if all(v < 0 for v in b)]
@@ -385,37 +462,45 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> FormalSum
                 d = PartitionDiagram(comp.size, blocks, comp.half)
                 coeff = falling_factorial(XI - d.n_blocks(), internal)
                 out.append((d, coeff))
-    return FormalSum(out)
+    return out
 
 
 def orbit_product_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product in the orbit basis with symbolic xi coefficients."""
+    """Product in the orbit basis with symbolic xi coefficients.
+
+    Only term pairs whose middle rows match are formed; each contributes
+    c1*c2 times its structure constants.
+    """
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
-    return a._like(a.sum.bilinear(b.sum, _orbit_pair_product))
+    acc = {}
+    for d1, c1, d2, c2 in _matched_pairs(a, b):
+        scale = c1 * c2
+        for d, c in _orbit_pair_product(d1, d2):
+            acc[d] = acc.get(d, 0) + scale * c
+    # the structure constants are XiPolys, so no int coefficient is left
+    return a._like(FormalSum(acc))
 
 
 def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Orbit product inside a totally propagating algebra: x_{d1} x_{d2} is
     x_{d1∘d2} when the middle rows match and 0 otherwise; coefficients stay
-    rational."""
+    rational.  Only the term pairs whose middle rows match are formed."""
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
-    for key in list(a.sum.keys()) + list(b.sum.keys()):
-        if not is_totally_propagating(key):
-            raise ValueError(f"not totally propagating: {key}")
-
-    def pair(d1, d2):
-        if not rows_match(d1, d2):
-            return FormalSum.zero()
+    for s in (a.sum, b.sum):
+        bad = [key for key, _ in s.terms() if not is_totally_propagating(key)]
+        if bad:
+            raise ValueError(f"not totally propagating: {min(bad)}")
+    acc = {}
+    for d1, c1, d2, c2 in _matched_pairs(a, b):
         comp, internal = compose(d1, d2)
         if internal:
             raise RuntimeError(f"composing {d1} with {d2} leaves {internal} internal blocks")
-        return FormalSum.term(comp, Fraction(1))
-
-    return a._like(a.sum.bilinear(b.sum, pair))
+        acc[comp] = acc.get(comp, 0) + c1 * c2
+    return a._like(_exact_sum(acc))
 
 
 def embed_half(a: AlgebraElement) -> AlgebraElement:

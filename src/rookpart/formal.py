@@ -17,10 +17,11 @@ class FormalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
+        if isinstance(terms, dict):
+            data = terms  # keys already distinct
+        else:
+            data = {}
+            for key, coeff in terms if terms is not None else ():
                 if key in data:
                     data[key] = data[key] + coeff
                 else:
@@ -43,6 +44,10 @@ class FormalSum:
 
     def keys(self):
         return sorted(self._terms)
+
+    def terms(self):
+        """(key, coefficient) pairs in insertion order, without the sort of items()."""
+        return self._terms.items()
 
     def __len__(self) -> int:
         return len(self._terms)

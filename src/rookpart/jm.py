@@ -34,7 +34,8 @@ from .linalg import CommutingFamily, simultaneous_eigenspace
 from .rook import kappa, kappa_tilde
 from .tensor import TensorSpace, phi_element, psi_element
 
-_CENTRALITY_GUARD = Fraction(7, 2)
+# level 4 checks 339 diagrams; level 9/2 would check 2100
+_CENTRALITY_GUARD = Fraction(4)
 
 
 def size_and_half(t) -> tuple[int, bool]:

@@ -159,6 +159,37 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
             assert len(err.splitlines()) == 1 and err.startswith(message), (argv, err)
 
 
+def test_malformed_diagrams_exit_2_without_traceback(capsys):
+    cases = [
+        (["compose", "--d1", "[[1,-1],[]]", "--d2", "[[1,-1]]"], "error: block 2 of the diagram is empty"),
+        (["compose", "--d1", "[[1,-1]]", "--d2", "[[1,1,-1]]"], "error: block [1, 1, -1] repeats a vertex"),
+        (["orbit", "--diagram", "[[1,-1],[]]"], "error: block 2 of the diagram is empty"),
+        (["orbit", "--diagram", "[[1,1,-1]]"], "error: block [1, 1, -1] repeats a vertex"),
+        (["orbit", "--diagram", "[]"], "error: the diagram is empty"),
+        (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
+    ]
+    for argv, line in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == line + "\n", (argv, captured.err)
+
+
+def test_verify_timings_go_to_stderr(capsys):
+    argv = ["verify", "--criterion", "1", "13"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = [json.loads(line) for line in timed.err.splitlines()]
+    assert [line["criterion"] for line in lines] == [1, 13]
+    for line in lines:
+        assert set(line) == {"criterion", "seconds"}
+        assert isinstance(line["seconds"], float) and line["seconds"] >= 0
+
+
 def test_json_round_trips(capsys):
     # every emitted document parses back and reruns byte-identically
     for argv in (

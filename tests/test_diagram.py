@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
+from rookpart.combinat import canonical_set_partition
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -20,10 +22,11 @@ from rookpart.diagram import (
     is_totally_propagating,
     orbit_product_general,
     orbit_product_tppa,
+    rows_match,
     to_orbit,
 )
 from rookpart.formal import FormalSum
-from rookpart.scalars import XI
+from rookpart.scalars import XI, XiPoly, falling_factorial
 
 
 def D(text, size=None, half=False):
@@ -45,6 +48,21 @@ def test_validation():
         PartitionDiagram(1, [(1,), (1, -1)])
     with pytest.raises(ValueError):
         PartitionDiagram(2, [(1, -1), (2,), (-2,)], half=True)
+
+
+def test_validation_names_malformed_blocks():
+    with pytest.raises(ValueError, match="block 2 of the diagram is empty"):
+        D("[[1,-1],[]]")
+    with pytest.raises(ValueError, match="empty"):
+        PartitionDiagram(1, [(), (1, -1)])
+    with pytest.raises(ValueError, match=r"block \[1, 1, -1\] repeats a vertex"):
+        D("[[1,1,-1]]")
+    with pytest.raises(ValueError, match=r"block \[2, -1, 2\] repeats a vertex"):
+        PartitionDiagram(2, [(1,), (2, -1, 2), (-2,)])
+    with pytest.raises(ValueError, match="the diagram is empty"):
+        D("[]")
+    with pytest.raises(ValueError, match="blocks must partition"):
+        PartitionDiagram(1, [])
 
 
 def test_compose_identity():
@@ -316,3 +334,167 @@ def test_orbit_product_specializes_to_operator_product():
                 lhs = phi_orbit(d1, space) * phi_orbit(d2, space)
                 rhs = phi_element(orbit_product_general(x1, x2), space)
                 assert lhs == rhs
+
+
+# --- oracles: the vertex-level, unmatched and multiply-by-one routes ----------
+
+
+def _oracle_compose(d1, d2):
+    """Union-find over the 3k vertices of the stacked diagrams."""
+    k = d1.size
+    # vertex ids: 0..k-1 top, k..2k-1 middle, 2k..3k-1 bottom
+    parent = list(range(3 * k))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def top_id(v):
+        return v - 1 if v > 0 else k + (-v - 1)
+
+    def bot_id(v):
+        return k + (v - 1) if v > 0 else 2 * k + (-v - 1)
+
+    for blocks, vid in ((d1.blocks, top_id), (d2.blocks, bot_id)):
+        for b in blocks:
+            for v in b[1:]:
+                rx, ry = find(vid(b[0])), find(vid(v))
+                if rx != ry:
+                    parent[rx] = ry
+    comps = {}
+    for x in range(3 * k):
+        comps.setdefault(find(x), []).append(x)
+    blocks, internal = [], 0
+    for members in comps.values():
+        outer = [m for m in members if m < k or m >= 2 * k]
+        if not outer:
+            internal += 1
+            continue
+        blocks.append(tuple(m + 1 if m < k else -(m - 2 * k + 1) for m in outer))
+    return PartitionDiagram(k, blocks, d1.half), internal
+
+
+def _oracle_rows_match(d1, d2):
+    bottom = [tuple(-v for v in b if v < 0) for b in d1.blocks]
+    top = [tuple(v for v in b if v > 0) for b in d2.blocks]
+    return canonical_set_partition([p for p in bottom if p]) == canonical_set_partition(
+        [p for p in top if p]
+    )
+
+
+def _oracle_orbit_pair(d1, d2):
+    if not _oracle_rows_match(d1, d2):
+        return FormalSum.zero()
+    comp, internal = _oracle_compose(d1, d2)
+    top_only = [b for b in d1.blocks if all(v > 0 for v in b)]
+    bottom_only = [b for b in d2.blocks if all(v < 0 for v in b)]
+    out = []
+    for m in range(min(len(top_only), len(bottom_only)) + 1):
+        for tops in combinations(range(len(top_only)), m):
+            for bots in permutations(range(len(bottom_only)), m):
+                glue = {top_only[t]: bottom_only[b] for t, b in zip(tops, bots)}
+                used = set(glue.values())
+                blocks = [b + glue.get(b, ()) for b in comp.blocks if b not in used]
+                d = PartitionDiagram(comp.size, blocks, comp.half)
+                out.append((d, falling_factorial(XI - d.n_blocks(), internal)))
+    return FormalSum(out)
+
+
+def _oracle_tppa_pair(d1, d2):
+    if not _oracle_rows_match(d1, d2):
+        return FormalSum.zero()
+    return FormalSum.term(_oracle_compose(d1, d2)[0], Fraction(1))
+
+
+def _oracle_diagram_pair(d1, d2):
+    d, loops = _oracle_compose(d1, d2)
+    return FormalSum.term(d, Fraction(1) if loops == 0 else XiPoly([0] * loops + [1]))
+
+
+def _oracle_to_orbit(s):
+    return s.map_terms(lambda d: FormalSum([(c, Fraction(1)) for c in coarsenings(d)]))
+
+
+def _assert_same_sum(new, old):
+    """Equal sums, and the same coefficient type term by term: == alone would
+    not tell a Fraction from a constant XiPoly."""
+    assert new.sum == old
+    assert [(k, type(c)) for k, c in new.sum.items()] == [(k, type(c)) for k, c in old.items()]
+
+
+def _oracle_monoids():
+    return [
+        enumerate_monoid("A", 2),
+        enumerate_monoid("I", 3),
+        enumerate_monoid("I_half", 2),
+    ]
+
+
+def _sampled_a3_pairs(count, seed):
+    diagrams = enumerate_monoid("A", 3)
+    rng = random.Random(seed)
+    return [(rng.choice(diagrams), rng.choice(diagrams)) for _ in range(count)]
+
+
+def _all_oracle_pairs():
+    pairs = [(a, b) for monoid in _oracle_monoids() for a in monoid for b in monoid]
+    return pairs + _sampled_a3_pairs(300, 23)
+
+
+def test_compose_matches_vertex_level_oracle():
+    for d1, d2 in _all_oracle_pairs():
+        got, loops = compose(d1, d2)
+        want, want_loops = _oracle_compose(d1, d2)
+        assert got.blocks == want.blocks, (d1, d2)
+        assert loops == want_loops, (d1, d2)
+        assert got.half == d1.half
+        assert got == want and hash(got) == hash(want)
+
+
+def test_rows_match_reads_cached_rows():
+    for d1, d2 in _all_oracle_pairs():
+        assert rows_match(d1, d2) == _oracle_rows_match(d1, d2)
+    for d in enumerate_monoid("A", 3):
+        top = canonical_set_partition([[v for v in b if v > 0] for b in d.blocks if b[0] > 0])
+        assert d.top_partition() == top
+        assert d.bottom_partition() == d.flip().top_partition()
+
+
+def test_products_match_unmatched_oracles_on_single_diagrams():
+    for d1, d2 in _all_oracle_pairs():
+        y1, y2 = AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2)
+        _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+        x1 = AlgebraElement.from_diagram(d1, basis="orbit")
+        x2 = AlgebraElement.from_diagram(d2, basis="orbit")
+        _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
+        if is_totally_propagating(d1) and is_totally_propagating(d2):
+            _assert_same_sum(orbit_product_tppa(x1, x2), x1.sum.bilinear(x2.sum, _oracle_tppa_pair))
+
+
+def _random_element(rng, pool, basis):
+    # int, Fraction and XiPoly coefficients, constant XiPolys included
+    coeffs = [1, -2, Fraction(3, 2), Fraction(-1), XI, XI - 2, XiPoly.const(3)]
+    terms = [(d, rng.choice(coeffs)) for d in rng.sample(pool, min(4, len(pool)))]
+    return AlgebraElement(pool[0].size, basis, terms, pool[0].half)
+
+
+def test_products_match_unmatched_oracles_on_mixed_sums():
+    rng = random.Random(29)
+    for monoid in _oracle_monoids() + [enumerate_monoid("A", 3)]:
+        propagating = [d for d in monoid if is_totally_propagating(d)]
+        for _ in range(25):
+            y1, y2 = (_random_element(rng, monoid, "diagram") for _ in range(2))
+            _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+            _assert_same_sum(to_orbit(y1), _oracle_to_orbit(y1.sum))
+            x1, x2 = (_random_element(rng, monoid, "orbit") for _ in range(2))
+            _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
+            t1, t2 = (_random_element(rng, propagating, "orbit") for _ in range(2))
+            _assert_same_sum(orbit_product_tppa(t1, t2), t1.sum.bilinear(t2.sum, _oracle_tppa_pair))
+
+
+def test_to_orbit_matches_map_terms_oracle():
+    for monoid in _oracle_monoids() + [enumerate_monoid("A", 3)]:
+        for d in monoid:
+            y = AlgebraElement.from_diagram(d)
+            _assert_same_sum(to_orbit(y), _oracle_to_orbit(y.sum))

@@ -128,8 +128,11 @@ def test_centrality_small_levels():
     for t in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)):
         report = verify_centrality(t)
         assert report["ok"], report["failures"][:2]
+    report = verify_centrality(4)
+    assert report["ok"], report["failures"][:2]
+    assert report["diagram_count"] == 339
     with pytest.raises(ValueError):
-        verify_centrality(4)
+        verify_centrality(Fraction(9, 2))
 
 
 def test_central_sum_commutes_with_every_diagram_by_hand():

@@ -21,6 +21,10 @@ Products do only the work whose result they keep:
 
 Inside a product, integral coefficients are summed and multiplied as ints;
 results carry Fraction or XiPoly coefficients, never ints.
+
+``generating_set`` picks a few diagrams whose closure under ``compose`` is
+the whole monoid (5 of the 339 diagrams of I_4), checked against the
+enumeration on every first call.
 """
 
 from __future__ import annotations
@@ -70,9 +74,14 @@ class PartitionDiagram:
         vertices = [v for b in canon for v in b]
         expected = set(range(1, size + 1)) | set(range(-size, 0))
         if len(vertices) != 2 * size or set(vertices) != expected:
+            owner = {}
             for b in blocks:
                 if len(set(b)) != len(b):
                     raise ValueError(f"block {list(b)} repeats a vertex")
+                for v in b:
+                    if v in owner:
+                        raise ValueError(f"vertex {v} is in blocks {list(owner[v])} and {list(b)}")
+                    owner[v] = b
             raise ValueError(f"blocks must partition the {2 * size} vertices")
         if half and not _joins_last_column(canon, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
@@ -549,6 +558,47 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
         full = _enumerate_propagating(k + 1, half=False)
         return sorted(d.with_half(True) for d in full if is_half(d))
     raise ValueError(f"unknown monoid kind {kind!r}")
+
+
+@cache
+def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
+    """A generating set of the monoid ``enumerate_monoid(kind, k)`` under
+    ``compose``, by one greedy pass over the enumeration.
+
+    A diagram is kept as a generator only if the closure of the generators
+    kept so far misses it.  The closure grows by right multiplication: a new
+    generator multiplies the old elements once, and only newly found elements
+    are multiplied by every generator.  The closure is then checked against
+    the enumeration; a mismatch raises RuntimeError naming the first diagram
+    missing from (or extra in) the closure.  The trivial monoid I_1 has the
+    empty generating set.
+    """
+    monoid = enumerate_monoid(kind, k)
+    one = PartitionDiagram.identity(monoid[0].size, monoid[0].half)
+    closure = {one}
+    gens: list[PartitionDiagram] = []
+    for g in monoid:
+        if g in closure:
+            continue
+        gens.append(g)
+        new = [x for x in {compose(c, g)[0] for c in closure} if x not in closure]
+        closure.update(new)
+        while new:
+            found = []
+            for x in new:
+                for h in gens:
+                    y = compose(x, h)[0]
+                    if y not in closure:
+                        closure.add(y)
+                        found.append(y)
+            new = found
+    missing = [d for d in monoid if d not in closure]
+    if missing:
+        raise RuntimeError(f"generators of {kind} at {k} miss the diagram {missing[0]}")
+    extra = closure.difference(monoid)
+    if extra:
+        raise RuntimeError(f"generators of {kind} at {k} give the diagram {min(extra)} outside it")
+    return tuple(gens)
 
 
 def _enumerate_propagating(k: int, half: bool) -> list[PartitionDiagram]:

@@ -59,9 +59,6 @@ class RookElement:
     def domain(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, j in enumerate(self.mapping) if j)
 
-    def image_set(self) -> tuple[int, ...]:
-        return tuple(sorted(j for j in self.mapping if j))
-
     def rank(self) -> int:
         return sum(1 for j in self.mapping if j)
 

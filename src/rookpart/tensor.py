@@ -173,11 +173,23 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     spanned by the orbit elements with more than n blocks, (b) the image
     dimension equals the commutant dimension of the rook action, and (c)
     symmetrically, the rook image equals the commutant of the diagram action.
+
+    A matrix commutes with the action of a monoid as soon as it commutes with
+    the action of a generating set, so the commutant in (b) is taken over the
+    rook generators s_i, P_1, and the commutant in (c) over the diagrams of
+    ``diagram.generating_set`` (the one-element monoid I_1 stands for itself).
+    The images are spanned over every orbit diagram and every rook element.
+
+    Besides the checked dimensions and ``ok``, the report gives the sizes it
+    touched: ``dim`` (of the tensor space), ``diagram_count`` (of the
+    monoid), ``phi_generators`` (diagram matrices whose commutant is taken)
+    and ``phi_commutant_rows`` (dim^2 rows per such matrix).
     """
-    from .diagram import enumerate_monoid
+    from .diagram import enumerate_monoid, generating_set
 
     space = TensorSpace(n, k, half)
-    diagrams = enumerate_monoid("I_half" if half else "I", k)
+    kind = "I_half" if half else "I"
+    diagrams = enumerate_monoid(kind, k)
 
     def flat(entries):
         return {i * space.dim + j: v for (i, j), v in entries.items()}
@@ -194,7 +206,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     psi_image_dim = sparse_rank_of_vectors(
         [flat(_rook_entries(rho, space)) for rho in enumerate_rook(space.rook_n)]
     )
-    phi_gens = [phi_diagram(d, space) for d in diagrams]
+    phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) or diagrams]
     phi_commutant_dim = commutant_dimension(phi_gens)
 
     ok = (
@@ -213,4 +225,8 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
         "psi_image_dim": psi_image_dim,
         "phi_commutant_dim": phi_commutant_dim,
         "ok": ok,
+        "dim": space.dim,
+        "diagram_count": len(diagrams),
+        "phi_generators": len(phi_gens),
+        "phi_commutant_rows": space.dim**2 * len(phi_gens),
     }

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from rookpart.cli import main
 
@@ -78,6 +82,28 @@ def test_schur_weyl(capsys):
     code, lines = run_json(capsys, "schur-weyl", "--n", "2", "--k", "2")
     assert code == 0
     assert lines[0] == {"commutant_dim": 3, "image_dim": 3, "kernel_dim": 0, "ok": True}
+
+
+def test_schur_weyl_single_place(capsys):
+    # I_1 is the trivial monoid: its generating set is empty
+    assert run_cli(capsys, "schur-weyl", "--n", "2", "--k", "1") == (
+        0,
+        '{"commutant_dim": 1, "image_dim": 1, "kernel_dim": 0, "ok": true}\n',
+    )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["schur-weyl", "--n", "2", "--k", "2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "rookpart", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_jm_table(capsys):
@@ -167,6 +193,7 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         (["orbit", "--diagram", "[[1,1,-1]]"], "error: block [1, 1, -1] repeats a vertex"),
         (["orbit", "--diagram", "[]"], "error: the diagram is empty"),
         (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
+        (["orbit", "--diagram", "[[1,-1],[1]]"], "error: vertex 1 is in blocks [1, -1] and [1]"),
     ]
     for argv, line in cases:
         assert main(argv) == 2, argv

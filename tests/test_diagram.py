@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from rookpart import diagram
 from rookpart.combinat import canonical_set_partition
 from rookpart.diagram import (
     AlgebraElement,
@@ -17,6 +18,7 @@ from rookpart.diagram import (
     embed_half,
     enumerate_monoid,
     from_orbit,
+    generating_set,
     is_coarser,
     is_half,
     is_totally_propagating,
@@ -61,6 +63,10 @@ def test_validation_names_malformed_blocks():
         PartitionDiagram(2, [(1,), (2, -1, 2), (-2,)])
     with pytest.raises(ValueError, match="the diagram is empty"):
         D("[]")
+    with pytest.raises(ValueError, match=r"^vertex 1 is in blocks \[1, -1\] and \[1\]$"):
+        PartitionDiagram(1, [[1, -1], [1]])
+    with pytest.raises(ValueError, match=r"^vertex -2 is in blocks \[2, -2\] and \[-1, -2\]$"):
+        PartitionDiagram(2, [(1,), (2, -2), (-1, -2)])
     with pytest.raises(ValueError, match="blocks must partition"):
         PartitionDiagram(1, [])
 
@@ -498,3 +504,56 @@ def test_to_orbit_matches_map_terms_oracle():
         for d in monoid:
             y = AlgebraElement.from_diagram(d)
             _assert_same_sum(to_orbit(y), _oracle_to_orbit(y.sum))
+
+
+def _closure(gens, one):
+    """Monoid generated by gens: breadth-first right multiplication from the
+    identity, every element by every generator."""
+    seen = {one}
+    todo = [one]
+    while todo:
+        todo = [y for y in {compose(x, g)[0] for x in todo for g in gens} if y not in seen]
+        seen.update(todo)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "kind, k, count",
+    [("I", 1, 0), ("I", 2, 2), ("I", 3, 4), ("I", 4, 5), ("I_half", 1, 1), ("I_half", 2, 4), ("I_half", 3, 5)],
+)
+def test_generating_set_closes_to_the_monoid(kind, k, count):
+    monoid = enumerate_monoid(kind, k)
+    gens = generating_set(kind, k)
+    assert len(gens) == count
+    assert all(g in monoid for g in gens)
+    one = PartitionDiagram.identity(monoid[0].size, monoid[0].half)
+    assert _closure(gens, one) == set(monoid)
+
+
+def test_generating_set_names_a_missing_diagram(monkeypatch):
+    merge = D("[[1,2,-1,-2]]")
+    real = diagram.compose
+
+    def loses_merge(d1, d2):
+        out, loops = real(d1, d2)
+        return (PartitionDiagram.identity(2), loops) if out == merge else (out, loops)
+
+    generating_set.cache_clear()
+    monkeypatch.setattr(diagram, "compose", loses_merge)
+    try:
+        with pytest.raises(RuntimeError, match=r"miss the diagram \[\[1,2,-1,-2\]\]"):
+            generating_set("I", 2)
+    finally:
+        generating_set.cache_clear()
+
+
+def test_generating_set_names_an_extra_diagram(monkeypatch):
+    real = diagram.enumerate_monoid
+    one = PartitionDiagram.identity(3)
+    generating_set.cache_clear()
+    monkeypatch.setattr(diagram, "enumerate_monoid", lambda kind, k: [d for d in real(kind, k) if d != one])
+    try:
+        with pytest.raises(RuntimeError, match=r"give the diagram \[\[1,-1\],\[2,-2\],\[3,-3\]\] outside"):
+            generating_set("I", 3)
+    finally:
+        generating_set.cache_clear()

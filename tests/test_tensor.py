@@ -11,7 +11,7 @@ from rookpart.diagram import (
     from_orbit,
 )
 from rookpart.formal import FormalSum
-from rookpart.linalg import ExactMatrix
+from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
 from rookpart.rook import RookElement, enumerate_rook, generator
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
@@ -210,6 +210,71 @@ def test_schur_weyl_reports():
         assert report["kernel_dim"] == kernel
         assert report["image_dim"] == image
         assert report["commutant_dim"] == image
+
+
+def _all_diagrams_report(n, k, half=False):
+    """schur_weyl_report with the diagram commutant taken over every diagram
+    of the monoid, not over a generating set."""
+    space = TensorSpace(n, k, half)
+    diagrams = enumerate_monoid("I_half" if half else "I", k)
+
+    def flat(mat):
+        return {i * space.dim + j: v for i, row in enumerate(mat.data) for j, v in enumerate(row) if v}
+
+    expected_kernel = sum(1 for d in diagrams if d.n_blocks() > n)
+    image_dim = sparse_rank_of_vectors([flat(phi_orbit(d, space)) for d in diagrams])
+    rook_gens = [generator("s", i, space.rook_n) for i in range(1, space.rook_n)]
+    rook_gens.append(generator("P", 1, space.rook_n))
+    commutant_dim = commutant_dimension([psi_rook(g, space) for g in rook_gens])
+    psi_image_dim = sparse_rank_of_vectors([flat(psi_rook(r, space)) for r in enumerate_rook(space.rook_n)])
+    phi_commutant_dim = commutant_dimension([phi_diagram(d, space) for d in diagrams])
+    ok = (
+        image_dim == len(diagrams) - expected_kernel
+        and image_dim == commutant_dim
+        and psi_image_dim == phi_commutant_dim
+    )
+    return {
+        "n": n,
+        "k": k,
+        "half": half,
+        "kernel_dim": len(diagrams) - image_dim,
+        "expected_kernel_dim": expected_kernel,
+        "image_dim": image_dim,
+        "commutant_dim": commutant_dim,
+        "psi_image_dim": psi_image_dim,
+        "phi_commutant_dim": phi_commutant_dim,
+        "ok": ok,
+    }
+
+
+SIZE_KEYS = {"dim", "diagram_count", "phi_generators", "phi_commutant_rows"}
+
+
+@pytest.mark.parametrize("n, k, half", [(2, 3, False), (3, 3, False), (2, 3, True), (2, 4, False)])
+def test_schur_weyl_report_matches_all_diagrams_oracle(n, k, half):
+    report = schur_weyl_report(n, k, half)
+    oracle = _all_diagrams_report(n, k, half)
+    assert set(report) == set(oracle) | SIZE_KEYS
+    for key, value in oracle.items():
+        assert report[key] == value, key
+
+
+def test_schur_weyl_report_sizes():
+    report = schur_weyl_report(2, 4)
+    assert {key: report[key] for key in SIZE_KEYS} == {
+        "dim": 16,
+        "diagram_count": 339,
+        "phi_generators": 5,
+        "phi_commutant_rows": 1280,
+    }
+
+
+def test_schur_weyl_single_place():
+    # I_1 = {identity} has an empty generating set; the identity stands in
+    for n in (2, 3):
+        report = schur_weyl_report(n, 1)
+        assert report["ok"] and report["phi_commutant_dim"] == n * n
+        assert report["phi_generators"] == 1 and report["diagram_count"] == 1
 
 
 def test_dimension_guard():

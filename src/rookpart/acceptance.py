@@ -136,7 +136,7 @@ def crit_three_way_multiplicity(n: int = 3, kmax: int = 4):
             if lam and sum(lam) <= min(k, n):
                 paths = graph.count_paths((1, (1,)), (k, lam))
             else:
-                paths = combinat.stirling2(k, 0) if not lam and k == 0 else 0
+                paths = 0
             char_mult = by_chars.get(lam, 0)
             if not (paths == stirl == char_mult):
                 return (

@@ -16,8 +16,9 @@ Products do only the work whose result they keep:
   (a union-find over b1 + b2 blocks, not over 3k vertices) and reads the
   result's blocks off in canonical order, so nothing is re-sorted.
 - ``diagram_product`` sums coefficient products per (diagram, loop count)
-  and multiplies by xi^loops once per such pair; ``to_orbit`` only adds,
-  since every coarsening enters with coefficient 1.
+  and multiplies by xi^loops once per such pair; ``to_orbit`` and
+  ``from_orbit`` add each coefficient (times the Möbius value, for the
+  latter) over one cached table of a diagram's coarsenings.
 
 Inside a product, integral coefficients are summed and multiplied as ints;
 results carry Fraction or XiPoly coefficients, never ints.
@@ -34,6 +35,7 @@ import os
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import factorial, prod
 
 from .combinat import canonical_set_partition, set_partitions
 from .formal import FormalSum
@@ -250,16 +252,21 @@ def is_coarser(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
 
 
 @cache
-def coarsenings(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    """All diagrams coarser than d (d itself included), by merging blocks."""
-    b = len(d.blocks)
+def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
+    """The coarsenings d' of d (d included), sorted, with the Möbius values
+    mu(d, d'): products of (-1)^(m-1) (m-1)! over the groups of m merged
+    blocks (Stanley, EC I, section 3.10)."""
     out = []
-    for grouping in set_partitions(b):
-        merged = [
-            tuple(v for idx in group for v in d.blocks[idx - 1]) for group in grouping
-        ]
-        out.append(PartitionDiagram(d.size, merged, d.half))
-    return tuple(sorted(set(out)))
+    for grouping in set_partitions(len(d.blocks)):
+        merged = [tuple(v for idx in group for v in d.blocks[idx - 1]) for group in grouping]
+        mu = prod((-1) ** (len(g) - 1) * factorial(len(g) - 1) for g in grouping)
+        out.append((PartitionDiagram(d.size, merged, d.half), mu))
+    return tuple(sorted(out))
+
+
+def coarsenings(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
+    """All diagrams coarser than d (d itself included), from its upset table."""
+    return tuple(c for c, _ in _upset(d))
 
 
 class AlgebraElement:
@@ -389,41 +396,33 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a._like(_exact_sum(acc))
 
 
-@cache
-def _orbit_in_diagram_basis(d: PartitionDiagram) -> FormalSum:
-    """The orbit element x_d written in the diagram basis.
-
-    Inverts d = sum over coarser d' of x_{d'} by recursion over the
-    coarsening upset of d.
-    """
-    out = FormalSum.term(d, Fraction(1))
-    for c in coarsenings(d):
-        if c != d:
-            out = out - _orbit_in_diagram_basis(c)
-    return out
+def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
+    """Each term of a spread over its upset, times the Möbius value or 1."""
+    acc = {}
+    for d, coeff in _terms(a.sum):
+        for c, mu in _upset(d):
+            acc[c] = acc.get(c, 0) + (mu * coeff if mobius else coeff)
+    return AlgebraElement(a.size, basis, _exact_sum(acc), a.half)
 
 
 def from_orbit(a: AlgebraElement) -> AlgebraElement:
-    """Rewrite an orbit-basis element in the diagram basis."""
+    """Rewrite an orbit-basis element in the diagram basis by Möbius
+    inversion: x_d = sum of mu(d, d') d' over the coarsenings d' of d."""
     if a.basis != "orbit":
         raise ValueError("from_orbit needs an orbit-basis element")
-    return AlgebraElement(a.size, "diagram", a.sum.map_terms(_orbit_in_diagram_basis), a.half)
+    return _over_upset(a, "diagram", mobius=True)
 
 
 def to_orbit(a: AlgebraElement) -> AlgebraElement:
     """Rewrite a diagram-basis element in the orbit basis.
 
-    Uses d = sum over the coarsening upset of d of the orbit elements: every
-    coarsening of a support diagram gets that diagram's coefficient added,
-    and nothing outside the support's coarsenings is touched.
+    Uses d = sum of x_{d'} over the upset table of d: every coarsening of a
+    support diagram gets that diagram's coefficient added, and nothing
+    outside the support's coarsenings is touched.
     """
     if a.basis != "diagram":
         raise ValueError("to_orbit needs a diagram-basis element")
-    acc = {}
-    for d, coeff in _terms(a.sum):
-        for c in coarsenings(d):
-            acc[c] = acc.get(c, 0) + coeff
-    return AlgebraElement(a.size, "orbit", _exact_sum(acc), a.half)
+    return _over_upset(a, "orbit", mobius=False)
 
 
 def rows_match(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
@@ -555,8 +554,7 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
     if kind == "I_half":
         if k < 1 or k + 1 > _enum_cap(_GUARD_I):
             raise ValueError(f"I_{k}+1/2 enumeration out of guarded range")
-        full = _enumerate_propagating(k + 1, half=False)
-        return sorted(d.with_half(True) for d in full if is_half(d))
+        return _enumerate_propagating(k + 1, half=True)
     raise ValueError(f"unknown monoid kind {kind!r}")
 
 
@@ -603,13 +601,16 @@ def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
 
 def _enumerate_propagating(k: int, half: bool) -> list[PartitionDiagram]:
     out = []
-    tops = set_partitions(k)
-    for top in tops:
+    for top in set_partitions(k):
         r = len(top)
+        last_top = next(i for i, b in enumerate(top) if k in b)
         for bottom in set_partitions(k):
             if len(bottom) != r:
                 continue
+            last_bottom = next(j for j, b in enumerate(bottom) if k in b)
             for matching in permutations(range(r)):
+                if half and matching[last_top] != last_bottom:
+                    continue
                 blocks = [
                     top[i] + tuple(-v for v in bottom[matching[i]]) for i in range(r)
                 ]

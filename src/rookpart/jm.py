@@ -3,19 +3,22 @@
 For every half-integer level the module builds the central sums Z and Z~ in
 the orbit basis, lifts them along the tower, and forms the differences M and
 M~ whose joint spectrum labels the canonical basis of each irreducible by a
-branching-graph path.
+branching-graph path.  Everything stays in the orbit basis.
 
-Tower lifting is the unital embedding that adds the block {k+1, (k+1)'} to
-every diagram-basis term (followed by the plain subalgebra inclusion at the
-half-to-integer steps).  The orbit-basis block-adding map is also an algebra
-embedding, but it is not unital: lifting along it collapses the differences
-M_y (for instance M at level 3/2 would vanish identically), so the unital
-embedding is the one that matches the spectrum on tensor space.
+Tower lifting is the unital embedding that adds the block c = {k+1, (k+1)'}
+to every diagram-basis term (followed by the plain subalgebra inclusion at
+the half-to-integer steps).  In the orbit basis it has a closed form: x_d
+goes to x_{d with c} plus, for each block B of d, x_{d with B ∪ c}.  The map
+that only adds c to each orbit key is also an algebra embedding, but it is
+not unital: lifting along it collapses the differences M_y (for instance M at
+level 3/2 would vanish identically), so the unital embedding is the one that
+matches the spectrum on tensor space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .bratteli import HALF, GraphPath, as_level, ihat, levels_upto
 from .combinat import content_sum, set_partitions, standard_tableaux
@@ -26,9 +29,7 @@ from .diagram import (
     build_dpcd,
     build_dtilde,
     enumerate_monoid,
-    from_orbit,
     orbit_product_tppa,
-    to_orbit,
 )
 from .linalg import CommutingFamily, simultaneous_eigenspace
 from .rook import kappa, kappa_tilde
@@ -79,10 +80,10 @@ def build_z(t) -> AlgebraElement:
         terms = [(build_dp(p), Fraction(len(p))) for p in set_partitions(k)]
         return AlgebraElement(k, "orbit", terms)
     k = int(t - HALF)
-    terms = []
-    for p in set_partitions(k + 1):
-        if len(p) >= 2:
-            terms.append((build_dp(p).with_half(True), Fraction(len(p) - 1)))
+    terms = [
+        (build_dp(p).with_half(True), Fraction(len(p) - 1))
+        for p in set_partitions(k + 1, min_blocks=2)
+    ]
     return AlgebraElement(k + 1, "orbit", terms, half=True)
 
 
@@ -98,36 +99,39 @@ def build_z_tilde(t) -> AlgebraElement:
         return zero_element(t)
     if t.denominator == 1:
         k = int(t)
-        terms = []
-        for p in set_partitions(k, min_blocks=2):
-            for i in range(len(p)):
-                for j in range(i + 1, len(p)):
-                    terms.append((build_dpcd(p, p[i], p[j]), Fraction(1)))
-        return AlgebraElement(k, "orbit", terms)
+        pairs = [(p, c, d) for p in set_partitions(k, min_blocks=2) for c, d in combinations(p, 2)]
+        return AlgebraElement(k, "orbit", [(build_dpcd(*x), Fraction(1)) for x in pairs])
     k = int(t - HALF)
-    terms = []
-    for p in set_partitions(k + 1, min_blocks=3):
-        anchor = next(b for b in p if (k + 1) in b)
-        rest = [b for b in p if b != anchor]
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                terms.append((build_dtilde(p, rest[i], rest[j]), Fraction(1)))
-    return AlgebraElement(k + 1, "orbit", terms, half=True)
+    # the crossed blocks avoid the block holding the last letter
+    pairs = [
+        (p, c, d)
+        for p in set_partitions(k + 1, min_blocks=3)
+        for c, d in combinations([b for b in p if k + 1 not in b], 2)
+    ]
+    return AlgebraElement(k + 1, "orbit", [(build_dtilde(*x), Fraction(1)) for x in pairs], half=True)
 
 
 def _add_slot(a: AlgebraElement) -> AlgebraElement:
-    """Unital embedding into the next half level: add the block {k+1,(k+1)'}
-    to every diagram-basis term."""
+    """Unital embedding into the next half level, adding c = {k+1, (k+1)'}:
+    a diagram-basis term d becomes d with c; an orbit-basis term x_d becomes
+    x_{d with c} plus x_{d with B ∪ c} for each block B of d."""
     if a.half:
         raise ValueError("element already sits at a half level")
     k = a.size
-    dia = from_orbit(a) if a.basis == "orbit" else a
+    c = (k + 1, -(k + 1))
 
-    def lift(d):
-        return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
+    def lifts(blocks):
+        yield blocks + (c,)
+        if a.basis == "orbit":
+            for i, b in enumerate(blocks):
+                yield blocks[:i] + (b + c,) + blocks[i + 1 :]
 
-    lifted = AlgebraElement(k + 1, "diagram", dia.sum.map_keys(lift), half=True)
-    return to_orbit(lifted) if a.basis == "orbit" else lifted
+    terms = [
+        (PartitionDiagram(k + 1, blocks, half=True), coeff)
+        for d, coeff in a.sum.terms()
+        for blocks in lifts(d.blocks)
+    ]
+    return AlgebraElement(k + 1, a.basis, terms, half=True)
 
 
 def tower_lift(a: AlgebraElement, target) -> AlgebraElement:
@@ -145,42 +149,40 @@ def tower_lift(a: AlgebraElement, target) -> AlgebraElement:
     return a
 
 
+def _lifted_difference(build, bottom, y, t) -> AlgebraElement:
+    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2."""
+    y, t = as_level(y), as_level(t)
+    if y > t:
+        raise ValueError("y exceeds the ambient level")
+    if y == HALF:
+        return bottom(t)
+    return tower_lift(build(y), t) - tower_lift(build(y - HALF), t)
+
+
 def build_m(y, t) -> AlgebraElement:
     """M at position y inside the level-t algebra: M_{1/2} = 1 and otherwise
     the difference of consecutive lifted Z's."""
-    y, t = as_level(y), as_level(t)
-    if y > t:
-        raise ValueError("y exceeds the ambient level")
-    if y == HALF:
-        return identity_element(t)
-    return tower_lift(build_z(y), t) - tower_lift(build_z(y - HALF), t)
+    return _lifted_difference(build_z, identity_element, y, t)
 
 
 def build_m_tilde(y, t) -> AlgebraElement:
-    y, t = as_level(y), as_level(t)
-    if y > t:
-        raise ValueError("y exceeds the ambient level")
-    if y == HALF:
-        return zero_element(t)
-    return tower_lift(build_z_tilde(y), t) - tower_lift(build_z_tilde(y - HALF), t)
-
-
-def _diagram_basis_elements(t) -> list[PartitionDiagram]:
-    size, half = size_and_half(t)
-    return enumerate_monoid("I_half", size - 1) if half else enumerate_monoid("I", size)
+    """M~ likewise from Z~, with M~_{1/2} = 0."""
+    return _lifted_difference(build_z_tilde, zero_element, y, t)
 
 
 def verify_centrality(t) -> dict:
-    """Check Z and Z~ commute with the whole diagram basis of the level-t
-    algebra and that all M, M~ up to t commute pairwise."""
+    """Check Z and Z~ commute with every orbit element x_g of the level-t
+    algebra (the x_g span it, as the diagrams do) and that all M, M~ up to t
+    commute pairwise."""
     t = as_level(t)
     if t > _CENTRALITY_GUARD:
         raise ValueError(f"centrality guard is {_CENTRALITY_GUARD}")
     failures = []
     z, zt = build_z(t), build_z_tilde(t)
-    diagrams = _diagram_basis_elements(t)
+    size, half = size_and_half(t)
+    diagrams = enumerate_monoid("I_half", size - 1) if half else enumerate_monoid("I", size)
     for g in diagrams:
-        go = to_orbit(AlgebraElement.from_diagram(g))
+        go = AlgebraElement.from_diagram(g, basis="orbit")
         for name, elem in (("Z", z), ("Z~", zt)):
             left = orbit_product_tppa(go, elem)
             right = orbit_product_tppa(elem, go)
@@ -190,11 +192,9 @@ def verify_centrality(t) -> dict:
     for y in levels_upto(t):
         family.append((f"M_{y}", build_m(y, t)))
         family.append((f"M~_{y}", build_m_tilde(y, t)))
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            (na, a), (nb, b) = family[i], family[j]
-            if orbit_product_tppa(a, b) != orbit_product_tppa(b, a):
-                failures.append(f"{na} and {nb} do not commute at level {t}")
+    for (na, a), (nb, b) in combinations(family, 2):
+        if orbit_product_tppa(a, b) != orbit_product_tppa(b, a):
+            failures.append(f"{na} and {nb} do not commute at level {t}")
     return {
         "level": str(t),
         "diagram_count": len(diagrams),

@@ -140,9 +140,9 @@ def generator(kind: str, index: int, n: int) -> RookElement:
 
 
 def enumerate_rook(n: int) -> list[RookElement]:
-    """All of R_n, deterministic order; |R_n| = sum_r C(n,r)^2 r!."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """All of R_n, deterministic order; |R_n| = sum_r C(n,r)^2 r!, 130,922 at n = 7."""
+    if not 1 <= n <= 7:
+        raise ValueError(f"cannot enumerate R_n for n = {n}: need 1 <= n <= 7")
     out = []
     for r in range(n + 1):
         for dom in combinations(range(1, n + 1), r):

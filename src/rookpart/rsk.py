@@ -19,6 +19,7 @@ from .combinat import (
     is_partition,
     is_standard_set_tableau,
     is_standard_spt,
+    remove_box,
     spt_shape,
 )
 
@@ -147,8 +148,6 @@ def _intermediate_shape(prev: Partition, cur: Partition, via) -> Partition:
         return omega
     corners = inner_corners(prev)
     if len(corners) == 1:
-        from .combinat import remove_box
-
         return remove_box(prev, corners[0])
     raise ValueError(
         f"ambiguous stay-step at shape {prev}: the intermediate shape is required"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .diagram import AlgebraElement, PartitionDiagram, is_half
+from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
 from .formal import FormalSum
 from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
 from .rook import RookElement, embed, enumerate_rook, generator
@@ -185,9 +185,9 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     monoid), ``phi_generators`` (diagram matrices whose commutant is taken)
     and ``phi_commutant_rows`` (dim^2 rows per such matrix).
     """
-    from .diagram import enumerate_monoid, generating_set
-
     space = TensorSpace(n, k, half)
+    # first, so that an R_n too large to list is refused before any elimination
+    rooks = enumerate_rook(space.rook_n)
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
 
@@ -204,7 +204,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     commutant_dim = commutant_dimension(gens)
 
     psi_image_dim = sparse_rank_of_vectors(
-        [flat(_rook_entries(rho, space)) for rho in enumerate_rook(space.rook_n)]
+        [flat(_rook_entries(rho, space)) for rho in rooks]
     )
     phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) or diagrams]
     phi_commutant_dim = commutant_dimension(phi_gens)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rookpart import tensor
 from rookpart.cli import main
 
 
@@ -90,6 +91,20 @@ def test_schur_weyl_single_place(capsys):
         0,
         '{"commutant_dim": 1, "image_dim": 1, "kernel_dim": 0, "ok": true}\n',
     )
+
+
+def test_schur_weyl_refuses_a_large_rook_monoid_before_eliminating(capsys, monkeypatch):
+    # the refusal must come before any rank or commutant is computed
+    def no_elimination(*args):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(tensor, "sparse_rank_of_vectors", no_elimination)
+    monkeypatch.setattr(tensor, "commutant_dimension", no_elimination)
+    for n, k in ((27, 2), (9, 3), (8, 1)):
+        assert main(["schur-weyl", "--n", str(n), "--k", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot enumerate R_n for n = {n}: need 1 <= n <= 7\n"
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -557,3 +558,44 @@ def test_generating_set_names_an_extra_diagram(monkeypatch):
             generating_set("I", 3)
     finally:
         generating_set.cache_clear()
+
+
+# --- oracles: recursive basis inversion and the filtered half monoid ----------
+
+
+@cache
+def _oracle_orbit_in_diagram_basis(d):
+    """x_d in the diagram basis, inverting d = sum of x_{d'} over the
+    coarsenings d' of d by recursion over that upset."""
+    out = FormalSum.term(d, Fraction(1))
+    for c in coarsenings(d):
+        if c != d:
+            out = out - _oracle_orbit_in_diagram_basis(c)
+    return out
+
+
+def _oracle_from_orbit(s):
+    return s.map_terms(_oracle_orbit_in_diagram_basis)
+
+
+def test_from_orbit_matches_recursive_inversion_on_every_diagram():
+    monoids = [enumerate_monoid("A", k) for k in (1, 2, 3)] + [enumerate_monoid("I_half", 2)]
+    for monoid in monoids:
+        for d in monoid:
+            for coeff in (Fraction(-3, 2), 2, XI - 1):
+                x = AlgebraElement.from_diagram(d, coeff, basis="orbit")
+                _assert_same_sum(from_orbit(x), _oracle_from_orbit(x.sum))
+
+
+def test_from_orbit_matches_recursive_inversion_on_mixed_sums():
+    rng = random.Random(31)
+    for monoid in _oracle_monoids() + [enumerate_monoid("A", 3)]:
+        for _ in range(25):
+            x = _random_element(rng, monoid, "orbit")
+            _assert_same_sum(from_orbit(x), _oracle_from_orbit(x.sum))
+
+
+def test_half_monoid_matches_the_filtered_propagating_monoid():
+    for k in (1, 2, 3, 4):
+        filtered = sorted(d.with_half(True) for d in enumerate_monoid("I", k + 1) if is_half(d))
+        assert enumerate_monoid("I_half", k) == filtered

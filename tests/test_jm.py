@@ -1,9 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from rookpart.bratteli import HALF, ihat
-from rookpart.diagram import AlgebraElement, PartitionDiagram, orbit_product_tppa, to_orbit
+from rookpart import jm
+from rookpart.bratteli import HALF, ihat, levels_upto
+from rookpart.diagram import (
+    AlgebraElement,
+    PartitionDiagram,
+    enumerate_monoid,
+    from_orbit,
+    orbit_product_tppa,
+    to_orbit,
+)
 from rookpart.formal import FormalSum
 from rookpart.jm import (
     as_level,
@@ -18,6 +27,7 @@ from rookpart.jm import (
     verify_operator_identity,
     zero_element,
 )
+from rookpart.scalars import XI, XiPoly
 
 
 def D(text, half=False):
@@ -246,3 +256,79 @@ def test_build_m_rejects_levels_above_ambient():
         build_m(Fraction(5, 2), 2)
     with pytest.raises(ValueError):
         build_m_tilde(3, Fraction(5, 2))
+
+
+# --- oracle: the tower lift through the diagram basis -------------------------
+
+
+def _round_trip_add_slot(a):
+    """Add the block {k+1, (k+1)'} to every diagram-basis term, converting an
+    orbit-basis element to the diagram basis and back."""
+    k = a.size
+    dia = from_orbit(a) if a.basis == "orbit" else a
+
+    def lift(d):
+        return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
+
+    lifted = AlgebraElement(k + 1, "diagram", dia.sum.map_keys(lift), half=True)
+    return to_orbit(lifted) if a.basis == "orbit" else lifted
+
+
+def _assert_same_sum(new, old):
+    # == alone would not tell a Fraction from a constant XiPoly
+    assert new.sum == old.sum
+    assert [(k, type(c)) for k, c in new.sum.items()] == [(k, type(c)) for k, c in old.sum.items()]
+
+
+def test_m_families_match_the_round_trip_lift(monkeypatch):
+    def family():
+        return {
+            (build.__name__, y, t): build(y, t)
+            for t in levels_upto(4)
+            for y in levels_upto(t)
+            for build in (build_m, build_m_tilde)
+        }
+
+    new = family()
+    monkeypatch.setattr(jm, "_add_slot", _round_trip_add_slot)
+    old = family()
+    assert new.keys() == old.keys() and len(new) == 72
+    for key in new:
+        _assert_same_sum(new[key], old[key])
+
+
+def test_add_slot_matches_the_round_trip_on_single_diagrams():
+    for d in enumerate_monoid("A", 2) + enumerate_monoid("I", 3):
+        for basis in ("orbit", "diagram"):
+            x = AlgebraElement.from_diagram(d, basis=basis)
+            _assert_same_sum(jm._add_slot(x), _round_trip_add_slot(x))
+
+
+def test_add_slot_matches_the_round_trip_on_mixed_sums():
+    # values only: the round trip turns some Fractions into constant XiPolys,
+    # while the closed form keeps each term's own coefficient
+    rng = random.Random(37)
+    coeffs = [Fraction(3, 2), Fraction(-1), XI, XI - 2, XiPoly.const(3)]
+    for pool in (enumerate_monoid("A", 2), enumerate_monoid("I", 3)):
+        for _ in range(50):
+            terms = [(d, rng.choice(coeffs)) for d in rng.sample(pool, 4)]
+            x = AlgebraElement(pool[0].size, "orbit", terms)
+            new = jm._add_slot(x)
+            assert new.sum == _round_trip_add_slot(x).sum
+            assert sorted(map(repr, (c for _, c in new.sum.items()))) == sorted(
+                repr(c) for d, c in terms for _ in range(len(d.blocks) + 1)
+            )
+
+
+def test_centrality_check_names_a_non_central_witness(monkeypatch):
+    real = jm.build_z
+    x = AlgebraElement.from_diagram(D("[[1,-2],[2,-1],[3,-3]]"), basis="orbit")
+    monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == 3 else real(t))
+    report = verify_centrality(3)
+    assert not report["ok"]
+    assert report["failures"] == [
+        "Z at level 3 does not commute with [[1,-3],[2,-2],[3,-1]]",
+        "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
+        "Z at level 3 does not commute with [[1,-2],[2,-3],[3,-1]]",
+        "Z at level 3 does not commute with [[1,-1],[2,-3],[3,-2]]",
+    ]

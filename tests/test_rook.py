@@ -76,6 +76,12 @@ def test_monoid_sizes():
         assert len(set(elements)) == size
 
 
+def test_enumeration_refuses_sizes_past_the_bound():
+    for n in (0, 8, 27):
+        with pytest.raises(ValueError, match=f"n = {n}: need 1 <= n <= 7"):
+            enumerate_rook(n)
+
+
 def test_presentation_relations_hold_up_to_n5():
     for n in range(2, 6):
         ident = RookElement.identity(n)

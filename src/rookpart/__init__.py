@@ -33,7 +33,6 @@ from .rook import (
     kappa,
     kappa_tilde,
     rook_mul,
-    support_data,
 )
 from .diagram import (
     AlgebraElement,
@@ -57,7 +56,6 @@ from .seminormal import RookIrrep, act_p1, act_si, restriction_multiplicities, v
 from .characters import (
     check_frobenius,
     chi_star,
-    chi_sym,
     kronecker_with_defining,
     mod_induce,
     mod_restrict,

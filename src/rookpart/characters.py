@@ -1,22 +1,27 @@
 """Characters of the rook monoid and the defining-representation product rule.
 
-A rook character is a class function: its value at a rook element depends only
-on the cycle type of the element's closed part, the cycles of the partial map
-(W. D. Munn, Proc. Cambridge Philos. Soc. 53, 1957).  ``closed_type`` reads
-that type and ``class_representatives`` gives one element per class, a
-permutation of type mu on {1..|mu|} undefined on the rest, for every partition
-mu of size at most n.
+Rook characters are class functions on closed cycle types.  The value of a
+rook character at an element depends only on the cycle type of the element's
+closed part, the cycles of the partial map (W. D. Munn, Proc. Cambridge
+Philos. Soc. 53, 1957).  ``closed_type`` reads that type and
+``class_representatives`` gives one element per class, a permutation of type
+mu on {1..|mu|} undefined on the rest, for every partition mu of size at most
+n.
 
-The irreducible character attached to a shape lam evaluates at a rook element
-by summing symmetric-group character values over the invariant index subsets
-of size |lam|.  Symmetric-group values come from the Murnaghan-Nakayama rule
-and are cached by (shape, cycle type); ``chi_sym``, the trace of the seminormal
-module, is the independent route kept for comparison.
+The irreducible character attached to a shape lam is read on types by
+Solomon's formula (J. Algebra 256, 2002): chi*_lam(mu) is the sum over the
+sub-multisets nu of mu with |nu| = |lam| of prod_l C(m_l(mu), m_l(nu))
+chi_lam(nu), where m_l counts the parts equal to l.  Symmetric-group values
+chi_lam(nu) come from the Murnaghan-Nakayama rule; both are cached by
+(shape, type).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
+from itertools import product
+from math import comb, prod
 
 from .combinat import (
     Partition,
@@ -27,33 +32,26 @@ from .combinat import (
     shape_key,
 )
 from .linalg import ExactMatrix, solve_unique
-from .rook import RookElement, _cycles, support_data
-from .seminormal import RookIrrep
-
-
-def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted cycle lengths of a permutation in one-line notation."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur] - 1
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+from .rook import RookElement
 
 
 def closed_type(sigma: RookElement) -> Partition:
     """Cycle type of the closed part of a rook element: the lengths of the
     cycles of the partial map, largest first.  Rook characters read nothing
     else of sigma."""
-    return tuple(sorted((len(c) for c in _cycles(sigma)), reverse=True))
+    lengths = []
+    seen = set()
+    for start in sigma.domain():
+        if start in seen:
+            continue
+        seen.add(start)
+        cur, length = sigma.image(start), 1
+        while cur and cur != start and cur not in seen:
+            seen.add(cur)
+            cur, length = sigma.image(cur), length + 1
+        if cur == start:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def _perm_of_type(ctype: tuple[int, ...], n: int) -> RookElement:
@@ -72,11 +70,6 @@ def class_representatives(n: int) -> tuple[tuple[Partition, RookElement], ...]:
     """One (mu, rep) per class of R_n, for mu in ``partitions_upto(n)``, with
     ``closed_type(rep) == mu``."""
     return tuple((mu, _perm_of_type(mu, n)) for mu in partitions_upto(n))
-
-
-@cache
-def _irrep(lam: Partition, n: int) -> RookIrrep:
-    return RookIrrep(lam, n)
 
 
 @cache
@@ -107,28 +100,27 @@ def _sym_char_by_type(lam: Partition, ctype: tuple[int, ...]) -> int:
     return total
 
 
-def chi_sym(lam, sigma: RookElement) -> int:
-    """Symmetric-group irreducible character: trace of the seminormal module
-    at n = |lam| on a permutation of {1..|lam|}."""
-    lam = check_partition(lam)
-    if sigma.n != sum(lam) or not sigma.is_permutation():
-        raise ValueError(f"need a permutation of 1..{sum(lam)}")
-    value = _irrep(lam, sigma.n).rep_rook(sigma).trace()
-    if value.denominator != 1:
-        raise RuntimeError(f"seminormal trace of {lam} at sigma={sigma!r} is {value}")
-    return int(value)
+@cache
+def _chi_star_by_type(lam: Partition, mu: Partition) -> int:
+    """Irreducible rook character of lam at closed type mu, by Solomon's
+    formula: nu runs over the sub-multisets of mu of size |lam|, each with
+    the number of ways prod_l C(m_l(mu), m_l(nu)) to pick it from mu."""
+    r = sum(lam)
+    lengths = sorted(Counter(mu).items(), reverse=True)
+    total = 0
+    for counts in product(*(range(m + 1) for _, m in lengths)):
+        if sum(length * c for (length, _), c in zip(lengths, counts)) != r:
+            continue
+        ways = prod(comb(m, c) for (_, m), c in zip(lengths, counts))
+        nu = tuple(length for (length, _), c in zip(lengths, counts) for _ in range(c))
+        total += ways * _sym_char_by_type(lam, nu)
+    return total
 
 
 def chi_star(lam, sigma: RookElement) -> int:
-    """Irreducible rook character: sum of chi_lam over the compressed
-    invariant index subsets of size |lam|."""
-    lam = check_partition(lam)
-    r = sum(lam)
-    if r > sigma.n:
-        return 0
-    if r == 0:
-        return 1
-    return sum(_sym_char_by_type(lam, cycle_type(perm)) for _, perm in support_data(sigma, r))
+    """Irreducible rook character of lam at sigma; it reads only
+    ``closed_type(sigma)``."""
+    return _chi_star_by_type(check_partition(lam), closed_type(sigma))
 
 
 def defining_product_multiset(lam, n: int) -> dict[Partition, int]:
@@ -154,20 +146,19 @@ def kronecker_with_defining(lam, n: int, verify: bool = True) -> dict[Partition,
     """Decomposition of (defining representation) x (irreducible of shape lam).
 
     When ``verify`` is set, the character identity
-    chi*_(1)(sigma) chi*_lam(sigma) = sum over the multiset of chi*_mu(sigma)
-    is checked at every class representative of R_n.  That covers the whole
-    monoid, since every character involved is a class function; a failure
-    raises with the witnessing representative.
+    chi*_(1) chi*_lam = sum over the multiset of chi*_nu is checked at every
+    closed type mu of size at most n.  That covers the whole monoid, since
+    every character involved is a class function; a failure raises with the
+    class representative of the witnessing type.
     """
     lam = check_partition(lam)
     if sum(lam) > n:
         raise ValueError(f"{lam} does not fit in n={n}")
     out = defining_product_multiset(lam, n)
     if verify:
-        one = (1,)
-        for _, sigma in class_representatives(n):
-            lhs = chi_star(one, sigma) * chi_star(lam, sigma)
-            rhs = sum(m * chi_star(mu, sigma) for mu, m in out.items())
+        for mu, sigma in class_representatives(n):
+            lhs = _chi_star_by_type((1,), mu) * _chi_star_by_type(lam, mu)
+            rhs = sum(m * _chi_star_by_type(nu, mu) for nu, m in out.items())
             if lhs != rhs:
                 raise RuntimeError(
                     f"product rule fails for lam={lam}, n={n} at sigma={sigma!r}: "
@@ -201,24 +192,6 @@ def mod_restrict(mult: dict, n: int) -> dict[Partition, int]:
     return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
 
 
-def branching_restrict(mult: dict, n: int) -> dict[Partition, int]:
-    """Plain restriction along the branching rule: a shape goes to its one-box
-    removals together with itself (when it still fits one level down).
-
-    Composing ``mod_induce`` with this map realizes tensoring with the
-    defining representation.
-    """
-    out: dict[Partition, int] = {}
-    for lam, m in mult.items():
-        lam = check_partition(lam)
-        if sum(lam) > n:
-            raise ValueError(f"{lam} out of bounds for restriction from n={n}")
-        for mu in corner_set(lam, "minus_eq"):
-            if sum(mu) <= n - 1:
-                out[mu] = out.get(mu, 0) + m
-    return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
-
-
 def check_frobenius(lam, mu, n: int) -> bool:
     """Adjointness of modified induction and restriction on irreducibles:
     the two hom-space dimensions are the indicator multiplicities, which must
@@ -236,17 +209,17 @@ def tensor_multiplicities(n: int, k: int) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the k-th tensor power of the
     defining representation, solved exactly from characters.
 
-    The system is square, one row per class of R_n: at the representative of
-    type mu the tensor character is the trace of sigma on V^(x)k, which is
-    (#fixed points)^k = mu.count(1)^k.  The right-hand side comes from the
+    The system is square, one row per class of R_n, that is per closed type
+    mu of size at most n, read off the type with no representative built.  At
+    type mu the tensor character is the trace of an element on V^(x)k, which
+    is (#fixed points)^k = mu.count(1)^k.  The right-hand side comes from the
     action on the tensor space, not from any branching-graph count.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     shapes = partitions_upto(n)
-    classes = class_representatives(n)
-    rows = [[chi_star(lam, rep) for lam in shapes] for _, rep in classes]
-    rhs = [mu.count(1) ** k for mu, _ in classes]
+    rows = [[_chi_star_by_type(lam, mu) for lam in shapes] for mu in shapes]
+    rhs = [mu.count(1) ** k for mu in shapes]
     sol = solve_unique(ExactMatrix(rows), rhs)
     out = {}
     for lam, m in zip(shapes, sol):

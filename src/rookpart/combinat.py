@@ -312,22 +312,13 @@ def spt_shape(t: SetTableau) -> Partition:
 
 
 def is_standard_set_tableau(t) -> bool:
-    """Rows and columns strictly increase under the maximum-entry order."""
-    shape = tuple(len(row) for row in t)
-    if shape and not is_partition(shape):
-        return False
+    """Rows and columns strictly increase under the maximum-entry order: the
+    blocks are nonempty and disjoint, and their maxima form a standard
+    tableau."""
     entries = [e for row in t for b in row for e in b]
     if len(set(entries)) != len(entries) or any(not b for row in t for b in row):
         return False
-    for row in t:
-        for i in range(len(row) - 1):
-            if not max(row[i]) < max(row[i + 1]):
-                return False
-    for r in range(len(t) - 1):
-        for c in range(len(t[r + 1])):
-            if not max(t[r][c]) < max(t[r + 1][c]):
-                return False
-    return True
+    return is_standard_tableau([[max(b) for b in row] for row in t])
 
 
 def is_standard_spt(t, k: int) -> bool:

@@ -264,11 +264,6 @@ def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
     return tuple(sorted(out))
 
 
-def coarsenings(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    """All diagrams coarser than d (d itself included), from its upset table."""
-    return tuple(c for c, _ in _upset(d))
-
-
 class AlgebraElement:
     """Element of a diagram algebra, in the diagram or the orbit basis.
 
@@ -423,11 +418,6 @@ def to_orbit(a: AlgebraElement) -> AlgebraElement:
     if a.basis != "diagram":
         raise ValueError("to_orbit needs a diagram-basis element")
     return _over_upset(a, "orbit", mobius=False)
-
-
-def rows_match(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
-    """Bottom row of d1 induces the same set partition as the top row of d2."""
-    return d1.bottom_partition() == d2.top_partition()
 
 
 def _matched_pairs(a: AlgebraElement, b: AlgebraElement):

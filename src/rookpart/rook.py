@@ -78,11 +78,6 @@ class RookElement:
     def is_diagonal(self) -> bool:
         return all(j in (0, i + 1) for i, j in enumerate(self.mapping))
 
-    def one_line(self) -> tuple[int, ...]:
-        if not self.is_permutation():
-            raise ValueError("not a permutation")
-        return self.mapping
-
     def __eq__(self, other):
         if not isinstance(other, RookElement):
             return NotImplemented
@@ -203,14 +198,6 @@ def factor_to_word(rho: RookElement) -> list[SToken]:
     return word
 
 
-def evaluate_word(word, n: int) -> RookElement:
-    out = RookElement.identity(n)
-    for kind, idx in word:
-        tok = generator("s", idx, n) if kind == "s" else generator("P", 1, n)
-        out = rook_mul(out, tok)
-    return out
-
-
 # --- monoid algebra ----------------------------------------------------------
 
 
@@ -277,52 +264,3 @@ def embed(rho: RookElement, n: int) -> RookElement:
         raise ValueError("cannot shrink")
     mapping = list(rho.mapping) + list(range(rho.n + 1, n + 1))
     return RookElement(n, mapping)
-
-
-# --- character support data ---------------------------------------------------
-
-
-def _cycles(sigma: RookElement) -> list[tuple[int, ...]]:
-    """Cycles of the partial map (orbits that close up inside the domain)."""
-    seen = set()
-    cycles = []
-    for start in sigma.domain():
-        if start in seen:
-            continue
-        orbit = [start]
-        cur = sigma.image(start)
-        while cur and cur != start and cur not in seen:
-            orbit.append(cur)
-            cur = sigma.image(cur)
-        if cur == start:
-            cycles.append(tuple(orbit))
-            seen.update(orbit)
-        else:
-            seen.update(orbit)
-    return sorted(cycles, key=lambda c: min(c))
-
-
-def support_data(sigma: RookElement, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All size-r index sets K inside the nonzero rows with sigma K = K.
-
-    Each K comes with the induced permutation of {1..r} obtained by
-    compressing sigma to K (positions ordered increasingly).  Such K are
-    exactly unions of cycles of the partial map.
-    """
-    if not 0 <= r <= sigma.n:
-        raise ValueError("r out of range")
-    if r == 0:
-        return [((), ())]
-    cycles = _cycles(sigma)
-    out = []
-    for count in range(1, len(cycles) + 1):
-        for chosen in combinations(range(len(cycles)), count):
-            total = sum(len(cycles[c]) for c in chosen)
-            if total != r:
-                continue
-            k_set = sorted(e for c in chosen for e in cycles[c])
-            pos = {v: idx + 1 for idx, v in enumerate(k_set)}
-            perm = tuple(pos[sigma.image(v)] for v in k_set)
-            out.append((tuple(k_set), perm))
-    out.sort()
-    return out

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,20 +8,88 @@ from rookpart.characters import (
     _sym_char_by_type,
     check_frobenius,
     chi_star,
-    chi_sym,
     class_representatives,
     closed_type,
-    cycle_type,
     kronecker_with_defining,
     mod_induce,
     mod_restrict,
     tensor_multiplicities,
 )
-from rookpart.combinat import f_lambda, partitions, partitions_upto
+from rookpart.combinat import (
+    check_partition,
+    corner_set,
+    f_lambda,
+    partitions,
+    partitions_upto,
+    shape_key,
+)
 from rookpart.linalg import ExactMatrix, solve_unique
 from rookpart.rook import RookElement, enumerate_rook, generator, rook_mul
 from rookpart.seminormal import RookIrrep
 from rookpart.tensor import TensorSpace, psi_rook
+
+
+# --- test-local copies of the routes the type formula replaced ------------------
+
+
+def cycle_type(perm):
+    """Sorted cycle lengths of a permutation in one-line notation."""
+    n = len(perm)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = perm[cur] - 1
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def chi_sym(lam, sigma):
+    """Symmetric-group irreducible character: trace of the seminormal module
+    at n = |lam| on a permutation of {1..|lam|}."""
+    lam = check_partition(lam)
+    if sigma.n != sum(lam) or not sigma.is_permutation():
+        raise ValueError(f"need a permutation of 1..{sum(lam)}")
+    value = RookIrrep(lam, sigma.n).rep_rook(sigma).trace()
+    assert value.denominator == 1
+    return int(value)
+
+
+def branching_restrict(mult, n):
+    """Plain restriction along the branching rule: a shape goes to its one-box
+    removals together with itself (when it still fits one level down)."""
+    out = {}
+    for lam, m in mult.items():
+        for mu in corner_set(check_partition(lam), "minus_eq"):
+            if sum(mu) <= n - 1:
+                out[mu] = out.get(mu, 0) + m
+    return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
+
+
+def invariant_subsets(sigma, r):
+    """Brute force: every size-r index set K inside the domain with
+    sigma K = K, with sigma compressed to a permutation of {1..r}."""
+    out = []
+    dom = set(sigma.domain())
+    for k_set in combinations(range(1, sigma.n + 1), r):
+        if set(k_set) <= dom and {sigma.image(i) for i in k_set} == set(k_set):
+            pos = {v: idx + 1 for idx, v in enumerate(k_set)}
+            out.append((k_set, tuple(pos[sigma.image(v)] for v in k_set)))
+    return out
+
+
+def solomon_sum_over_subsets(lam, sigma):
+    """chi*_lam(sigma) as the sum of chi_lam over the compressed invariant
+    subsets of size |lam|."""
+    return sum(
+        _sym_char_by_type(lam, cycle_type(perm)) for _, perm in invariant_subsets(sigma, sum(lam))
+    )
 
 
 def test_cycle_type():
@@ -47,6 +116,31 @@ def test_chi_star_trivial_and_defining():
         for sigma in enumerate_rook(n):
             assert chi_star((), sigma) == 1
             assert chi_star((1,), sigma) == len(sigma.fixed_points())
+
+
+def test_chi_star_examples_at_identity_zero_and_s1():
+    ident = RookElement.identity(3)
+    zero = RookElement.zero(3)
+    s1 = generator("s", 1, 2)
+    # three invariant singletons under the identity, none under the zero map
+    assert chi_star((1,), ident) == 3
+    assert chi_star((2, 1), ident) == 2
+    assert chi_star((1,), zero) == 0
+    assert chi_star((2,), zero) == 0
+    assert chi_star((), ident) == chi_star((), zero) == 1
+    # s_1 in R_2: the one invariant pair {1, 2}, on which it is a transposition
+    assert chi_star((2,), s1) == 1
+    assert chi_star((1, 1), s1) == -1
+    assert chi_star((1,), s1) == 0
+    assert chi_star((3,), s1) == 0  # |lam| > n
+
+
+def test_chi_star_matches_sum_over_invariant_subsets():
+    # Solomon's sum over the invariant index sets K of sigma, brute force
+    for n in range(1, 5):
+        for sigma in enumerate_rook(n):
+            for lam in partitions_upto(n):
+                assert chi_star(lam, sigma) == solomon_sum_over_subsets(lam, sigma), (lam, sigma)
 
 
 def test_chi_star_at_identity_is_dimension():
@@ -114,8 +208,6 @@ def test_mod_induce_restrict_examples():
 def test_tensor_identity_pointwise():
     # modified induction after the branching restriction equals tensoring
     # with the defining representation, shape by shape
-    from rookpart.characters import branching_restrict
-
     n = 3
     for lam in partitions_upto(n):
         via_rules = mod_induce(branching_restrict({lam: 1}, n), n)
@@ -126,8 +218,6 @@ def test_tensor_identity_pointwise():
 def test_iterated_induction_matches_tensor_power():
     # iterating (induce o restrict) from the trivial module reproduces the
     # decomposition of the k-fold tensor power of the defining module
-    from rookpart.characters import branching_restrict
-
     n = 3
     for k in range(4):
         mult = {(): 1}

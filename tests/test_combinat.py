@@ -1,3 +1,4 @@
+import random
 from math import comb, factorial
 
 import hypothesis.strategies as st
@@ -11,6 +12,8 @@ from rookpart.combinat import (
     corner_set,
     f_lambda,
     inner_corners,
+    is_partition,
+    is_standard_set_tableau,
     is_standard_spt,
     max_entry_less,
     move_steps,
@@ -195,6 +198,41 @@ def test_standard_spt_enumeration_against_filter():
                 assert len(produced) == len(set(produced))
                 assert set(produced) == brute
                 assert len(produced) == stirling2(k, r) * f_lambda(lam)
+
+
+def _old_is_standard_set_tableau(t):
+    # the former body: the row and column loops written out on block maxima
+    shape = tuple(len(row) for row in t)
+    if shape and not is_partition(shape):
+        return False
+    entries = [e for row in t for b in row for e in b]
+    if len(set(entries)) != len(entries) or any(not b for row in t for b in row):
+        return False
+    for row in t:
+        for i in range(len(row) - 1):
+            if not max(row[i]) < max(row[i + 1]):
+                return False
+    for r in range(len(t) - 1):
+        for c in range(len(t[r + 1])):
+            if not max(t[r][c]) < max(t[r + 1][c]):
+                return False
+    return True
+
+
+def test_standard_set_tableau_matches_former_body():
+    for k in range(1, 6):
+        for r in range(1, k + 1):
+            for lam in partitions(r):
+                for t in standard_spt_tableaux(lam, k):
+                    assert is_standard_set_tableau(t) and _old_is_standard_set_tableau(t)
+    rng = random.Random(11)
+    for _ in range(3000):
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        t = tuple(
+            tuple(tuple(rng.sample(range(1, 9), rng.randint(0, 2))) for _ in range(w))
+            for w in widths
+        )
+        assert is_standard_set_tableau(t) == _old_is_standard_set_tableau(t), t
 
 
 def test_box_difference():

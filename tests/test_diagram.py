@@ -13,7 +13,6 @@ from rookpart.diagram import (
     build_dp,
     build_dpcd,
     build_dtilde,
-    coarsenings,
     compose,
     diagram_product,
     embed_half,
@@ -25,7 +24,6 @@ from rookpart.diagram import (
     is_totally_propagating,
     orbit_product_general,
     orbit_product_tppa,
-    rows_match,
     to_orbit,
 )
 from rookpart.formal import FormalSum
@@ -34,6 +32,11 @@ from rookpart.scalars import XI, XiPoly, falling_factorial
 
 def D(text, size=None, half=False):
     return PartitionDiagram.parse(text, size=size, half=half)
+
+
+def coarsenings(d):
+    """All diagrams coarser than d (d itself included), from its upset table."""
+    return tuple(c for c, _ in diagram._upset(d))
 
 
 def test_parse_print_round_trip():
@@ -459,9 +462,9 @@ def test_compose_matches_vertex_level_oracle():
         assert got == want and hash(got) == hash(want)
 
 
-def test_rows_match_reads_cached_rows():
+def test_middle_rows_read_cached_partitions():
     for d1, d2 in _all_oracle_pairs():
-        assert rows_match(d1, d2) == _oracle_rows_match(d1, d2)
+        assert (d1.bottom_partition() == d2.top_partition()) == _oracle_rows_match(d1, d2)
     for d in enumerate_monoid("A", 3):
         top = canonical_set_partition([[v for v in b if v > 0] for b in d.blocks if b[0] > 0])
         assert d.top_partition() == top

@@ -141,8 +141,13 @@ def test_centrality_small_levels():
     report = verify_centrality(4)
     assert report["ok"], report["failures"][:2]
     assert report["diagram_count"] == 339
-    with pytest.raises(ValueError):
-        verify_centrality(Fraction(9, 2))
+    # commuting with the 6 generators of the half monoid, not its 2,100 diagrams
+    report = verify_centrality(Fraction(9, 2))
+    assert report["ok"], report["failures"][:2]
+    assert report["diagram_count"] == 2100
+    # the enumeration guard bounds the check, before any central sum is built
+    with pytest.raises(ValueError, match="enumeration out of guarded range"):
+        verify_centrality(Fraction(11, 2))
 
 
 def test_central_sum_commutes_with_every_diagram_by_hand():
@@ -322,13 +327,28 @@ def test_add_slot_matches_the_round_trip_on_mixed_sums():
 
 def test_centrality_check_names_a_non_central_witness(monkeypatch):
     real = jm.build_z
-    x = AlgebraElement.from_diagram(D("[[1,-2],[2,-1],[3,-3]]"), basis="orbit")
-    monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == 3 else real(t))
-    report = verify_centrality(3)
-    assert not report["ok"]
-    assert report["failures"] == [
-        "Z at level 3 does not commute with [[1,-3],[2,-2],[3,-1]]",
-        "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
-        "Z at level 3 does not commute with [[1,-2],[2,-3],[3,-1]]",
-        "Z at level 3 does not commute with [[1,-1],[2,-3],[3,-2]]",
+    cases = [
+        (
+            "[[1,-2],[2,-1],[3,-3]]",
+            [
+                "Z at level 3 does not commute with [[1,-3],[2,-2],[3,-1]]",
+                "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
+            ],
+        ),
+        # commutes with the orbit element x_g of every generator g, so only
+        # the check against the diagram g itself names g
+        (
+            "[[1,3,-2],[2,-1,-3]]",
+            [
+                "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
+                "M~_2 and M_3 do not commute at level 3",
+                "M~_5/2 and M_3 do not commute at level 3",
+            ],
+        ),
     ]
+    for extra, failures in cases:
+        x = AlgebraElement.from_diagram(D(extra), basis="orbit")
+        monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == 3 else real(t))
+        report = verify_centrality(3)
+        assert not report["ok"]
+        assert report["failures"] == failures

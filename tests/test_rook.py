@@ -8,7 +8,6 @@ from rookpart.rook import (
     RookElement,
     algebra_mul,
     enumerate_rook,
-    evaluate_word,
     factor_to_word,
     generator,
     jm_x,
@@ -16,7 +15,6 @@ from rookpart.rook import (
     kappa,
     kappa_tilde,
     rook_mul,
-    support_data,
 )
 
 
@@ -106,6 +104,14 @@ def test_presentation_relations_hold_up_to_n5():
             assert pj == rook_mul(rook_mul(pj1, s[j - 1]), pj1)
 
 
+def evaluate_word(word, n):
+    out = RookElement.identity(n)
+    for kind, idx in word:
+        tok = generator("s", idx, n) if kind == "s" else generator("P", 1, n)
+        out = rook_mul(out, tok)
+    return out
+
+
 def test_factor_to_word_examples():
     assert factor_to_word(RookElement.identity(3)) == []
     word = factor_to_word(generator("P", 1, 3))
@@ -175,34 +181,6 @@ def test_kappa_examples_and_centrality():
         for central in (kappa(n), kappa_tilde(n)):
             for g in gens:
                 assert algebra_mul(central, g) == algebra_mul(g, central)
-
-
-def test_support_data_examples():
-    n = 3
-    ident = RookElement.identity(n)
-    rows = support_data(ident, 1)
-    assert rows == [((1,), (1,)), ((2,), (1,)), ((3,), (1,))]
-    s1 = generator("s", 1, 2)
-    assert support_data(s1, 2) == [((1, 2), (2, 1))]
-    assert support_data(RookElement.zero(3), 1) == []
-    assert support_data(ident, 0) == [((), ())]
-
-
-def test_support_sets_are_unions_of_cycles():
-    # brute-force oracle: check every subset directly
-    from itertools import combinations
-
-    for sigma in enumerate_rook(3):
-        for r in range(4):
-            brute = []
-            for k_set in combinations(range(1, 4), r):
-                dom = set(sigma.domain())
-                if set(k_set) <= dom and {sigma.image(i) for i in k_set} == set(k_set):
-                    pos = {v: idx + 1 for idx, v in enumerate(k_set)}
-                    brute.append((k_set, tuple(pos[sigma.image(v)] for v in k_set)))
-            if r == 0:
-                brute = [((), ())]
-            assert support_data(sigma, r) == sorted(brute)
 
 
 def test_rook_mul_size_mismatch():

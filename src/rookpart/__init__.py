@@ -42,7 +42,6 @@ from .diagram import (
     build_dtilde,
     compose,
     diagram_product,
-    embed_half,
     enumerate_monoid,
     from_orbit,
     is_coarser,

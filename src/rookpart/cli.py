@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import acceptance, bratteli, characters, combinat, diagram, jm, rsk, seminormal, tensor
 from .rook import RookElement
-from .scalars import XiPoly
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -55,12 +54,13 @@ def parse_diagram(text: str, size: int | None = None) -> diagram.PartitionDiagra
 
 def parse_rook(text: str, n: int) -> RookElement:
     pairs = parse_int_lists(text, 2, "--sigma")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"--sigma pair {pair} must have two entries")
     return RookElement.from_pairs(n, [tuple(p) for p in pairs])
 
 
 def format_exact(value) -> object:
-    if isinstance(value, XiPoly):
-        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)

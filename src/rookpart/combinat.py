@@ -162,7 +162,6 @@ def corner_set(lam: Partition, mode: str, bound: int = 0) -> list[Partition]:
     plus_n     -> add one box, keeping the result within size <= bound
     minus_eq   -> minus plus lam itself
     plus_eq    -> plus_n plus lam itself
-    minus_plus -> remove one corner then add one box (as a set)
     """
     lam = check_partition(lam)
     if mode == "minus":
@@ -176,8 +175,6 @@ def corner_set(lam: Partition, mode: str, bound: int = 0) -> list[Partition]:
         shapes = {remove_box(lam, c) for c in inner_corners(lam)} | {lam}
     elif mode == "plus_eq":
         shapes = set(corner_set(lam, "plus_n", bound)) | {lam}
-    elif mode == "minus_plus":
-        shapes = {mu for _, mu in move_steps(lam)}
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return sorted(shapes, key=shape_key)

@@ -108,10 +108,6 @@ class PartitionDiagram:
     def identity(cls, size: int, half: bool = False) -> "PartitionDiagram":
         return cls(size, [(i, -i) for i in range(1, size + 1)], half)
 
-    @property
-    def level(self) -> Fraction:
-        return Fraction(self.size) - (Fraction(1, 2) if self.half else 0)
-
     def n_blocks(self) -> int:
         return len(self.blocks)
 
@@ -499,24 +495,6 @@ def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             raise RuntimeError(f"composing {d1} with {d2} leaves {internal} internal blocks")
         acc[comp] = acc.get(comp, 0) + c1 * c2
     return a._like(_exact_sum(acc))
-
-
-def embed_half(a: AlgebraElement) -> AlgebraElement:
-    """Orbit-basis embedding of the propagating algebra at k into level k+1/2:
-    each orbit key gains the block {k+1, (k+1)'}."""
-    if a.basis != "orbit":
-        raise ValueError("embed_half needs an orbit-basis element")
-    if a.half:
-        raise ValueError("element already lives at a half level")
-    k = a.size
-    for key in a.sum.keys():
-        if not is_totally_propagating(key):
-            raise ValueError(f"not totally propagating: {key}")
-
-    def lift(d):
-        return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
-
-    return AlgebraElement(k + 1, "orbit", a.sum.map_keys(lift), half=True)
 
 
 # --- monoid enumeration -------------------------------------------------------

@@ -74,14 +74,20 @@ class ExactMatrix:
         return cls._from_rows(cols, ({} for _ in range(rows)))
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+    def from_entries(cls, rows: int, cols: int, entries) -> "ExactMatrix":
+        """Matrix from ``((i, j), value)`` pairs.
+
+        The values given for one cell add up, ints staying ints until a
+        Fraction arrives; a cell whose values sum to zero is left out.  A cell
+        outside the matrix raises IndexError naming it.
+        """
         out = [{} for _ in range(rows)]
-        for (i, j), v in entries.items():
+        for (i, j), v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if v:
-                out[i][j] = _exact(v)
-        return cls._from_rows(cols, out)
+            row = out[i]
+            row[j] = row.get(j, 0) + _exact(v)
+        return cls._from_rows(cols, ({j: _exact(v) for j, v in row.items() if v} for row in out))
 
     @property
     def data(self) -> tuple:

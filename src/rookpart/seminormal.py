@@ -105,14 +105,13 @@ class RookIrrep:
         return len(self.basis)
 
     def _matrix_of(self, act) -> ExactMatrix:
-        cols = []
-        for t in self.basis:
-            image = act(t)
-            col = [Fraction(0)] * self.dim
-            for key, coeff in image.items():
-                col[self.index[key]] = coeff
-            cols.append(col)
-        return ExactMatrix(list(zip(*cols)))
+        """Matrix whose column j is act(basis[j]) in the basis coordinates."""
+        pairs = [
+            ((self.index[key], j), coeff)
+            for j, t in enumerate(self.basis)
+            for key, coeff in act(t).terms()
+        ]
+        return ExactMatrix.from_entries(self.dim, self.dim, pairs)
 
     def token_matrix(self, token) -> ExactMatrix:
         return self._tokens[token]

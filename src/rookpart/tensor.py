@@ -9,6 +9,11 @@ stored row-convention (row = input index), which makes the diagram map
 multiplicative; rook matrices are column-convention.  Since the rook
 generators are symmetric matrices, the two actions commute as plain matrix
 products.
+
+Every action is built one way: a basis element gives the (row, col) cells
+where its 0/1 matrix has a 1 (one per assignment of letters to the blocks of a
+diagram, one per basis tuple a rook element keeps), each cell is paired with
+its term's coefficient, and ``ExactMatrix.from_entries`` adds up the pairs.
 """
 
 from __future__ import annotations
@@ -65,54 +70,55 @@ def _check_diagram(d: PartitionDiagram, space: TensorSpace):
         raise ValueError("half space needs diagrams joining the last column")
 
 
-def _entries_from_assignments(d, space, injective: bool) -> dict:
-    """Matrix entries of a diagram action from block-value assignments.
-
-    Each nonzero entry corresponds to one assignment of values to blocks
-    (all assignments for the diagram basis, injective ones for the orbit
-    basis); on half spaces the block holding the hidden slot is pinned to n.
-    """
+def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool):
+    """(row, col) cells of a diagram action, one per assignment of values to
+    blocks: every assignment for the diagram basis, the injective ones for the
+    orbit basis.  On a half space the block holding the hidden slot is pinned
+    to n."""
     _check_diagram(d, space)
-    n, k = space.n, space.k
-    blocks = d.blocks
-    pinned = None
-    if space.half:
-        pinned = next(i for i, b in enumerate(blocks) if (k + 1) in b)
-    free = [i for i in range(len(blocks)) if i != pinned]
-    entries = {}
+    n, k, index = space.n, space.k, space.index
+    pinned = [b for b in d.blocks if k + 1 in b] if space.half else []
+    free = [b for b in d.blocks if b not in pinned]
+    # slot of each vertex in the value tuple: free blocks first, then the pinned one
+    slot = {v: s for s, b in enumerate(free + pinned) for v in b}
+    top = [slot[j] for j in range(1, k + 1)]
+    bottom = [slot[-j] for j in range(1, k + 1)]
+    tail = (n,) if pinned else ()
     if injective:
-        pool = range(1, n + 1)
-        choices = permutations([v for v in pool if pinned is None or v != n], len(free))
+        choices = permutations(range(1, n if pinned else n + 1), len(free))
     else:
         choices = product(range(1, n + 1), repeat=len(free))
     for values in choices:
-        assign = dict(zip(free, values))
-        if pinned is not None:
-            assign[pinned] = n
-        value_of = {}
-        for b_idx, b in enumerate(blocks):
-            for v in b:
-                value_of[v] = assign[b_idx]
-        top = tuple(value_of[j] for j in range(1, k + 1))
-        bottom = tuple(value_of[-j] for j in range(1, k + 1))
-        entries[(space.index[top], space.index[bottom])] = 1
-    return entries
+        values += tail
+        yield index[tuple(values[s] for s in top)], index[tuple(values[s] for s in bottom)]
 
 
-def _combination(space: TensorSpace, terms) -> ExactMatrix:
-    """Matrix of sum c * E over (c, entries) pairs, summed in one entry dict."""
-    acc = {}
-    for coeff, entries in terms:
-        for key, v in entries.items():
-            acc[key] = acc.get(key, 0) + coeff * v
-    return ExactMatrix.from_entries(space.dim, space.dim, acc)
+def _rook_cells(rho: RookElement, space: TensorSpace):
+    """(row, col) cells of the diagonal action of a rook element."""
+    if rho.n != space.rook_n:
+        raise ValueError(f"{space!r} needs rook elements of size {space.rook_n}")
+    if space.half:
+        rho = embed(rho, space.n)
+    for col, tup in enumerate(space.basis):
+        images = tuple(rho.image(i) for i in tup)
+        if all(images):
+            yield space.index[images], col
+
+
+def _action(space: TensorSpace, terms) -> ExactMatrix:
+    """Matrix of the sum of c * E over (c, cells) terms, E having a 1 at each
+    cell; an XiPoly coefficient is evaluated at n."""
+    pairs = []
+    for coeff, cells in terms:
+        if isinstance(coeff, XiPoly):
+            coeff = coeff.subs(space.n)
+        pairs += [(cell, coeff) for cell in cells]
+    return ExactMatrix.from_entries(space.dim, space.dim, pairs)
 
 
 def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
     """Right action of a diagram-basis element (row convention)."""
-    return ExactMatrix.from_entries(
-        space.dim, space.dim, _entries_from_assignments(d, space, injective=False)
-    )
+    return _action(space, [(1, _diagram_cells(d, space, injective=False))])
 
 
 def phi_orbit(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
@@ -120,33 +126,13 @@ def phi_orbit(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
 
     Zero whenever the diagram has more than n blocks.
     """
-    return ExactMatrix.from_entries(
-        space.dim, space.dim, _entries_from_assignments(d, space, injective=True)
-    )
+    return _action(space, [(1, _diagram_cells(d, space, injective=True))])
 
 
 def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
     """Linear extension of the diagram action; xi coefficients evaluate at n."""
     injective = a.basis == "orbit"
-    terms = []
-    for d, coeff in a.sum.items():
-        if isinstance(coeff, XiPoly):
-            coeff = coeff.subs(space.n)
-        terms.append((coeff, _entries_from_assignments(d, space, injective)))
-    return _combination(space, terms)
-
-
-def _rook_entries(rho: RookElement, space: TensorSpace) -> dict:
-    if rho.n != space.rook_n:
-        raise ValueError(f"{space!r} needs rook elements of size {space.rook_n}")
-    if space.half:
-        rho = embed(rho, space.n)
-    entries = {}
-    for idx, tup in enumerate(space.basis):
-        images = tuple(rho.image(i) for i in tup)
-        if all(images):
-            entries[(space.index[images], idx)] = 1
-    return entries
+    return _action(space, ((c, _diagram_cells(d, space, injective)) for d, c in a.sum.terms()))
 
 
 def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
@@ -155,11 +141,11 @@ def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
     On a half space, rho must have size n-1 and is embedded fixing the last
     basis vector.
     """
-    return ExactMatrix.from_entries(space.dim, space.dim, _rook_entries(rho, space))
+    return _action(space, [(1, _rook_cells(rho, space))])
 
 
 def psi_element(x: FormalSum, space: TensorSpace) -> ExactMatrix:
-    return _combination(space, [(coeff, _rook_entries(rho, space)) for rho, coeff in x.items()])
+    return _action(space, ((c, _rook_cells(rho, space)) for rho, c in x.terms()))
 
 
 def _rook_generators(n: int) -> list[RookElement]:
@@ -191,21 +177,19 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
 
-    def flat(entries):
-        return {i * space.dim + j: v for (i, j), v in entries.items()}
+    def flat(cells):
+        return {i * space.dim + j: 1 for i, j in cells}
 
     expected_kernel = sum(1 for d in diagrams if d.n_blocks() > n)
     image_dim = sparse_rank_of_vectors(
-        [flat(_entries_from_assignments(d, space, injective=True)) for d in diagrams]
+        [flat(_diagram_cells(d, space, injective=True)) for d in diagrams]
     )
     kernel_dim = len(diagrams) - image_dim
 
     gens = [psi_rook(g, space) for g in _rook_generators(space.rook_n)]
     commutant_dim = commutant_dimension(gens)
 
-    psi_image_dim = sparse_rank_of_vectors(
-        [flat(_rook_entries(rho, space)) for rho in rooks]
-    )
+    psi_image_dim = sparse_rank_of_vectors([flat(_rook_cells(rho, space)) for rho in rooks])
     phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) or diagrams]
     phi_commutant_dim = commutant_dimension(phi_gens)
 

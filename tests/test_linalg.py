@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,7 +102,7 @@ def test_commutant_of_identity_is_everything():
 
 def test_commutant_of_full_matrix_algebra_is_scalars():
     basis = [
-        ExactMatrix.from_entries(2, 2, {(i, j): 1}) for i in range(2) for j in range(2)
+        ExactMatrix.from_entries(2, 2, [((i, j), 1)]) for i in range(2) for j in range(2)
     ]
     assert commutant_dimension(basis) == 1
 
@@ -171,8 +172,8 @@ def test_simultaneous_eigenspace_dimensions_exhaust():
 def test_non_commuting_operators_are_rejected_past_the_old_debug_limit():
     # a 65 x 65 family: the first pair that fails is named
     d = 65
-    e01 = ExactMatrix.from_entries(d, d, {(0, 1): 1})
-    e10 = ExactMatrix.from_entries(d, d, {(1, 0): 1})
+    e01 = ExactMatrix.from_entries(d, d, [((0, 1), 1)])
+    e10 = ExactMatrix.from_entries(d, d, [((1, 0), 1)])
     ops = [ExactMatrix.identity(d), e01, e10]
     with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
         simultaneous_eigenspace(ops, [1, 0, 0])
@@ -181,11 +182,36 @@ def test_non_commuting_operators_are_rejected_past_the_old_debug_limit():
 
 
 def test_commuting_family_is_checked_once():
-    family = CommutingFamily([ExactMatrix.identity(3), ExactMatrix.from_entries(3, 3, {(0, 0): 2})])
+    family = CommutingFamily([ExactMatrix.identity(3), ExactMatrix.from_entries(3, 3, [((0, 0), 2)])])
     assert CommutingFamily(family) == family
     assert len(simultaneous_eigenspace(family, [1, 2])) == 1
     with pytest.raises(ValueError):
         CommutingFamily([ExactMatrix.identity(2), ExactMatrix.identity(3)])
+
+
+def test_from_entries_adds_repeated_cells():
+    pairs = [((0, 1), 1), ((1, 2), Fraction(1, 3)), ((0, 1), 2), ((1, 2), Fraction(1, 3))]
+    assert ExactMatrix.from_entries(2, 3, pairs) == ExactMatrix([[0, 3, 0], [0, 0, Fraction(2, 3)]])
+
+
+def test_from_entries_drops_a_cancelled_cell():
+    m = ExactMatrix.from_entries(2, 2, [((0, 1), Fraction(1, 2)), ((1, 1), 5), ((0, 1), Fraction(-1, 2))])
+    assert m == ExactMatrix([[0, 0], [0, 5]])
+    assert m._rows[0] == {}
+
+
+def test_from_entries_reads_integral_fractions_as_ints():
+    pairs = [((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2)), ((1, 0), Fraction(6, 3))]
+    m = ExactMatrix.from_entries(2, 2, pairs)
+    assert m == ExactMatrix([[1, 0], [2, 0]])
+    assert m[0, 0] == 1 and m[1, 0] == 2
+    assert all(type(v) is int for row in m._rows for v in row.values())
+
+
+def test_from_entries_names_a_cell_outside_the_matrix():
+    for cell in [(2, 0), (0, 3), (-1, 0)]:
+        with pytest.raises(IndexError, match=re.escape(f"entry {cell} outside a 2x3 matrix")):
+            ExactMatrix.from_entries(2, 3, [((0, 0), 1), (cell, 1)])
 
 
 def test_commutation_check_survives_optimized_mode():
@@ -298,6 +324,15 @@ def test_sparse_arithmetic_matches_dense_oracle(case):
     assert ma.diagonal() == tuple(a[i][i] for i in range(min(len(a), len(a[0]))))
     assert all(ma[i, j] == a[i][j] for i in range(len(a)) for j in range(len(a[0])))
     assert (ma == mb) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 3)), entries), max_size=12))
+def test_from_entries_matches_dense_sum(pairs):
+    grid = [[Fraction(0)] * 4 for _ in range(3)]
+    for (i, j), v in pairs:
+        grid[i][j] += v
+    assert ExactMatrix.from_entries(3, 4, pairs) == ExactMatrix(grid)
 
 
 @settings(max_examples=150, deadline=None)

@@ -177,3 +177,25 @@ def test_restriction_blocks_are_contiguous():
 def test_shape_too_big_raises():
     with pytest.raises(ValueError):
         RookIrrep((2, 1), 2)
+
+
+def dense_matrix_of(irrep, act):
+    """The dense route: one Fraction column per basis tableau, transposed."""
+    cols = []
+    for t in irrep.basis:
+        col = [Fraction(0)] * irrep.dim
+        for key, coeff in act(t).items():
+            col[irrep.index[key]] = coeff
+        cols.append(col)
+    return ExactMatrix(list(zip(*cols)))
+
+
+def test_token_matrices_match_the_dense_route():
+    for n in range(1, 5):
+        for lam in partitions_upto(n):
+            irrep = RookIrrep(lam, n)
+            for i in range(1, n):
+                want = dense_matrix_of(irrep, lambda t: act_si(lam, n, i, t))
+                assert irrep.token_matrix(("s", i)) == want, (lam, n, i)
+            want = dense_matrix_of(irrep, lambda t: act_p1(lam, n, t))
+            assert irrep.token_matrix(("P1", 0)) == want, (lam, n)

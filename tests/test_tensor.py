@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -12,7 +14,7 @@ from rookpart.diagram import (
 )
 from rookpart.formal import FormalSum
 from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from rookpart.rook import RookElement, enumerate_rook, generator
+from rookpart.rook import RookElement, embed, enumerate_rook, generator
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
     TensorSpace,
@@ -282,3 +284,110 @@ def test_dimension_guard():
         TensorSpace(3, 7)
     with pytest.raises(ValueError, match="a half space needs n >= 2"):
         TensorSpace(1, 1, half=True)
+
+
+# --- the dict-based route, kept as an oracle for the cell builders ------------
+
+
+def old_entries_from_assignments(d, space, injective):
+    """One {(row, col): 1} entry per assignment of values to blocks."""
+    n, k = space.n, space.k
+    blocks = d.blocks
+    pinned = None
+    if space.half:
+        pinned = next(i for i, b in enumerate(blocks) if (k + 1) in b)
+    free = [i for i in range(len(blocks)) if i != pinned]
+    entries = {}
+    if injective:
+        choices = permutations([v for v in range(1, n + 1) if pinned is None or v != n], len(free))
+    else:
+        choices = product(range(1, n + 1), repeat=len(free))
+    for values in choices:
+        assign = dict(zip(free, values))
+        if pinned is not None:
+            assign[pinned] = n
+        value_of = {v: assign[b_idx] for b_idx, b in enumerate(blocks) for v in b}
+        top = tuple(value_of[j] for j in range(1, k + 1))
+        bottom = tuple(value_of[-j] for j in range(1, k + 1))
+        entries[(space.index[top], space.index[bottom])] = 1
+    return entries
+
+
+def old_rook_entries(rho, space):
+    if space.half:
+        rho = embed(rho, space.n)
+    entries = {}
+    for idx, tup in enumerate(space.basis):
+        images = tuple(rho.image(i) for i in tup)
+        if all(images):
+            entries[(space.index[images], idx)] = 1
+    return entries
+
+
+def old_combination(space, terms):
+    """Sum of c * E over (c, entries) terms in one Fraction dict, read densely."""
+    acc = {}
+    for coeff, entries in terms:
+        if isinstance(coeff, XiPoly):
+            coeff = coeff.subs(space.n)
+        for key, v in entries.items():
+            acc[key] = acc.get(key, 0) + Fraction(coeff) * v
+    return ExactMatrix([[acc.get((i, j), 0) for j in range(space.dim)] for i in range(space.dim)])
+
+
+def test_diagram_cells_match_the_dict_route():
+    cases = [(TensorSpace(n, 2), "A", 2) for n in (2, 3)]
+    cases += [(TensorSpace(n, 3), "I", 3) for n in (2, 3)]
+    cases.append((TensorSpace(3, 2, half=True), "I_half", 2))
+    for space, kind, k in cases:
+        for d in enumerate_monoid(kind, k):
+            for injective, phi in ((False, phi_diagram), (True, phi_orbit)):
+                want = old_combination(space, [(1, old_entries_from_assignments(d, space, injective))])
+                assert phi(d, space) == want, (space, d, injective)
+
+
+def test_rook_cells_match_the_dict_route():
+    for rook_n in (2, 3):
+        for space in (TensorSpace(rook_n, 2), TensorSpace(rook_n + 1, 2, half=True)):
+            for rho in enumerate_rook(rook_n):
+                want = old_combination(space, [(1, old_rook_entries(rho, space))])
+                assert psi_rook(rho, space) == want, (space, rho)
+
+
+def test_element_actions_match_the_dict_route():
+    rng = random.Random(0)
+    pool = [1, -2, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2)]
+    diagrams = enumerate_monoid("A", 2)
+    for n in (2, 3):
+        space = TensorSpace(n, 2)
+        sums = []
+        for _ in range(4):
+            picked = rng.sample(diagrams, 6)
+            sums.append([(d, rng.choice(pool)) for d in picked])
+        for basis in ("diagram", "orbit"):
+            injective = basis == "orbit"
+            for terms in sums:
+                a = AlgebraElement(2, basis, terms)
+                want = old_combination(
+                    space, [(c, old_entries_from_assignments(d, space, injective)) for d, c in a.sum.items()]
+                )
+                assert phi_element(a, space) == want
+        # xi-polynomial coefficients, from products in the diagram basis
+        polys = 0
+        for _ in range(6):
+            a, b = (
+                AlgebraElement(2, "diagram", [(d, rng.choice(pool)) for d in rng.sample(diagrams, 4)])
+                for _ in range(2)
+            )
+            prod = diagram_product(a, b)
+            polys += sum(isinstance(c, XiPoly) for _, c in prod.sum.items())
+            want = old_combination(
+                space, [(c, old_entries_from_assignments(d, space, False)) for d, c in prod.sum.items()]
+            )
+            assert phi_element(prod, space) == want
+        assert polys
+        rooks = enumerate_rook(n)
+        for _ in range(4):
+            x = FormalSum([(rho, rng.choice(pool)) for rho in rng.sample(rooks, 5)])
+            want = old_combination(space, [(c, old_rook_entries(rho, space)) for rho, c in x.items()])
+            assert psi_element(x, space) == want

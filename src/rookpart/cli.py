@@ -47,9 +47,9 @@ def parse_int_lists(text: str, depth: int, what: str):
     return value
 
 
-def parse_diagram(text: str, size: int | None = None) -> diagram.PartitionDiagram:
+def parse_diagram(text: str) -> diagram.PartitionDiagram:
     parse_int_lists(text, 2, "a diagram")
-    return diagram.PartitionDiagram.parse(text, size=size)
+    return diagram.PartitionDiagram.parse(text)
 
 
 def parse_rook(text: str, n: int) -> RookElement:
@@ -73,7 +73,7 @@ def emit(payload) -> None:
 
 def _cmd_compose(args) -> int:
     d1 = parse_diagram(args.d1)
-    d2 = parse_diagram(args.d2, size=d1.size)
+    d2 = parse_diagram(args.d2)
     composed, loops = diagram.compose(d1, d2)
     emit({"diagram": str(composed), "xi_power": loops})
     return 0

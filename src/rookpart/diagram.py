@@ -6,19 +6,29 @@ diagram with ``half=True``; its last top and bottom vertices must share a
 block.  All diagrams are kept in a canonical form, so they are hashable and
 comparable.  Each diagram reads its two row partitions once and keeps them.
 
+Each diagram also keeps its blocks as bitmasks over its 2k vertices: top
+vertex v is bit 2k-v and bottom vertex -v is bit k-v, so the top row holds
+bits k..2k-1 and the bottom row bits 0..k-1, and the canonical vertex order
+(1..k, then -1..-k) is descending bit order.  Disjoint masks compare like
+their highest bits, so the canonical block order is descending numeric
+order.  A per-size table turns a mask back into its block, filled on demand
+(at most 4^k entries for size k).
+
 Products do only the work whose result they keep:
 
 - An orbit-basis product x_{d1} x_{d2} vanishes unless the bottom row of d1
   and the top row of d2 induce the same set partition (the middle rows
   match), so the orbit products index the right factor's terms by top row and
   pair each left term only with the terms its bottom row matches.
-- ``compose`` joins the blocks of the two factors through the middle row
-  (a union-find over b1 + b2 blocks, not over 3k vertices) and reads the
-  result's blocks off in canonical order, so nothing is re-sorted.
-- ``diagram_product`` sums coefficient products per (diagram, loop count)
-  and multiplies by xi^loops once per such pair; ``to_orbit`` and
-  ``from_orbit`` add each coefficient (times the Möbius value, for the
-  latter) over one cached table of a diagram's coarsenings.
+- ``compose`` works on 3k-bit masks: d1's masks shifted up by k put its
+  bottom row on the middle bits k..2k-1, where d2's top row already sits.
+  Each mask of d2 absorbs the components it meets; the components with no
+  top or bottom bits are the loops.
+- ``diagram_product`` sums coefficient products per (result masks, loop
+  count), builds each distinct result diagram once and multiplies by xi^loops
+  once per such pair; ``to_orbit`` and ``from_orbit`` add each coefficient
+  (times the Möbius value, for the latter) over one cached table of a
+  diagram's coarsenings, formed by OR-ing masks.
 
 Inside a product, integral coefficients are summed and multiplied as ints;
 results carry Fraction or XiPoly coefficients, never ints.
@@ -50,15 +60,34 @@ def _enum_cap(default: int) -> int:
     return min(default, int(cap)) if cap else default
 
 
-def _vertex_key(v: int) -> tuple[int, int]:
-    # top vertices before bottom ones, each row in increasing position
-    return (0 if v > 0 else 1, abs(v))
+class _BlockTable(dict):
+    """Mask -> block (its vertices in canonical order) for one size, filled on
+    demand, so it holds at most 4^size entries; ``bits`` maps each vertex to
+    its bit: 2k-v for top vertex v, k-v for bottom vertex -v."""
+
+    __slots__ = ("size", "bits")
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.bits = {v: 2 * size - v if v > 0 else size + v for v in range(-size, size + 1) if v}
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        k = self.size
+        block = tuple(2 * k - b if b >= k else b - k for b in range(2 * k - 1, -1, -1) if mask >> b & 1)
+        self[mask] = block
+        return block
+
+
+@cache
+def _block_table(size: int) -> _BlockTable:
+    return _BlockTable(size)
 
 
 class PartitionDiagram:
     """Set partition of {1..k, -1..-k} in canonical block order."""
 
-    __slots__ = ("size", "half", "blocks", "_rows", "_hash")
+    __slots__ = ("size", "half", "blocks", "_masks", "_rows", "_hash")
 
     def __init__(self, size: int, blocks, half: bool = False):
         if size < 1:
@@ -67,15 +96,9 @@ class PartitionDiagram:
         for i, b in enumerate(blocks):
             if not b:
                 raise ValueError(f"block {i + 1} of the diagram is empty")
-        canon = tuple(
-            sorted(
-                (tuple(sorted(b, key=_vertex_key)) for b in blocks),
-                key=lambda b: _vertex_key(b[0]),
-            )
-        )
-        vertices = [v for b in canon for v in b]
-        expected = set(range(1, size + 1)) | set(range(-size, 0))
-        if len(vertices) != 2 * size or set(vertices) != expected:
+        vertices = [v for b in blocks for v in b]
+        # the length test comes first, so a far vertex builds no table of its size
+        if len(vertices) != 2 * size or set(vertices) != _block_table(size).bits.keys():
             owner = {}
             for b in blocks:
                 if len(set(b)) != len(b):
@@ -85,23 +108,26 @@ class PartitionDiagram:
                         raise ValueError(f"vertex {v} is in blocks {list(owner[v])} and {list(b)}")
                     owner[v] = b
             raise ValueError(f"blocks must partition the {2 * size} vertices")
-        if half and not _joins_last_column(canon, size):
+        bits = _block_table(size).bits
+        masks = sorted((sum(1 << bits[v] for v in b) for b in blocks), reverse=True)
+        if half and not _joins_last_column(masks, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
+        self._set(size, tuple(masks), half)
+
+    def _set(self, size: int, masks: tuple, half: bool) -> None:
+        table = _block_table(size)
         self.size = size
         self.half = half
-        self.blocks = canon
+        self.blocks = tuple([table[m] for m in masks])
+        self._masks = masks
         self._rows = None
         self._hash = None
 
     @classmethod
-    def _canonical(cls, size: int, blocks: tuple, half: bool) -> "PartitionDiagram":
-        """Diagram from blocks already in canonical form, without checks."""
+    def _from_masks(cls, size: int, masks: tuple, half: bool) -> "PartitionDiagram":
+        """Diagram from disjoint block masks in descending order, without checks."""
         d = object.__new__(cls)
-        d.size = size
-        d.half = half
-        d.blocks = blocks
-        d._rows = None
-        d._hash = None
+        d._set(size, masks, half)
         return d
 
     @classmethod
@@ -110,12 +136,6 @@ class PartitionDiagram:
 
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, v: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise KeyError(v)
 
     def _row_partitions(self) -> tuple:
         # canonical block order puts the top parts in canonical order already;
@@ -134,17 +154,13 @@ class PartitionDiagram:
         """Restriction to the bottom row, unprimed."""
         return self._row_partitions()[1]
 
-    def flip(self) -> "PartitionDiagram":
-        """Swap top and bottom rows."""
-        return PartitionDiagram(self.size, [tuple(-v for v in b) for b in self.blocks], self.half)
-
     def with_half(self, half: bool) -> "PartitionDiagram":
         return PartitionDiagram(self.size, self.blocks, half)
 
     def __eq__(self, other):
         if not isinstance(other, PartitionDiagram):
             return NotImplemented
-        return self.blocks == other.blocks and self.half == other.half and self.size == other.size
+        return self._masks == other._masks and self.half == other.half and self.size == other.size
 
     def __hash__(self):
         if self._hash is None:
@@ -171,8 +187,10 @@ class PartitionDiagram:
         return cls(size, [tuple(b) for b in blocks], half)
 
 
-def _joins_last_column(blocks, size: int) -> bool:
-    return any(size in b and -size in b for b in blocks)
+def _joins_last_column(masks, size: int) -> bool:
+    # top vertex k is bit k, bottom vertex -k is bit 0
+    both = 1 << size | 1
+    return any(m & both == both for m in masks)
 
 
 def is_totally_propagating(d: PartitionDiagram) -> bool:
@@ -183,80 +201,82 @@ def is_totally_propagating(d: PartitionDiagram) -> bool:
 
 def is_half(d: PartitionDiagram) -> bool:
     """Last top and bottom vertices share a block (membership in the half monoid)."""
-    return _joins_last_column(d.blocks, d.size)
+    return _joins_last_column(d._masks, d.size)
+
+
+def _level_mismatch(what: str, d1: PartitionDiagram, d2: PartitionDiagram) -> ValueError:
+    kind = ["half diagram" if d.half else "diagram" for d in (d1, d2)]
+    return ValueError(f"cannot {what} a size-{d1.size} {kind[0]} with a size-{d2.size} {kind[1]}")
+
+
+def _compose_masks(k: int, left, right: tuple) -> tuple[tuple, int]:
+    """Masks of d1 ∘ d2 in canonical order and its loop count, from d1's masks
+    shifted up by k (``left``) and d2's masks (``right``)."""
+    low = (1 << k) - 1
+    high = low << k
+    comps = list(left)
+    for m in right:
+        if m > low:  # a top bit of d2: the block meets the middle row
+            rest = []
+            for c in comps:
+                if c & m:
+                    m |= c
+                else:
+                    rest.append(c)
+            rest.append(m)
+            comps = rest
+        else:
+            comps.append(m)
+    out = []
+    loops = 0
+    for c in comps:
+        outer = c >> k & high | c & low
+        if outer:
+            out.append(outer)
+        else:
+            loops += 1
+    out.sort(reverse=True)
+    return tuple(out), loops
 
 
 def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagram, int]:
     """Concatenation d1 over d2; returns (diagram, number of internal components).
 
-    The middle row identifies the bottom of d1 with the top of d2.  A
-    union-find over the blocks of both factors joins a block of d1 with a
-    block of d2 whenever they share a middle vertex.  Components living
-    entirely in the middle row are dropped and counted.  The result's blocks
-    are read off by visiting 1..k, then -1..-k, so each block comes out
-    sorted and the blocks come out in canonical order.
+    The middle row identifies the bottom of d1 with the top of d2.  On 3k
+    bits, d1's masks shifted up by k hold its top row on bits 2k..3k-1 and
+    its bottom row on the middle bits k..2k-1, where d2's top row sits
+    unshifted above its bottom row on bits 0..k-1.  Each mask of d2 with a
+    middle bit absorbs every component it overlaps.  A component with no top
+    or bottom bit lives in the middle row only: it is dropped and counted.
+    The others, with the middle bits stripped and the top bits shifted back
+    down by k, are the result's masks, sorted descending into canonical order.
     """
     if d1.size != d2.size or d1.half != d2.half:
-        raise ValueError("size mismatch")
+        raise _level_mismatch("compose", d1, d2)
     k = d1.size
-    n1 = len(d1.blocks)
-    # block ids: 0..n1-1 for d1, n1.. for d2; a parent id is always larger
-    # than its child's, since a block of d2 only ever adopts earlier ids
-    parent = list(range(n1 + len(d2.blocks)))
-    top = [0] * (k + 1)  # top vertex -> block of d1
-    middle = [0] * (k + 1)  # middle vertex -> block of d1 holding its bottom copy
-    bottom = [0] * (k + 1)  # bottom vertex -> block of d2
-    for i, b in enumerate(d1.blocks):
-        for v in b:
-            if v > 0:
-                top[v] = i
-            else:
-                middle[-v] = i
-    joins = 0
-    for i, b in enumerate(d2.blocks, n1):
-        for v in b:
-            if v > 0:
-                x = middle[v]
-                while parent[x] != x:
-                    x = parent[x]
-                if x != i:
-                    parent[x] = i
-                    joins += 1
-            else:
-                bottom[-v] = i
-    for x in range(len(parent) - 1, -1, -1):
-        parent[x] = parent[parent[x]]  # now the root of x
-    comps: dict[int, list[int]] = {}
-    for v in range(1, k + 1):
-        comps.setdefault(parent[top[v]], []).append(v)
-    for v in range(1, k + 1):
-        comps.setdefault(parent[bottom[v]], []).append(-v)
-    blocks = tuple(tuple(c) for c in comps.values())
-    internal = len(parent) - joins - len(blocks)
-    return PartitionDiagram._canonical(k, blocks, d1.half), internal
+    masks, loops = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
+    return PartitionDiagram._from_masks(k, masks, d1.half), loops
 
 
 def is_coarser(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
     """True iff every block of d2 is contained in a block of d1."""
     if d1.size != d2.size:
-        raise ValueError("size mismatch")
-    owner = {}
-    for idx, b in enumerate(d1.blocks):
-        for v in b:
-            owner[v] = idx
-    return all(len({owner[v] for v in b}) == 1 for b in d2.blocks)
+        raise _level_mismatch("compare", d1, d2)
+    return all(any(m & c == m for c in d1._masks) for m in d2._masks)
 
 
 @cache
 def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
     """The coarsenings d' of d (d included), sorted, with the Möbius values
     mu(d, d'): products of (-1)^(m-1) (m-1)! over the groups of m merged
-    blocks (Stanley, EC I, section 3.10)."""
+    blocks (Stanley, EC I, section 3.10).  A merged block's mask is the OR
+    of its blocks' masks, which for disjoint masks is their sum."""
+    masks = d._masks
     out = []
-    for grouping in set_partitions(len(d.blocks)):
-        merged = [tuple(v for idx in group for v in d.blocks[idx - 1]) for group in grouping]
+    for grouping in set_partitions(len(masks)):
+        merged = sorted((sum(masks[i - 1] for i in group) for group in grouping), reverse=True)
         mu = prod((-1) ** (len(g) - 1) * factorial(len(g) - 1) for g in grouping)
-        out.append((PartitionDiagram(d.size, merged, d.half), mu))
+        out.append((PartitionDiagram._from_masks(d.size, tuple(merged), d.half), mu))
     return tuple(sorted(out))
 
 
@@ -367,24 +387,27 @@ def _exact_sum(acc: dict) -> FormalSum:
 def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2).
 
-    The products c1*c2 are summed per (d1 ∘ d2, l), and each such sum is
-    multiplied by xi^l once.
+    The products c1*c2 are summed per (masks of d1 ∘ d2, l), each such sum
+    is multiplied by xi^l once, and each distinct result diagram is built
+    once.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
     a._check_compatible(b)
-    right = _terms(b.sum)
+    k = a.size
+    right = [(d2._masks, c2) for d2, c2 in _terms(b.sum)]
     grouped = {}
     for d1, c1 in _terms(a.sum):
-        for d2, c2 in right:
-            key = compose(d1, d2)
+        left = tuple(m << k for m in d1._masks)
+        for masks2, c2 in right:
+            key = _compose_masks(k, left, masks2)
             grouped[key] = grouped.get(key, 0) + c1 * c2
     acc = {}
-    for (d, loops), c in grouped.items():
+    for (masks, loops), c in grouped.items():
         if loops:
             c = c * XiPoly([0] * loops + [1])
-        acc[d] = acc.get(d, 0) + c
-    return a._like(_exact_sum(acc))
+        acc[masks] = acc.get(masks, 0) + c
+    return a._like(_exact_sum({PartitionDiagram._from_masks(k, m, a.half): c for m, c in acc.items()}))
 
 
 def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
@@ -438,24 +461,21 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
     coarsenings of d1 ∘ d2 obtained by matching top-row-only blocks of d1
     with bottom-row-only blocks of d2, with falling-factorial coefficients.
     """
-    comp, internal = compose(d1, d2)
-    top_only = [b for b in d1.blocks if all(v > 0 for v in b)]
-    bottom_only = [b for b in d2.blocks if all(v < 0 for v in b)]
+    k = d1.size
+    comp, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
+    # blocks of one row only pass through composition unchanged
+    low = (1 << k) - 1
+    top_only = [m for m in d1._masks if not m & low]
+    bottom_only = [m for m in d2._masks if m <= low]
     out = []
-    for m in range(min(len(top_only), len(bottom_only)) + 1):
-        for tops in combinations(range(len(top_only)), m):
-            for bots in permutations(range(len(bottom_only)), m):
-                glue = {top_only[t]: bottom_only[b] for t, b in zip(tops, bots)}
-                blocks = []
-                used_bottoms = set(glue.values())
-                for b in comp.blocks:
-                    if b in glue:
-                        blocks.append(b + glue[b])
-                    elif b not in used_bottoms:
-                        blocks.append(b)
-                d = PartitionDiagram(comp.size, blocks, comp.half)
-                coeff = falling_factorial(XI - d.n_blocks(), internal)
-                out.append((d, coeff))
+    for n in range(min(len(top_only), len(bottom_only)) + 1):
+        coeff = falling_factorial(XI - (len(comp) - n), internal)
+        for tops in combinations(top_only, n):
+            for bots in permutations(bottom_only, n):
+                masks = [m for m in comp if m not in tops and m not in bots]
+                masks.extend(t | b for t, b in zip(tops, bots))
+                masks.sort(reverse=True)
+                out.append((PartitionDiagram._from_masks(k, tuple(masks), d1.half), coeff))
     return out
 
 

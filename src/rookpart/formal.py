@@ -36,9 +36,6 @@ class FormalSum:
     def term(cls, key, coeff=Fraction(1)) -> "FormalSum":
         return cls([(key, coeff)])
 
-    def coefficient(self, key):
-        return self._terms.get(key, Fraction(0))
-
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
@@ -84,14 +81,6 @@ class FormalSum:
 
     def __rmul__(self, coeff):
         return self.scaled(coeff)
-
-    def map_terms(self, fn) -> "FormalSum":
-        """Linear extension of ``fn``: key -> FormalSum."""
-        acc = {}
-        for key, coeff in self._terms.items():
-            for k, c in fn(key)._terms.items():
-                acc[k] = acc.get(k, 0) + coeff * c
-        return FormalSum(acc)
 
     def map_keys(self, fn) -> "FormalSum":
         """Relabel basis keys with ``fn``: key -> key."""

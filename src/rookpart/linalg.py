@@ -154,32 +154,8 @@ class ExactMatrix:
             out.append(acc)
         return ExactMatrix._from_rows(other.cols, out)
 
-    def transpose(self) -> "ExactMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._rows):
-            for j, v in row.items():
-                out[j][i] = v
-        return ExactMatrix._from_rows(self.rows, out)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self._rows)))
-
     def is_diagonal(self) -> bool:
         return all(row.keys() <= {i} for i, row in enumerate(self._rows))
-
-    def diagonal(self) -> tuple:
-        return tuple(
-            Fraction(self._rows[i].get(i, 0)) for i in range(min(self.rows, self.cols))
-        )
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            Fraction(sum(v * vector[j] for j, v in row.items())) for row in self._rows
-        )
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -49,31 +49,12 @@ class RookElement:
             mapping[col - 1] = row
         return cls(n, mapping)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i + 1, j) for i, j in enumerate(self.mapping) if j]
-
     def image(self, i: int) -> int:
         """Image of column i, 0 if undefined."""
         return self.mapping[i - 1]
 
     def domain(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, j in enumerate(self.mapping) if j)
-
-    def rank(self) -> int:
-        return sum(1 for j in self.mapping if j)
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, j in enumerate(self.mapping) if j == i + 1)
-
-    def is_permutation(self) -> bool:
-        return all(self.mapping)
-
-    def transpose(self) -> "RookElement":
-        mapping = [0] * self.n
-        for i, j in enumerate(self.mapping):
-            if j:
-                mapping[j - 1] = i + 1
-        return RookElement(self.n, mapping)
 
     def is_diagonal(self) -> bool:
         return all(j in (0, i + 1) for i, j in enumerate(self.mapping))

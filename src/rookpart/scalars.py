@@ -43,11 +43,6 @@ class XiPoly:
     def xi(cls) -> "XiPoly":
         return cls((0, 1))
 
-    @property
-    def degree(self) -> int:
-        # -1 is the sentinel degree of the zero polynomial
-        return len(self.coeffs) - 1
-
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 

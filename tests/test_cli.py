@@ -188,6 +188,10 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["character", "--lambda", "1", "--sigma", "[[1,2,3]]", "--n", "3"], "error: --sigma pair [1, 2, 3] must have two entries"),
         (["character", "--lambda", "1", "--sigma", "[[1]]", "--n", "3"], "error: --sigma pair [1] must have two entries"),
         (["compose", "--d1", "5", "--d2", "[[1,-1]]"], "error: a diagram must be"),
+        (
+            ["compose", "--d1", "[[1,-1]]", "--d2", "[[1,-1],[2,-2]]"],
+            "error: cannot compose a size-1 diagram with a size-2 diagram",
+        ),
         (["orbit", "--diagram", "{}"], "error: a diagram must be"),
         (["dims"], "error: dims needs --n and/or --t"),
         (["jm", "--t", "2"], "error: jm needs --n"),
@@ -211,6 +215,7 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         (["orbit", "--diagram", "[]"], "error: the diagram is empty"),
         (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
         (["orbit", "--diagram", "[[1,-1],[1]]"], "error: vertex 1 is in blocks [1, -1] and [1]"),
+        (["compose", "--d1", "[[1000000,-1]]", "--d2", "[[1,-1]]"], "error: blocks must partition the 2000000 vertices"),
     ]
     for argv, line in cases:
         assert main(argv) == 2, argv

@@ -74,6 +74,13 @@ def test_validation_names_malformed_blocks():
         PartitionDiagram(1, [])
 
 
+def test_validation_of_a_far_vertex_builds_no_table_of_its_size():
+    tables = diagram._block_table.cache_info().currsize
+    with pytest.raises(ValueError, match="^blocks must partition the 2000000 vertices$"):
+        D("[[1000000,-1]]")
+    assert diagram._block_table.cache_info().currsize == tables
+
+
 def test_compose_identity():
     for d in enumerate_monoid("A", 2):
         out, loops = compose(PartitionDiagram.identity(2), d)
@@ -97,8 +104,12 @@ def test_compose_hand_example():
 
 
 def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot compose a size-2 diagram with a size-3 diagram$"):
         compose(PartitionDiagram.identity(2), PartitionDiagram.identity(3))
+    with pytest.raises(ValueError, match="^cannot compose a size-2 half diagram with a size-2 diagram$"):
+        compose(PartitionDiagram.identity(2, half=True), PartitionDiagram.identity(2))
+    with pytest.raises(ValueError, match="^cannot compare a size-1 diagram with a size-2 half diagram$"):
+        is_coarser(PartitionDiagram.identity(1), PartitionDiagram.identity(2, half=True))
 
 
 def test_compose_associative_exhaustive_a2():
@@ -194,8 +205,8 @@ def test_orbit_product_examples():
     e = D("[[1],[-1]]")
     xe = AlgebraElement.from_diagram(e, basis="orbit")
     sq = orbit_product_general(xe, xe)
-    assert sq.sum.coefficient(e) == XI - 2
-    assert sq.sum.coefficient(D("[[1,-1]]")) == XI - 1
+    assert dict(sq.sum.terms())[e] == XI - 2
+    assert dict(sq.sum.terms())[D("[[1,-1]]")] == XI - 1
     assert ident != x_id  # the unit has two orbit terms at k=2
 
 
@@ -295,7 +306,7 @@ def test_embed_half_matches_central_sum_decomposition():
     for k in (1, 2, 3):
         inside = build_z(Fraction(2 * k + 1, 2)) - embed_half(build_z(k))
         for key, coeff in inside.sum.items():
-            anchor = key.block_of(k + 1)
+            anchor = next(b for b in key.blocks if k + 1 in b)
             assert len([v for v in anchor if v > 0]) > 1
             assert coeff == Fraction(key.n_blocks() - 1)
 
@@ -421,8 +432,13 @@ def _oracle_diagram_pair(d1, d2):
     return FormalSum.term(d, Fraction(1) if loops == 0 else XiPoly([0] * loops + [1]))
 
 
+def map_terms(s, fn):
+    """Linear extension of fn: key -> FormalSum."""
+    return FormalSum([(k, coeff * c) for key, coeff in s.terms() for k, c in fn(key).terms()])
+
+
 def _oracle_to_orbit(s):
-    return s.map_terms(lambda d: FormalSum([(c, Fraction(1)) for c in coarsenings(d)]))
+    return map_terms(s, lambda d: FormalSum([(c, Fraction(1)) for c in coarsenings(d)]))
 
 
 def _assert_same_sum(new, old):
@@ -467,7 +483,8 @@ def test_middle_rows_read_cached_partitions():
     for d in enumerate_monoid("A", 3):
         top = canonical_set_partition([[v for v in b if v > 0] for b in d.blocks if b[0] > 0])
         assert d.top_partition() == top
-        assert d.bottom_partition() == d.flip().top_partition()
+        flipped = PartitionDiagram(d.size, [[-v for v in b] for b in d.blocks])
+        assert d.bottom_partition() == flipped.top_partition()
 
 
 def test_products_match_unmatched_oracles_on_single_diagrams():
@@ -507,6 +524,122 @@ def test_to_orbit_matches_map_terms_oracle():
         for d in monoid:
             y = AlgebraElement.from_diagram(d)
             _assert_same_sum(to_orbit(y), _oracle_to_orbit(y.sum))
+
+
+# --- oracles past A_3: seeded random diagrams, not enumerations --------------
+
+
+def _random_set_partition(rng, items):
+    """A seeded random set partition of items, with a block count that varies
+    from call to call: each item opens a new block or joins an earlier one."""
+    fresh = rng.random()
+    blocks = []
+    for x in rng.sample(items, len(items)):
+        if not blocks or rng.random() < fresh:
+            blocks.append([x])
+        else:
+            rng.choice(blocks).append(x)
+    return blocks
+
+
+def _random_diagram(rng, k, half=False):
+    """A random diagram of A_k, or of A_{k-1/2} (the blocks of k and k' merged)."""
+    blocks = _random_set_partition(rng, [*range(1, k + 1), *range(-1, -k - 1, -1)])
+    if half:
+        top = next(b for b in blocks if k in b)
+        bottom = next(b for b in blocks if -k in b)
+        if top is not bottom:
+            top.extend(bottom)
+            blocks = [b for b in blocks if b is not bottom]
+    return PartitionDiagram(k, blocks, half)
+
+
+def _random_half_propagating(rng, k):
+    """A random diagram of I_{k-1/2}: two row partitions with the same number of
+    blocks, matched at random, the blocks of k and k' matched together."""
+    top = _random_set_partition(rng, list(range(1, k + 1)))
+    letters = rng.sample(range(1, k + 1), k)
+    bottom = [[x] for x in letters[: len(top)]]
+    for x in letters[len(top) :]:
+        rng.choice(bottom).append(x)
+    rng.shuffle(bottom)
+    i = next(i for i, b in enumerate(top) if k in b)
+    j = next(j for j, b in enumerate(bottom) if k in b)
+    bottom[i], bottom[j] = bottom[j], bottom[i]
+    return PartitionDiagram(k, [t + [-v for v in b] for t, b in zip(top, bottom)], half=True)
+
+
+def _random_pools(seed, count=40):
+    """Random diagrams of A_4, A_5 and A_6 (6 is the enumeration guard, 18 bits
+    in the middle layout of compose), of A_{4 1/2} and of I_{4 1/2}."""
+    rng = random.Random(seed)
+    pools = [[_random_diagram(rng, k) for _ in range(count)] for k in (4, 5, diagram._GUARD_A)]
+    pools.append([_random_diagram(rng, 5, half=True) for _ in range(count)])
+    pools.append([_random_half_propagating(rng, 5) for _ in range(count)])
+    return pools
+
+
+def test_random_pools_cover_the_levels():
+    pools = _random_pools(37)
+    assert diagram._GUARD_A == 6 and [p[0].size for p in pools] == [4, 5, 6, 5, 5]
+    assert set(pools[-1]) <= set(enumerate_monoid("I_half", 4))
+    assert all(is_half(d) and d.half for d in pools[-2])
+    for pool in pools:
+        # both single blocks and many blocks occur
+        assert min(d.n_blocks() for d in pool) <= 2 and max(d.n_blocks() for d in pool) >= pool[0].size
+
+
+def test_compose_matches_vertex_level_oracle_past_a3():
+    rng = random.Random(41)
+    *partition_pools, propagating = _random_pools(37)
+    for pool in partition_pools + [propagating]:
+        most_loops = 0
+        for _ in range(150):
+            d1, d2 = rng.choice(pool), rng.choice(pool)
+            got, loops = compose(d1, d2)
+            want, want_loops = _oracle_compose(d1, d2)
+            assert got.blocks == want.blocks, (d1, d2)
+            assert loops == want_loops, (d1, d2)
+            assert got.half == d1.half
+            assert got == want and hash(got) == hash(want)
+            most_loops = max(most_loops, loops)
+        # products with several loops occur wherever blocks may miss a row
+        assert most_loops >= 4 or pool is propagating
+
+
+def test_diagram_product_matches_bilinear_oracle_past_a3():
+    rng = random.Random(43)
+    for pool in _random_pools(47):
+        for _ in range(10):
+            y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
+            _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+
+
+def _oracle_coarser(c, d):
+    return all(any(set(b) <= set(bc) for bc in c.blocks) for b in d.blocks)
+
+
+def _oracle_mobius(d, upset):
+    """mu(d, c) over the upset of d from the recursion mu(d, d) = 1 and
+    mu(d, c) = -(sum of mu(d, e) over d <= e < c), finer diagrams first."""
+    mu = {}
+    for c in sorted(upset, key=lambda c: -c.n_blocks()):
+        mu[c] = 1 if c == d else -sum(m for e, m in mu.items() if _oracle_coarser(c, e))
+    return mu
+
+
+def test_upset_matches_brute_force_coarsenings_at_size_4():
+    a4 = enumerate_monoid("A", 4)
+    rng = random.Random(53)
+    pool = [d for d in (_random_diagram(rng, 4) for _ in range(80)) if 2 <= d.n_blocks() <= 6]
+    pool = pool[:4] + sorted(pool, key=lambda d: -d.n_blocks())[:2]
+    assert max(d.n_blocks() for d in pool) == 6
+    for d in pool:
+        brute = [c for c in a4 if _oracle_coarser(c, d)]
+        table = diagram._upset(d)
+        assert [c for c, _ in table] == brute, d
+        assert dict(table) == _oracle_mobius(d, brute), d
+        assert [c for c in a4 if is_coarser(c, d)] == brute, d
 
 
 def _closure(gens, one):
@@ -577,7 +710,7 @@ def _oracle_orbit_in_diagram_basis(d):
 
 
 def _oracle_from_orbit(s):
-    return s.map_terms(_oracle_orbit_in_diagram_basis)
+    return map_terms(s, _oracle_orbit_in_diagram_basis)
 
 
 def test_from_orbit_matches_recursive_inversion_on_every_diagram():

@@ -1,6 +1,6 @@
 """Exact computations with rook monoids and totally propagating partition algebras."""
 
-from .scalars import Rational, XI, XiPoly, falling_factorial
+from .scalars import XI, XiPoly, falling_factorial
 from .formal import FormalSum
 from .linalg import (
     CommutingFamily,

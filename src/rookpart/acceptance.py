@@ -7,6 +7,7 @@ the numeric expectations are frozen from independent small-case computations.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from . import bratteli, characters, combinat, diagram, jm, rook, rsk, seminormal, tensor
@@ -385,8 +386,6 @@ SUITES = {
 
 
 def run_criteria(numbers=None) -> list[dict]:
-    import time
-
     if numbers is not None:
         unknown = sorted(set(numbers) - {num for num, *_ in CRITERIA})
         if unknown:

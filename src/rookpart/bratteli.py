@@ -34,6 +34,7 @@ from .combinat import (
 )
 
 HALF = Fraction(1, 2)
+_PATH_CEILING = 200_000
 
 
 def as_level(t) -> Fraction:
@@ -132,11 +133,11 @@ class GradedGraph:
             counts = nxt
         return counts.get(self.vertex_index(dst_level, dst_shape), 0)
 
-    def enumerate_paths(self, src, dst, limit: int = 200_000) -> list[GraphPath]:
-        """All labelled paths from src to dst; raises if more than ``limit``."""
+    def enumerate_paths(self, src, dst) -> list[GraphPath]:
+        """All labelled paths from src to dst; raises if more than _PATH_CEILING."""
         total = self.count_paths(src, dst)
-        if total > limit:
-            raise ValueError(f"{total} paths exceed the enumeration ceiling {limit}")
+        if total > _PATH_CEILING:
+            raise ValueError(f"{total} paths exceed the enumeration ceiling {_PATH_CEILING}")
         (src_level, src_shape), (dst_level, dst_shape) = src, dst
         li = self.level_index(src_level)
         lj = self.level_index(dst_level)

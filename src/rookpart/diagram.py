@@ -329,22 +329,6 @@ class AlgebraElement:
         self._check_compatible(other)
         return self._like(self.sum - other.sum)
 
-    def __neg__(self):
-        return self._like(-self.sum)
-
-    def scaled(self, c):
-        return self._like(self.sum.scaled(c))
-
-    def __rmul__(self, c):
-        return self.scaled(c)
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        if self.basis == "diagram":
-            return diagram_product(self, other)
-        return orbit_product_general(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented

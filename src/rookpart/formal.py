@@ -9,9 +9,9 @@ class FormalSum:
     """Map from basis keys to nonzero exact coefficients.
 
     Zero coefficients are pruned at construction, so equality is plain
-    key-wise comparison.  Instances are immutable by convention; all
-    operations return new sums.  Keys must be hashable and mutually
-    comparable (used only for deterministic iteration order).
+    key-wise comparison.  Instances are immutable by convention, and
+    unhashable; all operations return new sums.  Keys must be hashable and
+    mutually comparable (used only for deterministic iteration order).
     """
 
     __slots__ = ("_terms",)
@@ -39,9 +39,6 @@ class FormalSum:
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
-    def keys(self):
-        return sorted(self._terms)
-
     def terms(self):
         """(key, coefficient) pairs in insertion order, without the sort of items()."""
         return self._terms.items()
@@ -56,9 +53,6 @@ class FormalSum:
         if not isinstance(other, FormalSum):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):
@@ -75,12 +69,6 @@ class FormalSum:
 
     def __neg__(self):
         return FormalSum({k: -c for k, c in self._terms.items()})
-
-    def scaled(self, coeff) -> "FormalSum":
-        return FormalSum({k: coeff * c for k, c in self._terms.items()})
-
-    def __rmul__(self, coeff):
-        return self.scaled(coeff)
 
     def map_keys(self, fn) -> "FormalSum":
         """Relabel basis keys with ``fn``: key -> key."""

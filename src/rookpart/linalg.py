@@ -111,9 +111,6 @@ class ExactMatrix:
             return NotImplemented
         return self.cols == other.cols and self._rows == other._rows
 
-    def __hash__(self):
-        return hash((self.cols, tuple(frozenset(r.items()) for r in self._rows)))
-
     def _combine(self, other, f) -> "ExactMatrix":
         self._check_same_shape(other)
         out = []

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 from .bratteli import GraphPath
 from .combinat import (
+    Block,
     Partition,
+    SetTableau,
     box_difference,
     inner_corners,
     is_partition,
@@ -22,9 +24,6 @@ from .combinat import (
     remove_box,
     spt_shape,
 )
-
-Block = tuple[int, ...]
-SetTableau = tuple[tuple[Block, ...], ...]
 
 
 def _check_insertable(t: SetTableau, b) -> Block:

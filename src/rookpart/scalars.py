@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def as_rational(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
@@ -84,12 +82,6 @@ class XiPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

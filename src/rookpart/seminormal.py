@@ -41,7 +41,7 @@ def _swap_adjacent(tab, i):
     return tuple(tuple(swap.get(e, e) for e in row) for row in tab)
 
 
-def act_si(lam: Partition, n: int, i: int, tab) -> FormalSum:
+def act_si(n: int, i: int, tab) -> FormalSum:
     """Action of the adjacent transposition s_i on a basis tableau.
 
     Four cases, depending on which of i, i+1 occur in the tableau; when both
@@ -64,7 +64,7 @@ def act_si(lam: Partition, n: int, i: int, tab) -> FormalSum:
     return out
 
 
-def act_p1(lam: Partition, n: int, tab) -> FormalSum:
+def act_p1(tab) -> FormalSum:
     """P_1 keeps a basis tableau iff the letter 1 does not occur in it."""
     if 1 in tableau_entries(tab):
         return FormalSum.zero()
@@ -96,8 +96,8 @@ class RookIrrep:
         self.index = {t: i for i, t in enumerate(self.basis)}
         self._tokens = {}
         for i in range(1, n):
-            self._tokens[("s", i)] = self._matrix_of(lambda t, i=i: act_si(lam, n, i, t))
-        self._tokens[("P1", 0)] = self._matrix_of(lambda t: act_p1(lam, n, t))
+            self._tokens[("s", i)] = self._matrix_of(lambda t, i=i: act_si(n, i, t))
+        self._tokens[("P1", 0)] = self._matrix_of(act_p1)
         self._elements: dict[RookElement, ExactMatrix] = {}
 
     @property
@@ -128,10 +128,8 @@ class RookIrrep:
         self._elements[rho] = mat
         return mat
 
-    def rep(self, x) -> ExactMatrix:
-        """Matrix of a monoid element or of a FormalSum of monoid elements."""
-        if isinstance(x, RookElement):
-            return self.rep_rook(x)
+    def rep(self, x: FormalSum) -> ExactMatrix:
+        """Matrix of a FormalSum of monoid elements; use rep_rook for one element."""
         out = ExactMatrix.zeros(self.dim, self.dim)
         for rho, coeff in x.items():
             out = out + self.rep_rook(rho).scaled(coeff)

@@ -122,9 +122,11 @@ def test_trivial_paths_and_missing_vertices():
 
 
 def test_enumeration_ceiling():
-    g = rook_tower(4)
-    with pytest.raises(ValueError):
-        g.enumerate_paths((0, ()), (4, (2,)), limit=1)
+    # 365,232 paths, counted without being built, then refused
+    g = ihat(10)
+    assert g.count_paths((HALF, ()), (10, (3, 2, 1))) == 365_232
+    with pytest.raises(ValueError, match="365232 paths exceed the enumeration ceiling 200000"):
+        g.enumerate_paths((HALF, ()), (10, (3, 2, 1)))
 
 
 def test_dot_and_json_outputs_are_deterministic():

@@ -27,7 +27,9 @@ from rookpart.jm import (
     verify_operator_identity,
     zero_element,
 )
+from rookpart.rook import kappa
 from rookpart.scalars import XI, XiPoly
+from rookpart.tensor import phi_element, psi_element
 
 
 def D(text, half=False):
@@ -167,6 +169,20 @@ def test_operator_identity_examples():
         verify_operator_identity(2, Fraction(5, 2))
 
 
+def test_operator_identity_names_the_first_differing_cells(monkeypatch):
+    # comparing Z~ with kappa in place of kappa~ must fail, naming the first
+    # five cells where the two operators differ
+    space = jm.tensor_space(2, 3)
+    lhs = phi_element(build_z_tilde(2), space).data
+    rhs = psi_element(kappa(space.rook_n), space).data
+    cells = [(i, j) for i, row in enumerate(lhs) for j, v in enumerate(row) if v != rhs[i][j]]
+    assert cells[:5] == [(0, 0), (1, 1), (1, 3), (2, 2), (2, 6)] and len(cells) > 5
+    monkeypatch.setattr(jm, "kappa_tilde", kappa)
+    report = verify_operator_identity(3, 2)
+    assert not report["ok"]
+    assert report["failures"] == [f"Z~ at level 2, n=3: first diffs {cells[:5]}"]
+
+
 def test_predicted_eigenvalues_follow_shape_steps():
     graph = ihat(Fraction(5, 2))
     path = next(
@@ -211,6 +227,22 @@ def test_gt_decompose_exhausts_and_separates():
         assert sum(e["dimension"] for e in report["entries"]) == n**k
         tuples = [tuple(map(tuple, e["eigenvalues"])) for e in report["entries"]]
         assert len(set(tuples)) == len(tuples)
+
+
+def test_gt_decompose_names_the_failing_paths(monkeypatch):
+    # a tuple no path has: every eigenspace is empty, every later path shares
+    # the tuple of the one before it, and nothing covers the space
+    monkeypatch.setattr(
+        jm, "predicted_eigenvalues", lambda path: [(Fraction(7), Fraction(7))] * len(path.levels)
+    )
+    report = gt_decompose(Fraction(3, 2), 2)
+    assert not report["ok"]
+    assert report["failures"] == [
+        "path ((), (1,), ()): eigenspace dim 0 != 1",
+        "paths ((), (1,), ()) and ((), (1,), (1,)) share a tuple",
+        "path ((), (1,), (1,)): eigenspace dim 0 != 1",
+        "eigenspaces cover 0 of 2 dimensions",
+    ]
 
 
 def test_content_family_alone_separates_at_integer_levels():

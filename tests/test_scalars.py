@@ -85,7 +85,6 @@ def test_formal_sum_prunes_zeros_and_adds():
     assert (a + b) == FormalSum([("y", Fraction(2))])
     assert not (a - a)
     assert "z" not in dict(a.terms())
-    assert dict((2 * a).terms())["y"] == 4
 
 
 def test_formal_sum_accumulates_duplicate_keys():

@@ -21,14 +21,14 @@ def test_no_assert_statements_in_package():
     assert len(list(PACKAGE.glob("*.py"))) > 10
 
 
-def test_no_function_level_relative_imports_in_package():
-    # package imports belong at the top of a module, where they are seen
+def test_no_function_level_imports_in_package():
+    # imports belong at the top of a module, where they are seen
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for inner in ast.walk(node):
-                    if isinstance(inner, ast.ImportFrom) and inner.level > 0:
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         found.append(f"{path.name}:{inner.lineno}")
     assert found == []
 
@@ -97,3 +97,75 @@ def test_every_public_function_and_class_is_used():
     ]
     assert unused == []
     assert len(defined) > 150 and len(list(SCRIPTS.glob("*.py"))) >= 3
+
+
+_OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"}
+
+# the arithmetic operators each package class defines, listed by hand so that
+# a new one is a deliberate addition, made together with the code that applies it
+OPERATOR_TABLE = {
+    "diagram.AlgebraElement": {"__add__", "__sub__"},
+    "formal.FormalSum": {"__add__", "__sub__", "__neg__"},
+    "linalg.ExactMatrix": {"__add__", "__sub__", "__neg__", "__mul__"},
+    "scalars.XiPoly": {"__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__"},
+}
+
+
+def test_operator_dunders_match_the_table():
+    # a def or an assignment (``__radd__ = __add__``) in the class body
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            names = {node.name for node in top.body if isinstance(node, _DEFS)}
+            names |= {
+                target.id
+                for node in top.body
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            if names & _OPERATORS:
+                defined[f"{path.stem}.{top.name}"] = names & _OPERATORS
+    assert defined == OPERATOR_TABLE
+
+
+def _is_static(fn):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+
+
+def _unread_parameters(fn, skip_first):
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {
+        node.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [p for p in params[skip_first:] if p not in read]
+
+
+def test_every_parameter_is_read():
+    # every parameter of a module-level function or of a method (self and cls
+    # apart) is read in its body, nested functions included; the parameters of
+    # nested callbacks are not checked, since their signature is fixed by
+    # whoever calls them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, _DEFS):
+                pieces = [(top.name, top, 0)]
+            elif isinstance(top, ast.ClassDef):
+                pieces = [
+                    (f"{top.name}.{node.name}", node, 0 if _is_static(node) else 1)
+                    for node in top.body
+                    if isinstance(node, _DEFS)
+                ]
+            else:
+                continue
+            for name, fn, skip_first in pieces:
+                found += [f"{path.name}:{name}({p})" for p in _unread_parameters(fn, skip_first)]
+    assert found == []
+

@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
-"""Write the three branching graphs as DOT files.
+"""Write the three branching graphs as DOT files."""
 
-Usage: export_graphs.py [outdir] [max_level]
-"""
-
+import argparse
 import pathlib
 import sys
 from fractions import Fraction
@@ -11,17 +9,26 @@ from fractions import Fraction
 from rookpart.bratteli import ihat, rhat, rook_tower
 
 
+def positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def main() -> int:
-    outdir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("graphs")
-    top = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    outdir.mkdir(parents=True, exist_ok=True)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("outdir", nargs="?", type=pathlib.Path, default=pathlib.Path("graphs"))
+    parser.add_argument("max_level", nargs="?", type=positive_int, default=3)
+    args = parser.parse_args()
+    top = args.max_level
     graphs = {
         "rook_tower": rook_tower(top),
         "tensor_steps": rhat(top, top),
         "propagating_tower": ihat(Fraction(top)),
     }
+    args.outdir.mkdir(parents=True, exist_ok=True)
     for name, graph in graphs.items():
-        path = outdir / f"{name}.dot"
+        path = args.outdir / f"{name}.dot"
         path.write_text(graph.to_dot() + "\n")
         print(f"wrote {path}")
     return 0

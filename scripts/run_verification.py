@@ -5,12 +5,14 @@ Exit status is nonzero if anything fails.  Equivalent to ``rookpart verify``
 but with a human-oriented layout.
 """
 
+import argparse
 import sys
 
 from rookpart.acceptance import run_criteria
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     results = run_criteria()
     width = max(len(r["name"]) for r in results)
     for r in results:

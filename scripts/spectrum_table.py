@@ -1,23 +1,37 @@
 #!/usr/bin/env python3
 """Print the joint spectrum of the commuting family at a given level.
 
-Usage: spectrum_table.py [level] [n]
-
 Each row is one branching path with its predicted (M, M~) eigenvalue pairs and
 the dimension of the joint eigenspace it cuts out of the tensor power.
 """
 
+import argparse
 import sys
 from fractions import Fraction
 
-from rookpart.jm import gt_decompose, size_and_half
+from rookpart.jm import as_level, gt_decompose, size_and_half
+
+
+def level(text: str) -> Fraction:
+    try:
+        return as_level(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main() -> int:
-    level = Fraction(sys.argv[1]) if len(sys.argv) > 1 else Fraction(5, 2)
-    n = int(sys.argv[2]) if len(sys.argv) > 2 else size_and_half(level)[0] + 1
-    report = gt_decompose(level, n)
-    print(f"level {level}, n = {n}: {'ok' if report['ok'] else 'FAILED'}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "level", nargs="?", type=level, default=Fraction(5, 2), help="half-integer level (default 5/2)"
+    )
+    parser.add_argument("n", nargs="?", type=int, help="tensor dimension (default: the level's size + 1)")
+    args = parser.parse_args()
+    n = args.n if args.n is not None else size_and_half(args.level)[0] + 1
+    try:
+        report = gt_decompose(args.level, n)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(f"level {args.level}, n = {n}: {'ok' if report['ok'] else 'FAILED'}")
     for entry in report["entries"]:
         shapes = " -> ".join(",".join(map(str, s)) or "()" for s in entry["path"].shapes)
         pairs = " ".join(f"({m},{mt})" for m, mt in entry["eigenvalues"])

@@ -109,9 +109,7 @@ def crit_rook_commutation(max_n: int = 4):
             for b in range(a + 1, len(fam)):
                 if rook.algebra_mul(fam[a], fam[b]) != rook.algebra_mul(fam[b], fam[a]):
                     return False, f"commutation fails at n={n} ({a},{b})"
-        gens = [
-            FormalSum.term(rook.generator("s", i, n)) for i in range(1, n)
-        ] + [FormalSum.term(rook.generator("P", 1, n))]
+        gens = [FormalSum.term(g) for g in rook.generators(n)]
         for central in (rook.kappa(n), rook.kappa_tilde(n)):
             for g in gens:
                 if rook.algebra_mul(central, g) != rook.algebra_mul(g, central):

@@ -33,9 +33,8 @@ Products do only the work whose result they keep:
 Inside a product, integral coefficients are summed and multiplied as ints;
 results carry Fraction or XiPoly coefficients, never ints.
 
-``generating_set`` picks a few diagrams whose closure under ``compose`` is
-the whole monoid (5 of the 339 diagrams of I_4), checked against the
-enumeration on every first call.
+``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
+diagrams of I_4), their closure checked against the enumeration once.
 """
 
 from __future__ import annotations
@@ -532,36 +531,38 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
 
 @cache
 def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
-    """A generating set of the monoid ``enumerate_monoid(kind, k)`` under
-    ``compose``, by one greedy pass over the enumeration.
-
-    A diagram is kept as a generator only if the closure of the generators
-    kept so far misses it.  The closure grows by right multiplication: a new
-    generator multiplies the old elements once, and only newly found elements
-    are multiplied by every generator.  The closure is then checked against
-    the enumeration; a mismatch raises RuntimeError naming the first diagram
-    missing from (or extra in) the closure.  The trivial monoid I_1 has the
-    empty generating set.
+    """Named generators of I_k (kind "I") or I_{k+1/2} (kind "I_half"), each
+    fixing the places {i, i'} it does not name, and left out if it names a
+    place outside 1..size: for I_k, e = {1,2,1',2'}, f = {1,2,1'} ∪ {3,2',3'}
+    and s_1, ..., s_{k-1} (I_1 has its identity); for I_{k+1/2}, of size k+1,
+    e_k = {k,k+1,k',(k+1)'}, f_{k-1} = {k-1,k,(k-1)'} ∪ {k+1,k',(k+1)'}, its
+    transpose and s_1, ..., s_{k-1}.  Their closure from the identity under
+    ``compose`` is checked against the enumeration on every first call; a
+    mismatch raises RuntimeError naming the first diagram missing from (or
+    extra in) the closure.
     """
+    if kind not in ("I", "I_half"):
+        raise ValueError(f"no named generators for monoid kind {kind!r}")
     monoid = enumerate_monoid(kind, k)
-    one = PartitionDiagram.identity(monoid[0].size, monoid[0].half)
-    closure = {one}
-    gens: list[PartitionDiagram] = []
-    for g in monoid:
-        if g in closure:
-            continue
-        gens.append(g)
-        new = [x for x in {compose(c, g)[0] for c in closure} if x not in closure]
-        closure.update(new)
-        while new:
-            found = []
-            for x in new:
-                for h in gens:
-                    y = compose(x, h)[0]
-                    if y not in closure:
-                        closure.add(y)
-                        found.append(y)
-            new = found
+    size, half = monoid[0].size, monoid[0].half
+
+    def named(*blocks):
+        rest = set(range(1, size + 1)).difference(abs(v) for b in blocks for v in b)
+        return PartitionDiagram(size, [*blocks, *((i, -i) for i in rest)], half)
+
+    # e and f (e_k, f_{k-1}, f_{k-1}ᵀ) come first: ``commutant_dimension`` then makes 41,079 of
+    # its 59,016 pivots at (3, 5) one-term (1,170 with s_i first) and runs about twice as fast.
+    if half:
+        f = [(k - 1, k, 1 - k), (k + 1, -k, -k - 1)]
+        named_blocks = [[(k, k + 1, -k, -k - 1)], f, [tuple(-v for v in b) for b in f]]
+    else:
+        named_blocks = [[(1, 2, -1, -2)], [(1, 2, -1), (3, -2, -3)]]
+    named_blocks += [[(i, -i - 1), (i + 1, -i)] for i in range(1, k)]
+    gens = [named(*b) for b in named_blocks if all(0 < abs(v) <= size for c in b for v in c)] or [named()]
+    closure = new = {named()}
+    while new:
+        new = {compose(x, g)[0] for x in new for g in gens} - closure
+        closure |= new
     missing = [d for d in monoid if d not in closure]
     if missing:
         raise RuntimeError(f"generators of {kind} at {k} miss the diagram {missing[0]}")

@@ -115,6 +115,11 @@ def generator(kind: str, index: int, n: int) -> RookElement:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def generators(n: int) -> list[RookElement]:
+    """s_1, ..., s_{n-1} and P_1, which generate R_n as a monoid."""
+    return [generator("s", i, n) for i in range(1, n)] + [generator("P", 1, n)]
+
+
 def enumerate_rook(n: int) -> list[RookElement]:
     """All of R_n, deterministic order; |R_n| = sum_r C(n,r)^2 r!, 130,922 at n = 7."""
     if not 1 <= n <= 7:

@@ -23,7 +23,7 @@ from itertools import permutations, product
 from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
 from .formal import FormalSum
 from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from .rook import RookElement, embed, enumerate_rook, generator
+from .rook import RookElement, embed, enumerate_rook, generators
 from .scalars import XiPoly
 
 _DIM_GUARD = 729
@@ -148,10 +148,6 @@ def psi_element(x: FormalSum, space: TensorSpace) -> ExactMatrix:
     return _action(space, ((c, _rook_cells(rho, space)) for rho, c in x.terms()))
 
 
-def _rook_generators(n: int) -> list[RookElement]:
-    return [generator("s", i, n) for i in range(1, n)] + [generator("P", 1, n)]
-
-
 def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     """Kernel, image and commutant bookkeeping for the two commuting actions.
 
@@ -162,8 +158,8 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
 
     A matrix commutes with the action of a monoid as soon as it commutes with
     the action of a generating set, so the commutant in (b) is taken over the
-    rook generators s_i, P_1, and the commutant in (c) over the diagrams of
-    ``diagram.generating_set`` (the one-element monoid I_1 stands for itself).
+    rook generators s_i, P_1 (``rook.generators``), and the commutant in (c)
+    over the named diagrams of ``diagram.generating_set``.
     The images are spanned over every orbit diagram and every rook element.
 
     Besides the checked dimensions and ``ok``, the report gives the sizes it
@@ -186,11 +182,11 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     )
     kernel_dim = len(diagrams) - image_dim
 
-    gens = [psi_rook(g, space) for g in _rook_generators(space.rook_n)]
+    gens = [psi_rook(g, space) for g in generators(space.rook_n)]
     commutant_dim = commutant_dimension(gens)
 
     psi_image_dim = sparse_rank_of_vectors([flat(_rook_cells(rho, space)) for rho in rooks])
-    phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) or diagrams]
+    phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k)]
     phi_commutant_dim = commutant_dimension(phi_gens)
 
     ok = (

@@ -655,7 +655,17 @@ def _closure(gens, one):
 
 @pytest.mark.parametrize(
     "kind, k, count",
-    [("I", 1, 0), ("I", 2, 2), ("I", 3, 4), ("I", 4, 5), ("I_half", 1, 1), ("I_half", 2, 4), ("I_half", 3, 5)],
+    [
+        ("I", 1, 1),
+        ("I", 2, 2),
+        ("I", 3, 4),
+        ("I", 4, 5),
+        ("I", 5, 6),
+        ("I_half", 1, 1),
+        ("I_half", 2, 4),
+        ("I_half", 3, 5),
+        ("I_half", 4, 6),
+    ],
 )
 def test_generating_set_closes_to_the_monoid(kind, k, count):
     monoid = enumerate_monoid(kind, k)
@@ -664,6 +674,30 @@ def test_generating_set_closes_to_the_monoid(kind, k, count):
     assert all(g in monoid for g in gens)
     one = PartitionDiagram.identity(monoid[0].size, monoid[0].half)
     assert _closure(gens, one) == set(monoid)
+
+
+def test_generating_set_is_the_named_diagrams():
+    # I_3: e, f, s_1, s_2; I_{2+1/2}: e_2, f_1, its transpose, s_1, each fixing 3
+    assert [str(g) for g in generating_set("I", 3)] == [
+        "[[1,2,-1,-2],[3,-3]]",
+        "[[1,2,-1],[3,-2,-3]]",
+        "[[1,-2],[2,-1],[3,-3]]",
+        "[[1,-1],[2,-3],[3,-2]]",
+    ]
+    assert [str(g) for g in generating_set("I_half", 2)] == [
+        "[[1,-1],[2,3,-2,-3]]",
+        "[[1,2,-1],[3,-2,-3]]",
+        "[[1,-1,-2],[2,3,-3]]",
+        "[[1,-2],[2,-1],[3,-3]]",
+    ]
+    assert all(g.half for g in generating_set("I_half", 2))
+    assert generating_set("I", 1) == (PartitionDiagram.identity(1),)
+
+
+def test_generating_set_refuses_kinds_without_named_generators():
+    for kind in ("A", "B"):
+        with pytest.raises(ValueError, match="no named generators"):
+            generating_set(kind, 2)
 
 
 def test_generating_set_names_a_missing_diagram(monkeypatch):

@@ -362,17 +362,15 @@ def test_centrality_check_names_a_non_central_witness(monkeypatch):
     cases = [
         (
             "[[1,-2],[2,-1],[3,-3]]",
-            [
-                "Z at level 3 does not commute with [[1,-3],[2,-2],[3,-1]]",
-                "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
-            ],
+            ["Z at level 3 does not commute with [[1,-1],[2,-3],[3,-2]]"],
         ),
         # commutes with the orbit element x_g of every generator g, so only
         # the check against the diagram g itself names g
         (
             "[[1,3,-2],[2,-1,-3]]",
             [
-                "Z at level 3 does not commute with [[1,-3],[2,-1],[3,-2]]",
+                "Z at level 3 does not commute with [[1,-2],[2,-1],[3,-3]]",
+                "Z at level 3 does not commute with [[1,-1],[2,-3],[3,-2]]",
                 "M~_2 and M_3 do not commute at level 3",
                 "M~_5/2 and M_3 do not commute at level 3",
             ],

@@ -10,6 +10,7 @@ from rookpart.rook import (
     enumerate_rook,
     factor_to_word,
     generator,
+    generators,
     jm_x,
     jm_x_tilde,
     kappa,
@@ -39,6 +40,17 @@ def test_transpose_is_inverse_partial_map():
     transpose = RookElement.from_pairs(3, [(a.image(i), i) for i in a.domain()])
     assert transpose.mapping == (3, 1, 0)
     assert rook_mul(a, rook_mul(transpose, a)) == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generators_close_to_the_monoid(n):
+    gens = generators(n)
+    assert gens == [generator("s", i, n) for i in range(1, n)] + [generator("P", 1, n)]
+    closure = new = {RookElement.identity(n)}
+    while new:
+        new = {rook_mul(x, g) for x in new for g in gens} - closure
+        closure |= new
+    assert closure == set(enumerate_rook(n))
 
 
 def test_generator_examples():

@@ -186,14 +186,13 @@ def crit_rsk_bijection(kmax: int = 4, n: int = 4):
 
 def crit_orbit_product(k: int = 2):
     diagrams = diagram.enumerate_monoid("A", k)
-    for d1 in diagrams:
-        for d2 in diagrams:
-            x1 = diagram.AlgebraElement.from_diagram(d1, basis="orbit")
-            x2 = diagram.AlgebraElement.from_diagram(d2, basis="orbit")
+    # each x_d and its diagram-basis form, made once for all the pairs it is in
+    orbit = [diagram.AlgebraElement.from_diagram(d, basis="orbit") for d in diagrams]
+    rows = list(zip(diagrams, orbit, map(diagram.from_orbit, orbit)))
+    for d1, x1, y1 in rows:
+        for d2, x2, y2 in rows:
             direct = diagram.orbit_product_general(x1, x2)
-            via_basis = diagram.to_orbit(
-                diagram.diagram_product(diagram.from_orbit(x1), diagram.from_orbit(x2))
-            )
+            via_basis = diagram.to_orbit(diagram.diagram_product(y1, y2))
             if direct != via_basis:
                 return False, f"orbit product mismatch for {d1}, {d2}"
     return True, f"all {len(diagrams) ** 2} orbit products match the change of basis"

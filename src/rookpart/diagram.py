@@ -25,13 +25,21 @@ Products do only the work whose result they keep:
   Each mask of d2 absorbs the components it meets; the components with no
   top or bottom bits are the loops.
 - ``diagram_product`` sums coefficient products per (result masks, loop
-  count), builds each distinct result diagram once and multiplies by xi^loops
-  once per such pair; ``to_orbit`` and ``from_orbit`` add each coefficient
-  (times the Möbius value, for the latter) over one cached table of a
-  diagram's coarsenings, formed by OR-ing masks.
+  count) and adds each such sum at its power of xi once; ``to_orbit`` and
+  ``from_orbit`` add each coefficient (times the Möbius value, for the
+  latter) over one cached table of a diagram's coarsenings, formed by OR-ing
+  masks; the orbit products add c1*c2 times cached int rows of their
+  falling-factorial structure constants.
 
-Inside a product, integral coefficients are summed and multiplied as ints;
-results carry Fraction or XiPoly coefficients, never ints.
+Inside a product or a change of basis, every coefficient is summed in one
+form: per result key, the block-mask tuple, a list of coefficients by power
+of xi, kept as ints while integral (an XiPoly coefficient contributes one
+entry per power).  Each result term then becomes one Fraction or one XiPoly
+and one diagram, reused from the coarsening table where it has one.  A term
+is an XiPoly exactly when an XiPoly coefficient, a loop or a structure
+constant of ``orbit_product_general`` contributed to it, even if it sums to a
+constant, as the same sum of Fractions and XiPolys would be; results carry
+Fraction or XiPoly coefficients, never ints.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
 diagrams of I_4), their closure checked against the enumeration once.
@@ -43,7 +51,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import factorial, prod
 
 from .combinat import canonical_set_partition, set_partitions
@@ -56,7 +64,12 @@ _GUARD_I = 5
 
 def _enum_cap(default: int) -> int:
     cap = os.environ.get("ROOKPART_ENUM_CAP")
-    return min(default, int(cap)) if cap else default
+    if not cap:
+        return default
+    try:
+        return min(default, int(cap))
+    except ValueError:
+        raise ValueError(f"ROOKPART_ENUM_CAP must be an integer, got {cap!r}") from None
 
 
 class _BlockTable(dict):
@@ -276,7 +289,7 @@ def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
         merged = sorted((sum(masks[i - 1] for i in group) for group in grouping), reverse=True)
         mu = prod((-1) ** (len(g) - 1) * factorial(len(g) - 1) for g in grouping)
         out.append((PartitionDiagram._from_masks(d.size, tuple(merged), d.half), mu))
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=lambda e: e[0].blocks))
 
 
 class AlgebraElement:
@@ -353,58 +366,128 @@ class AlgebraElement:
         return f"AlgebraElement({self.basis}, level={self.level}, {self.sum!r})"
 
 
-def _terms(s: FormalSum) -> list:
-    """Terms of s with integral Fraction coefficients read as ints, so that
-    coefficient arithmetic stays in ints as long as it can."""
-    return [
-        (d, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-        for d, c in s.terms()
-    ]
+def _entries(s: FormalSum) -> tuple[list, int]:
+    """(diagram, j, c, poly) for each nonzero coefficient c of xi^j in a term
+    of s, c read as an int when integral, so that sums stay in ints; poly
+    tells an XiPoly coefficient from a rational one.  Also the highest j."""
+    out = []
+    degree = 0
+    for d, c in s.terms():
+        if type(c) is XiPoly:
+            degree = max(degree, len(c.coeffs) - 1)
+            for j, x in enumerate(c.coeffs):
+                if x:
+                    out.append((d, j, x.numerator if x.denominator == 1 else x, True))
+        else:
+            out.append((d, 0, c.numerator if c.denominator == 1 else c, False))
+    return out, degree
 
 
-def _exact_sum(acc: dict) -> FormalSum:
-    """FormalSum of acc with its int coefficients made Fractions."""
-    return FormalSum({d: Fraction(c) if isinstance(c, int) else c for d, c in acc.items()})
+class _Coeffs(dict):
+    """The coefficients of a result, summed per key (its block-mask tuple).
+
+    Each value lists the coefficient of xi^0 .. xi^(width-1), kept as ints
+    while integral.  A key in ``poly`` received an XiPoly term or a power of
+    xi and ends as an XiPoly; any other ends as a Fraction, as a sum of the
+    same Fractions and XiPolys would.  ``made`` lists, in key order, a
+    diagram that already exists for every key, to be reused; it is empty
+    when the diagrams are to be built.
+    """
+
+    __slots__ = ("width", "poly", "made")
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+        self.poly = set()
+        self.made = []
+
+    def __missing__(self, masks: tuple) -> list:
+        row = self[masks] = [0] * self.width
+        return row
+
+    def element(self, a: AlgebraElement, basis: str) -> AlgebraElement:
+        """The sum as an element at a's level: one coefficient and one diagram
+        per nonzero key."""
+        k, half, poly = a.size, a.half, self.poly
+        out = {}
+        for (masks, row), d in zip(self.items(), self.made or repeat(None)):
+            if masks in poly:
+                while row and not row[-1]:
+                    row.pop()
+                if not row:
+                    continue
+                c = XiPoly(row)
+            elif row[0]:
+                c = Fraction(row[0])
+            else:
+                continue
+            out[d or PartitionDiagram._from_masks(k, masks, half)] = c
+        return AlgebraElement(k, basis, FormalSum(out), half)
 
 
 def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2).
 
-    The products c1*c2 are summed per (masks of d1 ∘ d2, l), each such sum
-    is multiplied by xi^l once, and each distinct result diagram is built
-    once.
+    The coefficient products are summed as ints per (masks of d1 ∘ d2, l),
+    one such group per power of xi the two coefficients contribute.  Each
+    group's sum is added at the power l plus that contribution once, and each
+    distinct result diagram is built once.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
     a._check_compatible(b)
     k = a.size
-    right = [(d2._masks, c2) for d2, c2 in _terms(b.sum)]
-    grouped = {}
-    for d1, c1 in _terms(a.sum):
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
+    # b's coefficients sliced by (power of xi, poly), so the pair loop only multiplies
+    right = {}
+    for d2, j2, c2, p2 in entries_b:
+        right.setdefault((j2, p2), []).append((d2._masks, c2))
+    grouped = {}  # (power of xi, poly) -> {(masks, loops): sum}
+    for d1, j1, c1, p1 in entries_a:
         left = tuple(m << k for m in d1._masks)
-        for masks2, c2 in right:
-            key = _compose_masks(k, left, masks2)
-            grouped[key] = grouped.get(key, 0) + c1 * c2
-    acc = {}
-    for (masks, loops), c in grouped.items():
-        if loops:
-            c = c * XiPoly([0] * loops + [1])
-        acc[masks] = acc.get(masks, 0) + c
-    return a._like(_exact_sum({PartitionDiagram._from_masks(k, m, a.half): c for m, c in acc.items()}))
+        for (j2, p2), pairs in right.items():
+            group = grouped.setdefault((j1 + j2, p1 or p2), {})
+            for masks2, c2 in pairs:
+                key = _compose_masks(k, left, masks2)
+                group[key] = group.get(key, 0) + c1 * c2
+    # at most k loops, each holding a vertex of the middle row
+    acc = _Coeffs(degree_a + degree_b + k + 1)
+    for (j, p), group in grouped.items():
+        for (masks, loops), c in group.items():
+            acc[masks][j + loops] += c
+            if p or j + loops:
+                acc.poly.add(masks)
+    return acc.element(a, "diagram")
 
 
 def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
-    """Each term of a spread over its upset, times the Möbius value or 1."""
-    acc = {}
-    for d, coeff in _terms(a.sum):
-        for c, mu in _upset(d):
-            acc[c] = acc.get(c, 0) + (mu * coeff if mobius else coeff)
-    return AlgebraElement(a.size, basis, _exact_sum(acc), a.half)
+    """Each term of a spread over its upset, times the Möbius value or 1; the
+    upset's diagrams are the result's."""
+    entries, degree = _entries(a.sum)
+    acc = _Coeffs(degree + 1)
+    width, made = acc.width, acc.made
+    for d, j, x, p in entries:
+        upset = _upset(d)
+        for c, mu in upset:
+            masks = c._masks
+            row = acc.get(masks)
+            if row is None:
+                row = acc[masks] = [0] * width
+                made.append(c)
+            row[j] += mu * x if mobius else x
+        if p:
+            acc.poly.update(c._masks for c, _ in upset)
+    return acc.element(a, basis)
 
 
 def from_orbit(a: AlgebraElement) -> AlgebraElement:
     """Rewrite an orbit-basis element in the diagram basis by Möbius
-    inversion: x_d = sum of mu(d, d') d' over the coarsenings d' of d."""
+    inversion: x_d = sum of mu(d, d') d' over the coarsenings d' of d.
+
+    Each coefficient times mu is added as ints per power of xi over the
+    cached upset table of its diagram, whose diagrams the result reuses.
+    """
     if a.basis != "orbit":
         raise ValueError("from_orbit needs an orbit-basis element")
     return _over_upset(a, "diagram", mobius=True)
@@ -414,35 +497,44 @@ def to_orbit(a: AlgebraElement) -> AlgebraElement:
     """Rewrite a diagram-basis element in the orbit basis.
 
     Uses d = sum of x_{d'} over the upset table of d: every coarsening of a
-    support diagram gets that diagram's coefficient added, and nothing
-    outside the support's coarsenings is touched.
+    support diagram gets that diagram's coefficient added, as ints per power
+    of xi, and nothing outside the support's coarsenings is touched.  The
+    result reuses the table's diagrams.
     """
     if a.basis != "diagram":
         raise ValueError("to_orbit needs a diagram-basis element")
     return _over_upset(a, "orbit", mobius=False)
 
 
-def _matched_pairs(a: AlgebraElement, b: AlgebraElement):
-    """(d1, c1, d2, c2) for each term d1 of a and term d2 of b whose middle
-    rows match.
+def _matched_pairs(entries_a: list, entries_b: list):
+    """(d1, j1, c1, p1, d2, j2, c2, p2) for each entry of a and entry of b
+    (see ``_entries``) whose diagrams' middle rows match.
 
-    b's terms are indexed by top row, so each term of a meets only the terms
-    its bottom row matches; the orbit products of all other pairs vanish.
+    b's entries are indexed by top row, so each entry of a meets only the
+    entries its bottom row matches; the orbit products of all other pairs
+    vanish.
     """
     by_top: dict[tuple, list] = {}
-    for d2, c2 in _terms(b.sum):
-        by_top.setdefault(d2.top_partition(), []).append((d2, c2))
-    for d1, c1 in _terms(a.sum):
-        for d2, c2 in by_top.get(d1.bottom_partition(), ()):
-            yield d1, c1, d2, c2
+    for e in entries_b:
+        by_top.setdefault(e[0].top_partition(), []).append(e)
+    for e in entries_a:
+        for other in by_top.get(e[0].bottom_partition(), ()):
+            yield e + other
+
+
+@cache
+def _falling_row(blocks: int, internal: int) -> tuple:
+    """Coefficients of (xi - blocks)_internal by power of xi, as ints."""
+    return tuple(int(c) for c in falling_factorial(XI - blocks, internal).coeffs)
 
 
 def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
     """Orbit-basis structure constants of two diagrams whose middle rows match.
 
-    A sum, as (diagram, coefficient) terms with distinct diagrams, over the
-    coarsenings of d1 ∘ d2 obtained by matching top-row-only blocks of d1
-    with bottom-row-only blocks of d2, with falling-factorial coefficients.
+    A sum, as (masks, coefficients by power of xi) terms with distinct masks,
+    over the coarsenings of d1 ∘ d2 obtained by matching top-row-only blocks
+    of d1 with bottom-row-only blocks of d2, with falling-factorial
+    coefficients.
     """
     k = d1.size
     comp, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
@@ -452,38 +544,45 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
     bottom_only = [m for m in d2._masks if m <= low]
     out = []
     for n in range(min(len(top_only), len(bottom_only)) + 1):
-        coeff = falling_factorial(XI - (len(comp) - n), internal)
+        row = _falling_row(len(comp) - n, internal)
         for tops in combinations(top_only, n):
             for bots in permutations(bottom_only, n):
                 masks = [m for m in comp if m not in tops and m not in bots]
                 masks.extend(t | b for t, b in zip(tops, bots))
                 masks.sort(reverse=True)
-                out.append((PartitionDiagram._from_masks(k, tuple(masks), d1.half), coeff))
+                out.append((tuple(masks), row))
     return out
 
 
 def orbit_product_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product in the orbit basis with symbolic xi coefficients.
 
-    Only term pairs whose middle rows match are formed; each contributes
-    c1*c2 times its structure constants.
+    Only entry pairs whose middle rows match are formed.  Each adds c1*c2
+    times the cached int rows of its falling-factorial structure constants,
+    shifted by the powers of xi of c1 and c2; every result coefficient is an
+    XiPoly.
     """
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
-    acc = {}
-    for d1, c1, d2, c2 in _matched_pairs(a, b):
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
+    # structure constants have degree at most k, the most internal blocks
+    acc = _Coeffs(degree_a + degree_b + a.size + 1)
+    for d1, j1, c1, _, d2, j2, c2, _ in _matched_pairs(entries_a, entries_b):
         scale = c1 * c2
-        for d, c in _orbit_pair_product(d1, d2):
-            acc[d] = acc.get(d, 0) + scale * c
-    # the structure constants are XiPolys, so no int coefficient is left
-    return a._like(FormalSum(acc))
+        for masks, row in _orbit_pair_product(d1, d2):
+            out = acc[masks]
+            for i, f in enumerate(row, j1 + j2):
+                out[i] += scale * f
+    acc.poly.update(acc)
+    return acc.element(a, "orbit")
 
 
 def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Orbit product inside a totally propagating algebra: x_{d1} x_{d2} is
     x_{d1∘d2} when the middle rows match and 0 otherwise; coefficients stay
-    rational.  Only the term pairs whose middle rows match are formed."""
+    rational.  Only the entry pairs whose middle rows match are formed, and
+    their coefficient products are summed as ints per masks of d1∘d2."""
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
@@ -491,13 +590,17 @@ def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         bad = [key for key, _ in s.terms() if not is_totally_propagating(key)]
         if bad:
             raise ValueError(f"not totally propagating: {min(bad)}")
-    acc = {}
-    for d1, c1, d2, c2 in _matched_pairs(a, b):
-        comp, internal = compose(d1, d2)
+    k = a.size
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
+    acc = _Coeffs(degree_a + degree_b + 1)
+    for d1, j1, c1, p1, d2, j2, c2, p2 in _matched_pairs(entries_a, entries_b):
+        masks, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
         if internal:
             raise RuntimeError(f"composing {d1} with {d2} leaves {internal} internal blocks")
-        acc[comp] = acc.get(comp, 0) + c1 * c2
-    return a._like(_exact_sum(acc))
+        acc[masks][j1 + j2] += c1 * c2
+        if p1 or p2:
+            acc.poly.add(masks)
+    return acc.element(a, "orbit")
 
 
 # --- monoid enumeration -------------------------------------------------------

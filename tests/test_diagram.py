@@ -526,6 +526,130 @@ def test_to_orbit_matches_map_terms_oracle():
             _assert_same_sum(to_orbit(y), _oracle_to_orbit(y.sum))
 
 
+# --- the XiPoly-summing route: the products' former bodies, as oracles --------
+
+
+def _old_terms(s):
+    return [(d, c.numerator if type(c) is Fraction and c.denominator == 1 else c) for d, c in s.terms()]
+
+
+def _old_exact_sum(acc):
+    return FormalSum({d: Fraction(c) if isinstance(c, int) else c for d, c in acc.items()})
+
+
+def _old_diagram_product(a, b):
+    """Sums per (masks, loops), each times XiPoly xi^loops, summed per masks."""
+    k = a.size
+    right = [(d2._masks, c2) for d2, c2 in _old_terms(b.sum)]
+    grouped = {}
+    for d1, c1 in _old_terms(a.sum):
+        left = tuple(m << k for m in d1._masks)
+        for masks2, c2 in right:
+            key = diagram._compose_masks(k, left, masks2)
+            grouped[key] = grouped.get(key, 0) + c1 * c2
+    acc = {}
+    for (masks, loops), c in grouped.items():
+        if loops:
+            c = c * XiPoly([0] * loops + [1])
+        acc[masks] = acc.get(masks, 0) + c
+    return _old_exact_sum({PartitionDiagram._from_masks(k, m, a.half): c for m, c in acc.items()})
+
+
+def _old_over_upset(a, mobius):
+    acc = {}
+    for d, coeff in _old_terms(a.sum):
+        for c, mu in diagram._upset(d):
+            acc[c] = acc.get(c, 0) + (mu * coeff if mobius else coeff)
+    return _old_exact_sum(acc)
+
+
+def test_products_and_basis_changes_match_the_xipoly_summing_route():
+    rng = random.Random(59)
+    for monoid in _oracle_monoids() + [enumerate_monoid("A", 3)]:
+        for _ in range(25):
+            y1, y2 = (_random_element(rng, monoid, "diagram") for _ in range(2))
+            _assert_same_sum(diagram_product(y1, y2), _old_diagram_product(y1, y2))
+            _assert_same_sum(to_orbit(y1), _old_over_upset(y1, mobius=False))
+            x = _random_element(rng, monoid, "orbit")
+            _assert_same_sum(from_orbit(x), _old_over_upset(x, mobius=True))
+
+
+def _cancelling_triple(monoid):
+    """Diagrams x, y, w, z with x∘z = y∘z = w∘z, one loop in the first two
+    and none in the third: in (x - y + w) z the xi terms cancel."""
+    by_result = {}
+    for z in monoid:
+        for d in monoid:
+            comp, loops = compose(d, z)
+            by_result.setdefault((z, comp), {}).setdefault(min(loops, 2), []).append(d)
+    for (z, _), found in by_result.items():
+        if len(found.get(1, ())) >= 2 and found.get(0):
+            (x, y, *_), (w, *_) = found[1], found[0]
+            return x, y, w, z
+    raise AssertionError("no cancelling triple")
+
+
+def test_xipoly_sums_that_cancel_to_a_constant_stay_xipolys():
+    x, y, w, z = _cancelling_triple(enumerate_monoid("A", 2))
+    one = Fraction(1)
+    # rational coefficients: the one-loop group sums to 0, the key keeps its XiPoly
+    a = AlgebraElement(2, "diagram", [(x, one), (y, -one), (w, Fraction(3))])
+    prod = diagram_product(a, AlgebraElement.from_diagram(z))
+    ((key, coeff),) = prod.sum.terms()
+    assert key == compose(w, z)[0] and type(coeff) is XiPoly and coeff == 3
+    _assert_same_sum(prod, _old_diagram_product(a, AlgebraElement.from_diagram(z)))
+    # an XiPoly coefficient whose xi term cancels the loop group's
+    b = AlgebraElement(2, "diagram", [(x, one), (w, XiPoly.const(2) - XI)])
+    got = diagram_product(b, AlgebraElement.from_diagram(z))
+    assert dict(got.sum.terms()) == {compose(w, z)[0]: 2}
+    _assert_same_sum(got, _old_diagram_product(b, AlgebraElement.from_diagram(z)))
+    # two 3-block diagrams share the one-block coarsening, where xi and 2 - xi
+    # (times mu = 2 for Möbius inversion) add to a constant
+    terms = [(D("[[1],[2],[-1,-2]]"), XI), (D("[[1,2],[-1],[-2]]"), XiPoly.const(2) - XI)]
+    c = AlgebraElement(2, "diagram", terms)
+    for got, want in (
+        (to_orbit(c), _old_over_upset(c, mobius=False)),
+        (from_orbit(AlgebraElement(2, "orbit", terms)), _old_over_upset(c, mobius=True)),
+    ):
+        _assert_same_sum(got, want)
+        full = dict(got.sum.terms())[D("[[1,2,-1,-2]]")]
+        assert type(full) is XiPoly and full.is_constant()
+
+
+def _a3_stratified_pairs(seed):
+    """A seeded sample of A_3 pairs, one per (blocks, blocks) cell, with the
+    6-block diagram (every vertex alone, all 203 diagrams in its upset) in
+    each cell that has it, and a second pair in the cells of at most 3 blocks
+    each.  The three largest cells, (6, 6), (5, 6) and (6, 5), are left out:
+    the bilinear oracle took 2.2 s on the (6, 6) pair and 0.45 s on a (5, 6)
+    pair, single runs on a 2-CPU machine."""
+    rng = random.Random(seed)
+    by_blocks = {}
+    for d in enumerate_monoid("A", 3):
+        by_blocks.setdefault(d.n_blocks(), []).append(d)
+    pairs = []
+    for b1 in by_blocks:
+        for b2 in by_blocks:
+            if min(b1, b2) >= 5 and max(b1, b2) == 6:
+                continue
+            for _ in range(2 if max(b1, b2) <= 3 else 1):
+                pairs.append((rng.choice(by_blocks[b1]), rng.choice(by_blocks[b2])))
+    return pairs
+
+
+def test_orbit_product_matches_both_via_basis_routes_on_a_stratified_a3_sample():
+    pairs = _a3_stratified_pairs(61)
+    assert len(pairs) == 42
+    assert {(d1.n_blocks(), d2.n_blocks()) for d1, d2 in pairs} >= {(6, 1), (1, 6), (6, 4), (5, 5)}
+    for d1, d2 in pairs:
+        x1 = AlgebraElement.from_diagram(d1, basis="orbit")
+        x2 = AlgebraElement.from_diagram(d2, basis="orbit")
+        direct = orbit_product_general(x1, x2)
+        y1, y2 = from_orbit(x1), from_orbit(x2)
+        assert direct == to_orbit(diagram_product(y1, y2)), (d1, d2)
+        assert direct.sum == _oracle_to_orbit(y1.sum.bilinear(y2.sum, _oracle_diagram_pair)), (d1, d2)
+
+
 # --- oracles past A_3: seeded random diagrams, not enumerations --------------
 
 

@@ -32,9 +32,9 @@ from .combinat import (
     shape_key,
     tableau_shape,
 )
+from .limits import check
 
 HALF = Fraction(1, 2)
-_PATH_CEILING = 200_000
 
 
 def as_level(t) -> Fraction:
@@ -134,10 +134,9 @@ class GradedGraph:
         return counts.get(self.vertex_index(dst_level, dst_shape), 0)
 
     def enumerate_paths(self, src, dst) -> list[GraphPath]:
-        """All labelled paths from src to dst; raises if more than _PATH_CEILING."""
-        total = self.count_paths(src, dst)
-        if total > _PATH_CEILING:
-            raise ValueError(f"{total} paths exceed the enumeration ceiling {_PATH_CEILING}")
+        """All labelled paths from src to dst, counted first against the "path
+        enumeration" limit."""
+        check("path enumeration", self.count_paths(src, dst))
         (src_level, src_shape), (dst_level, dst_shape) = src, dst
         li = self.level_index(src_level)
         lj = self.level_index(dst_level)
@@ -206,6 +205,7 @@ def rook_tower(n: int) -> GradedGraph:
     size <= m; a shape at level m+1 joins itself and its one-box removals."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check("rook tower", n)
 
     def step(m, nu):
         return [(lam, None) for lam in corner_set(nu, "plus_eq", m + 1)]
@@ -236,6 +236,7 @@ def ihat(tmax) -> GradedGraph:
     from k to k+1/2 keeps the shape or removes a box; going from k+1/2 to k+1
     adds a box.
     """
+    check("propagating tower", as_level(tmax))
     levels = levels_upto(tmax)
     vertices = [
         [s for s in partitions_upto(int(lv)) if s or lv.denominator == 2] for lv in levels

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, bratteli, characters, combinat, diagram, jm, rsk, seminormal, tensor
+from .limits import check
 from .rook import RookElement
 
 
@@ -115,12 +116,14 @@ def _cmd_bratteli(args) -> int:
 def _cmd_dims(args) -> int:
     out = {}
     if args.n is not None:
+        check("rook irreducibles", args.n)
         out["rook_irreps"] = {
-            format_partition(lam): len(combinat.standard_tableaux(lam, args.n))
+            format_partition(lam): combinat.rook_irrep_dim(lam, args.n)
             for lam in combinat.partitions_upto(args.n)
         }
     if args.t is not None:
         t = parse_level(args.t)
+        check("propagating irreducibles", t)
         graph = bratteli.ihat(t)
         li = graph.level_index(t)
         out["propagating_irreps"] = {
@@ -136,6 +139,7 @@ def _cmd_dims(args) -> int:
 def _cmd_mult(args) -> int:
     lam = parse_partition(args.lam)
     n, k = args.n, args.k
+    check("tensor multiplicities", n)
     stirl = combinat.stirling2(k, sum(lam)) * combinat.f_lambda(lam)
     if lam and sum(lam) <= min(k, n):
         paths = bratteli.rhat(n, k).count_paths((1, (1,)), (k, lam))

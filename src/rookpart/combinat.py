@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from math import comb, factorial, prod
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]
@@ -201,8 +202,12 @@ def _syt(lam: Partition) -> tuple[Tableau, ...]:
 
 
 def f_lambda(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam, by enumeration."""
-    return len(_syt(check_partition(lam)))
+    """Number of standard Young tableaux of shape lam, by the hook length
+    formula: |lam|! over the product of the hook lengths of its boxes."""
+    lam = check_partition(lam)
+    columns = [sum(part > c for part in lam) for c in range(lam[0] if lam else 0)]
+    hooks = prod(part - c + columns[c] - r - 1 for r, part in enumerate(lam) for c in range(part))
+    return factorial(sum(lam)) // hooks
 
 
 def relabel_tableau(t: Tableau, values) -> Tableau:
@@ -219,6 +224,14 @@ def standard_tableaux(lam: Partition, n: int) -> list[Tableau]:
         raise ValueError(f"shape {lam} has more than {n} boxes")
     base = _syt(lam)
     return [relabel_tableau(t, subset) for subset in combinations(range(1, n + 1), m) for t in base]
+
+
+def rook_irrep_dim(lam: Partition, n: int) -> int:
+    """Dimension of the R_n irreducible of shape lam, the number of its
+    n-standard tableaux: C(n, |lam|) sets of entries times f_lam, in closed
+    form (0 when lam does not fit in n)."""
+    m = sum(lam)
+    return comb(n, m) * f_lambda(lam) if m <= n else 0
 
 
 def tableau_shape(t: Tableau) -> Partition:

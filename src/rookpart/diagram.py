@@ -48,7 +48,6 @@ diagrams of I_4), their closure checked against the enumeration once.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, repeat
@@ -56,20 +55,8 @@ from math import factorial, prod
 
 from .combinat import canonical_set_partition, set_partitions
 from .formal import FormalSum
+from .limits import check
 from .scalars import XI, XiPoly, falling_factorial
-
-_GUARD_A = 6
-_GUARD_I = 5
-
-
-def _enum_cap(default: int) -> int:
-    cap = os.environ.get("ROOKPART_ENUM_CAP")
-    if not cap:
-        return default
-    try:
-        return min(default, int(cap))
-    except ValueError:
-        raise ValueError(f"ROOKPART_ENUM_CAP must be an integer, got {cap!r}") from None
 
 
 class _BlockTable(dict):
@@ -282,8 +269,10 @@ def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
     """The coarsenings d' of d (d included), sorted, with the Möbius values
     mu(d, d'): products of (-1)^(m-1) (m-1)! over the groups of m merged
     blocks (Stanley, EC I, section 3.10).  A merged block's mask is the OR
-    of its blocks' masks, which for disjoint masks is their sum."""
+    of its blocks' masks, which for disjoint masks is their sum.  There are
+    Bell(blocks) of them, so the block count is checked, on a cache miss."""
     masks = d._masks
+    check("coarsenings", len(masks))
     out = []
     for grouping in set_partitions(len(masks)):
         merged = sorted((sum(masks[i - 1] for i in group) for group in grouping), reverse=True)
@@ -612,9 +601,10 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
     For "I_half" the argument k is the integer below the half level, so the
     diagrams have size k+1 and carry the half flag.
     """
+    if k < 1:
+        raise ValueError(f"cannot enumerate a monoid of kind {kind!r} at k = {k}: need k >= 1")
     if kind == "A":
-        if k < 1 or k > _enum_cap(_GUARD_A):
-            raise ValueError(f"A_{k} enumeration out of guarded range")
+        check("A_k enumeration", k)
         verts = list(range(1, k + 1)) + list(range(-1, -k - 1, -1))
         out = []
         for part in set_partitions(2 * k):
@@ -622,12 +612,10 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
             out.append(PartitionDiagram(k, blocks))
         return sorted(set(out))
     if kind == "I":
-        if k < 1 or k > _enum_cap(_GUARD_I):
-            raise ValueError(f"I_{k} enumeration out of guarded range")
+        check("I_k enumeration", k)
         return _enumerate_propagating(k, half=False)
     if kind == "I_half":
-        if k < 1 or k + 1 > _enum_cap(_GUARD_I):
-            raise ValueError(f"I_{k}+1/2 enumeration out of guarded range")
+        check("I_k enumeration", k + 1)
         return _enumerate_propagating(k + 1, half=True)
     raise ValueError(f"unknown monoid kind {kind!r}")
 

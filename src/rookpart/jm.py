@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bratteli import HALF, GraphPath, as_level, ihat, levels_upto
-from .combinat import content_sum, set_partitions, standard_tableaux
+from .combinat import content_sum, rook_irrep_dim, set_partitions
 from .diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -279,7 +279,7 @@ def gt_decompose(t, n: int) -> dict:
             predicted = predicted_eigenvalues(path)
             flat = [v for pair in predicted for v in pair]
             basis = simultaneous_eigenspace(ops, flat)
-            expected_dim = len(standard_tableaux(mu, space.rook_n))
+            expected_dim = rook_irrep_dim(mu, space.rook_n)
             total += len(basis)
             key = tuple(flat)
             if key in seen_tuples:

@@ -1,0 +1,55 @@
+"""The size limit of every entry point, in one table, with one check.
+
+The objects listed here grow like Bell numbers and factorials (the monoids
+R_n, A_k, I_k and I_{k+1/2}, the tensor powers (C^n)^{(x)k}, the branching
+graphs and their paths), so every entry point that lists one checks the size
+asked for against its row of ``LIMITS`` before any work.  A row names what
+the size counts and its largest value: the largest size that finished within
+10 s under a 1.5 GB address-space limit on a 2-CPU machine.  Every refusal
+reads the same way, e.g. "R_n enumeration: n = 8 exceeds the limit 7".
+
+``ROOKPART_ENUM_CAP``, an integer, lowers the two monoid-enumeration rows
+and no other, since the rows count different things.  Lower bounds such as
+k >= 1 are input checks and stay with their callers.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import NamedTuple
+
+
+class Limit(NamedTuple):
+    counts: str
+    value: int
+    capped: bool = False  # lowered by ROOKPART_ENUM_CAP
+
+
+LIMITS = {
+    "A_k enumeration": Limit("diagram size", 5, capped=True),
+    "I_k enumeration": Limit("diagram size", 5, capped=True),
+    "R_n enumeration": Limit("n", 7),
+    "tensor space": Limit("dimension n^k", 729),
+    "path enumeration": Limit("paths", 200_000),
+    "coarsenings": Limit("blocks", 10),
+    "rook tower": Limit("levels", 32),
+    "propagating tower": Limit("level", 30),
+    "rook irreducibles": Limit("n", 40),
+    "propagating irreducibles": Limit("level", 17),
+    "tensor multiplicities": Limit("n", 14),
+    "rook-jm": Limit("n^3 (10 f_lambda dim + n)", 39_000_000),
+}
+
+
+def check(name: str, asked) -> None:
+    """Raise ValueError when the size asked for is past the row called name."""
+    row = LIMITS[name]
+    value = row.value
+    cap = os.environ.get("ROOKPART_ENUM_CAP") if row.capped else None
+    if cap:
+        try:
+            value = min(value, int(cap))
+        except ValueError:
+            raise ValueError(f"ROOKPART_ENUM_CAP must be an integer, got {cap!r}") from None
+    if asked > value:
+        raise ValueError(f"{name}: {row.counts} = {asked} exceeds the limit {value}")

@@ -13,6 +13,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from .formal import FormalSum
+from .limits import check
 
 
 class RookElement:
@@ -121,9 +122,11 @@ def generators(n: int) -> list[RookElement]:
 
 
 def enumerate_rook(n: int) -> list[RookElement]:
-    """All of R_n, deterministic order; |R_n| = sum_r C(n,r)^2 r!, 130,922 at n = 7."""
-    if not 1 <= n <= 7:
-        raise ValueError(f"cannot enumerate R_n for n = {n}: need 1 <= n <= 7")
+    """All of R_n, deterministic order; |R_n| = sum_r C(n,r)^2 r!, 130,922 at
+    n = 7, the "R_n enumeration" limit."""
+    if n < 1:
+        raise ValueError(f"cannot enumerate R_n for n = {n}: need n >= 1")
+    check("R_n enumeration", n)
     out = []
     for r in range(n + 1):
         for dom in combinations(range(1, n + 1), r):

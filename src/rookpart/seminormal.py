@@ -16,13 +16,16 @@ from .combinat import (
     check_partition,
     content,
     corner_set,
+    f_lambda,
     is_standard_tableau,
+    rook_irrep_dim,
     shape_key,
     standard_tableaux,
     tableau_entries,
     tableau_shape,
 )
 from .formal import FormalSum
+from .limits import check
 from .linalg import ExactMatrix
 from .rook import RookElement, factor_to_word, jm_x, jm_x_tilde
 
@@ -141,8 +144,11 @@ def verify_jm_action(lam, n: int) -> dict:
 
     X_i reads off membership of i in the tableau, and the content family reads
     ct(box of i).  Returns a report with one row per (tableau, i); any
-    mismatch lands in report["mismatches"].
+    mismatch lands in report["mismatches"].  The work grows like n^3 times
+    f_lam and the dimension (the density of the products times their size),
+    plus n^4 for the sums X~_i, which the "rook-jm" limit bounds first.
     """
+    check("rook-jm", n**3 * (10 * f_lambda(lam) * rook_irrep_dim(lam, n) + n))
     irrep = RookIrrep(lam, n)
     rows = []
     mismatches = []

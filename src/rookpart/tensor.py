@@ -22,23 +22,22 @@ from itertools import permutations, product
 
 from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
 from .formal import FormalSum
+from .limits import check
 from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
 from .rook import RookElement, embed, enumerate_rook, generators
 from .scalars import XiPoly
 
-_DIM_GUARD = 729
-
 
 class TensorSpace:
-    """Basis bookkeeping for the k-fold tensor power of an n-dim space."""
+    """Basis bookkeeping for the k-fold tensor power of an n-dim space, whose
+    dimension n^k is bounded by the "tensor space" limit."""
 
     def __init__(self, n: int, k: int, half: bool = False):
         if n < 1 or k < 1:
             raise ValueError("n and k must be positive")
         if half and n < 2:
             raise ValueError("a half space needs n >= 2")
-        if n**k > _DIM_GUARD:
-            raise ValueError(f"dimension n^k = {n**k} exceeds the guard {_DIM_GUARD}")
+        check("tensor space", n**k)
         self.n = n
         self.k = k
         self.half = half
@@ -160,7 +159,9 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     the action of a generating set, so the commutant in (b) is taken over the
     rook generators s_i, P_1 (``rook.generators``), and the commutant in (c)
     over the named diagrams of ``diagram.generating_set``.
-    The images are spanned over every orbit diagram and every rook element.
+    The images are spanned over every orbit diagram and every rook element,
+    so the sizes are bounded by the "tensor space", "R_n enumeration" and
+    "I_k enumeration" limits, all checked before any elimination.
 
     Besides the checked dimensions and ``ok``, the report gives the sizes it
     touched: ``dim`` (of the tensor space), ``diagram_count`` (of the

@@ -125,8 +125,9 @@ def test_enumeration_ceiling():
     # 365,232 paths, counted without being built, then refused
     g = ihat(10)
     assert g.count_paths((HALF, ()), (10, (3, 2, 1))) == 365_232
-    with pytest.raises(ValueError, match="365232 paths exceed the enumeration ceiling 200000"):
+    with pytest.raises(ValueError) as refused:
         g.enumerate_paths((HALF, ()), (10, (3, 2, 1)))
+    assert str(refused.value) == "path enumeration: paths = 365232 exceeds the limit 200000"
 
 
 def test_dot_and_json_outputs_are_deterministic():

@@ -1,11 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from rookpart import tensor
+import pytest
+
+from rookpart import bratteli, characters, combinat, diagram, jm, rook, seminormal, tensor
 from rookpart.cli import main
+from rookpart.limits import LIMITS
 
 
 def run_cli(capsys, *argv):
@@ -104,7 +108,64 @@ def test_schur_weyl_refuses_a_large_rook_monoid_before_eliminating(capsys, monke
         assert main(["schur-weyl", "--n", str(n), "--k", str(k)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: cannot enumerate R_n for n = {n}: need 1 <= n <= 7\n"
+        assert captured.err == f"error: R_n enumeration: n = {n} exceeds the limit 7\n"
+
+
+IDENTITY_11 = json.dumps([[v, -v] for v in range(1, 12)])
+
+# (argv, the refusal, the work the refusal must come before)
+REFUSALS = [
+    (["dims", "--n", "41"], "rook irreducibles: n = 41 exceeds the limit 40", [(combinat, "partitions_upto")]),
+    (["dims", "--t", "30"], "propagating irreducibles: level = 30 exceeds the limit 17", [(bratteli, "ihat")]),
+    (
+        ["mult", "--lambda", "1", "--k", "3", "--n", "30"],
+        "tensor multiplicities: n = 30 exceeds the limit 14",
+        [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
+    ),
+    (
+        ["bratteli", "--kind", "rook", "--levels", "40"],
+        "rook tower: levels = 40 exceeds the limit 32",
+        [(bratteli, "partitions_upto")],
+    ),
+    (
+        ["bratteli", "--kind", "ihat", "--levels", "40"],
+        "propagating tower: level = 40 exceeds the limit 30",
+        [(bratteli, "levels_upto")],
+    ),
+    (
+        ["rook-jm", "--lambda", "2", "--n", "40"],
+        "rook-jm: n^3 (10 f_lambda dim + n) = 501760000 exceeds the limit 39000000",
+        [(seminormal, "RookIrrep")],
+    ),
+    (["orbit", "--diagram", IDENTITY_11], "coarsenings: blocks = 11 exceeds the limit 10", [(diagram, "set_partitions")]),
+    (["schur-weyl", "--n", "8", "--k", "1"], "R_n enumeration: n = 8 exceeds the limit 7", [(rook, "combinations")]),
+    (
+        ["schur-weyl", "--n", "3", "--k", "7"],
+        "tensor space: dimension n^k = 2187 exceeds the limit 729",
+        [(tensor, "product")],
+    ),
+    (
+        ["jm", "--t", "11/2", "--verify"],
+        "I_k enumeration: diagram size = 6 exceeds the limit 5",
+        [(diagram, "_enumerate_propagating"), (jm, "build_z")],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, refusal, work", REFUSALS, ids=[r[1].split(":")[0] for r in REFUSALS])
+def test_size_limits_refuse_before_any_work(capsys, monkeypatch, argv, refusal, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in work:
+        monkeypatch.setattr(module, name, no_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
+    # the one message form: the limit's name, what it counts, the size asked for, its value
+    name, counts, _, value = re.fullmatch(r"(.+): (.+) = (\S+) exceeds the limit (\d+)", refusal).groups()
+    assert (LIMITS[name].counts, LIMITS[name].value) == (counts, int(value))
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -20,6 +20,7 @@ from rookpart.combinat import (
     outer_corners,
     partitions,
     partitions_upto,
+    rook_irrep_dim,
     set_partitions,
     standard_spt_tableaux,
     standard_tableaux,
@@ -108,10 +109,12 @@ def test_standard_tableaux_examples():
 
 
 def test_tableau_count_formula():
-    for n in range(6):
+    # the closed form against the enumeration, which is its oracle
+    for n in range(8):
         for lam in partitions_upto(n):
             expected = comb(n, sum(lam)) * f_lambda(lam)
-            assert len(standard_tableaux(lam, n)) == expected
+            assert len(standard_tableaux(lam, n)) == expected == rook_irrep_dim(lam, n)
+    assert rook_irrep_dim((2, 1), 2) == rook_irrep_dim((1,), -3) == 0
 
 
 def test_f_lambda_examples_and_hook_oracle():

@@ -694,10 +694,10 @@ def _random_half_propagating(rng, k):
 
 
 def _random_pools(seed, count=40):
-    """Random diagrams of A_4, A_5 and A_6 (6 is the enumeration guard, 18 bits
+    """Random diagrams of A_4, A_5 and A_6 (6 is one past the enumeration limit, 18 bits
     in the middle layout of compose), of A_{4 1/2} and of I_{4 1/2}."""
     rng = random.Random(seed)
-    pools = [[_random_diagram(rng, k) for _ in range(count)] for k in (4, 5, diagram._GUARD_A)]
+    pools = [[_random_diagram(rng, k) for _ in range(count)] for k in (4, 5, 6)]
     pools.append([_random_diagram(rng, 5, half=True) for _ in range(count)])
     pools.append([_random_half_propagating(rng, 5) for _ in range(count)])
     return pools
@@ -705,7 +705,7 @@ def _random_pools(seed, count=40):
 
 def test_random_pools_cover_the_levels():
     pools = _random_pools(37)
-    assert diagram._GUARD_A == 6 and [p[0].size for p in pools] == [4, 5, 6, 5, 5]
+    assert [p[0].size for p in pools] == [4, 5, 6, 5, 5]
     assert set(pools[-1]) <= set(enumerate_monoid("I_half", 4))
     assert all(is_half(d) and d.half for d in pools[-2])
     for pool in pools:

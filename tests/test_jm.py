@@ -148,8 +148,9 @@ def test_centrality_small_levels():
     assert report["ok"], report["failures"][:2]
     assert report["diagram_count"] == 2100
     # the enumeration guard bounds the check, before any central sum is built
-    with pytest.raises(ValueError, match="enumeration out of guarded range"):
+    with pytest.raises(ValueError) as refused:
         verify_centrality(Fraction(11, 2))
+    assert str(refused.value) == "I_k enumeration: diagram size = 6 exceeds the limit 5"
 
 
 def test_central_sum_commutes_with_every_diagram_by_hand():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import rookpart
@@ -169,3 +170,24 @@ def test_every_parameter_is_read():
                 found += [f"{path.name}:{name}({p})" for p in _unread_parameters(fn, skip_first)]
     assert found == []
 
+
+def test_size_limits_and_the_environment_live_in_limits_py():
+    # a new size limit joins the one table in limits.py, not a constant of
+    # its own beside the code it bounds, and only limits.py reads the
+    # environment (ROOKPART_ENUM_CAP)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "limits.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.append(f"{path.name}:{node.lineno} from os import")
+        for top in tree.body:
+            targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.search("_GUARD|_CEILING|_LIMIT", target.id):
+                    found.append(f"{path.name}:{top.lineno} {target.id}")
+    assert found == []

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .combinat import (
     Partition,
@@ -219,6 +220,8 @@ def rhat(n: int, kmax: int) -> GradedGraph:
     edge per removable corner)."""
     if n < 1 or kmax < 1:
         raise ValueError("n and kmax must be positive")
+    check("tensor-step shapes", min(n, kmax))
+    check("tensor-step graph", _rhat_vertices(n, kmax))
     vertices = [[s for s in partitions_upto(min(k, n)) if s] for k in range(1, kmax + 1)]
 
     def step(i, lam):
@@ -226,6 +229,18 @@ def rhat(n: int, kmax: int) -> GradedGraph:
         return moves + [(mu, None) for mu in corner_set(lam, "plus_n", n)]
 
     return GradedGraph("rhat", range(1, kmax + 1), vertices, step)
+
+
+def _rhat_vertices(n: int, kmax: int) -> int:
+    """The vertices of ``rhat(n, kmax)``, counted from partition numbers
+    without listing a shape."""
+    m = min(n, kmax)
+    counts = [1] + [0] * m  # partitions of 0..m, built up part by part
+    for part in range(1, m + 1):
+        for r in range(part, m + 1):
+            counts[r] += counts[r - part]
+    upto = list(accumulate(counts[1:]))  # nonempty shapes of size <= 1..m
+    return sum(upto) + (kmax - m) * upto[-1]
 
 
 def ihat(tmax) -> GradedGraph:

@@ -140,11 +140,11 @@ def _cmd_mult(args) -> int:
     lam = parse_partition(args.lam)
     n, k = args.n, args.k
     check("tensor multiplicities", n)
+    check("tensor power", k)
+    # the graph comes first, so its limits refuse before any other work
+    graph = bratteli.rhat(n, k) if lam and sum(lam) <= min(k, n) else None
     stirl = combinat.stirling2(k, sum(lam)) * combinat.f_lambda(lam)
-    if lam and sum(lam) <= min(k, n):
-        paths = bratteli.rhat(n, k).count_paths((1, (1,)), (k, lam))
-    else:
-        paths = 0
+    paths = graph.count_paths((1, (1,)), (k, lam)) if graph is not None else 0
     chars = characters.tensor_multiplicities(n, k).get(lam, 0)
     emit({"paths": paths, "stirling_formula": stirl, "character": chars})
     return 0

@@ -261,14 +261,20 @@ def is_standard_tableau(t) -> bool:
 
 @cache
 def stirling2(k: int, r: int) -> int:
-    """Number of set partitions of {1..k} into exactly r blocks."""
+    """Number of set partitions of {1..k} into exactly r blocks.
+
+    Row by row of the triangle S(i, j) = j S(i-1, j) + S(i-1, j-1), kept to
+    the columns 0..r, so no recursion depth grows with k."""
     if k < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    if k == 0:
-        return 1 if r == 0 else 0
-    if r == 0:
+    if r > k:
         return 0
-    return r * stirling2(k - 1, r) + stirling2(k - 1, r - 1)
+    row = [1] + [0] * r  # S(0, j)
+    for i in range(1, k + 1):
+        for j in range(min(i, r), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[r]
 
 
 def bell(k: int) -> int:

@@ -25,11 +25,18 @@ Products do only the work whose result they keep:
   Each mask of d2 absorbs the components it meets; the components with no
   top or bottom bits are the loops.
 - ``diagram_product`` sums coefficient products per (result masks, loop
-  count) and adds each such sum at its power of xi once; ``to_orbit`` and
-  ``from_orbit`` add each coefficient (times the Möbius value, for the
-  latter) over one cached table of a diagram's coarsenings, formed by OR-ing
-  masks; the orbit products add c1*c2 times cached int rows of their
-  falling-factorial structure constants.
+  count) and adds each such sum at its power of xi once.  Up to size 3 it
+  reads each pair's result from a per-size product table, kept for the
+  process and filled by composing a pair's masks on its first use: each
+  block-mask tuple gets a small int id, and one int cell per pair of ids
+  holds the result's id times k+1 plus its loop count, so the table is at
+  most Bell(2k)^2 cells (41,209 at size 3, 165 KB).  Past size 3 a table
+  could need Bell(8)^2, about 17M cells, and pairs repeat less, so each pair
+  is composed as it comes.
+- ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
+  value, for the latter) over one cached table of a diagram's coarsenings,
+  formed by OR-ing masks; the orbit products add c1*c2 times cached int rows
+  of their falling-factorial structure constants.
 
 Inside a product or a change of basis, every coefficient is summed in one
 form: per result key, the block-mask tuple, a list of coefficients by power
@@ -48,12 +55,13 @@ diagrams of I_4), their closure checked against the enumeration once.
 from __future__ import annotations
 
 import json
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, repeat
 from math import factorial, prod
 
-from .combinat import canonical_set_partition, set_partitions
+from .combinat import bell, canonical_set_partition, set_partitions
 from .formal import FormalSum
 from .limits import check
 from .scalars import XI, XiPoly, falling_factorial
@@ -415,13 +423,97 @@ class _Coeffs(dict):
         return AlgebraElement(k, basis, FormalSum(out), half)
 
 
+# a size-4 table could need Bell(8)^2 = 17,139,600 cells
+_MAX_TABLED_SIZE = 3
+
+
+class _ProductTable(dict):
+    """The compositions of the diagrams of one size k, each formed once.
+
+    The table maps each block-mask tuple to a small int id, given in the
+    order first seen, and ``masks`` lists the tuples by id.  The cell
+    ``i * cap + j`` of ``cells`` holds ``id(d_i ∘ d_j) * (k+1) + loops``
+    (there are at most k loops), or -1 until that pair is first composed.
+    ``cap`` is Bell(2k), the number of diagrams of size k, so ids stay below
+    it and there are Bell(2k)^2 cells: 41,209 at size 3.
+    """
+
+    __slots__ = ("size", "cap", "masks", "cells")
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.cap = bell(2 * size)
+        self.masks = []
+        self.cells = array("i", [-1]) * (self.cap * self.cap)
+
+    def __missing__(self, masks: tuple) -> int:
+        i = self[masks] = len(self.masks)
+        self.masks.append(masks)
+        return i
+
+    def fill(self, i: int, j: int) -> int:
+        """Compose d_i with d_j and store the packed result in its cell."""
+        k = self.size
+        masks, loops = _compose_masks(k, [m << k for m in self.masks[i]], self.masks[j])
+        cell = self.cells[i * self.cap + j] = self[masks] * (k + 1) + loops
+        return cell
+
+
+@cache
+def _product_table(size: int) -> _ProductTable:
+    return _ProductTable(size)
+
+
+def _sums_from_table(k: int, entries_a: list, right: dict) -> dict:
+    """Coefficient products of the pairs summed per packed cell of the size-k
+    table, then unpacked once per (power of xi, poly) group: the
+    ``(masks, loops)`` items of each group."""
+    table = _product_table(k)
+    cells, cap = table.cells, table.cap
+    right = {key: [(table[masks2], c2) for masks2, c2 in pairs] for key, pairs in right.items()}
+    grouped = {}
+    for d1, j1, c1, p1 in entries_a:
+        i = table[d1._masks]
+        base = i * cap
+        for (j2, p2), pairs in right.items():
+            group = grouped.setdefault((j1 + j2, p1 or p2), {})
+            for id2, c2 in pairs:
+                cell = cells[base + id2]
+                if cell < 0:
+                    cell = table.fill(i, id2)
+                group[cell] = group.get(cell, 0) + c1 * c2
+    masks, width = table.masks, k + 1
+    return {
+        key: [((masks[cell // width], cell % width), c) for cell, c in group.items()]
+        for key, group in grouped.items()
+    }
+
+
+def _sums_by_composing(k: int, entries_a: list, right: dict) -> dict:
+    """As ``_sums_from_table``, composing every pair as it comes."""
+    grouped = {}
+    for d1, j1, c1, p1 in entries_a:
+        left = tuple(m << k for m in d1._masks)
+        for (j2, p2), pairs in right.items():
+            group = grouped.setdefault((j1 + j2, p1 or p2), {})
+            for masks2, c2 in pairs:
+                key = _compose_masks(k, left, masks2)
+                group[key] = group.get(key, 0) + c1 * c2
+    return {key: group.items() for key, group in grouped.items()}
+
+
 def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2).
 
     The coefficient products are summed as ints per (masks of d1 ∘ d2, l),
     one such group per power of xi the two coefficients contribute.  Each
     group's sum is added at the power l plus that contribution once, and each
-    distinct result diagram is built once.
+    distinct result diagram is built once.  Up to size 3 each term's masks
+    are looked up as an int id once, and the pair loop reads d1 ∘ d2 and l,
+    packed in one int, from the per-process product table of that size (see
+    ``_ProductTable``), composing only the pairs not yet in it; past size 3
+    every pair is composed.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
@@ -432,18 +524,11 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     right = {}
     for d2, j2, c2, p2 in entries_b:
         right.setdefault((j2, p2), []).append((d2._masks, c2))
-    grouped = {}  # (power of xi, poly) -> {(masks, loops): sum}
-    for d1, j1, c1, p1 in entries_a:
-        left = tuple(m << k for m in d1._masks)
-        for (j2, p2), pairs in right.items():
-            group = grouped.setdefault((j1 + j2, p1 or p2), {})
-            for masks2, c2 in pairs:
-                key = _compose_masks(k, left, masks2)
-                group[key] = group.get(key, 0) + c1 * c2
+    sums = _sums_from_table if k <= _MAX_TABLED_SIZE else _sums_by_composing
     # at most k loops, each holding a vertex of the middle row
     acc = _Coeffs(degree_a + degree_b + k + 1)
-    for (j, p), group in grouped.items():
-        for (masks, loops), c in group.items():
+    for (j, p), group in sums(k, entries_a, right).items():
+        for (masks, loops), c in group:
             acc[masks][j + loops] += c
             if p or j + loops:
                 acc.poly.add(masks)

@@ -33,10 +33,16 @@ LIMITS = {
     "path enumeration": Limit("paths", 200_000),
     "coarsenings": Limit("blocks", 10),
     "rook tower": Limit("levels", 32),
+    # measured on ``mult --n 14``, whose characters add about 7 s to the graph
+    "tensor-step graph": Limit("vertices", 25_000),
+    # rhat(m, m) has more than 25,000 vertices past m = 23, so this row refuses
+    # nothing the one above accepts; checked first, it keeps that count cheap
+    "tensor-step shapes": Limit("min(n, levels)", 23),
     "propagating tower": Limit("level", 30),
     "rook irreducibles": Limit("n", 40),
     "propagating irreducibles": Limit("level", 17),
     "tensor multiplicities": Limit("n", 14),
+    "tensor power": Limit("k", 2_000),
     "rook-jm": Limit("n^3 (10 f_lambda dim + n)", 39_000_000),
 }
 

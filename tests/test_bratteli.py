@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from rookpart import bratteli
 from rookpart.bratteli import HALF, GraphPath, ihat, path_to_tableau, rhat, rook_tower, tableau_to_path
 from rookpart.combinat import f_lambda, partitions_upto, standard_tableaux, stirling2
 from rookpart.characters import tensor_multiplicities
 from rookpart.diagram import enumerate_monoid
+from rookpart.limits import LIMITS
 
 
 def test_rook_tower_shape():
@@ -138,3 +140,13 @@ def test_dot_and_json_outputs_are_deterministic():
     assert dot.startswith("graph ihat {") and dot.endswith("}")
     payload = g.to_json_dict()
     assert payload["levels"] == ["1/2", "1", "3/2", "2"]
+
+
+def test_rhat_vertex_count_matches_the_graph():
+    for n in range(1, 7):
+        for kmax in range(1, 9):
+            graph = rhat(n, kmax)
+            assert bratteli._rhat_vertices(n, kmax) == sum(len(v) for v in graph.vertices)
+    # the shapes row refuses nothing the graph row accepts
+    shapes, graph = LIMITS["tensor-step shapes"].value, LIMITS["tensor-step graph"].value
+    assert bratteli._rhat_vertices(shapes, shapes) <= graph < bratteli._rhat_vertices(shapes + 1, shapes + 1)

@@ -56,6 +56,14 @@ def test_mult_three_ways(capsys):
     assert lines[0] == {"character": 3, "paths": 3, "stirling_formula": 3}
 
 
+def test_mult_at_a_thousand_tensor_factors(capsys):
+    # stirling2 once recursed once per factor and crashed here
+    assert run_cli(capsys, "mult", "--lambda", "1", "--k", "1000", "--n", "3") == (
+        0,
+        '{"character": 1, "paths": 1, "stirling_formula": 1}\n',
+    )
+
+
 def test_dims(capsys):
     code, lines = run_json(capsys, "dims", "--n", "2", "--t", "3/2")
     assert code == 0
@@ -121,6 +129,26 @@ REFUSALS = [
         ["mult", "--lambda", "1", "--k", "3", "--n", "30"],
         "tensor multiplicities: n = 30 exceeds the limit 14",
         [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
+    ),
+    (
+        ["mult", "--lambda", "1", "--k", "3000", "--n", "3"],
+        "tensor power: k = 3000 exceeds the limit 2000",
+        [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
+    ),
+    (
+        ["mult", "--lambda", "1", "--k", "100", "--n", "14"],
+        "tensor-step graph: vertices = 45358 exceeds the limit 25000",
+        [(combinat, "stirling2"), (bratteli, "GradedGraph"), (characters, "tensor_multiplicities")],
+    ),
+    (
+        ["bratteli", "--kind", "rhat", "--levels", "30", "--n", "30"],
+        "tensor-step shapes: min(n, levels) = 30 exceeds the limit 23",
+        [(bratteli, "partitions_upto"), (bratteli, "GradedGraph")],
+    ),
+    (
+        ["bratteli", "--kind", "rhat", "--levels", "5000", "--n", "3"],
+        "tensor-step graph: vertices = 29992 exceeds the limit 25000",
+        [(bratteli, "partitions_upto"), (bratteli, "GradedGraph")],
     ),
     (
         ["bratteli", "--kind", "rook", "--levels", "40"],

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from math import comb, factorial
 
 import hypothesis.strategies as st
@@ -151,11 +153,27 @@ def test_set_partitions_examples():
     assert all(len(p) >= 2 for p in set_partitions(4, min_blocks=2))
 
 
+def _stirling_by_recurrence(k, r):
+    if k == 0:
+        return 1 if r == 0 else 0
+    if r == 0:
+        return 0
+    return r * _stirling_by_recurrence(k - 1, r) + _stirling_by_recurrence(k - 1, r - 1)
+
+
+def test_stirling_runs_far_past_the_recursion_limit():
+    k = 3 * sys.getrecursionlimit()
+    assert stirling2(k, 1) == 1
+    assert stirling2(k, 2) == 2 ** (k - 1) - 1
+    assert stirling2(k, 3) == (3 ** (k - 1) - 2**k + 1) // 2
+    assert stirling2(k, k + 1) == 0
+
+
 def test_stirling_matches_enumeration():
-    for k in range(1, 6):
-        for r in range(k + 1):
-            found = sum(1 for p in set_partitions(k) if len(p) == r)
-            assert found == stirling2(k, r)
+    for k in range(1, 11):
+        blocks = Counter(len(p) for p in set_partitions(k))
+        for r in range(k + 2):
+            assert stirling2(k, r) == _stirling_by_recurrence(k, r) == blocks[r], (k, r)
 
 
 def test_max_entry_order():

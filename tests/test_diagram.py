@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from rookpart import diagram
-from rookpart.combinat import canonical_set_partition
+from rookpart.combinat import bell, canonical_set_partition
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -737,6 +737,77 @@ def test_diagram_product_matches_bilinear_oracle_past_a3():
         for _ in range(10):
             y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
             _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+
+
+# --- the product table of sizes 1..3 -------------------------------------------
+
+
+def test_product_table_matches_the_oracles_on_miss_and_hit(monkeypatch):
+    diagram._product_table.cache_clear()
+    compose_masks = diagram._compose_masks
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose_masks(*args)
+
+    monkeypatch.setattr(diagram, "_compose_masks", counted)
+    pairs = [(a, b) for k in (1, 2) for a in enumerate_monoid("A", k) for b in enumerate_monoid("A", k)]
+    pairs += _sampled_a3_pairs(300, 23)
+    for fills in (len(set(pairs)), 0):  # the miss path, then the hit path
+        calls.clear()
+        for d1, d2 in pairs:
+            got = diagram_product(AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2))
+            _assert_same_sum(got, _oracle_diagram_pair(d1, d2))
+            masks, loops = compose_masks(d1.size, [m << d1.size for m in d1._masks], d2._masks)
+            table = diagram._product_table(d1.size)
+            cell = table.cells[table[d1._masks] * table.cap + table[d2._masks]]
+            assert divmod(cell, d1.size + 1) == (table[masks], loops), (d1, d2)
+            ((d, _),) = got.sum.items()
+            assert d._masks == masks
+        assert len(calls) == fills
+
+
+def test_product_table_serves_half_levels_at_size_3():
+    diagram._product_table.cache_clear()
+    rng = random.Random(53)
+    pool = [_random_diagram(rng, 3, half=True) for _ in range(30)] + list(enumerate_monoid("I_half", 2))
+    for _ in range(40):
+        y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
+        # the same masks at the integer level fill the cells the half product then reads
+        whole = [AlgebraElement(3, "diagram", [(d.with_half(False), c) for d, c in y.sum.terms()])
+                 for y in (y1, y2)]
+        assert not any(d.half for d, _ in diagram_product(*whole).sum.terms())
+        got = diagram_product(y1, y2)
+        assert got.half and all(d.half and is_half(d) for d, _ in got.sum.terms())
+        _assert_same_sum(got, y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+
+
+def test_product_table_cells_stay_within_bell_squared():
+    diagram._product_table.cache_clear()
+    for k in (1, 2, 3):
+        monoid = enumerate_monoid("A", k)
+        table = diagram._product_table(k)
+        assert table.cap == bell(2 * k) == len(monoid)
+        ids = [table[d._masks] for d in monoid]
+        for i in ids:
+            for j in ids:
+                table.fill(i, j)
+        # composition stays inside A_k, so no id reaches the cap
+        assert len(table) == len(table.masks) == bell(2 * k)
+        assert len(table.cells) == bell(2 * k) ** 2
+        assert min(table.cells) >= 0 and max(table.cells) < bell(2 * k) * (k + 1)
+
+
+def test_size_4_products_allocate_no_table():
+    diagram._product_table.cache_clear()
+    rng = random.Random(59)
+    pool = [_random_diagram(rng, 4) for _ in range(20)]
+    y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
+    _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+    assert diagram._product_table.cache_info().currsize == 0
+    diagram_product(AlgebraElement.one(3), AlgebraElement.one(3))
+    assert diagram._product_table.cache_info().currsize == 1
 
 
 def _oracle_coarser(c, d):

@@ -69,7 +69,19 @@ def format_exact(value) -> object:
 
 
 def emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    """Print payload as one JSON line.  An exact result such as ``mult``'s
+    S(k, |lambda|) f_lambda can pass Python's limit on the digits of an int
+    turned into a string, so the limit is lifted while this line is made."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7 has no limit
+        print(json.dumps(payload, sort_keys=True))
+        return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        line = json.dumps(payload, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    print(line)
 
 
 def _cmd_compose(args) -> int:
@@ -141,6 +153,7 @@ def _cmd_mult(args) -> int:
     n, k = args.n, args.k
     check("tensor multiplicities", n)
     check("tensor power", k)
+    check("shape size", sum(lam))
     # the graph comes first, so its limits refuse before any other work
     graph = bratteli.rhat(n, k) if lam and sum(lam) <= min(k, n) else None
     stirl = combinat.stirling2(k, sum(lam)) * combinat.f_lambda(lam)

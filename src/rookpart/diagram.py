@@ -49,7 +49,14 @@ constant, as the same sum of Fractions and XiPolys would be; results carry
 Fraction or XiPoly coefficients, never ints.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
-diagrams of I_4), their closure checked against the enumeration once.
+diagrams of I_4), and their closure is the one listing of the monoid, made
+once per process and read by ``enumerate_monoid`` as well: a breadth-first
+closure on block-mask tuples, where e and f are composed on masks and each
+s_i swaps two bottom bits, with one diagram built per element.  Two checks,
+always on, prove it is the monoid without listing it a second way: every
+element is totally propagating (with k+1 and (k+1)' joined at a half level),
+and there are as many as the closed form counts, sum over r of S(k,r)^2 r!
+for I_k and of S(k+1,r)^2 (r-1)! for I_{k+1/2}.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from functools import cache
 from itertools import combinations, permutations, repeat
 from math import factorial, prod
 
-from .combinat import bell, canonical_set_partition, set_partitions
+from .combinat import bell, canonical_set_partition, set_partitions, stirling2
 from .formal import FormalSum
 from .limits import check
 from .scalars import XI, XiPoly, falling_factorial
@@ -684,8 +691,13 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
     """Complete enumeration of A_k, I_k or I_{k+1/2} (kind "A", "I", "I_half").
 
     For "I_half" the argument k is the integer below the half level, so the
-    diagrams have size k+1 and carry the half flag.
+    diagrams have size k+1 and carry the half flag.  I_k and I_{k+1/2} are
+    a fresh copy of the one cached listing that ``generating_set`` also
+    reads: the closure of the named generators, checked by membership and by
+    its closed-form size.
     """
+    if kind in ("I", "I_half"):
+        return list(_listing(kind, k)[0])
     if k < 1:
         raise ValueError(f"cannot enumerate a monoid of kind {kind!r} at k = {k}: need k >= 1")
     if kind == "A":
@@ -696,31 +708,62 @@ def enumerate_monoid(kind: str, k: int) -> list[PartitionDiagram]:
             blocks = [tuple(verts[i - 1] for i in b) for b in part]
             out.append(PartitionDiagram(k, blocks))
         return sorted(set(out))
-    if kind == "I":
-        check("I_k enumeration", k)
-        return _enumerate_propagating(k, half=False)
-    if kind == "I_half":
-        check("I_k enumeration", k + 1)
-        return _enumerate_propagating(k + 1, half=True)
     raise ValueError(f"unknown monoid kind {kind!r}")
 
 
-@cache
 def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
     """Named generators of I_k (kind "I") or I_{k+1/2} (kind "I_half"), each
     fixing the places {i, i'} it does not name, and left out if it names a
     place outside 1..size: for I_k, e = {1,2,1',2'}, f = {1,2,1'} ∪ {3,2',3'}
     and s_1, ..., s_{k-1} (I_1 has its identity); for I_{k+1/2}, of size k+1,
     e_k = {k,k+1,k',(k+1)'}, f_{k-1} = {k-1,k,(k-1)'} ∪ {k+1,k',(k+1)'}, its
-    transpose and s_1, ..., s_{k-1}.  Their closure from the identity under
-    ``compose`` is checked against the enumeration on every first call; a
-    mismatch raises RuntimeError naming the first diagram missing from (or
-    extra in) the closure.
+    transpose and s_1, ..., s_{k-1}.  Their closure from the identity is the
+    monoid's listing (``enumerate_monoid``), made once per process and
+    checked on every miss: each element is in the monoid, and there are as
+    many as the closed form counts; a failure raises RuntimeError naming the
+    first diagram outside the monoid or missing from the closure.
     """
     if kind not in ("I", "I_half"):
         raise ValueError(f"no named generators for monoid kind {kind!r}")
-    monoid = enumerate_monoid(kind, k)
-    size, half = monoid[0].size, monoid[0].half
+    return _listing(kind, k)[1]
+
+
+def _listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], tuple[PartitionDiagram, ...]]:
+    """The sorted monoid and its generators, after the size checks, which
+    run on every call since ``ROOKPART_ENUM_CAP`` is read per call."""
+    if k < 1:
+        raise ValueError(f"cannot enumerate a monoid of kind {kind!r} at k = {k}: need k >= 1")
+    check("I_k enumeration", k + 1 if kind == "I_half" else k)
+    return _closure_listing(kind, k)
+
+
+def _swap_bottom(masks: tuple, p: int) -> tuple:
+    """Masks of d ∘ s_i from d's masks, p = size-i-1: s_i moves d's bottom
+    vertices -i and -(i+1), bits p+1 and p, to each other's place."""
+    both = 3 << p
+    return tuple(sorted([m ^ ((m >> p ^ m >> p + 1) & 1) * both for m in masks], reverse=True))
+
+
+def _closed_form_size(kind: str, k: int) -> int:
+    """|I_k| = sum over r of S(k,r)^2 r! (top and bottom partitions into r
+    blocks, matched by a bijection); |I_{k+1/2}| = sum of S(k+1,r)^2 (r-1)!,
+    the block of k+1 and (k+1)' being matched already."""
+    if kind == "I":
+        return sum(stirling2(k, r) ** 2 * factorial(r) for r in range(1, k + 1))
+    return sum(stirling2(k + 1, r) ** 2 * factorial(r - 1) for r in range(1, k + 2))
+
+
+@cache
+def _closure_listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], tuple[PartitionDiagram, ...]]:
+    """Breadth-first closure of the named generators from the identity, on
+    block-mask tuples, under right multiplication.  e and f (e_k, f_{k-1}
+    and its transpose) are composed with ``_compose_masks``; s_i only moves
+    the bottom vertex -i to -(i+1) and back, a swap of bottom bits size-i and
+    size-i-1.  Each element becomes one diagram, sorted once.  The closure
+    lies in the monoid if every element passes the membership test, and is
+    then the whole monoid if its size is the closed form's; only a shortfall
+    lists the monoid again, to name the first diagram missing."""
+    size, half = (k + 1, True) if kind == "I_half" else (k, False)
 
     def named(*blocks):
         rest = set(range(1, size + 1)).difference(abs(v) for b in blocks for v in b)
@@ -733,19 +776,34 @@ def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
         named_blocks = [[(k, k + 1, -k, -k - 1)], f, [tuple(-v for v in b) for b in f]]
     else:
         named_blocks = [[(1, 2, -1, -2)], [(1, 2, -1), (3, -2, -3)]]
-    named_blocks += [[(i, -i - 1), (i + 1, -i)] for i in range(1, k)]
-    gens = [named(*b) for b in named_blocks if all(0 < abs(v) <= size for c in b for v in c)] or [named()]
-    closure = new = {named()}
-    while new:
-        new = {compose(x, g)[0] for x in new for g in gens} - closure
-        closure |= new
-    missing = [d for d in monoid if d not in closure]
-    if missing:
-        raise RuntimeError(f"generators of {kind} at {k} miss the diagram {missing[0]}")
-    extra = closure.difference(monoid)
-    if extra:
-        raise RuntimeError(f"generators of {kind} at {k} give the diagram {min(extra)} outside it")
-    return tuple(gens)
+    composed = [named(*b) for b in named_blocks if all(0 < abs(v) <= size for c in b for v in c)]
+    swapped = [named((i, -i - 1), (i + 1, -i)) for i in range(1, k)]
+    one = named()
+    right = [g._masks for g in composed]
+    shifts = [size - i - 1 for i in range(1, k)]
+    seen = {one._masks}
+    todo = [one._masks]
+    while todo:
+        new = []
+        for x in todo:
+            left = [m << size for m in x]
+            products = [_compose_masks(size, left, g)[0] for g in right]
+            products += [_swap_bottom(x, p) for p in shifts]
+            for y in products:
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        todo = new
+    monoid = sorted((PartitionDiagram._from_masks(size, m, half) for m in seen), key=lambda d: d.blocks)
+    outside = [d for d in monoid if not is_totally_propagating(d) or (half and not is_half(d))]
+    if outside:
+        raise RuntimeError(f"generators of {kind} at {k} give the diagram {outside[0]} outside it")
+    # inside the monoid, the closure is all of it exactly when it is as large
+    if len(monoid) < _closed_form_size(kind, k):
+        listed = set(monoid)
+        missing = next(d for d in _enumerate_propagating(size, half) if d not in listed)
+        raise RuntimeError(f"generators of {kind} at {k} miss the diagram {missing}")
+    return tuple(monoid), tuple(composed + swapped or [one])
 
 
 def _enumerate_propagating(k: int, half: bool) -> list[PartitionDiagram]:

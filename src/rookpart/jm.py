@@ -173,7 +173,8 @@ def verify_centrality(t) -> dict:
     """Check Z and Z~ commute with the named generators of the level-t monoid
     (``diagram.generating_set``), which makes them central, since the monoid
     spans the algebra, and that all M, M~ up to t commute pairwise.
-    ``diagram_count`` is the size of the monoid."""
+    ``diagram_count`` is the size of the monoid, read from the same cached
+    listing as the generators, so the monoid is listed once."""
     t = as_level(t)
     size, half = size_and_half(t)
     kind, k = ("I_half", size - 1) if half else ("I", size)

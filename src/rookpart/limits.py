@@ -43,6 +43,8 @@ LIMITS = {
     "propagating irreducibles": Limit("level", 17),
     "tensor multiplicities": Limit("n", 14),
     "tensor power": Limit("k", 2_000),
+    # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
+    "shape size": Limit("|lambda|", 120_000),
     "rook-jm": Limit("n^3 (10 f_lambda dim + n)", 39_000_000),
 }
 

@@ -158,7 +158,9 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     A matrix commutes with the action of a monoid as soon as it commutes with
     the action of a generating set, so the commutant in (b) is taken over the
     rook generators s_i, P_1 (``rook.generators``), and the commutant in (c)
-    over the named diagrams of ``diagram.generating_set``.
+    over the named diagrams of ``diagram.generating_set``.  The monoid and
+    its generators come from one cached listing, their closure, so the
+    monoid is listed once.
     The images are spanned over every orbit diagram and every rook element,
     so the sizes are bounded by the "tensor space", "R_n enumeration" and
     "I_k enumeration" limits, all checked before any elimination.

@@ -6,7 +6,9 @@ criterion, or ``rookpart verify`` for the JSON equivalent.
 
 import pytest
 
+from rookpart import diagram, jm, tensor
 from rookpart.acceptance import CRITERIA, run_criteria
+from rookpart.diagram import AlgebraElement
 
 
 @pytest.mark.parametrize(
@@ -29,3 +31,58 @@ def test_every_criterion_is_registered():
 def test_run_criteria_rejects_unknown_numbers():
     with pytest.raises(ValueError, match=r"unknown criterion numbers: \[0, 99\]"):
         run_criteria([99, 1, 0])
+
+
+# --- planted faults: each criterion fails, and its detail names the witness ---
+
+
+def _record(number):
+    (record,) = run_criteria([number])
+    assert not record["ok"]
+    return record["detail"]
+
+
+def test_criterion_9_fails_when_the_diagram_generators_lose_e_and_f(monkeypatch):
+    real = tensor.generating_set
+
+    def only_the_s_i(kind, k):
+        # the s_i are the generators with as many blocks as places
+        return tuple(g for g in real(kind, k) if g.n_blocks() == g.size)
+
+    monkeypatch.setattr(tensor, "generating_set", only_the_s_i)
+    detail = _record(9)
+    assert detail.startswith("report fails at n=2, k=2, half=False: ")
+    assert "'psi_image_dim': 6, 'phi_commutant_dim': 10," in detail
+
+
+def test_criterion_11_fails_when_z_keeps_one_term(monkeypatch):
+    real = jm.build_z
+
+    def first_term(t):
+        z = real(t)
+        d, c = next(iter(z.sum.terms()))
+        return AlgebraElement(z.size, "orbit", [(d, c)], z.half)
+
+    monkeypatch.setattr(jm, "build_z", first_term)
+    assert _record(11).startswith("level 5/2: ['Z at level 5/2 does not commute with [[1,2,-1],[3,-2,-3]]'")
+
+
+def test_criterion_14_fails_when_the_half_monoid_loses_a_diagram(monkeypatch):
+    real = diagram.enumerate_monoid
+
+    def loses_the_last(kind, k):
+        monoid = real(kind, k)
+        return monoid[:-1] if (kind, k) == ("I_half", 2) else monoid
+
+    monkeypatch.setattr(diagram, "enumerate_monoid", loses_the_last)
+    assert _record(14) == "sum of squares at level 5/2 is 12 != 11"
+
+
+def test_criterion_14_fails_when_the_listing_skips_the_s_i(monkeypatch):
+    # the half monoids are listed anew with the fault, and again after it
+    diagram._closure_listing.cache_clear()
+    monkeypatch.setattr(diagram, "_swap_bottom", lambda masks, p: masks)
+    try:
+        assert _record(14) == "RuntimeError: generators of I_half at 2 miss the diagram [[1,-2],[2,-1],[3,-3]]"
+    finally:
+        diagram._closure_listing.cache_clear()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rookpart import bratteli, characters, combinat, diagram, jm, rook, seminormal, tensor
-from rookpart.cli import main
+from rookpart.cli import emit, main
 from rookpart.limits import LIMITS
 
 
@@ -62,6 +62,33 @@ def test_mult_at_a_thousand_tensor_factors(capsys):
         0,
         '{"character": 1, "paths": 1, "stirling_formula": 1}\n',
     )
+
+
+def test_emit_prints_ints_past_the_digit_limit_and_restores_it(capsys):
+    before = sys.get_int_max_str_digits()
+    big = 7 * 10**4999 + 1
+    emit({"value": big})
+    assert capsys.readouterr().out == '{"value": 7' + "0" * 4998 + '1}\n'
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(TypeError):
+        emit({"value": big, "set": {1}})
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_mult_prints_a_stirling_product_of_thousands_of_digits(capsys):
+    # S(2000, 300) f_(150,150) has 4,427 digits, past Python's default 4,300
+    code, out = run_cli(capsys, "mult", "--lambda", "150,150", "--k", "2000", "--n", "3")
+    assert code == 0
+    digits = out.split('"stirling_formula": ')[1].rstrip("}\n")
+    assert len(digits) == 4427
+    assert out.startswith('{"character": 0, "paths": 0, ')
+    expected = combinat.stirling2(2000, 300) * combinat.f_lambda((150, 150))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == expected
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_dims(capsys):
@@ -136,6 +163,11 @@ REFUSALS = [
         [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
     ),
     (
+        ["mult", "--lambda", "130000", "--k", "3", "--n", "3"],
+        "shape size: |lambda| = 130000 exceeds the limit 120000",
+        [(combinat, "f_lambda"), (combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
+    ),
+    (
         ["mult", "--lambda", "1", "--k", "100", "--n", "14"],
         "tensor-step graph: vertices = 45358 exceeds the limit 25000",
         [(combinat, "stirling2"), (bratteli, "GradedGraph"), (characters, "tensor_multiplicities")],
@@ -175,7 +207,7 @@ REFUSALS = [
     (
         ["jm", "--t", "11/2", "--verify"],
         "I_k enumeration: diagram size = 6 exceeds the limit 5",
-        [(diagram, "_enumerate_propagating"), (jm, "build_z")],
+        [(diagram, "_closure_listing"), (jm, "build_z")],
     ),
 ]
 

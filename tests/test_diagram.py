@@ -848,6 +848,20 @@ def _closure(gens, one):
     return seen
 
 
+def _oracle_monoid(kind, k):
+    """I_k or I_{k+1/2} from every top and bottom partition and matching."""
+    half = kind == "I_half"
+    return diagram._enumerate_propagating(k + half, half)
+
+
+@pytest.fixture
+def fresh_listing():
+    """Lists the monoids anew inside the test, and again after it."""
+    diagram._closure_listing.cache_clear()
+    yield
+    diagram._closure_listing.cache_clear()
+
+
 @pytest.mark.parametrize(
     "kind, k, count",
     [
@@ -863,7 +877,8 @@ def _closure(gens, one):
     ],
 )
 def test_generating_set_closes_to_the_monoid(kind, k, count):
-    monoid = enumerate_monoid(kind, k)
+    monoid = _oracle_monoid(kind, k)
+    assert enumerate_monoid(kind, k) == monoid
     gens = generating_set(kind, k)
     assert len(gens) == count
     assert all(g in monoid for g in gens)
@@ -895,33 +910,91 @@ def test_generating_set_refuses_kinds_without_named_generators():
             generating_set(kind, 2)
 
 
-def test_generating_set_names_a_missing_diagram(monkeypatch):
+def test_generating_set_names_a_missing_diagram(monkeypatch, fresh_listing):
     merge = D("[[1,2,-1,-2]]")
-    real = diagram.compose
+    real = diagram._compose_masks
 
-    def loses_merge(d1, d2):
-        out, loops = real(d1, d2)
-        return (PartitionDiagram.identity(2), loops) if out == merge else (out, loops)
+    def loses_merge(k, left, right):
+        masks, loops = real(k, left, right)
+        return (PartitionDiagram.identity(2)._masks, loops) if masks == merge._masks else (masks, loops)
 
-    generating_set.cache_clear()
-    monkeypatch.setattr(diagram, "compose", loses_merge)
-    try:
-        with pytest.raises(RuntimeError, match=r"miss the diagram \[\[1,2,-1,-2\]\]"):
-            generating_set("I", 2)
-    finally:
-        generating_set.cache_clear()
+    monkeypatch.setattr(diagram, "_compose_masks", loses_merge)
+    with pytest.raises(RuntimeError, match=r"miss the diagram \[\[1,2,-1,-2\]\]"):
+        generating_set("I", 2)
 
 
-def test_generating_set_names_an_extra_diagram(monkeypatch):
-    real = diagram.enumerate_monoid
+def test_generating_set_names_an_extra_diagram(monkeypatch, fresh_listing):
+    # the membership test is wrong about the identity, s_1 s_1
+    real = diagram.is_totally_propagating
     one = PartitionDiagram.identity(3)
-    generating_set.cache_clear()
-    monkeypatch.setattr(diagram, "enumerate_monoid", lambda kind, k: [d for d in real(kind, k) if d != one])
-    try:
-        with pytest.raises(RuntimeError, match=r"give the diagram \[\[1,-1\],\[2,-2\],\[3,-3\]\] outside"):
-            generating_set("I", 3)
-    finally:
-        generating_set.cache_clear()
+    monkeypatch.setattr(diagram, "is_totally_propagating", lambda d: d != one and real(d))
+    with pytest.raises(RuntimeError, match=r"give the diagram \[\[1,-1\],\[2,-2\],\[3,-3\]\] outside"):
+        generating_set("I", 3)
+
+
+@pytest.mark.parametrize(
+    "kind, k, product, bad, named",
+    [
+        # id ∘ e comes out with a block on each row alone
+        ("I", 3, "[[1,2,-1,-2],[3,-3]]", "[[1,2],[3,-3],[-1,-2]]", "[[1,2],[3,-3],[-1,-2]]"),
+        # id ∘ e_2 comes out totally propagating but with 3 and 3' apart; the error
+        # names the least of the diagrams outside I_{2+1/2} that the closure reaches
+        ("I_half", 2, "[[1,-1],[2,3,-2,-3]]", "[[1,-1],[2,-3],[3,-2]]", "[[1,-2],[2,-3],[3,-1]]"),
+    ],
+)
+def test_listing_names_a_composed_diagram_outside_the_monoid(
+    monkeypatch, fresh_listing, kind, k, product, bad, named
+):
+    real = diagram._compose_masks
+
+    def leaves_the_monoid(size, left, right):
+        masks, loops = real(size, left, right)
+        return (D(bad)._masks, loops) if masks == D(product)._masks else (masks, loops)
+
+    monkeypatch.setattr(diagram, "_compose_masks", leaves_the_monoid)
+    with pytest.raises(RuntimeError) as raised:
+        generating_set(kind, k)
+    assert str(raised.value) == f"generators of {kind} at {k} give the diagram {named} outside it"
+
+
+@pytest.mark.parametrize("kind, k", [("I", 4), ("I_half", 3), ("A", 3)])
+def test_bottom_bit_swap_is_composing_with_s_i(kind, k):
+    # A_3 adds diagrams whose blocks the swap reorders
+    monoid = enumerate_monoid(kind, k)
+    size, half = monoid[0].size, monoid[0].half
+    for i in range(1, k):
+        fixed = [(j, -j) for j in range(1, size + 1) if j not in (i, i + 1)]
+        s = PartitionDiagram(size, [(i, -i - 1), (i + 1, -i), *fixed], half)
+        for x in monoid:
+            assert diagram._swap_bottom(x._masks, size - i - 1) == compose(x, s)[0]._masks
+
+
+def test_closed_form_sizes_are_the_oracle_counts():
+    for k in (1, 2, 3, 4, 5):
+        assert diagram._closed_form_size("I", k) == len(_oracle_monoid("I", k))
+    for k in (1, 2, 3, 4):
+        assert diagram._closed_form_size("I_half", k) == len(_oracle_monoid("I_half", k))
+    # one level past the enumeration row: the squared path counts at level 11/2 and 6
+    assert (diagram._closed_form_size("I_half", 5), diagram._closed_form_size("I", 6)) == (48_032, 179_643)
+
+
+def test_a_mutated_listing_does_not_leak_into_the_next_call():
+    for kind, k in (("I", 3), ("I_half", 2)):
+        listed = enumerate_monoid(kind, k)
+        first = listed[0]
+        listed.clear()
+        again = enumerate_monoid(kind, k)
+        assert again == _oracle_monoid(kind, k) and again[0] == first
+
+
+def test_the_listing_never_runs_the_oracle_when_it_closes(monkeypatch, fresh_listing):
+    def no_oracle(*args):
+        raise AssertionError("the oracle listed the monoid")
+
+    monkeypatch.setattr(diagram, "_enumerate_propagating", no_oracle)
+    assert [len(enumerate_monoid("I", k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 25, 339, 6721]
+    assert [len(generating_set("I_half", k)) for k in (1, 2, 3, 4)] == [1, 4, 5, 6]
+    assert [len(enumerate_monoid("I_half", k)) for k in (1, 2, 3, 4)] == [2, 12, 128, 2100]
 
 
 # --- oracles: recursive basis inversion and the filtered half monoid ----------
@@ -961,5 +1034,5 @@ def test_from_orbit_matches_recursive_inversion_on_mixed_sums():
 
 def test_half_monoid_matches_the_filtered_propagating_monoid():
     for k in (1, 2, 3, 4):
-        filtered = sorted(d.with_half(True) for d in enumerate_monoid("I", k + 1) if is_half(d))
+        filtered = sorted(d.with_half(True) for d in _oracle_monoid("I", k + 1) if is_half(d))
         assert enumerate_monoid("I_half", k) == filtered

@@ -342,7 +342,8 @@ def is_standard_spt(t, k: int) -> bool:
     if not is_standard_set_tableau(t):
         return False
     entries = sorted(e for row in t for b in row for e in b)
-    return entries == list(range(1, k + 1))
+    # the count first, so a large k builds no range
+    return len(entries) == k and entries == list(range(1, k + 1))
 
 
 def standard_spt_tableaux(lam: Partition, k: int) -> list[SetTableau]:

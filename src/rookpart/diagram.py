@@ -26,12 +26,14 @@ Products do only the work whose result they keep:
   top or bottom bits are the loops.
 - ``diagram_product`` sums coefficient products per (result masks, loop
   count) and adds each such sum at its power of xi once.  Up to size 3 it
-  reads each pair's result from a per-size product table, kept for the
-  process and filled by composing a pair's masks on its first use: each
-  block-mask tuple gets a small int id, and one int cell per pair of ids
-  holds the result's id times k+1 plus its loop count, so the table is at
-  most Bell(2k)^2 cells (41,209 at size 3, 165 KB).  Past size 3 a table
-  could need Bell(8)^2, about 17M cells, and pairs repeat less, so each pair
+  reads each pair's result from a per-size product table, built whole on
+  first use and kept for the process: A_k is listed as a generator tree, the
+  breadth-first closure of the identity under right multiplication by s_i,
+  p_1 and b_1, so only the diagram-times-generator cells are composed (812
+  at size 3), and every other cell takes two reads of cells already filled.
+  One int cell per pair holds the result's id times k+1 plus its loop count,
+  Bell(2k)^2 cells in all (41,209 at size 3, 165 KB).  Past size 3 a table
+  would need Bell(8)^2, about 17M cells, and pairs repeat less, so each pair
   is composed as it comes.
 - ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
   value, for the latter) over one cached table of a diagram's coarsenings,
@@ -434,37 +436,76 @@ class _Coeffs(dict):
 _MAX_TABLED_SIZE = 3
 
 
-class _ProductTable(dict):
-    """The compositions of the diagrams of one size k, each formed once.
+def _named(size: int, half: bool, *blocks) -> PartitionDiagram:
+    """The diagram with the given blocks, fixing each place {i, i'} they do not name."""
+    rest = set(range(1, size + 1)).difference(abs(v) for b in blocks for v in b)
+    return PartitionDiagram(size, [*blocks, *((i, -i) for i in rest)], half)
 
-    The table maps each block-mask tuple to a small int id, given in the
-    order first seen, and ``masks`` lists the tuples by id.  The cell
-    ``i * cap + j`` of ``cells`` holds ``id(d_i ∘ d_j) * (k+1) + loops``
-    (there are at most k loops), or -1 until that pair is first composed.
-    ``cap`` is Bell(2k), the number of diagrams of size k, so ids stay below
-    it and there are Bell(2k)^2 cells: 41,209 at size 3.
+
+def _a_generators(k: int) -> list[tuple]:
+    """Masks of s_1, ..., s_{k-1}, p_1 = {1},{1'} and b_1 = {1,2,1',2'} (k >= 2),
+    which generate the partition monoid A_k up to powers of xi (Halverson and
+    Ram, "Partition algebras", European J. Combin. 26, 2005)."""
+    gens = [_named(k, False, (i, -i - 1), (i + 1, -i)) for i in range(1, k)]
+    gens.append(_named(k, False, (1,), (-1,)))
+    if k >= 2:
+        gens.append(_named(k, False, (1, 2, -1, -2)))
+    return [g._masks for g in gens]
+
+
+class _ProductTable(dict):
+    """The products of all diagrams of one size k, built whole.
+
+    A_k is listed as a generator tree: a breadth-first closure from the
+    identity under right multiplication by the generators of
+    ``_a_generators``.  Ids are given in the order found, and the table maps
+    each block-mask tuple to its id; ``masks`` lists the tuples by id.  Each
+    d_j past the identity was first found as d_p ∘ g = xi^l d_j with p < j.
+    The cell ``i * cap + j`` of ``cells`` holds ``id(d_i ∘ d_j) * (k+1) +
+    loops`` (there are at most k loops); ``cap`` is Bell(2k), the number of
+    diagrams of size k, so there are Bell(2k)^2 cells: 41,209 at size 3.
+
+    The closure composes each d_i with each generator, Bell(2k) * |gens|
+    compositions (812 at size 3), and no other pair is composed.  By
+    associativity, d_i d_j = xi^-l (d_i d_p) g, so the column of d_j is filled
+    from the column of its parent d_p and that of g, in id order: cell(i, j)
+    = gen_g[cell(i, p) // (k+1)] + cell(i, p) % (k+1) - l.  Every closure
+    element is a diagram of size k, so the closure is all of A_k exactly when
+    it has Bell(2k) elements; this is checked on every build, and a shortfall
+    raises RuntimeError naming the size reached.
     """
 
     __slots__ = ("size", "cap", "masks", "cells")
 
     def __init__(self, size: int):
         super().__init__()
-        self.size = size
-        self.cap = bell(2 * size)
-        self.masks = []
-        self.cells = array("i", [-1]) * (self.cap * self.cap)
-
-    def __missing__(self, masks: tuple) -> int:
-        i = self[masks] = len(self.masks)
-        self.masks.append(masks)
-        return i
-
-    def fill(self, i: int, j: int) -> int:
-        """Compose d_i with d_j and store the packed result in its cell."""
-        k = self.size
-        masks, loops = _compose_masks(k, [m << k for m in self.masks[i]], self.masks[j])
-        cell = self.cells[i * self.cap + j] = self[masks] * (k + 1) + loops
-        return cell
+        k = self.size = size
+        width = k + 1
+        cap = self.cap = bell(2 * k)
+        gens = _a_generators(k)
+        one = PartitionDiagram.identity(k)._masks
+        self[one] = 0
+        self.masks = [one]
+        tree = [None]  # (parent id, generator, loops) of each id
+        columns = [[] for _ in gens]  # columns[g][i]: the cell of d_i ∘ g
+        for i, x in enumerate(self.masks):  # ids found here join the walk
+            left = [m << k for m in x]
+            for g, (right, column) in enumerate(zip(gens, columns)):
+                y, loops = _compose_masks(k, left, right)
+                j = self.get(y)
+                if j is None:
+                    j = self[y] = len(self.masks)
+                    self.masks.append(y)
+                    tree.append((i, g, loops))
+                column.append(j * width + loops)
+        if len(self.masks) != cap:
+            raise RuntimeError(f"the generators of A_{k} reach {len(self.masks)} diagrams, not Bell({2 * k}) = {cap}")
+        # one column at a time, in place: no more than the array and one column is held
+        cells = self.cells = array("i", [0]) * (cap * cap)
+        cells[::cap] = array("i", range(0, cap * width, width))  # d_i ∘ 1 = d_i
+        for j, (p, g, loops) in enumerate(tree[1:], 1):
+            gen = columns[g]
+            cells[j::cap] = array("i", [gen[c // width] + c % width - loops for c in cells[p::cap]])
 
 
 @cache
@@ -487,8 +528,6 @@ def _sums_from_table(k: int, entries_a: list, right: dict) -> dict:
             group = grouped.setdefault((j1 + j2, p1 or p2), {})
             for id2, c2 in pairs:
                 cell = cells[base + id2]
-                if cell < 0:
-                    cell = table.fill(i, id2)
                 group[cell] = group.get(cell, 0) + c1 * c2
     masks, width = table.masks, k + 1
     return {
@@ -518,9 +557,9 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     group's sum is added at the power l plus that contribution once, and each
     distinct result diagram is built once.  Up to size 3 each term's masks
     are looked up as an int id once, and the pair loop reads d1 ∘ d2 and l,
-    packed in one int, from the per-process product table of that size (see
-    ``_ProductTable``), composing only the pairs not yet in it; past size 3
-    every pair is composed.
+    packed in one int, from the product table of that size, built whole from
+    a generator tree on first use and kept for the process (see
+    ``_ProductTable``); past size 3 every pair is composed.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
@@ -739,9 +778,11 @@ def _listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], tuple[Par
 
 def _swap_bottom(masks: tuple, p: int) -> tuple:
     """Masks of d ∘ s_i from d's masks, p = size-i-1: s_i moves d's bottom
-    vertices -i and -(i+1), bits p+1 and p, to each other's place."""
+    vertices -i and -(i+1), bits p+1 and p, to each other's place.  Every
+    block of d must meet the top row, as in I_k and I_{k+1/2}: each mask then
+    keeps its highest bit, and with it the descending order, unsorted."""
     both = 3 << p
-    return tuple(sorted([m ^ ((m >> p ^ m >> p + 1) & 1) * both for m in masks], reverse=True))
+    return tuple([m ^ ((m >> p ^ m >> p + 1) & 1) * both for m in masks])
 
 
 def _closed_form_size(kind: str, k: int) -> int:
@@ -761,13 +802,11 @@ def _closure_listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], t
     the bottom vertex -i to -(i+1) and back, a swap of bottom bits size-i and
     size-i-1.  Each element becomes one diagram, sorted once.  The closure
     lies in the monoid if every element passes the membership test, and is
-    then the whole monoid if its size is the closed form's; only a shortfall
-    lists the monoid again, to name the first diagram missing."""
+    then the whole monoid if its size is the closed form's.  A size that
+    differs names the first element whose masks are not in descending order,
+    which an excess must have (one diagram reached in two block orders), or
+    else lists the monoid again, to name the first diagram missing."""
     size, half = (k + 1, True) if kind == "I_half" else (k, False)
-
-    def named(*blocks):
-        rest = set(range(1, size + 1)).difference(abs(v) for b in blocks for v in b)
-        return PartitionDiagram(size, [*blocks, *((i, -i) for i in rest)], half)
 
     # e and f (e_k, f_{k-1}, f_{k-1}ᵀ) come first: ``commutant_dimension`` then makes 41,079 of
     # its 59,016 pivots at (3, 5) one-term (1,170 with s_i first) and runs about twice as fast.
@@ -776,9 +815,9 @@ def _closure_listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], t
         named_blocks = [[(k, k + 1, -k, -k - 1)], f, [tuple(-v for v in b) for b in f]]
     else:
         named_blocks = [[(1, 2, -1, -2)], [(1, 2, -1), (3, -2, -3)]]
-    composed = [named(*b) for b in named_blocks if all(0 < abs(v) <= size for c in b for v in c)]
-    swapped = [named((i, -i - 1), (i + 1, -i)) for i in range(1, k)]
-    one = named()
+    composed = [_named(size, half, *b) for b in named_blocks if all(0 < abs(v) <= size for c in b for v in c)]
+    swapped = [_named(size, half, (i, -i - 1), (i + 1, -i)) for i in range(1, k)]
+    one = _named(size, half)
     right = [g._masks for g in composed]
     shifts = [size - i - 1 for i in range(1, k)]
     seen = {one._masks}
@@ -799,7 +838,12 @@ def _closure_listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], t
     if outside:
         raise RuntimeError(f"generators of {kind} at {k} give the diagram {outside[0]} outside it")
     # inside the monoid, the closure is all of it exactly when it is as large
-    if len(monoid) < _closed_form_size(kind, k):
+    if len(monoid) != _closed_form_size(kind, k):
+        unsorted = [d for d in monoid if list(d._masks) != sorted(d._masks, reverse=True)]
+        if unsorted:
+            raise RuntimeError(
+                f"generators of {kind} at {k} give the diagram {unsorted[0]} with its blocks out of order"
+            )
         listed = set(monoid)
         missing = next(d for d in _enumerate_propagating(size, half) if d not in listed)
         raise RuntimeError(f"generators of {kind} at {k} miss the diagram {missing}")

@@ -46,6 +46,9 @@ LIMITS = {
     # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
     "shape size": Limit("|lambda|", 120_000),
     "rook-jm": Limit("n^3 (10 f_lambda dim + n)", 39_000_000),
+    # both directions of the path <-> tableau correspondence grow about like
+    # letters^2; measured on ``rsk --to-path`` of a one-column tableau
+    "path correspondence": Limit("letters", 4_000),
 }
 
 

@@ -24,6 +24,7 @@ from .combinat import (
     remove_box,
     spt_shape,
 )
+from .limits import check
 
 
 def _check_insertable(t: SetTableau, b) -> Block:
@@ -92,6 +93,7 @@ def path_to_spt(path: GraphPath | list) -> SetTableau:
         shapes, vias = list(path.shapes), list(path.vias)
     else:
         shapes, vias = list(path), [None] * (len(path) - 1)
+    check("path correspondence", len(shapes))
     if not shapes or tuple(shapes[0]) != (1,):
         raise ValueError("path must start at the one-box shape")
     t: SetTableau = (((1,),),)
@@ -159,6 +161,7 @@ def spt_to_path(t: SetTableau, k: int) -> GraphPath:
     Returns integer-level shapes; move steps carry the intermediate shape as
     the via label so the correspondence stays invertible.
     """
+    check("path correspondence", k)
     if not is_standard_spt(t, k):
         raise ValueError("not a standard set-partition tableau over 1..k")
     shapes: list[Partition] = [None] * k

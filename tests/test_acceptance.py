@@ -8,7 +8,7 @@ import pytest
 
 from rookpart import diagram, jm, tensor
 from rookpart.acceptance import CRITERIA, run_criteria
-from rookpart.diagram import AlgebraElement
+from rookpart.diagram import AlgebraElement, PartitionDiagram, is_coarser
 
 
 @pytest.mark.parametrize(
@@ -40,6 +40,20 @@ def _record(number):
     (record,) = run_criteria([number])
     assert not record["ok"]
     return record["detail"]
+
+
+def test_criterion_8_fails_when_one_product_table_cell_is_wrong(monkeypatch):
+    real = diagram._product_table
+    table = diagram._ProductTable(2)
+    s_1 = PartitionDiagram(2, [(1, -2), (2, -1)])
+    i = table[s_1._masks]
+    table.cells[i * table.cap + i] = i * 3  # s_1 s_1 read as s_1, not the identity
+    monkeypatch.setattr(diagram, "_product_table", lambda k: table if k == 2 else real(k))
+    # the diagram-basis form of x_d holds s_1 exactly when d is finer than s_1,
+    # so the first pair to differ is the first pair of such diagrams
+    a_2 = diagram.enumerate_monoid("A", 2)
+    d1, d2 = next((d1, d2) for d1 in a_2 for d2 in a_2 if is_coarser(s_1, d1) and is_coarser(s_1, d2))
+    assert _record(8) == f"orbit product mismatch for {d1}, {d2}"
 
 
 def test_criterion_9_fails_when_the_diagram_generators_lose_e_and_f(monkeypatch):

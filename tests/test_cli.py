@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rookpart import bratteli, characters, combinat, diagram, jm, rook, seminormal, tensor
+from rookpart import bratteli, characters, combinat, diagram, jm, rook, rsk, seminormal, tensor
 from rookpart.cli import emit, main
 from rookpart.limits import LIMITS
 
@@ -205,6 +205,16 @@ REFUSALS = [
         [(tensor, "product")],
     ),
     (
+        ["rsk", "--to-path", "[[[1]]]", "--k", "100000000"],
+        "path correspondence: letters = 100000000 exceeds the limit 4000",
+        [(rsk, "is_standard_spt")],
+    ),
+    (
+        ["rsk", "--to-tableau", json.dumps([[1]] * 4001)],
+        "path correspondence: letters = 4001 exceeds the limit 4000",
+        [(rsk, "box_difference"), (rsk, "uninsert"), (rsk, "is_standard_set_tableau")],
+    ),
+    (
         ["jm", "--t", "11/2", "--verify"],
         "I_k enumeration: diagram size = 6 exceeds the limit 5",
         [(diagram, "_closure_listing"), (jm, "build_z")],
@@ -305,6 +315,8 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["schur-weyl", "--half", "--n", "1", "--k", "1"], "error: a half space needs n >= 2"),
         (["rsk", "--to-tableau", "5"], "error: --to-tableau must be JSON lists"),
         (["rsk", "--to-path", "[[1]]", "--k", "2"], "error: --to-path must be JSON lists"),
+        # k within its limit but far past the tableau's one entry
+        (["rsk", "--to-path", "[[[1]]]", "--k", "4000"], "error: not a standard set-partition tableau over 1..k"),
         (["character", "--lambda", "1", "--sigma", "5", "--n", "3"], "error: --sigma must be"),
         (["character", "--lambda", "1", "--sigma", "[[1,2,3]]", "--n", "3"], "error: --sigma pair [1, 2, 3] must have two entries"),
         (["character", "--lambda", "1", "--sigma", "[[1]]", "--n", "3"], "error: --sigma pair [1] must have two entries"),

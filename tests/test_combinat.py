@@ -190,6 +190,7 @@ def test_standard_spt_examples():
     assert not is_standard_spt((((2, 3),), ((1,),)), 3)
     assert is_standard_spt((((1, 2, 3, 4),),), 4)
     assert not is_standard_spt((((1,),), ((2,),)), 3)  # 3 missing
+    assert not is_standard_spt((((1,),),), 10**8)  # the entry count is compared before any range is built
 
 
 def test_standard_spt_enumeration_against_filter():

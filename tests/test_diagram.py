@@ -742,8 +742,7 @@ def test_diagram_product_matches_bilinear_oracle_past_a3():
 # --- the product table of sizes 1..3 -------------------------------------------
 
 
-def test_product_table_matches_the_oracles_on_miss_and_hit(monkeypatch):
-    diagram._product_table.cache_clear()
+def test_product_table_composes_only_the_generator_columns(monkeypatch):
     compose_masks = diagram._compose_masks
     calls = []
 
@@ -752,20 +751,18 @@ def test_product_table_matches_the_oracles_on_miss_and_hit(monkeypatch):
         return compose_masks(*args)
 
     monkeypatch.setattr(diagram, "_compose_masks", counted)
-    pairs = [(a, b) for k in (1, 2) for a in enumerate_monoid("A", k) for b in enumerate_monoid("A", k)]
-    pairs += _sampled_a3_pairs(300, 23)
-    for fills in (len(set(pairs)), 0):  # the miss path, then the hit path
+    diagram._product_table.cache_clear()
+    # Bell(2k) diagrams times the generators s_1..s_{k-1}, p_1 and b_1 (k >= 2)
+    for k, composed in ((1, 2), (2, 45), (3, 812)):
         calls.clear()
-        for d1, d2 in pairs:
-            got = diagram_product(AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2))
-            _assert_same_sum(got, _oracle_diagram_pair(d1, d2))
-            masks, loops = compose_masks(d1.size, [m << d1.size for m in d1._masks], d2._masks)
-            table = diagram._product_table(d1.size)
-            cell = table.cells[table[d1._masks] * table.cap + table[d2._masks]]
-            assert divmod(cell, d1.size + 1) == (table[masks], loops), (d1, d2)
-            ((d, _),) = got.sum.items()
-            assert d._masks == masks
-        assert len(calls) == fills
+        diagram._product_table(k)
+        assert len(calls) == composed == bell(2 * k) * (k + 1 if k >= 2 else 1)
+    calls.clear()
+    pairs = [(a, b) for k in (1, 2) for a in enumerate_monoid("A", k) for b in enumerate_monoid("A", k)]
+    for d1, d2 in pairs + _sampled_a3_pairs(300, 23):
+        got = diagram_product(AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2))
+        _assert_same_sum(got, _oracle_diagram_pair(d1, d2))
+    assert calls == []
 
 
 def test_product_table_serves_half_levels_at_size_3():
@@ -788,15 +785,25 @@ def test_product_table_cells_stay_within_bell_squared():
     for k in (1, 2, 3):
         monoid = enumerate_monoid("A", k)
         table = diagram._product_table(k)
-        assert table.cap == bell(2 * k) == len(monoid)
-        ids = [table[d._masks] for d in monoid]
-        for i in ids:
-            for j in ids:
-                table.fill(i, j)
-        # composition stays inside A_k, so no id reaches the cap
-        assert len(table) == len(table.masks) == bell(2 * k)
+        assert table.cap == bell(2 * k) == len(monoid) == len(table) == len(table.masks)
         assert len(table.cells) == bell(2 * k) ** 2
-        assert min(table.cells) >= 0 and max(table.cells) < bell(2 * k) * (k + 1)
+        # every cell is the composition of its pair, so no id reaches the cap
+        for d1 in monoid:
+            base = table[d1._masks] * table.cap
+            for d2 in monoid:
+                masks, loops = diagram._compose_masks(k, [m << k for m in d1._masks], d2._masks)
+                assert divmod(table.cells[base + table[d2._masks]], k + 1) == (table[masks], loops), (d1, d2)
+
+
+def test_product_table_names_the_size_a_generator_shortfall_reaches(monkeypatch):
+    real = diagram._a_generators
+    # without b_1 the generators reach only the rook monoid R_k: sum of C(k,r)^2 r! diagrams
+    monkeypatch.setattr(diagram, "_a_generators", lambda k: real(k)[:-1])
+    for k, reached in ((2, 7), (3, 34)):
+        with pytest.raises(RuntimeError) as raised:
+            diagram._ProductTable(k)
+        expected = f"the generators of A_{k} reach {reached} diagrams, not Bell({2 * k}) = {bell(2 * k)}"
+        assert str(raised.value) == expected
 
 
 def test_size_4_products_allocate_no_table():
@@ -932,6 +939,15 @@ def test_generating_set_names_an_extra_diagram(monkeypatch, fresh_listing):
         generating_set("I", 3)
 
 
+def test_listing_names_a_diagram_reached_in_two_block_orders(monkeypatch, fresh_listing):
+    # a swap that sorts ascending reaches s_1 s_1 = id as (5, 10) besides (10, 5): one too many
+    real = diagram._swap_bottom
+    monkeypatch.setattr(diagram, "_swap_bottom", lambda masks, p: tuple(sorted(real(masks, p))))
+    with pytest.raises(RuntimeError) as raised:
+        generating_set("I", 2)
+    assert str(raised.value) == "generators of I at 2 give the diagram [[2,-2],[1,-1]] with its blocks out of order"
+
+
 @pytest.mark.parametrize(
     "kind, k, product, bad, named",
     [
@@ -957,9 +973,9 @@ def test_listing_names_a_composed_diagram_outside_the_monoid(
     assert str(raised.value) == f"generators of {kind} at {k} give the diagram {named} outside it"
 
 
-@pytest.mark.parametrize("kind, k", [("I", 4), ("I_half", 3), ("A", 3)])
+@pytest.mark.parametrize("kind, k", [("I", 4), ("I_half", 3)])
 def test_bottom_bit_swap_is_composing_with_s_i(kind, k):
-    # A_3 adds diagrams whose blocks the swap reorders
+    # unsorted: every block meets the top row, so the swap keeps the block order
     monoid = enumerate_monoid(kind, k)
     size, half = monoid[0].size, monoid[0].half
     for i in range(1, k):

@@ -49,7 +49,8 @@ def parse_int_lists(text: str, depth: int, what: str):
 
 
 def parse_diagram(text: str) -> diagram.PartitionDiagram:
-    parse_int_lists(text, 2, "a diagram")
+    blocks = parse_int_lists(text, 2, "a diagram")
+    check("diagram size", max((abs(v) for b in blocks for v in b), default=0))
     return diagram.PartitionDiagram.parse(text)
 
 
@@ -187,6 +188,7 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_character(args) -> int:
+    check("rook characters", args.n)
     lam = parse_partition(args.lam)
     sigma = parse_rook(args.sigma, args.n)
     emit({"value": characters.chi_star(lam, sigma)})

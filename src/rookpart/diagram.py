@@ -24,31 +24,37 @@ Products do only the work whose result they keep:
   bottom row on the middle bits k..2k-1, where d2's top row already sits.
   Each mask of d2 absorbs the components it meets; the components with no
   top or bottom bits are the loops.
-- ``diagram_product`` sums coefficient products per (result masks, loop
-  count) and adds each such sum at its power of xi once.  Up to size 3 it
-  reads each pair's result from a per-size product table, built whole on
-  first use and kept for the process: A_k is listed as a generator tree, the
+- ``diagram_product`` sums coefficient products per (result, loop count)
+  and adds each such sum at its power of xi once.  Up to size 3 it reads
+  each pair's result from a per-size product table, built whole on first use
+  and kept for the process: A_k is listed as a generator tree, the
   breadth-first closure of the identity under right multiplication by s_i,
   p_1 and b_1, so only the diagram-times-generator cells are composed (812
   at size 3), and every other cell takes two reads of cells already filled.
   One int cell per pair holds the result's id times k+1 plus its loop count,
-  Bell(2k)^2 cells in all (41,209 at size 3, 165 KB).  Past size 3 a table
-  would need Bell(8)^2, about 17M cells, and pairs repeat less, so each pair
-  is composed as it comes.
+  Bell(2k)^2 cells in all (41,209 at size 3, 165 KB).  The sums stay on
+  those ints: each cell is split once, and each result term is the table's
+  own diagram for its id, one list per half flag made on first use.  Past
+  size 3 a table would need Bell(8)^2, about 17M cells, and pairs repeat
+  less, so each pair is composed as it comes.
 - ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
   value, for the latter) over one cached table of a diagram's coarsenings,
-  formed by OR-ing masks; the orbit products add c1*c2 times cached int rows
-  of their falling-factorial structure constants.
+  built by adding its masks one at a time, each into a new group or OR-ed
+  into one; they never read the product table.  The orbit products add
+  c1*c2 times cached int rows of their falling-factorial structure
+  constants.
 
 Inside a product or a change of basis, every coefficient is summed in one
-form: per result key, the block-mask tuple, a list of coefficients by power
-of xi, kept as ints while integral (an XiPoly coefficient contributes one
-entry per power).  Each result term then becomes one Fraction or one XiPoly
-and one diagram, reused from the coarsening table where it has one.  A term
-is an XiPoly exactly when an XiPoly coefficient, a loop or a structure
-constant of ``orbit_product_general`` contributed to it, even if it sums to a
-constant, as the same sum of Fractions and XiPolys would be; results carry
-Fraction or XiPoly coefficients, never ints.
+form: per result key (its block-mask tuple, or its product-table id), a list
+of coefficients by power of xi, kept as ints while integral (an XiPoly
+coefficient contributes one entry per power).  Each result term then becomes
+one Fraction or one XiPoly and one diagram, reused from the coarsening or
+product table where it has one.  A term is an XiPoly exactly when an XiPoly
+coefficient, a loop or a structure constant of ``orbit_product_general``
+contributed to it, even if it sums to a constant, as the same sum of
+Fractions and XiPolys would be; results carry Fraction or XiPoly
+coefficients, never ints.  Zero sums are dropped as the terms are made, so
+the result's sum and element skip the public constructors' checks.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
 diagrams of I_4), and their closure is the one listing of the monoid, made
@@ -68,7 +74,7 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, repeat
-from math import factorial, prod
+from math import factorial
 
 from .combinat import bell, canonical_set_partition, set_partitions, stirling2
 from .formal import FormalSum
@@ -285,17 +291,39 @@ def is_coarser(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
 def _upset(d: PartitionDiagram) -> tuple[tuple[PartitionDiagram, int], ...]:
     """The coarsenings d' of d (d included), sorted, with the Möbius values
     mu(d, d'): products of (-1)^(m-1) (m-1)! over the groups of m merged
-    blocks (Stanley, EC I, section 3.10).  A merged block's mask is the OR
-    of its blocks' masks, which for disjoint masks is their sum.  There are
-    Bell(blocks) of them, so the block count is checked, on a cache miss."""
+    blocks (Stanley, EC I, section 3.10).  There are Bell(blocks) of them, so
+    the block count is checked first, on a cache miss.
+
+    d's masks join the groups one at a time, in canonical order: each starts
+    a new group or is OR-ed into one of the groups so far.  Joining a group
+    of s blocks multiplies mu by -s, which builds (-1)^(m-1) (m-1)! one join
+    at a time.  A group keeps the highest bit of its first mask, so the
+    groups stay in descending, canonical order."""
     masks = d._masks
     check("coarsenings", len(masks))
+    *first, last = masks
+    # (group masks, their block counts, mu) for each grouping of the masks so far
+    states = [((), (), 1)]
+    for m in first:
+        grown = []
+        for groups, sizes, mu in states:
+            grown.append((groups + (m,), sizes + (1,), mu))
+            for i, s in enumerate(sizes):
+                grown.append((_joined(groups, i, groups[i] | m), _joined(sizes, i, s + 1), -s * mu))
+        states = grown
+    # the last mask's groupings become diagrams at once, with no state kept
+    size, half, make = d.size, d.half, PartitionDiagram._from_masks
     out = []
-    for grouping in set_partitions(len(masks)):
-        merged = sorted((sum(masks[i - 1] for i in group) for group in grouping), reverse=True)
-        mu = prod((-1) ** (len(g) - 1) * factorial(len(g) - 1) for g in grouping)
-        out.append((PartitionDiagram._from_masks(d.size, tuple(merged), d.half), mu))
+    for groups, sizes, mu in states:
+        out.append((make(size, groups + (last,), half), mu))
+        for i, s in enumerate(sizes):
+            out.append((make(size, _joined(groups, i, groups[i] | last), half), -s * mu))
     return tuple(sorted(out, key=lambda e: e[0].blocks))
+
+
+def _joined(t: tuple, i: int, x) -> tuple:
+    """t with its entry i replaced by x."""
+    return t[:i] + (x,) + t[i + 1 :]
 
 
 class AlgebraElement:
@@ -314,10 +342,20 @@ class AlgebraElement:
         for key, _ in s.terms():
             if key.size != size or key.half != half:
                 raise ValueError("all keys must live at the same level")
+        self._set(size, basis, s, half)
+
+    def _set(self, size: int, basis: str, s: FormalSum, half: bool) -> None:
         self.size = size
         self.half = half
         self.basis = basis
         self.sum = s
+
+    @classmethod
+    def _from_sum(cls, size: int, basis: str, s: FormalSum, half: bool) -> "AlgebraElement":
+        """Element from a sum whose keys all live at (size, half), without checks."""
+        a = object.__new__(cls)
+        a._set(size, basis, s, half)
+        return a
 
     @property
     def level(self) -> Fraction:
@@ -390,14 +428,15 @@ def _entries(s: FormalSum) -> tuple[list, int]:
 
 
 class _Coeffs(dict):
-    """The coefficients of a result, summed per key (its block-mask tuple).
+    """The coefficients of a result, summed per key: its block-mask tuple,
+    or its id in the product table.
 
     Each value lists the coefficient of xi^0 .. xi^(width-1), kept as ints
     while integral.  A key in ``poly`` received an XiPoly term or a power of
     xi and ends as an XiPoly; any other ends as a Fraction, as a sum of the
     same Fractions and XiPolys would.  ``made`` lists, in key order, a
     diagram that already exists for every key, to be reused; it is empty
-    when the diagrams are to be built.
+    when the diagrams are to be built from mask keys.
     """
 
     __slots__ = ("width", "poly", "made")
@@ -408,17 +447,19 @@ class _Coeffs(dict):
         self.poly = set()
         self.made = []
 
-    def __missing__(self, masks: tuple) -> list:
-        row = self[masks] = [0] * self.width
+    def __missing__(self, key) -> list:
+        row = self[key] = [0] * self.width
         return row
 
     def element(self, a: AlgebraElement, basis: str) -> AlgebraElement:
         """The sum as an element at a's level: one coefficient and one diagram
-        per nonzero key."""
+        per nonzero key.  Zero sums are dropped here and every diagram is made
+        at a's level, so the sum and the element are built without the
+        public constructors' zero filter and level check."""
         k, half, poly = a.size, a.half, self.poly
         out = {}
-        for (masks, row), d in zip(self.items(), self.made or repeat(None)):
-            if masks in poly:
+        for (key, row), d in zip(self.items(), self.made or repeat(None)):
+            if key in poly:
                 while row and not row[-1]:
                     row.pop()
                 if not row:
@@ -428,8 +469,8 @@ class _Coeffs(dict):
                 c = Fraction(row[0])
             else:
                 continue
-            out[d or PartitionDiagram._from_masks(k, masks, half)] = c
-        return AlgebraElement(k, basis, FormalSum(out), half)
+            out[d or PartitionDiagram._from_masks(k, key, half)] = c
+        return AlgebraElement._from_sum(k, basis, FormalSum._from_dict(out), half)
 
 
 # a size-4 table could need Bell(8)^2 = 17,139,600 cells
@@ -473,12 +514,17 @@ class _ProductTable(dict):
     element is a diagram of size k, so the closure is all of A_k exactly when
     it has Bell(2k) elements; this is checked on every build, and a shortfall
     raises RuntimeError naming the size reached.
+
+    ``diagrams(half)`` lists the diagram of each id, made once per half flag,
+    so the products read at this size share their result diagrams (and the
+    hashes and coarsening tables cached on them).
     """
 
-    __slots__ = ("size", "cap", "masks", "cells")
+    __slots__ = ("size", "cap", "masks", "cells", "_made")
 
     def __init__(self, size: int):
         super().__init__()
+        self._made = {}
         k = self.size = size
         width = k + 1
         cap = self.cap = bell(2 * k)
@@ -507,37 +553,40 @@ class _ProductTable(dict):
             gen = columns[g]
             cells[j::cap] = array("i", [gen[c // width] + c % width - loops for c in cells[p::cap]])
 
+    def diagrams(self, half: bool) -> list[PartitionDiagram]:
+        """The diagram of each id, with the half flag given, built the first
+        time that flag is asked for and kept with the table."""
+        made = self._made.get(half)
+        if made is None:
+            made = self._made[half] = [PartitionDiagram._from_masks(self.size, m, half) for m in self.masks]
+        return made
+
 
 @cache
 def _product_table(size: int) -> _ProductTable:
     return _ProductTable(size)
 
 
-def _sums_from_table(k: int, entries_a: list, right: dict) -> dict:
-    """Coefficient products of the pairs summed per packed cell of the size-k
-    table, then unpacked once per (power of xi, poly) group: the
-    ``(masks, loops)`` items of each group."""
-    table = _product_table(k)
+def _sums_from_table(table: _ProductTable, entries_a: list, right: dict) -> dict:
+    """Coefficient products of the pairs summed per packed cell of the table,
+    one dict from cell to sum per (power of xi, poly) group; the cells are
+    returned as they are, each the result's id times k+1 plus its loops."""
     cells, cap = table.cells, table.cap
     right = {key: [(table[masks2], c2) for masks2, c2 in pairs] for key, pairs in right.items()}
     grouped = {}
     for d1, j1, c1, p1 in entries_a:
-        i = table[d1._masks]
-        base = i * cap
+        base = table[d1._masks] * cap
         for (j2, p2), pairs in right.items():
             group = grouped.setdefault((j1 + j2, p1 or p2), {})
             for id2, c2 in pairs:
                 cell = cells[base + id2]
                 group[cell] = group.get(cell, 0) + c1 * c2
-    masks, width = table.masks, k + 1
-    return {
-        key: [((masks[cell // width], cell % width), c) for cell, c in group.items()]
-        for key, group in grouped.items()
-    }
+    return grouped
 
 
 def _sums_by_composing(k: int, entries_a: list, right: dict) -> dict:
-    """As ``_sums_from_table``, composing every pair as it comes."""
+    """As ``_sums_from_table``, composing every pair as it comes: each group
+    maps (masks of d1 ∘ d2, loops) to its sum."""
     grouped = {}
     for d1, j1, c1, p1 in entries_a:
         left = tuple(m << k for m in d1._masks)
@@ -546,38 +595,47 @@ def _sums_by_composing(k: int, entries_a: list, right: dict) -> dict:
             for masks2, c2 in pairs:
                 key = _compose_masks(k, left, masks2)
                 group[key] = group.get(key, 0) + c1 * c2
-    return {key: group.items() for key, group in grouped.items()}
+    return grouped
 
 
 def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 * d2 = xi^l (d1 ∘ d2).
 
-    The coefficient products are summed as ints per (masks of d1 ∘ d2, l),
-    one such group per power of xi the two coefficients contribute.  Each
-    group's sum is added at the power l plus that contribution once, and each
-    distinct result diagram is built once.  Up to size 3 each term's masks
-    are looked up as an int id once, and the pair loop reads d1 ∘ d2 and l,
-    packed in one int, from the product table of that size, built whole from
-    a generator tree on first use and kept for the process (see
-    ``_ProductTable``); past size 3 every pair is composed.
+    The coefficient products are summed as ints per (d1 ∘ d2, l), one such
+    group per power of xi the two coefficients contribute.  Each group's sum
+    is added at the power l plus that contribution once.  Up to size 3 each
+    term's masks are looked up as an int id once, and the pair loop reads
+    d1 ∘ d2 and l, packed in one int, from the product table of that size,
+    built whole from a generator tree on first use and kept for the process
+    (see ``_ProductTable``).  Each packed cell is split once, the sums are
+    kept per result id, and each result term is the table's own diagram for
+    its id, so no diagram is built per product.  Past size 3 every pair is
+    composed, and each distinct result diagram is built once from its masks.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
     a._check_compatible(b)
-    k = a.size
+    k, width = a.size, a.size + 1
     (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
     # b's coefficients sliced by (power of xi, poly), so the pair loop only multiplies
     right = {}
     for d2, j2, c2, p2 in entries_b:
         right.setdefault((j2, p2), []).append((d2._masks, c2))
-    sums = _sums_from_table if k <= _MAX_TABLED_SIZE else _sums_by_composing
+    table = _product_table(k) if k <= _MAX_TABLED_SIZE else None
+    sums = _sums_by_composing(k, entries_a, right) if table is None else _sums_from_table(table, entries_a, right)
     # at most k loops, each holding a vertex of the middle row
-    acc = _Coeffs(degree_a + degree_b + k + 1)
-    for (j, p), group in sums(k, entries_a, right).items():
-        for (masks, loops), c in group:
-            acc[masks][j + loops] += c
-            if p or j + loops:
-                acc.poly.add(masks)
+    acc = _Coeffs(degree_a + degree_b + width)
+    for (j, p), group in sums.items():
+        for key, c in group.items():
+            # a table cell packs the result's id and its loop count
+            key, loops = key if table is None else divmod(key, width)
+            power = j + loops
+            acc[key][power] += c
+            if p or power:
+                acc.poly.add(key)
+    if table is not None:
+        made = table.diagrams(a.half)
+        acc.made = [made[i] for i in acc]
     return acc.element(a, "diagram")
 
 

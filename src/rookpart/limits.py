@@ -49,6 +49,15 @@ LIMITS = {
     # both directions of the path <-> tableau correspondence grow about like
     # letters^2; measured on ``rsk --to-path`` of a one-column tableau
     "path correspondence": Limit("letters", 4_000),
+    # composition grows about like size^2.5; measured on ``compose`` of two
+    # diagrams whose 2 * size vertices are all alone (2,750 took 8.8 s, 3,000
+    # ran past 10 s)
+    "diagram size": Limit("size", 2_750),
+    # the Murnaghan-Nakayama recursion visits every subshape of lambda, and a
+    # lambda larger than n gives 0 without it; measured on ``character`` with
+    # lambda the staircase (11, 10, ..., 1) and sigma the identity (7.4 s;
+    # n = 67 ran past 10 s)
+    "rook characters": Limit("n", 66),
 }
 
 

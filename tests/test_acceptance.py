@@ -6,7 +6,7 @@ criterion, or ``rookpart verify`` for the JSON equivalent.
 
 import pytest
 
-from rookpart import diagram, jm, tensor
+from rookpart import combinat, diagram, jm, seminormal, tensor
 from rookpart.acceptance import CRITERIA, run_criteria
 from rookpart.diagram import AlgebraElement, PartitionDiagram, is_coarser
 
@@ -40,6 +40,30 @@ def _record(number):
     (record,) = run_criteria([number])
     assert not record["ok"]
     return record["detail"]
+
+
+def test_criterion_3_fails_when_the_content_family_reads_sizes(monkeypatch):
+    monkeypatch.setattr(seminormal, "jm_x_tilde", seminormal.jm_x)
+    assert _record(3) == "n=1, (1,): ['(1,) ((1,),) i=1: got (1,1), want (1,0)']"
+
+
+def test_criterion_6_fails_when_one_stirling_number_is_off(monkeypatch):
+    real = combinat.stirling2
+    monkeypatch.setattr(combinat, "stirling2", lambda k, r: real(k, r) + (r == 2))
+    assert _record(6) == "n=3, k=1, (2,): paths=0, formula=1, chars=0"
+
+
+def test_criterion_10_fails_when_the_content_sum_is_the_size_sum(monkeypatch):
+    monkeypatch.setattr(jm, "kappa_tilde", jm.kappa)
+    assert _record(10) == "integer level 1, n=1: ['Z~ at level 1, n=1: first diffs [(0, 0)]']"
+
+
+def test_criterion_12_fails_when_the_predicted_pairs_are_swapped(monkeypatch):
+    real = jm.predicted_eigenvalues
+    monkeypatch.setattr(jm, "predicted_eigenvalues", lambda path: [(mt, m) for m, mt in real(path)])
+    assert _record(12) == (
+        "level 1, n=2: ['path ((), (1,)): eigenspace dim 0 != 2', 'eigenspaces cover 0 of 2 dimensions']"
+    )
 
 
 def test_criterion_8_fails_when_one_product_table_cell_is_wrong(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rookpart import bratteli, characters, combinat, diagram, jm, rook, rsk, seminormal, tensor
-from rookpart.cli import emit, main
+from rookpart.cli import build_parser, emit, main
 from rookpart.limits import LIMITS
 
 
@@ -147,6 +148,9 @@ def test_schur_weyl_refuses_a_large_rook_monoid_before_eliminating(capsys, monke
 
 
 IDENTITY_11 = json.dumps([[v, -v] for v in range(1, 12)])
+# the first steps of listing coarsenings: joining a block into a group, and
+# making a coarsening's diagram
+ORBIT_WORK = [(diagram, "_joined"), (diagram.PartitionDiagram, "_from_masks")]
 
 # (argv, the refusal, the work the refusal must come before)
 REFUSALS = [
@@ -197,7 +201,11 @@ REFUSALS = [
         "rook-jm: n^3 (10 f_lambda dim + n) = 501760000 exceeds the limit 39000000",
         [(seminormal, "RookIrrep")],
     ),
-    (["orbit", "--diagram", IDENTITY_11], "coarsenings: blocks = 11 exceeds the limit 10", [(diagram, "set_partitions")]),
+    (
+        ["orbit", "--diagram", IDENTITY_11],
+        "coarsenings: blocks = 11 exceeds the limit 10",
+        ORBIT_WORK,
+    ),
     (["schur-weyl", "--n", "8", "--k", "1"], "R_n enumeration: n = 8 exceeds the limit 7", [(rook, "combinations")]),
     (
         ["schur-weyl", "--n", "3", "--k", "7"],
@@ -219,6 +227,16 @@ REFUSALS = [
         "I_k enumeration: diagram size = 6 exceeds the limit 5",
         [(diagram, "_closure_listing"), (jm, "build_z")],
     ),
+    (
+        ["compose", "--d1", json.dumps([[v, -v] for v in range(1, 2752)]), "--d2", "[[1,-1]]"],
+        "diagram size: size = 2751 exceeds the limit 2750",
+        [(diagram.PartitionDiagram, "parse"), (diagram, "compose")],
+    ),
+    (
+        ["character", "--lambda", "1", "--sigma", "[]", "--n", "67"],
+        "rook characters: n = 67 exceeds the limit 66",
+        [(rook.RookElement, "from_pairs"), (characters, "chi_star")],
+    ),
 ]
 
 
@@ -236,6 +254,86 @@ def test_size_limits_refuse_before_any_work(capsys, monkeypatch, argv, refusal, 
     # the one message form: the limit's name, what it counts, the size asked for, its value
     name, counts, _, value = re.fullmatch(r"(.+): (.+) = (\S+) exceeds the limit (\d+)", refusal).groups()
     assert (LIMITS[name].counts, LIMITS[name].value) == (counts, int(value))
+
+
+# every option of every subcommand: the LIMITS rows that bound the work it
+# asks for, or "no row: " and why it needs none, with a measurement where the
+# option carries a size; a new option fails the walk below until it is added
+CLI_OPTION_BOUNDS = {
+    ("compose", "--d1"): ("diagram size",),
+    ("compose", "--d2"): ("diagram size",),
+    ("orbit", "--diagram"): ("diagram size", "coarsenings"),
+    ("orbit", "--direction"): "no row: one of two fixed choices",
+    ("bratteli", "--kind"): "no row: one of three fixed choices",
+    ("bratteli", "--levels"): ("rook tower", "tensor-step shapes", "tensor-step graph", "propagating tower"),
+    ("bratteli", "--n"): ("tensor-step shapes", "tensor-step graph"),
+    ("bratteli", "--dot"): "no row: a flag",
+    ("dims", "--n"): ("rook irreducibles",),
+    ("dims", "--t"): ("propagating irreducibles",),
+    ("mult", "--lambda"): ("shape size",),
+    ("mult", "--k"): ("tensor power", "tensor-step graph"),
+    ("mult", "--n"): ("tensor multiplicities", "tensor-step graph"),
+    ("rsk", "--to-tableau"): ("path correspondence",),
+    ("rsk", "--to-path"): ("path correspondence",),
+    ("rsk", "--k"): ("path correspondence",),
+    # sigma has at most n pairs, and a lambda larger than n gives 0 at once:
+    # ``character --lambda 3000 --sigma [] --n 66`` takes 0.2 s
+    ("character", "--lambda"): ("rook characters",),
+    ("character", "--sigma"): ("rook characters",),
+    ("character", "--n"): ("rook characters",),
+    ("schur-weyl", "--n"): ("R_n enumeration", "tensor space"),
+    ("schur-weyl", "--k"): ("tensor space", "I_k enumeration"),
+    ("schur-weyl", "--half"): "no row: a flag",
+    ("jm", "--t"): ("tensor space", "propagating tower", "path enumeration", "I_k enumeration"),
+    ("jm", "--n"): ("tensor space",),
+    ("jm", "--verify"): "no row: a flag",
+    ("rook-jm", "--lambda"): ("rook-jm",),
+    ("rook-jm", "--n"): ("rook-jm",),
+    ("verify", "--suite"): "no row: fixed choices, each criterion at its fixed sizes (rookpart verify: 0.3 s)",
+    ("verify", "--criterion"): "no row: fixed choices 1..14, each at its fixed sizes (rookpart verify: 0.3 s)",
+    ("verify", "--timings"): "no row: a flag",
+}
+
+
+def _cli_options():
+    """(command, option) for every option of every subcommand, help left out."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        (command, action.option_strings[-1])
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_cli_option_names_its_size_limit_or_why_it_has_none():
+    options = _cli_options()
+    assert len(options) == len(CLI_OPTION_BOUNDS) == 30
+    assert sorted(options - CLI_OPTION_BOUNDS.keys()) == []
+    assert sorted(CLI_OPTION_BOUNDS.keys() - options) == []
+    for option, bound in CLI_OPTION_BOUNDS.items():
+        if isinstance(bound, str):
+            assert bound.startswith("no row: ") and len(bound) > len("no row: "), option
+        else:
+            assert bound and set(bound) <= LIMITS.keys(), option
+    # every row the CLI can reach is named by some option
+    named = {row for bound in CLI_OPTION_BOUNDS.values() if not isinstance(bound, str) for row in bound}
+    assert sorted(LIMITS.keys() - named) == ["A_k enumeration"]
+
+
+@pytest.mark.parametrize("module, name", ORBIT_WORK, ids=[name for _, name in ORBIT_WORK])
+def test_orbit_reaches_each_coarsening_work_marker_when_admitted(monkeypatch, module, name):
+    # the markers the coarsenings row above relies on: an admitted orbit call
+    # reaches both right after the check, so the refusal test fails if the
+    # check ever moves after that work
+    def work_started(*args):
+        raise AssertionError("work started")
+
+    diagram._upset.cache_clear()
+    monkeypatch.setattr(module, name, work_started)
+    for direction in ("to-orbit", "from-orbit"):
+        with pytest.raises(AssertionError, match="work started"):
+            main(["orbit", "--diagram", "[[1,-1],[2,-2]]", "--direction", direction])
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -348,7 +446,7 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         (["orbit", "--diagram", "[]"], "error: the diagram is empty"),
         (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
         (["orbit", "--diagram", "[[1,-1],[1]]"], "error: vertex 1 is in blocks [1, -1] and [1]"),
-        (["compose", "--d1", "[[1000000,-1]]", "--d2", "[[1,-1]]"], "error: blocks must partition the 2000000 vertices"),
+        (["compose", "--d1", "[[2750,-1]]", "--d2", "[[1,-1]]"], "error: blocks must partition the 5500 vertices"),
     ]
     for argv, line in cases:
         assert main(argv) == 2, argv

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 
 from rookpart import diagram
-from rookpart.combinat import bell, canonical_set_partition
+from rookpart.combinat import bell, canonical_set_partition, set_partitions
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -650,6 +651,47 @@ def test_orbit_product_matches_both_via_basis_routes_on_a_stratified_a3_sample()
         assert direct.sum == _oracle_to_orbit(y1.sum.bilinear(y2.sum, _oracle_diagram_pair)), (d1, d2)
 
 
+def _assert_built_once(r):
+    """r equals the element the public constructors build from its terms, and
+    holds no zero coefficient and no key off its level."""
+    terms = list(r.sum.terms())
+    assert r == AlgebraElement(r.size, r.basis, FormalSum(terms), r.half)
+    assert all(c and type(c) in (Fraction, XiPoly) for _, c in terms)
+    assert all(d.size == r.size and d.half == r.half for d, _ in terms)
+
+
+def _cancelled(f, pool, basis):
+    """f(a, b) for the first a = xi u - xi v and b, one diagram of pool or the
+    sum of two, such that f(a, b) is not 0 and misses a key of some f(x, y),
+    x in {u, v} and y in b: a key whose sum cancels."""
+    for ws in [(w,) for w in pool] + list(combinations(pool, 2)):
+        b = AlgebraElement(pool[0].size, basis, [(w, Fraction(1)) for w in ws], pool[0].half)
+        singles = [AlgebraElement.from_diagram(w, basis=basis) for w in ws]
+        for u, v in combinations(pool, 2):
+            a = AlgebraElement(u.size, basis, [(u, XI), (v, -XI)], u.half)
+            parts = [f(AlgebraElement.from_diagram(x, basis=basis), y) for x in (u, v) for y in singles]
+            r = f(a, b)
+            if r and set().union(*(dict(part.sum.terms()) for part in parts)) - dict(r.sum.terms()).keys():
+                return r
+    raise AssertionError("no key cancels")
+
+
+def test_internal_results_equal_their_publicly_built_form():
+    rng = random.Random(67)
+    a_2, i_3 = enumerate_monoid("A", 2), enumerate_monoid("I", 3)
+    cases = [
+        (lambda a, b: to_orbit(a), "diagram", a_2),
+        (lambda a, b: from_orbit(a), "orbit", a_2),
+        (diagram_product, "diagram", a_2),
+        (orbit_product_general, "orbit", a_2),
+        (orbit_product_tppa, "orbit", i_3),
+    ]
+    for f, basis, pool in cases:
+        _assert_built_once(_cancelled(f, pool, basis))
+        for _ in range(20):
+            _assert_built_once(f(_random_element(rng, pool, basis), _random_element(rng, pool, basis)))
+
+
 # --- oracles past A_3: seeded random diagrams, not enumerations --------------
 
 
@@ -806,6 +848,41 @@ def test_product_table_names_the_size_a_generator_shortfall_reaches(monkeypatch)
         assert str(raised.value) == expected
 
 
+def test_tabled_products_match_the_composing_route_term_for_term(monkeypatch):
+    rng = random.Random(71)
+    a_3, i_half = enumerate_monoid("A", 3), enumerate_monoid("I_half", 2)
+    pairs = [(d1, d2) for k in (1, 2) for d1 in enumerate_monoid("A", k) for d2 in enumerate_monoid("A", k)]
+    pairs += [(rng.choice(a_3), rng.choice(a_3)) for _ in range(200)]
+    pairs += [(rng.choice(i_half), rng.choice(i_half)) for _ in range(60)]
+    elements = [(AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2)) for d1, d2 in pairs]
+    elements += [
+        (_random_element(rng, pool, "diagram"), _random_element(rng, pool, "diagram"))
+        for pool in (a_3, i_half)
+        for _ in range(20)
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(diagram, "_MAX_TABLED_SIZE", 0)
+        composed = [diagram_product(a, b) for a, b in elements]
+    for (a, b), want in zip(elements, composed):
+        got = diagram_product(a, b)
+        _assert_same_sum(got, want.sum)
+        # each key is the table's own diagram for its id; the composing route built its own
+        table = diagram._product_table(a.size)
+        made = table.diagrams(a.half)
+        for (d, _), (e, _) in zip(got.sum.items(), want.sum.items()):
+            assert d is made[table[d._masks]] and d.half == a.half, (a, b)
+            assert e is not d and e.blocks == d.blocks and e.half == d.half
+
+
+def test_basis_changes_build_no_product_table():
+    # callers that only change basis, such as jm.verify_centrality, never pay for a table
+    diagram._product_table.cache_clear()
+    for d in enumerate_monoid("A", 3)[::20] + list(enumerate_monoid("I_half", 2)):
+        to_orbit(AlgebraElement.from_diagram(d))
+        from_orbit(AlgebraElement.from_diagram(d, basis="orbit"))
+    assert diagram._product_table.cache_info().currsize == 0
+
+
 def test_size_4_products_allocate_no_table():
     diagram._product_table.cache_clear()
     rng = random.Random(59)
@@ -828,6 +905,29 @@ def _oracle_mobius(d, upset):
     for c in sorted(upset, key=lambda c: -c.n_blocks()):
         mu[c] = 1 if c == d else -sum(m for e, m in mu.items() if _oracle_coarser(c, e))
     return mu
+
+
+def _old_upset(d):
+    """The coarsenings of d and their Möbius values from the set partitions
+    of its blocks, each group's mu (-1)^(m-1) (m-1)! taken whole."""
+    masks = d._masks
+    out = []
+    for grouping in set_partitions(len(masks)):
+        merged = sorted((sum(masks[i - 1] for i in group) for group in grouping), reverse=True)
+        mu = prod((-1) ** (len(g) - 1) * factorial(len(g) - 1) for g in grouping)
+        out.append((PartitionDiagram._from_masks(d.size, tuple(merged), d.half), mu))
+    return sorted(out, key=lambda e: e[0].blocks)
+
+
+def test_upset_matches_the_set_partition_route():
+    seven = D("[[1,-1],[2],[3],[4],[-2],[-3],[-4]]")
+    half = D("[[1],[2],[3,-3],[-1],[-2]]", half=True)
+    assert (seven.n_blocks(), half.n_blocks()) == (7, 5)
+    for d in [*enumerate_monoid("A", 3), seven, half]:
+        got, want = diagram._upset(d), _old_upset(d)
+        assert [(c.blocks, c.half, mu) for c, mu in got] == [(c.blocks, c.half, mu) for c, mu in want], d
+        assert all(list(c._masks) == sorted(c._masks, reverse=True) for c, _ in got), d
+    assert len(diagram._upset(seven)) == bell(7)
 
 
 def test_upset_matches_brute_force_coarsenings_at_size_4():

@@ -31,6 +31,7 @@ from .combinat import (
     partitions_upto,
     shape_key,
 )
+from .limits import check
 from .linalg import ExactMatrix, solve_unique
 from .rook import RookElement
 
@@ -119,7 +120,9 @@ def _chi_star_by_type(lam: Partition, mu: Partition) -> int:
 
 def chi_star(lam, sigma: RookElement) -> int:
     """Irreducible rook character of lam at sigma; it reads only
-    ``closed_type(sigma)``."""
+    ``closed_type(sigma)``.  Sizes past the "rook characters" row of
+    ``limits.LIMITS`` are refused before any work, as on the command line."""
+    check("rook characters", sigma.n)
     return _chi_star_by_type(check_partition(lam), closed_type(sigma))
 
 

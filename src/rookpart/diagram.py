@@ -866,8 +866,7 @@ def _closure_listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], t
     else lists the monoid again, to name the first diagram missing."""
     size, half = (k + 1, True) if kind == "I_half" else (k, False)
 
-    # e and f (e_k, f_{k-1}, f_{k-1}ᵀ) come first: ``commutant_dimension`` then makes 41,079 of
-    # its 59,016 pivots at (3, 5) one-term (1,170 with s_i first) and runs about twice as fast.
+    # e and f (e_k, f_{k-1}, f_{k-1}ᵀ), the generators that are not permutations, come first
     if half:
         f = [(k - 1, k, 1 - k), (k + 1, -k, -k - 1)]
         named_blocks = [[(k, k + 1, -k, -k - 1)], f, [tuple(-v for v in b) for b in f]]

@@ -259,7 +259,10 @@ def gt_decompose(t, n: int) -> dict:
     For each branching path to level t the predicted eigenvalue tuple must cut
     out a space of dimension equal to the matching rook irreducible, the
     eigenspaces must exhaust the tensor space, and the tuples must be pairwise
-    distinct.
+    distinct.  The paths share one :class:`CommutingFamily`, so a prefix of
+    eigenvalues common to several paths is eliminated once; besides the
+    entries, the report gives ``operators`` (the size of the family) and
+    ``prefix_kernels`` (the eigenvalue prefixes whose kernel it eliminated).
     """
     t = as_level(t)
     space = tensor_space(t, n)
@@ -309,4 +312,6 @@ def gt_decompose(t, n: int) -> dict:
         "entries": entries,
         "ok": not failures,
         "failures": failures,
+        "operators": len(ops),
+        "prefix_kernels": ops.prefix_kernels,
     }

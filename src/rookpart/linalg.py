@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
 
 _ZERO = Fraction(0)
 
@@ -21,7 +22,8 @@ def _exact(value):
     """The value as an int when it is integral, as a Fraction otherwise."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -203,6 +205,17 @@ def rank(m: ExactMatrix) -> int:
     return len(_gauss_jordan(m._rows, reduced=False))
 
 
+def _basis_tuple(vec: dict, cols: int) -> tuple:
+    """A sparse kernel vector as a dense tuple of Fractions, scaled so that
+    its first nonzero coordinate is 1; only the nonzero coordinates are
+    divided."""
+    lead = vec[min(vec)]
+    out = [_ZERO] * cols
+    for j, v in vec.items():
+        out[j] = Fraction(v) / lead
+    return tuple(out)
+
+
 def nullspace(m: ExactMatrix) -> list:
     """Exact basis of the right kernel; size = cols - rank.
 
@@ -218,8 +231,7 @@ def nullspace(m: ExactMatrix) -> list:
             v = row.get(f)
             if v:
                 vec[c] = -v
-        lead = vec[min(vec)]
-        basis.append(tuple(Fraction(vec.get(j, 0)) / lead for j in range(m.cols)))
+        basis.append(_basis_tuple(vec, m.cols))
     return basis
 
 
@@ -246,37 +258,52 @@ def sparse_rank_of_vectors(vectors) -> int:
     return len(_gauss_jordan(rows, reduced=False))
 
 
-def _commutator_rows(g: ExactMatrix):
-    """Rows of the linear system M g - g M = 0 in the unknowns M_{ab} (index
-    a * d + b), one per entry (i, k) of the commutator."""
+def _commutator_rows(g: ExactMatrix, ids):
+    """Rows of the linear system M g - g M = 0, one per entry (i, k) of the
+    commutator, in the unknowns ``ids[a * d + b]`` of the entries M_{ab}."""
     d = g.rows
     col_nz = [[] for _ in range(d)]
     for j, row in enumerate(g._rows):
         for k, v in row.items():
             col_nz[k].append((j, v))
     for i, g_row in enumerate(g._rows):
+        base = i * d
         for k in range(d):
-            row = {i * d + j: v for j, v in col_nz[k]}
+            row = {}
+            for j, v in col_nz[k]:
+                u = ids[base + j]
+                row[u] = row.get(u, 0) + v
             for j, v in g_row.items():
-                key = j * d + k
-                row[key] = row.get(key, 0) - v
+                u = ids[j * d + k]
+                row[u] = row.get(u, 0) - v
             yield row
 
 
-def commutant_dimension(generators) -> int:
-    """Dimension of {M : M g = g M for every generator g}.
+def commutant_dimension(generators, unknowns) -> int:
+    """Dimension of {M : M g = g M for every generator g}, M ranging over the
+    d x d matrices whose entries with one name share one unknown.
 
-    Eliminates the stacked linear system in d^2 unknowns M_{ab}, generated
-    row by row, and returns d^2 minus its rank.
+    ``unknowns[a * d + b]`` names the unknown of entry (a, b), so
+    ``range(d * d)`` gives every entry its own and the whole commutant.  A
+    matrix commutes with a permutation action exactly when it is constant on
+    the orbits of that action on entries (a combination of orbital
+    matrices), so a caller whose generators include a permutation group
+    names the unknowns by those orbits and passes only the other generators:
+    the system left is one of orbits, not of d^2 entries.  The stacked
+    commutator rows, d^2 per generator with their columns gathered by name,
+    are eliminated one by one, and the result is the number of names minus
+    the rank; with no generator, it is the number of names.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    d = generators[0].rows
+    d = isqrt(len(unknowns))
+    if d * d != len(unknowns):
+        raise ValueError(f"{len(unknowns)} unknowns do not name the entries of a square matrix")
     for g in generators:
         if g.rows != d or g.cols != d:
-            raise ValueError("dimension mismatch among generators")
-    rows = chain.from_iterable(_commutator_rows(g) for g in generators)
-    return d * d - len(_gauss_jordan(rows, reduced=False))
+            raise ValueError(f"dimension mismatch: a {g.rows}x{g.cols} generator for {d}x{d} unknowns")
+    names = {}
+    ids = [names.setdefault(u, len(names)) for u in unknowns]
+    rows = chain.from_iterable(_commutator_rows(g, ids) for g in generators)
+    return len(names) - len(_gauss_jordan(rows, reduced=False))
 
 
 class CommutingFamily(tuple):
@@ -286,9 +313,14 @@ class CommutingFamily(tuple):
     with ``ops[i] * ops[j] != ops[j] * ops[i]``.  The check runs at every size
     and under ``python -O``; a caller that reuses one family for many
     eigenspaces builds it once and pays for the check once.
-    """
 
-    __slots__ = ()
+    The family also keeps, for as long as it lives, the joint kernel of each
+    eigenvalue prefix it has been asked for: at (lambda_1, ..., lambda_j), the
+    vectors killed by op_i - lambda_i for every i <= j, as sparse basis
+    vectors.  Eigenvalue tuples that share a prefix, as those of the paths of
+    a branching graph through one vertex do, share its kernel, and each new
+    prefix is eliminated once, in the r unknowns its parent's kernel leaves.
+    """
 
     def __new__(cls, ops):
         ops = tuple(ops)
@@ -302,7 +334,53 @@ class CommutingFamily(tuple):
             for j in range(i + 1, len(ops)):
                 if ops[i] * ops[j] != ops[j] * ops[i]:
                     raise ValueError(f"operators {i} and {j} do not commute")
-        return super().__new__(cls, ops)
+        family = super().__new__(cls, ops)
+        # each operator by columns, to apply it to sparse vectors
+        family._columns = [[{} for _ in range(d)] for _ in ops]
+        for op, columns in zip(ops, family._columns):
+            for i, row in enumerate(op._rows):
+                for c, v in row.items():
+                    columns[c][i] = v
+        family._kernels = {(): [{i: 1} for i in range(d)]}
+        return family
+
+    @property
+    def prefix_kernels(self) -> int:
+        """How many nonempty eigenvalue prefixes the family holds a kernel of."""
+        return len(self._kernels) - 1
+
+    def _kernel(self, values: tuple) -> list:
+        """Joint kernel of the first len(values) operators at those values.
+
+        A new prefix applies op_j - lambda_j to each of the r vectors of its
+        parent's kernel, and one ``nullspace`` of the d x r matrix of the
+        images gives the combinations of them that it kills; when every image
+        is zero, the parent's kernel is the prefix's own.
+        """
+        kernel = self._kernels.get(values)
+        if kernel is not None:
+            return kernel
+        parent = self._kernel(values[:-1])
+        columns, lam = self._columns[len(values) - 1], values[-1]
+        rows = [{} for _ in columns]
+        for col, vec in enumerate(parent):
+            image = {i: -lam * v for i, v in vec.items()} if lam else {}
+            for c, v in vec.items():
+                _axpy(image, v, columns[c])
+            for i, v in image.items():
+                rows[i][col] = v
+        if any(rows):
+            kernel = []
+            for coeffs in nullspace(ExactMatrix._from_rows(len(parent), rows)):
+                vec = {}
+                for col, c in enumerate(coeffs):
+                    if c:
+                        _axpy(vec, _exact(c), parent[col])
+                kernel.append(vec)
+        else:
+            kernel = parent
+        self._kernels[values] = kernel
+        return kernel
 
 
 def simultaneous_eigenspace(ops, eigenvalues) -> list:
@@ -310,17 +388,22 @@ def simultaneous_eigenspace(ops, eigenvalues) -> list:
 
     The operators must commute pairwise: unless ``ops`` is already a
     :class:`CommutingFamily`, it is checked here and a non-commuting pair
-    raises ValueError.
+    raises ValueError.  The kernel comes from the family's kernels of the
+    eigenvalue prefixes, in the form ``nullspace`` gives the stacked system
+    of every op_i - lambda_i: one vector per free column f, zero past f and
+    at every other free column, listed by f and scaled to a first nonzero
+    coordinate of 1.  That form depends on the kernel alone, and each prefix
+    keeps it: if its parent's vectors v_i have it, with free columns f_i,
+    the vector sum_i c_i v_i made from the kernel vector c that
+    ``nullspace`` gives for a free column g of the image matrix is zero past
+    f_g and at the f_h of the other free columns h, since c_h = 0 there and
+    the c_p of its pivots p < g add only vectors that end before f_g.  So
+    the basis is the stacked system's, whichever prefixes were asked for
+    before, and only the scaling is left to do.
     """
     if len(ops) != len(eigenvalues):
         raise ValueError("one eigenvalue per operator")
     if not isinstance(ops, CommutingFamily):
         ops = CommutingFamily(ops)
-    stacked = []
-    for op, lam in zip(ops, eigenvalues):
-        lam = _exact(lam)
-        for i, row in enumerate(op._rows):
-            shifted = dict(row)
-            _axpy(shifted, -lam, {i: 1})
-            stacked.append(shifted)
-    return nullspace(ExactMatrix._from_rows(ops[0].cols, stacked))
+    kernel = ops._kernel(tuple(_exact(lam) for lam in eigenvalues))
+    return [_basis_tuple(vec, ops[0].cols) for vec in kernel]

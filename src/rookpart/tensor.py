@@ -19,12 +19,14 @@ its term's coefficient, and ``ExactMatrix.from_entries`` adds up the pairs.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import comb
 
+from .combinat import stirling2
 from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
 from .formal import FormalSum
 from .limits import check
 from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from .rook import RookElement, embed, enumerate_rook, generators
+from .rook import RookElement, embed, enumerate_rook, generator
 from .scalars import XiPoly
 
 
@@ -147,6 +149,52 @@ def psi_element(x: FormalSum, space: TensorSpace) -> ExactMatrix:
     return _action(space, ((c, _rook_cells(rho, space)) for rho, c in x.terms()))
 
 
+def _phi_orbits(space: TensorSpace):
+    """The unknown of each entry (a, b), row by row, in the diagram commutant:
+    its orbit under S_k permuting the k positions of both words, the
+    multiset of letter pairs."""
+    for a in space.basis:
+        for b in space.basis:
+            yield tuple(sorted(zip(a, b)))
+
+
+def _psi_orbits(space: TensorSpace):
+    """The unknown of each entry (a, b), row by row, in the rook commutant:
+    its orbit under the letter permutations of S_{rook n}, the
+    letter-equality pattern of the word a b, with the letter n apart on a
+    half space, where the rook elements fix it."""
+    for a in space.basis:
+        head_seen = {space.n: 0} if space.half else {}
+        head = tuple([head_seen.setdefault(x, len(head_seen)) for x in a])
+        for b in space.basis:
+            seen = head_seen.copy()
+            yield head + tuple([seen.setdefault(x, len(seen)) for x in b])
+
+
+def _orbit_unknowns(space: TensorSpace, names, expected: int, side: str) -> list:
+    """The unknowns of every entry of a dim x dim matrix, row by row, as
+    ints; there must be as many as the closed form ``expected`` counts, and a
+    mismatch raises RuntimeError naming the space."""
+    ids = {}
+    unknowns = [ids.setdefault(name, len(ids)) for name in names]
+    if len(ids) != expected:
+        raise RuntimeError(f"{space!r}: {len(ids)} {side} orbital unknowns, the closed form counts {expected}")
+    return unknowns
+
+
+def _psi_orbit_count(space: TensorSpace) -> int:
+    """Letter-equality patterns of 2k letters from n: set partitions of the
+    2k places into at most n blocks; on a half space, the j places holding
+    the fixed letter n are chosen first and the rest get at most n-1 blocks."""
+    places = 2 * space.k
+    if not space.half:
+        return sum(stirling2(places, r) for r in range(space.n + 1))
+    return sum(
+        comb(places, j) * sum(stirling2(places - j, r) for r in range(space.n))
+        for j in range(places + 1)
+    )
+
+
 def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     """Kernel, image and commutant bookkeeping for the two commuting actions.
 
@@ -156,19 +204,36 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     symmetrically, the rook image equals the commutant of the diagram action.
 
     A matrix commutes with the action of a monoid as soon as it commutes with
-    the action of a generating set, so the commutant in (b) is taken over the
-    rook generators s_i, P_1 (``rook.generators``), and the commutant in (c)
-    over the named diagrams of ``diagram.generating_set``.  The monoid and
-    its generators come from one cached listing, their closure, so the
-    monoid is listed once.
-    The images are spanned over every orbit diagram and every rook element,
-    so the sizes are bounded by the "tensor space", "R_n enumeration" and
-    "I_k enumeration" limits, all checked before any elimination.
+    a generating set, and it commutes with a permutation action exactly when
+    it is a combination of orbital matrices, one per orbit on pairs of basis
+    words (Halverson-Ram 2005; Benkart-Halverson 2019).  So each commutant is
+    solved in orbital unknowns (``linalg.commutant_dimension``), imposing only
+    the generators outside the permutation group:
+    (b) the unknowns are the S_{rook n}-orbits on the words a b, their
+    letter-equality patterns, and only psi(P_1) is imposed; (c) the unknowns
+    are the S_k-orbits on position pairs, the multisets of k letter pairs,
+    and only the non-permutation diagrams of ``diagram.generating_set`` are
+    imposed (e and f, or e_k, f_{k-1} and its transpose; I_1 has none, and
+    its commutant is every orbital).  The number of each kind of unknown is
+    checked against its closed form, a sum of Stirling numbers for (b) and
+    C(n^2+k-1, k) for (c), and a mismatch raises RuntimeError naming the
+    space.
+
+    The orbit vectors of distinct diagrams have disjoint supports, since
+    each entry (a, b) has one letter-equality pattern, so the diagram image
+    has the dimension of the number of diagrams with any injective cell; an
+    always-on check that no cell is met twice backs this, and raises
+    RuntimeError naming the diagram whose vector meets an earlier one.  The
+    rook image is the rank of the rook elements' vectors.  The monoid and its
+    generators come from one cached listing, and the sizes are bounded by
+    the "tensor space", "R_n enumeration" and "I_k enumeration" limits, all
+    checked before any elimination.
 
     Besides the checked dimensions and ``ok``, the report gives the sizes it
     touched: ``dim`` (of the tensor space), ``diagram_count`` (of the
-    monoid), ``phi_generators`` (diagram matrices whose commutant is taken)
-    and ``phi_commutant_rows`` (dim^2 rows per such matrix).
+    monoid), ``phi_generators`` (the non-permutation diagrams imposed),
+    ``phi_unknowns`` and ``psi_unknowns`` (the orbital unknowns of the two
+    commutants).
     """
     space = TensorSpace(n, k, half)
     # first, so that an R_n too large to list is refused before any elimination
@@ -176,21 +241,28 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
 
-    def flat(cells):
-        return {i * space.dim + j: 1 for i, j in cells}
-
     expected_kernel = sum(1 for d in diagrams if d.n_blocks() > n)
-    image_dim = sparse_rank_of_vectors(
-        [flat(_diagram_cells(d, space, injective=True)) for d in diagrams]
-    )
+    owner = {}
+    image_dim = 0
+    for d in diagrams:
+        before = len(owner)
+        for cell in _diagram_cells(d, space, injective=True):
+            if owner.setdefault(cell, d) is not d:
+                raise RuntimeError(f"{space!r}: the orbit vector of {d} meets that of {owner[cell]} at cell {cell}")
+        image_dim += len(owner) > before
     kernel_dim = len(diagrams) - image_dim
 
-    gens = [psi_rook(g, space) for g in generators(space.rook_n)]
-    commutant_dim = commutant_dimension(gens)
+    psi_count = _psi_orbit_count(space)
+    psi_unknowns = _orbit_unknowns(space, _psi_orbits(space), psi_count, "psi")
+    commutant_dim = commutant_dimension([psi_rook(generator("P", 1, space.rook_n), space)], psi_unknowns)
 
-    psi_image_dim = sparse_rank_of_vectors([flat(_rook_cells(rho, space)) for rho in rooks])
-    phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k)]
-    phi_commutant_dim = commutant_dimension(phi_gens)
+    psi_image_dim = sparse_rank_of_vectors(
+        [{i * space.dim + j: 1 for i, j in _rook_cells(rho, space)} for rho in rooks]
+    )
+    phi_count = comb(n * n + k - 1, k)
+    phi_unknowns = _orbit_unknowns(space, _phi_orbits(space), phi_count, "phi")
+    phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) if d.n_blocks() < d.size]
+    phi_commutant_dim = commutant_dimension(phi_gens, phi_unknowns)
 
     ok = (
         kernel_dim == expected_kernel
@@ -211,5 +283,6 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
         "dim": space.dim,
         "diagram_count": len(diagrams),
         "phi_generators": len(phi_gens),
-        "phi_commutant_rows": space.dim**2 * len(phi_gens),
+        "phi_unknowns": phi_count,
+        "psi_unknowns": psi_count,
     }

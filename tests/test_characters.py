@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from rookpart import characters
 from rookpart.characters import (
     _sym_char_by_type,
     check_frobenius,
@@ -154,6 +155,26 @@ def test_chi_star_examples_at_identity_zero_and_s1():
     assert chi_star((1, 1), s1) == -1
     assert chi_star((1,), s1) == 0
     assert chi_star((3,), s1) == 0  # |lam| > n
+
+
+def test_chi_star_refuses_past_the_rook_characters_row(monkeypatch):
+    # closed cycles of lengths 1, ..., 59 on 1,770 letters, and the identity on
+    # 3,000 letters: both are refused before sigma's type is read
+    mapping, start = [], 1
+    for length in range(1, 60):
+        mapping += [start + (i + 1) % length for i in range(length)]
+        start += length
+    cycles = RookElement(len(mapping), mapping)
+
+    def no_work(sigma):
+        raise AssertionError("the closed type was read")
+
+    monkeypatch.setattr(characters, "closed_type", no_work)
+    for lam, sigma in (((1,), cycles), ((3000,), RookElement.identity(3000))):
+        message = f"rook characters: n = {sigma.n} exceeds the limit 66"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chi_star(lam, sigma)
+    assert cycles.n == 1770
 
 
 def test_chi_star_matches_sum_over_invariant_subsets():

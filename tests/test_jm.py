@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rookpart import jm
-from rookpart.bratteli import HALF, ihat, levels_upto
+from rookpart.bratteli import HALF, GradedGraph, ihat, levels_upto
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -244,6 +244,48 @@ def test_gt_decompose_names_the_failing_paths(monkeypatch):
         "path ((), (1,), (1,)): eigenspace dim 0 != 1",
         "eigenspaces cover 0 of 2 dimensions",
     ]
+
+
+def test_gt_decompose_names_a_wrong_dimension_alone(monkeypatch):
+    real = jm.rook_irrep_dim
+    monkeypatch.setattr(jm, "rook_irrep_dim", lambda mu, n: real(mu, n) + (mu == ()))
+    report = gt_decompose(Fraction(3, 2), 2)
+    assert not report["ok"]
+    assert report["failures"] == ["path ((), (1,), ()): eigenspace dim 1 != 2"]
+
+
+def test_gt_decompose_names_a_shared_tuple_alone(monkeypatch):
+    # every path reads the first path's tuple: each eigenspace has the right
+    # dimension and together they count up to the space, the same line twice
+    real = jm.predicted_eigenvalues
+    first = []
+
+    def the_first_tuple(path):
+        if not first:
+            first.append(real(path))
+        return first[0]
+
+    monkeypatch.setattr(jm, "predicted_eigenvalues", the_first_tuple)
+    report = gt_decompose(Fraction(3, 2), 2)
+    assert not report["ok"]
+    assert report["failures"] == ["paths ((), (1,), ()) and ((), (1,), (1,)) share a tuple"]
+
+
+def test_gt_decompose_names_a_shortfall_in_coverage_alone(monkeypatch):
+    real = GradedGraph.enumerate_paths
+    monkeypatch.setattr(GradedGraph, "enumerate_paths", lambda g, src, dst: [] if dst[1] == (1,) else real(g, src, dst))
+    report = gt_decompose(Fraction(3, 2), 2)
+    assert not report["ok"]
+    assert report["failures"] == ["eigenspaces cover 1 of 2 dimensions"]
+
+
+def test_gt_decompose_reports_its_operators_and_prefix_kernels():
+    # 2 operators per level 1/2, 1, ..., t; the 13 distinct prefixes of the 3
+    # eigenvalue tuples at level 2 are each eliminated once
+    report = gt_decompose(Fraction(2), 3)
+    assert report["operators"] == 8
+    tuples = [tuple(v for pair in e["eigenvalues"] for v in pair) for e in report["entries"]]
+    assert report["prefix_kernels"] == len({t[:j] for t in tuples for j in range(1, 9)}) == 13
 
 
 def test_content_family_alone_separates_at_integer_levels():

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 
 import rookpart
+from rookpart.bratteli import HALF, ihat, levels_upto
 from rookpart.diagram import enumerate_monoid
+from rookpart.jm import build_m, build_m_tilde, predicted_eigenvalues, size_and_half, tensor_space
 from rookpart.linalg import (
     CommutingFamily,
     ExactMatrix,
@@ -22,7 +24,7 @@ from rookpart.linalg import (
 )
 from rookpart.rook import generator
 from rookpart.seminormal import RookIrrep
-from rookpart.tensor import TensorSpace, psi_rook
+from rookpart.tensor import TensorSpace, phi_element, psi_rook
 
 small_entries = st.integers(min_value=-4, max_value=4).map(Fraction)
 
@@ -97,20 +99,33 @@ def test_solve_unique():
 
 
 def test_commutant_of_identity_is_everything():
-    assert commutant_dimension([ExactMatrix.identity(3)]) == 9
+    assert commutant_dimension([ExactMatrix.identity(3)], range(9)) == 9
 
 
 def test_commutant_of_full_matrix_algebra_is_scalars():
     basis = [
         ExactMatrix.from_entries(2, 2, [((i, j), 1)]) for i in range(2) for j in range(2)
     ]
-    assert commutant_dimension(basis) == 1
+    assert commutant_dimension(basis, range(4)) == 1
 
 
 def test_commutant_of_rook_action_on_two_tensors():
     space = TensorSpace(2, 2)
     gens = [psi_rook(generator("s", 1, 2), space), psi_rook(generator("P", 1, 2), space)]
-    assert commutant_dimension(gens) == 3
+    assert commutant_dimension(gens, range(16)) == 3
+
+
+def test_commutant_on_named_unknowns():
+    # entries with one name share one unknown: here M = [[x, y], [y, x]], the
+    # combinations of the flip's orbital matrices
+    orbits = ["diagonal", "off", "off", "diagonal"]
+    assert commutant_dimension([], orbits) == 2
+    assert commutant_dimension([ExactMatrix([[0, 1], [1, 0]])], orbits) == 2
+    assert commutant_dimension([ExactMatrix([[1, 0], [0, 0]])], orbits) == 1
+    with pytest.raises(ValueError, match="5 unknowns do not name the entries of a square matrix"):
+        commutant_dimension([ExactMatrix.identity(2)], range(5))
+    with pytest.raises(ValueError, match="a 3x3 generator for 2x2 unknowns"):
+        commutant_dimension([ExactMatrix.identity(3)], range(4))
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,8 +141,8 @@ def test_commutant_dimension_is_conjugation_invariant(a, b, p):
     cols = [solve_unique(p, [Fraction(int(i == j)) for i in range(d)]) for j in range(d)]
     p_inv = ExactMatrix(list(zip(*cols)))
     assert p * p_inv == ExactMatrix.identity(d)
-    before = commutant_dimension([a, b])
-    after = commutant_dimension([p * a * p_inv, p * b * p_inv])
+    before = commutant_dimension([a, b], range(d * d))
+    after = commutant_dimension([p * a * p_inv, p * b * p_inv], range(d * d))
     assert before == after
 
 
@@ -345,3 +360,69 @@ def test_sparse_elimination_matches_dense_oracle(a, data):
             solve_unique(m, rhs)
     else:
         assert solve_unique(m, rhs) == expected
+
+
+# --- the stacked-system eigenspace, kept as an oracle for the prefix kernels --
+
+
+def stacked_eigenspace(ops, eigenvalues):
+    """The joint eigenspace as one nullspace of every op_i - lambda_i I stacked."""
+    d = ops[0].cols
+    shifted = [op - ExactMatrix.identity(d).scaled(lam) for op, lam in zip(ops, eigenvalues)]
+    return nullspace(ExactMatrix._from_rows(d, [row for m in shifted for row in m._rows]))
+
+
+def level_operators(t, n):
+    """The lifted M and M~ operators at level t on its tensor space, and the
+    eigenvalue tuple of every branching path to level t."""
+    space = tensor_space(t, n)
+    ops = [phi_element(build(y, t), space) for y in levels_upto(t) for build in (build_m, build_m_tilde)]
+    graph = ihat(t)
+    tuples = [
+        [v for pair in predicted_eigenvalues(path) for v in pair]
+        for mu in graph.vertices[graph.level_index(t)]
+        for path in graph.enumerate_paths((HALF, ()), (t, mu))
+    ]
+    return ops, tuples
+
+
+# every level up to 7/2 with n one past the diagram size, and level 3 at n = 4
+EIGEN_LEVELS = [
+    (t, size_and_half(t)[0] + 1) for t in (Fraction(k, 2) for k in range(2, 8))
+] + [(Fraction(3), 4)]
+
+
+@pytest.mark.parametrize("t, n", EIGEN_LEVELS)
+def test_prefix_eigenspaces_equal_the_stacked_system(t, n):
+    ops, tuples = level_operators(t, n)
+    family = CommutingFamily(ops)
+    dims = 0
+    for values in tuples:
+        basis = simultaneous_eigenspace(family, values)
+        assert basis == stacked_eigenspace(ops, values), values
+        dims += len(basis)
+    assert dims == ops[0].rows
+    # one kernel per distinct prefix, however many paths share it
+    prefixes = {tuple(values[:j]) for values in tuples for j in range(1, len(values) + 1)}
+    assert family.prefix_kernels == len(prefixes)
+
+
+@pytest.mark.parametrize("t, n", EIGEN_LEVELS)
+def test_a_shared_family_gives_the_bases_of_a_fresh_one(t, n):
+    # walked backwards, the shared family meets the prefixes in another order
+    ops, tuples = level_operators(t, n)
+    shared = CommutingFamily(ops)
+    for values in reversed(tuples):
+        assert simultaneous_eigenspace(shared, values) == simultaneous_eigenspace(CommutingFamily(ops), values)
+
+
+def test_prefix_kernels_are_kept_and_a_killed_kernel_is_inherited():
+    a = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    family = CommutingFamily([ExactMatrix.identity(3), a])
+    assert family.prefix_kernels == 0
+    # the identity at 1 kills the whole space: the prefix keeps its parent's kernel
+    assert simultaneous_eigenspace(family, [1, 1]) == [(1, 0, 0)]
+    assert family._kernels[(1,)] is family._kernels[()]
+    assert simultaneous_eigenspace(family, [1, 2]) == [(0, 0, 1)]
+    assert simultaneous_eigenspace(family, [0, 2]) == []
+    assert family.prefix_kernels == 5

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
+from rookpart import tensor
 from rookpart.combinat import standard_tableaux
 from rookpart.diagram import (
     AlgebraElement,
@@ -11,10 +14,11 @@ from rookpart.diagram import (
     diagram_product,
     enumerate_monoid,
     from_orbit,
+    generating_set,
 )
 from rookpart.formal import FormalSum
 from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from rookpart.rook import RookElement, embed, enumerate_rook, generator
+from rookpart.rook import RookElement, embed, enumerate_rook, generator, generators
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
     TensorSpace,
@@ -227,9 +231,9 @@ def _all_diagrams_report(n, k, half=False):
     image_dim = sparse_rank_of_vectors([flat(phi_orbit(d, space)) for d in diagrams])
     rook_gens = [generator("s", i, space.rook_n) for i in range(1, space.rook_n)]
     rook_gens.append(generator("P", 1, space.rook_n))
-    commutant_dim = commutant_dimension([psi_rook(g, space) for g in rook_gens])
+    commutant_dim = commutant_dimension([psi_rook(g, space) for g in rook_gens], range(space.dim**2))
     psi_image_dim = sparse_rank_of_vectors([flat(psi_rook(r, space)) for r in enumerate_rook(space.rook_n)])
-    phi_commutant_dim = commutant_dimension([phi_diagram(d, space) for d in diagrams])
+    phi_commutant_dim = commutant_dimension([phi_diagram(d, space) for d in diagrams], range(space.dim**2))
     ok = (
         image_dim == len(diagrams) - expected_kernel
         and image_dim == commutant_dim
@@ -249,7 +253,7 @@ def _all_diagrams_report(n, k, half=False):
     }
 
 
-SIZE_KEYS = {"dim", "diagram_count", "phi_generators", "phi_commutant_rows"}
+SIZE_KEYS = {"dim", "diagram_count", "phi_generators", "phi_unknowns", "psi_unknowns"}
 
 
 @pytest.mark.parametrize("n, k, half", [(2, 3, False), (3, 3, False), (2, 3, True), (2, 4, False)])
@@ -266,17 +270,155 @@ def test_schur_weyl_report_sizes():
     assert {key: report[key] for key in SIZE_KEYS} == {
         "dim": 16,
         "diagram_count": 339,
-        "phi_generators": 5,
-        "phi_commutant_rows": 1280,
+        "phi_generators": 2,
+        "phi_unknowns": 35,
+        "psi_unknowns": 128,
     }
 
 
 def test_schur_weyl_single_place():
-    # I_1 = {identity} has an empty generating set; the identity stands in
+    # I_1 = {identity} has no non-permutation generator: its commutant is
+    # every one of the n^2 orbital unknowns
     for n in (2, 3):
         report = schur_weyl_report(n, 1)
         assert report["ok"] and report["phi_commutant_dim"] == n * n
-        assert report["phi_generators"] == 1 and report["diagram_count"] == 1
+        assert report["phi_generators"] == 0 and report["diagram_count"] == 1
+        assert report["phi_unknowns"] == n * n
+
+
+# --- the entrywise commutants, kept as an oracle for the orbital unknowns ------
+
+
+def _entrywise_commutants(n, k, half):
+    """Both commutants in dim^2 unknowns, over every generator of each monoid."""
+    space = TensorSpace(n, k, half)
+    every = range(space.dim**2)
+    psi = commutant_dimension([psi_rook(g, space) for g in generators(space.rook_n)], every)
+    diagrams = generating_set("I_half" if half else "I", k)
+    phi = commutant_dimension([phi_diagram(d, space) for d in diagrams], every)
+    return psi, phi
+
+
+@pytest.mark.parametrize("n, k, half", [(2, 3, False), (3, 3, False), (3, 4, False), (2, 3, True), (3, 4, True)])
+def test_orbital_commutants_match_the_entrywise_route(n, k, half):
+    report = schur_weyl_report(n, k, half)
+    assert (report["commutant_dim"], report["phi_commutant_dim"]) == _entrywise_commutants(n, k, half)
+
+
+def _orbit_counts(space):
+    """Orbits of the letter permutations (fixing n on a half space) and of the
+    position permutations on the entries (a, b), found by applying each one."""
+    entries = [(a, b) for a in space.basis for b in space.basis]
+    letters = range(1, space.rook_n + 1)
+    letter_maps = [dict(zip(letters, p)) for p in permutations(letters)]
+    position_maps = list(permutations(range(space.k)))
+
+    def count(images):
+        seen, orbits = set(), 0
+        for entry in entries:
+            if entry not in seen:
+                orbits += 1
+                seen.update(images(entry))
+        return orbits
+
+    psi = count(lambda e: [tuple(tuple(p.get(x, x) for x in w) for w in e) for p in letter_maps])
+    phi = count(lambda e: [tuple(tuple(w[i] for i in s) for w in e) for s in position_maps])
+    return psi, phi
+
+
+ORBIT_CASES = [(2, 2, False), (3, 2, False), (4, 2, False), (2, 3, False), (3, 3, False),
+               (2, 2, True), (3, 2, True), (4, 2, True), (2, 3, True), (3, 3, True)]
+
+
+@pytest.mark.parametrize("n, k, half", ORBIT_CASES)
+def test_orbital_unknown_counts_match_their_closed_forms(n, k, half):
+    space = TensorSpace(n, k, half)
+    psi, phi = _orbit_counts(space)
+    assert tensor._psi_orbit_count(space) == psi
+    assert comb(n * n + k - 1, k) == phi
+    report = schur_weyl_report(n, k, half)
+    assert (report["psi_unknowns"], report["phi_unknowns"]) == (psi, phi)
+
+
+def test_psi_closed_form_values():
+    # sum of S(2k, r) over r <= n; on a half space, the places of n are chosen first
+    assert tensor._psi_orbit_count(TensorSpace(4, 4)) == 2795
+    assert tensor._psi_orbit_count(TensorSpace(3, 5)) == 9842
+    assert tensor._psi_orbit_count(TensorSpace(3, 2, half=True)) == 8 + 4 * 4 + 6 * 2 + 4 + 1
+
+
+# --- planted faults: each check of the report fails and names its witness -----
+
+
+def _agree(report, *pairs):
+    return all(report[a] == report[b] for a, b in pairs)
+
+
+def test_schur_weyl_kernel_check_fails_alone(monkeypatch):
+    # diagrams with n blocks read as having n + 1: the kernel count grows by
+    # the 3! permutations of I_3, and nothing else moves
+    real = PartitionDiagram.n_blocks
+    monkeypatch.setattr(PartitionDiagram, "n_blocks", lambda d: real(d) + (real(d) == 3))
+    report = schur_weyl_report(3, 3)
+    assert not report["ok"]
+    assert (report["kernel_dim"], report["expected_kernel_dim"]) == (0, 6)
+    assert _agree(report, ("image_dim", "commutant_dim"), ("psi_image_dim", "phi_commutant_dim"))
+
+
+def test_schur_weyl_rook_commutant_check_fails_alone(monkeypatch):
+    # P_1 replaced by the identity: every orbital of the rook action commutes
+    monkeypatch.setattr(tensor, "generator", lambda name, i, n: RookElement.identity(n))
+    report = schur_weyl_report(3, 3)
+    assert not report["ok"]
+    assert (report["image_dim"], report["commutant_dim"]) == (25, report["psi_unknowns"]) == (25, 122)
+    assert _agree(report, ("kernel_dim", "expected_kernel_dim"), ("psi_image_dim", "phi_commutant_dim"))
+
+
+def test_schur_weyl_diagram_commutant_check_fails_alone(monkeypatch):
+    # f dropped from the generators of I_3: e and the s_i leave a larger commutant
+    real = tensor.generating_set
+    monkeypatch.setattr(tensor, "generating_set", lambda kind, k: tuple(g for i, g in enumerate(real(kind, k)) if i != 1))
+    report = schur_weyl_report(3, 3)
+    assert not report["ok"]
+    assert report["phi_generators"] == 1
+    assert report["psi_image_dim"] == 33 < report["phi_commutant_dim"]
+    assert _agree(report, ("kernel_dim", "expected_kernel_dim"), ("image_dim", "commutant_dim"))
+
+
+def test_schur_weyl_names_orbit_vectors_that_meet(monkeypatch):
+    real = tensor._diagram_cells
+
+    def with_a_shared_cell(d, space, injective):
+        yield from real(d, space, injective)
+        yield (0, 0)
+
+    monkeypatch.setattr(tensor, "_diagram_cells", with_a_shared_cell)
+    first, second = enumerate_monoid("I", 3)[:2]
+    message = f"TensorSpace(n=3, k=3): the orbit vector of {second} meets that of {first} at cell (0, 0)"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        schur_weyl_report(3, 3)
+
+
+def test_schur_weyl_checks_the_rook_unknowns_against_their_closed_form(monkeypatch):
+    # letter n not kept apart: the patterns of a full space, too few for a half one
+    def patterns(space):
+        for a in space.basis:
+            for b in space.basis:
+                seen = {}
+                yield tuple(seen.setdefault(x, len(seen)) for x in a + b)
+
+    monkeypatch.setattr(tensor, "_psi_orbits", patterns)
+    message = "TensorSpace(n=3, k=2+1/2): 14 psi orbital unknowns, the closed form counts 41"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        schur_weyl_report(3, 2, half=True)
+
+
+def test_schur_weyl_checks_the_diagram_unknowns_against_their_closed_form(monkeypatch):
+    # letter pairs left in place order: one unknown per entry
+    monkeypatch.setattr(tensor, "_phi_orbits", lambda space: (tuple(zip(a, b)) for a in space.basis for b in space.basis))
+    message = "TensorSpace(n=2, k=2): 16 phi orbital unknowns, the closed form counts 10"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        schur_weyl_report(2, 2)
 
 
 def test_dimension_guard():

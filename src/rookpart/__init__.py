@@ -7,7 +7,6 @@ from .linalg import (
     ExactMatrix,
     commutant_dimension,
     nullspace,
-    rank,
     simultaneous_eigenspace,
 )
 from .combinat import (
@@ -16,7 +15,6 @@ from .combinat import (
     corner_set,
     f_lambda,
     is_standard_spt,
-    max_entry_less,
     partitions,
     partitions_upto,
     set_partitions,
@@ -44,25 +42,17 @@ from .diagram import (
     diagram_product,
     enumerate_monoid,
     from_orbit,
-    is_coarser,
     is_half,
     is_totally_propagating,
     orbit_product_general,
     orbit_product_tppa,
     to_orbit,
 )
-from .seminormal import RookIrrep, act_p1, act_si, restriction_multiplicities, verify_jm_action
-from .characters import (
-    check_frobenius,
-    chi_star,
-    kronecker_with_defining,
-    mod_induce,
-    mod_restrict,
-    tensor_multiplicities,
-)
-from .bratteli import GradedGraph, GraphPath, ihat, path_to_tableau, rhat, rook_tower, tableau_to_path
+from .seminormal import RookIrrep, act_p1, act_si, verify_jm_action
+from .characters import chi_star, kronecker_with_defining, tensor_multiplicities
+from .bratteli import GradedGraph, GraphPath, ihat, rhat, rook_tower, tableau_to_path
 from .rsk import insert, path_to_spt, spt_to_path, uninsert
-from .tensor import TensorSpace, phi_diagram, phi_element, phi_orbit, psi_element, psi_rook, schur_weyl_report
+from .tensor import TensorSpace, phi_diagram, phi_element, psi_element, psi_rook, schur_weyl_report
 from .jm import (
     build_m,
     build_m_tilde,

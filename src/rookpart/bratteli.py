@@ -26,7 +26,6 @@ from itertools import accumulate
 
 from .combinat import (
     Partition,
-    box_difference,
     corner_set,
     move_steps,
     partitions_upto,
@@ -265,28 +264,9 @@ def ihat(tmax) -> GradedGraph:
     return GradedGraph("ihat", levels, vertices, step)
 
 
-def path_to_tableau(path: GraphPath):
-    """Growth-sequence bijection for rook_tower paths starting at () level 0:
-    when the shape grows at step m, entry m lands in the new box."""
-    if path.levels[0] != 0 or path.shapes[0] != ():
-        raise ValueError("path must start at the empty shape, level 0")
-    rows: list[list[int]] = []
-    for m in range(1, len(path.shapes)):
-        prev, cur = path.shapes[m - 1], path.shapes[m]
-        if prev == cur:
-            continue
-        r, c = box_difference(cur, prev)
-        if r - 1 == len(rows):
-            rows.append([m])
-        elif len(rows[r - 1]) == c - 1:
-            rows[r - 1].append(m)
-        else:
-            raise ValueError("malformed growth path")
-    return tuple(tuple(row) for row in rows)
-
-
 def tableau_to_path(tab, n: int) -> GraphPath:
-    """Inverse of path_to_tableau for an n-standard tableau."""
+    """The rook_tower path of an n-standard tableau: the shape at level m
+    holds the entries <= m."""
     shapes = []
     for m in range(n + 1):
         sub = tuple(

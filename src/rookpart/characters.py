@@ -170,44 +170,6 @@ def kronecker_with_defining(lam, n: int, verify: bool = True) -> dict[Partition,
     return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
 
 
-def mod_induce(mult: dict, n: int) -> dict[Partition, int]:
-    """Modified induction: each shape goes to its one-box additions inside
-    the size-n world, multiplicities carried along."""
-    out: dict[Partition, int] = {}
-    for lam, m in mult.items():
-        lam = check_partition(lam)
-        if sum(lam) > n - 1:
-            raise ValueError(f"{lam} out of bounds for induction to n={n}")
-        for mu in corner_set(lam, "plus_n", n):
-            out[mu] = out.get(mu, 0) + m
-    return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
-
-
-def mod_restrict(mult: dict, n: int) -> dict[Partition, int]:
-    """Modified restriction: each shape goes to its one-box removals."""
-    out: dict[Partition, int] = {}
-    for lam, m in mult.items():
-        lam = check_partition(lam)
-        if sum(lam) > n:
-            raise ValueError(f"{lam} out of bounds for restriction from n={n}")
-        for mu in corner_set(lam, "minus"):
-            out[mu] = out.get(mu, 0) + m
-    return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
-
-
-def check_frobenius(lam, mu, n: int) -> bool:
-    """Adjointness of modified induction and restriction on irreducibles:
-    the two hom-space dimensions are the indicator multiplicities, which must
-    agree."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) > n or sum(mu) > n - 1:
-        raise ValueError("shapes out of bounds")
-    ind_side = 1 if lam in corner_set(mu, "plus_n", n) else 0
-    res_side = 1 if mu in corner_set(lam, "minus") else 0
-    return ind_side == res_side
-
-
 def tensor_multiplicities(n: int, k: int) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the k-th tensor power of the
     defining representation, solved exactly from characters.

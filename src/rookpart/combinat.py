@@ -159,15 +159,12 @@ def move_steps(lam: Partition) -> list[tuple[Partition, Partition]]:
 def corner_set(lam: Partition, mode: str, bound: int = 0) -> list[Partition]:
     """Shape neighborhoods, deduplicated and sorted.
 
-    minus      -> remove one inner corner
     plus_n     -> add one box, keeping the result within size <= bound
-    minus_eq   -> minus plus lam itself
+    minus_eq   -> remove one inner corner, or keep lam itself
     plus_eq    -> plus_n plus lam itself
     """
     lam = check_partition(lam)
-    if mode == "minus":
-        shapes = {remove_box(lam, c) for c in inner_corners(lam)}
-    elif mode == "plus_n":
+    if mode == "plus_n":
         if sum(lam) + 1 > bound:
             shapes = set()
         else:
@@ -234,7 +231,8 @@ def rook_irrep_dim(lam: Partition, n: int) -> int:
     return comb(n, m) * f_lambda(lam) if m <= n else 0
 
 
-def tableau_shape(t: Tableau) -> Partition:
+def tableau_shape(t) -> Partition:
+    """The row lengths of a tableau, of letters or of blocks."""
     return tuple(len(row) for row in t)
 
 
@@ -311,20 +309,6 @@ def set_partitions(k: int, min_blocks: int = 1) -> list[SetPartition]:
 
     grow(1, [], 0)
     return out
-
-
-def max_entry_less(b1, b2) -> bool:
-    """Maximum-entry order: true iff max(b1) < max(b2)."""
-    b1, b2 = tuple(b1), tuple(b2)
-    if not b1 or not b2:
-        raise ValueError("blocks must be nonempty")
-    if set(b1) & set(b2):
-        raise ValueError(f"blocks overlap: {b1} and {b2}")
-    return max(b1) < max(b2)
-
-
-def spt_shape(t: SetTableau) -> Partition:
-    return tuple(len(row) for row in t)
 
 
 def is_standard_set_tableau(t) -> bool:

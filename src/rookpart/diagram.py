@@ -95,9 +95,15 @@ class _BlockTable(dict):
         self.bits = {v: 2 * size - v if v > 0 else size + v for v in range(-size, size + 1) if v}
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
+        """The mask's set bits, from the highest down, as vertices."""
         k = self.size
-        block = tuple(2 * k - b if b >= k else b - k for b in range(2 * k - 1, -1, -1) if mask >> b & 1)
-        self[mask] = block
+        vertices = []
+        rest = mask
+        while rest:
+            b = rest.bit_length() - 1
+            vertices.append(2 * k - b if b >= k else b - k)
+            rest ^= 1 << b
+        block = self[mask] = tuple(vertices)
         return block
 
 
@@ -226,11 +232,6 @@ def is_half(d: PartitionDiagram) -> bool:
     return _joins_last_column(d._masks, d.size)
 
 
-def _level_mismatch(what: str, d1: PartitionDiagram, d2: PartitionDiagram) -> ValueError:
-    kind = ["half diagram" if d.half else "diagram" for d in (d1, d2)]
-    return ValueError(f"cannot {what} a size-{d1.size} {kind[0]} with a size-{d2.size} {kind[1]}")
-
-
 def _compose_masks(k: int, left, right: tuple) -> tuple[tuple, int]:
     """Masks of d1 ∘ d2 in canonical order and its loop count, from d1's masks
     shifted up by k (``left``) and d2's masks (``right``)."""
@@ -274,17 +275,11 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagra
     down by k, are the result's masks, sorted descending into canonical order.
     """
     if d1.size != d2.size or d1.half != d2.half:
-        raise _level_mismatch("compose", d1, d2)
+        kind = ["half diagram" if d.half else "diagram" for d in (d1, d2)]
+        raise ValueError(f"cannot compose a size-{d1.size} {kind[0]} with a size-{d2.size} {kind[1]}")
     k = d1.size
     masks, loops = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
     return PartitionDiagram._from_masks(k, masks, d1.half), loops
-
-
-def is_coarser(d1: PartitionDiagram, d2: PartitionDiagram) -> bool:
-    """True iff every block of d2 is contained in a block of d1."""
-    if d1.size != d2.size:
-        raise _level_mismatch("compare", d1, d2)
-    return all(any(m & c == m for c in d1._masks) for m in d2._masks)
 
 
 @cache
@@ -826,8 +821,9 @@ def generating_set(kind: str, k: int) -> tuple[PartitionDiagram, ...]:
 
 
 def _listing(kind: str, k: int) -> tuple[tuple[PartitionDiagram, ...], tuple[PartitionDiagram, ...]]:
-    """The sorted monoid and its generators, after the size checks, which
-    run on every call since ``ROOKPART_ENUM_CAP`` is read per call."""
+    """The sorted monoid and its generators.  The size checks run here, in
+    front of the cached ``_closure_listing``, so a refused size never calls
+    it."""
     if k < 1:
         raise ValueError(f"cannot enumerate a monoid of kind {kind!r} at k = {k}: need k >= 1")
     check("I_k enumeration", k + 1 if kind == "I_half" else k)

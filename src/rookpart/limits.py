@@ -7,27 +7,22 @@ asked for against its row of ``LIMITS`` before any work.  A row names what
 the size counts and its largest value: the largest size that finished within
 10 s under a 1.5 GB address-space limit on a 2-CPU machine.  Every refusal
 reads the same way, e.g. "R_n enumeration: n = 8 exceeds the limit 7".
-
-``ROOKPART_ENUM_CAP``, an integer, lowers the two monoid-enumeration rows
-and no other, since the rows count different things.  Lower bounds such as
-k >= 1 are input checks and stay with their callers.
+Lower bounds such as k >= 1 are input checks and stay with their callers.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 
 class Limit(NamedTuple):
     counts: str
     value: int
-    capped: bool = False  # lowered by ROOKPART_ENUM_CAP
 
 
 LIMITS = {
-    "A_k enumeration": Limit("diagram size", 5, capped=True),
-    "I_k enumeration": Limit("diagram size", 5, capped=True),
+    "A_k enumeration": Limit("diagram size", 5),
+    "I_k enumeration": Limit("diagram size", 5),
     "R_n enumeration": Limit("n", 7),
     "tensor space": Limit("dimension n^k", 729),
     "path enumeration": Limit("paths", 200_000),
@@ -64,12 +59,5 @@ LIMITS = {
 def check(name: str, asked) -> None:
     """Raise ValueError when the size asked for is past the row called name."""
     row = LIMITS[name]
-    value = row.value
-    cap = os.environ.get("ROOKPART_ENUM_CAP") if row.capped else None
-    if cap:
-        try:
-            value = min(value, int(cap))
-        except ValueError:
-            raise ValueError(f"ROOKPART_ENUM_CAP must be an integer, got {cap!r}") from None
-    if asked > value:
-        raise ValueError(f"{name}: {row.counts} = {asked} exceeds the limit {value}")
+    if asked > row.value:
+        raise ValueError(f"{name}: {row.counts} = {asked} exceeds the limit {row.value}")

@@ -201,10 +201,6 @@ def _gauss_jordan(rows, reduced: bool) -> dict:
     return pivots
 
 
-def rank(m: ExactMatrix) -> int:
-    return len(_gauss_jordan(m._rows, reduced=False))
-
-
 def _basis_tuple(vec: dict, cols: int) -> tuple:
     """A sparse kernel vector as a dense tuple of Fractions, scaled so that
     its first nonzero coordinate is 1; only the nonzero coordinates are

@@ -1,6 +1,6 @@
 """Row insertion on standard set tableaux and the path correspondence.
 
-Blocks are compared by the maximum-entry order; since blocks of a tableau are
+Blocks are compared by their largest entries; since blocks of a tableau are
 disjoint, maxima are distinct and the order is total.  ``spt_to_path`` peels
 the block containing the largest letter and re-inserts its remainder;
 ``path_to_spt`` replays the growth and bump steps, reading the intermediate
@@ -22,7 +22,7 @@ from .combinat import (
     is_standard_set_tableau,
     is_standard_spt,
     remove_box,
-    spt_shape,
+    tableau_shape,
 )
 from .limits import check
 
@@ -58,7 +58,7 @@ def insert(t: SetTableau, b) -> SetTableau:
 
 def uninsert(t: SetTableau, corner) -> tuple[SetTableau, Block]:
     """Reverse bumping from an inner corner; the unique inverse of insert."""
-    shape = spt_shape(t)
+    shape = tableau_shape(t)
     corner = tuple(corner)
     if corner not in inner_corners(shape):
         raise ValueError(f"{corner} is not an inner corner of {shape}")
@@ -168,9 +168,9 @@ def spt_to_path(t: SetTableau, k: int) -> GraphPath:
     vias: list = [None] * (k - 1)
     cur = t
     for i in range(k, 1, -1):
-        shapes[i - 1] = spt_shape(cur)
+        shapes[i - 1] = tableau_shape(cur)
         corner, blk = _find_block_with(cur, i)
-        if corner not in inner_corners(spt_shape(cur)):
+        if corner not in inner_corners(tableau_shape(cur)):
             raise ValueError(f"letter {i} is not at a corner")
         rows = [list(row) for row in cur]
         rows[corner[0] - 1].pop(corner[1] - 1)
@@ -179,11 +179,11 @@ def spt_to_path(t: SetTableau, k: int) -> GraphPath:
         stripped = tuple(tuple(row) for row in rows)
         rest = tuple(e for e in blk if e != i)
         if rest:
-            vias[i - 2] = spt_shape(stripped)
+            vias[i - 2] = tableau_shape(stripped)
             cur = insert(stripped, rest)
         else:
             cur = stripped
-    shapes[0] = spt_shape(cur)
+    shapes[0] = tableau_shape(cur)
     if shapes[0] != (1,):
         raise ValueError("peeling did not end at the one-box shape")
     return GraphPath(

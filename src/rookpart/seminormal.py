@@ -12,17 +12,14 @@ from fractions import Fraction
 
 from .bratteli import tableau_to_path
 from .combinat import (
-    Partition,
     check_partition,
     content,
-    corner_set,
     f_lambda,
     is_standard_tableau,
     rook_irrep_dim,
     shape_key,
     standard_tableaux,
     tableau_entries,
-    tableau_shape,
 )
 from .formal import FormalSum
 from .limits import check
@@ -178,64 +175,3 @@ def verify_jm_action(lam, n: int) -> dict:
                     f"{lam} {tab} i={i}: got ({got_x},{got_t}), want ({want_x},{want_t})"
                 )
     return {"ok": not mismatches, "rows": rows, "mismatches": mismatches}
-
-
-def _strip_last(tab, n):
-    return tuple(row_ for row_ in (tuple(e for e in row if e != n) for row in tab) if row_)
-
-
-def restriction_multiplicities(lam, n: int) -> list[Partition]:
-    """Decompose the restriction to the subalgebra fixing the last letter.
-
-    Splits the basis on whether n occurs, checks the generator matrices are
-    block diagonal and that each block matches the smaller seminormal module
-    under tableau relabelling, then returns the sorted multiset of shapes.
-    """
-    lam = check_partition(lam)
-    if n == 1:
-        return [s for s in corner_set(lam, "minus_eq") if sum(s) <= 0]
-    irrep = RookIrrep(lam, n)
-    groups: dict = {}
-    for idx, tab in enumerate(irrep.basis):
-        if n in tableau_entries(tab):
-            key = tableau_shape(_strip_last(tab, n))
-        else:
-            key = lam
-        groups.setdefault(key, []).append(idx)
-
-    tokens = [("s", i) for i in range(1, n - 1)] + [("P1", 0)]
-    for token in tokens:
-        mat = irrep.token_matrix(token)
-        member = {}
-        for key, idxs in groups.items():
-            for i in idxs:
-                member[i] = key
-        for r in range(irrep.dim):
-            for c in range(irrep.dim):
-                if mat[r, c] and member[r] != member[c]:
-                    raise RuntimeError(
-                        f"restriction of {lam} at n={n} is not block diagonal"
-                    )
-
-    for shape, idxs in sorted(groups.items(), key=lambda kv: shape_key(kv[0])):
-        small = RookIrrep(shape, n - 1)
-        if len(idxs) != small.dim:
-            raise RuntimeError(f"block size mismatch for {shape}")
-        relabel = [small.index[_strip_last(irrep.basis[i], n)] for i in idxs]
-        for token in tokens:
-            big = irrep.token_matrix(token)
-            small_mat = small.token_matrix(token)
-            for a, ia in enumerate(idxs):
-                for b, ib in enumerate(idxs):
-                    if big[ia, ib] != small_mat[relabel[a], relabel[b]]:
-                        raise RuntimeError(
-                            f"restriction block {shape} of {lam} differs from the "
-                            f"seminormal module at n={n - 1}"
-                        )
-
-    expected = corner_set(lam, "minus_eq")
-    got = sorted(groups, key=shape_key)
-    expected = sorted((s for s in expected if sum(s) <= n - 1), key=shape_key)
-    if got != expected:
-        raise RuntimeError(f"restriction of {lam}: got {got}, expected {expected}")
-    return got

@@ -122,14 +122,6 @@ def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
     return _action(space, [(1, _diagram_cells(d, space, injective=False))])
 
 
-def phi_orbit(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
-    """Right action of an orbit-basis element: the strict-pattern matrix.
-
-    Zero whenever the diagram has more than n blocks.
-    """
-    return _action(space, [(1, _diagram_cells(d, space, injective=True))])
-
-
 def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
     """Linear extension of the diagram action; xi coefficients evaluate at n."""
     injective = a.basis == "orbit"

@@ -6,9 +6,9 @@ criterion, or ``rookpart verify`` for the JSON equivalent.
 
 import pytest
 
-from rookpart import combinat, diagram, jm, seminormal, tensor
+from rookpart import bratteli, combinat, diagram, jm, rook, rsk, seminormal, tensor
 from rookpart.acceptance import CRITERIA, run_criteria
-from rookpart.diagram import AlgebraElement, PartitionDiagram, is_coarser
+from rookpart.diagram import AlgebraElement, PartitionDiagram
 
 
 @pytest.mark.parametrize(
@@ -42,6 +42,12 @@ def _record(number):
     return record["detail"]
 
 
+def test_criterion_1_fails_when_the_rook_monoid_loses_an_element(monkeypatch):
+    real = rook.enumerate_rook
+    monkeypatch.setattr(rook, "enumerate_rook", lambda n: real(n)[:-1])
+    assert _record(1) == "n=1: sum of squares 2, monoid size 1"
+
+
 def test_criterion_3_fails_when_the_content_family_reads_sizes(monkeypatch):
     monkeypatch.setattr(seminormal, "jm_x_tilde", seminormal.jm_x)
     assert _record(3) == "n=1, (1,): ['(1,) ((1,),) i=1: got (1,1), want (1,0)']"
@@ -66,6 +72,17 @@ def test_criterion_12_fails_when_the_predicted_pairs_are_swapped(monkeypatch):
     )
 
 
+def test_criterion_7_fails_when_one_worked_path_gets_a_wrong_tableau(monkeypatch):
+    real = rsk.path_to_spt
+    swapped = (((2,),), ((1, 3),))  # the tableau of the path (1), (1, 1), (1, 1)
+
+    def wrong_once(path):
+        return swapped if path.shapes == ((1,), (2,), (1, 1)) else real(path)
+
+    monkeypatch.setattr(rsk, "path_to_spt", wrong_once)
+    assert _record(7) == "worked correspondence fails for ((1,), (2,), (1, 1))"
+
+
 def test_criterion_8_fails_when_one_product_table_cell_is_wrong(monkeypatch):
     real = diagram._product_table
     table = diagram._ProductTable(2)
@@ -75,9 +92,21 @@ def test_criterion_8_fails_when_one_product_table_cell_is_wrong(monkeypatch):
     monkeypatch.setattr(diagram, "_product_table", lambda k: table if k == 2 else real(k))
     # the diagram-basis form of x_d holds s_1 exactly when d is finer than s_1,
     # so the first pair to differ is the first pair of such diagrams
-    a_2 = diagram.enumerate_monoid("A", 2)
-    d1, d2 = next((d1, d2) for d1 in a_2 for d2 in a_2 if is_coarser(s_1, d1) and is_coarser(s_1, d2))
-    assert _record(8) == f"orbit product mismatch for {d1}, {d2}"
+    d = next(d for d in diagram.enumerate_monoid("A", 2) if s_1 in dict(diagram._upset(d)))
+    assert _record(8) == f"orbit product mismatch for {d}, {d}"
+
+
+def test_criterion_13_fails_when_the_rook_tower_loses_an_edge(monkeypatch):
+    real = bratteli.rook_tower
+
+    def one_edge_short(n):
+        graph = real(n)
+        top = graph.edges[-1]  # the edges into the last level
+        del top[max(top)]
+        return graph
+
+    monkeypatch.setattr(bratteli, "rook_tower", one_edge_short)
+    assert _record(13) == "rook tower edges differ"
 
 
 def test_criterion_9_fails_when_the_diagram_generators_lose_e_and_f(monkeypatch):

@@ -3,11 +3,28 @@ from fractions import Fraction
 import pytest
 
 from rookpart import bratteli
-from rookpart.bratteli import HALF, GraphPath, ihat, path_to_tableau, rhat, rook_tower, tableau_to_path
-from rookpart.combinat import f_lambda, partitions_upto, standard_tableaux, stirling2
+from rookpart.bratteli import HALF, GraphPath, ihat, rhat, rook_tower, tableau_to_path
+from rookpart.combinat import box_difference, f_lambda, partitions_upto, standard_tableaux, stirling2
 from rookpart.characters import tensor_multiplicities
 from rookpart.diagram import enumerate_monoid
 from rookpart.limits import LIMITS
+
+
+def path_to_tableau(path: GraphPath):
+    """Growth-sequence bijection for rook_tower paths starting at () level 0:
+    when the shape grows at step m, entry m lands in the new box."""
+    if path.levels[0] != 0 or path.shapes[0] != ():
+        raise ValueError("path must start at the empty shape, level 0")
+    rows = []
+    for m in range(1, len(path.shapes)):
+        prev, cur = path.shapes[m - 1], path.shapes[m]
+        if prev != cur:
+            r, c = box_difference(cur, prev)
+            if r - 1 == len(rows):
+                rows.append([])
+            assert len(rows[r - 1]) == c - 1, "malformed growth path"
+            rows[r - 1].append(m)
+    return tuple(tuple(row) for row in rows)
 
 
 def test_rook_tower_shape():

@@ -455,18 +455,6 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         assert captured.err == line + "\n", (argv, captured.err)
 
 
-def test_malformed_enum_cap_exits_2_naming_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("ROOKPART_ENUM_CAP", "abc")
-    assert main(["schur-weyl", "--n", "2", "--k", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ROOKPART_ENUM_CAP must be an integer, got 'abc'\n"
-    # verify reports the same line as the failing criterion's detail
-    assert main(["verify", "--criterion", "8"]) == 1
-    (line, _) = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
-    assert line["detail"] == "ValueError: ROOKPART_ENUM_CAP must be an integer, got 'abc'"
-
-
 def test_verify_timings_go_to_stderr(capsys):
     argv = ["verify", "--criterion", "1", "13"]
     assert main(argv) == 0

@@ -17,7 +17,6 @@ from rookpart.combinat import (
     is_partition,
     is_standard_set_tableau,
     is_standard_spt,
-    max_entry_less,
     move_steps,
     outer_corners,
     partitions,
@@ -74,7 +73,7 @@ def test_content_examples():
 
 def test_corner_set_examples():
     assert corner_set((1,), "plus_n", 2) == [(1, 1), (2,)]
-    assert corner_set((), "minus") == []
+    assert corner_set((), "minus_eq") == [()]
     assert corner_set((2,), "minus_eq") == [(1,), (2,)]
     assert corner_set((1,), "plus_eq", 1) == [(1,)]
     with pytest.raises(ValueError):
@@ -91,10 +90,10 @@ def test_move_steps_records_one_pair_per_corner():
 
 @given(small_partitions)
 def test_corners_are_adjoint(lam):
-    for mu in corner_set(lam, "minus"):
-        assert lam in corner_set(mu, "plus_n", sum(lam))
+    for mu in corner_set(lam, "minus_eq"):
+        assert mu == lam or lam in corner_set(mu, "plus_n", sum(lam))
     for mu in corner_set(lam, "plus_n", sum(lam) + 1):
-        assert lam in corner_set(mu, "minus")
+        assert lam in corner_set(mu, "minus_eq")
 
 
 @given(small_partitions)
@@ -174,15 +173,6 @@ def test_stirling_matches_enumeration():
         blocks = Counter(len(p) for p in set_partitions(k))
         for r in range(k + 2):
             assert stirling2(k, r) == _stirling_by_recurrence(k, r) == blocks[r], (k, r)
-
-
-def test_max_entry_order():
-    assert max_entry_less((1,), (2, 3))
-    assert not max_entry_less((2, 5), (4,))
-    with pytest.raises(ValueError):
-        max_entry_less((1, 2), (2, 3))
-    with pytest.raises(ValueError):
-        max_entry_less((), (1,))
 
 
 def test_standard_spt_examples():

@@ -19,7 +19,6 @@ from rookpart.diagram import (
     enumerate_monoid,
     from_orbit,
     generating_set,
-    is_coarser,
     is_half,
     is_totally_propagating,
     orbit_product_general,
@@ -37,6 +36,11 @@ def D(text, size=None, half=False):
 def coarsenings(d):
     """All diagrams coarser than d (d itself included), from its upset table."""
     return tuple(c for c, _ in diagram._upset(d))
+
+
+def _oracle_coarser(c, d):
+    """True iff every block of d lies inside a block of c."""
+    return all(any(set(b) <= set(bc) for bc in c.blocks) for b in d.blocks)
 
 
 def test_parse_print_round_trip():
@@ -82,6 +86,15 @@ def test_validation_of_a_far_vertex_builds_no_table_of_its_size():
     assert diagram._block_table.cache_info().currsize == tables
 
 
+def test_block_table_reads_the_set_bits_of_every_mask():
+    # against a scan of all 2k bit positions, highest first
+    for k in (1, 2, 3):
+        table = diagram._BlockTable(k)
+        for mask in range(1 << 2 * k):
+            scan = tuple(2 * k - b if b >= k else b - k for b in range(2 * k - 1, -1, -1) if mask >> b & 1)
+            assert table[mask] == scan, (k, mask)
+
+
 def test_compose_identity():
     for d in enumerate_monoid("A", 2):
         out, loops = compose(PartitionDiagram.identity(2), d)
@@ -109,8 +122,6 @@ def test_compose_size_mismatch():
         compose(PartitionDiagram.identity(2), PartitionDiagram.identity(3))
     with pytest.raises(ValueError, match="^cannot compose a size-2 half diagram with a size-2 diagram$"):
         compose(PartitionDiagram.identity(2, half=True), PartitionDiagram.identity(2))
-    with pytest.raises(ValueError, match="^cannot compare a size-1 diagram with a size-2 half diagram$"):
-        is_coarser(PartitionDiagram.identity(1), PartitionDiagram.identity(2, half=True))
 
 
 def test_compose_associative_exhaustive_a2():
@@ -162,23 +173,23 @@ def test_propagating_products_stay_rational():
 def test_coarser_examples_and_partial_order():
     one = D("[[1,-1]]")
     two = D("[[1],[-1]]")
-    assert is_coarser(one, two)
-    assert not is_coarser(two, one)
+    assert _oracle_coarser(one, two)
+    assert not _oracle_coarser(two, one)
     diagrams = enumerate_monoid("A", 2)
     for a in diagrams:
-        assert is_coarser(a, a)
+        assert _oracle_coarser(a, a)
         for b in diagrams:
-            if is_coarser(a, b) and is_coarser(b, a):
+            if _oracle_coarser(a, b) and _oracle_coarser(b, a):
                 assert a == b
             for c in diagrams:
-                if is_coarser(a, b) and is_coarser(b, c):
-                    assert is_coarser(a, c)
+                if _oracle_coarser(a, b) and _oracle_coarser(b, c):
+                    assert _oracle_coarser(a, c)
 
 
 def test_coarsenings_are_exactly_the_coarser_diagrams():
     for d in enumerate_monoid("A", 2):
         up = set(coarsenings(d))
-        brute = {c for c in enumerate_monoid("A", 2) if is_coarser(c, d)}
+        brute = {c for c in enumerate_monoid("A", 2) if _oracle_coarser(c, d)}
         assert up == brute
 
 
@@ -270,14 +281,6 @@ def test_enumerate_monoid_counts():
         enumerate_monoid("I", 6)
 
 
-def test_enum_cap_env(monkeypatch):
-    monkeypatch.setenv("ROOKPART_ENUM_CAP", "2")
-    with pytest.raises(ValueError):
-        enumerate_monoid("A", 3)
-    monkeypatch.delenv("ROOKPART_ENUM_CAP")
-    assert len(enumerate_monoid("A", 3)) == 203
-
-
 def embed_half(a):
     """The orbit-key lift x_d -> x_{d with {k+1, (k+1)'}} of level k into k+1/2."""
     k = a.size
@@ -343,7 +346,7 @@ def test_orbit_product_change_of_basis_oracle_random_a3():
 def test_orbit_product_specializes_to_operator_product():
     # evaluating the symbolic product at xi = n must match the matrix product
     # of the strict-pattern actions
-    from rookpart.tensor import TensorSpace, phi_element, phi_orbit
+    from rookpart.tensor import TensorSpace, phi_element
 
     diagrams = enumerate_monoid("A", 2)
     for n in (2, 3):
@@ -352,7 +355,7 @@ def test_orbit_product_specializes_to_operator_product():
             for d2 in diagrams:
                 x1 = AlgebraElement.from_diagram(d1, basis="orbit")
                 x2 = AlgebraElement.from_diagram(d2, basis="orbit")
-                lhs = phi_orbit(d1, space) * phi_orbit(d2, space)
+                lhs = phi_element(x1, space) * phi_element(x2, space)
                 rhs = phi_element(orbit_product_general(x1, x2), space)
                 assert lhs == rhs
 
@@ -894,10 +897,6 @@ def test_size_4_products_allocate_no_table():
     assert diagram._product_table.cache_info().currsize == 1
 
 
-def _oracle_coarser(c, d):
-    return all(any(set(b) <= set(bc) for bc in c.blocks) for b in d.blocks)
-
-
 def _oracle_mobius(d, upset):
     """mu(d, c) over the upset of d from the recursion mu(d, d) = 1 and
     mu(d, c) = -(sum of mu(d, e) over d <= e < c), finer diagrams first."""
@@ -941,7 +940,6 @@ def test_upset_matches_brute_force_coarsenings_at_size_4():
         table = diagram._upset(d)
         assert [c for c, _ in table] == brute, d
         assert dict(table) == _oracle_mobius(d, brute), d
-        assert [c for c in a4 if is_coarser(c, d)] == brute, d
 
 
 def _closure(gens, one):

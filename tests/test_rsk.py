@@ -5,9 +5,9 @@ from rookpart.combinat import (
     f_lambda,
     is_standard_spt,
     partitions,
-    spt_shape,
     standard_spt_tableaux,
     stirling2,
+    tableau_shape,
 )
 from rookpart.rsk import insert, path_to_spt, spt_to_path, uninsert
 
@@ -43,7 +43,7 @@ def test_insert_uninsert_round_trip_small():
         for lam in partitions(r):
             tableaux.extend(standard_spt_tableaux(lam, 3))
     for t in tableaux:
-        shape = spt_shape(t)
+        shape = tableau_shape(t)
         for r, width in enumerate(shape, start=1):
             below = shape[r] if r < len(shape) else 0
             if width > below:
@@ -60,8 +60,8 @@ def test_insert_grows_shape_by_one_corner_and_stays_standard():
         for t in standard_spt_tableaux(lam, 3):
             grown = insert(t, (4, 5))
             assert is_standard_spt(grown, 5)
-            old, new = sorted(spt_shape(t)), sorted(spt_shape(grown))
-            assert sum(spt_shape(grown)) == sum(spt_shape(t)) + 1
+            old, new = sorted(tableau_shape(t)), sorted(tableau_shape(grown))
+            assert sum(tableau_shape(grown)) == sum(tableau_shape(t)) + 1
 
 
 def test_worked_correspondences():

@@ -24,7 +24,6 @@ from rookpart.tensor import (
     TensorSpace,
     phi_diagram,
     phi_element,
-    phi_orbit,
     psi_element,
     psi_rook,
     schur_weyl_report,
@@ -33,6 +32,11 @@ from rookpart.tensor import (
 
 def D(text, half=False):
     return PartitionDiagram.parse(text, half=half)
+
+
+def phi_orbit(d, space):
+    """The action of the orbit-basis element x_d: its strict-pattern matrix."""
+    return phi_element(AlgebraElement.from_diagram(d, basis="orbit"), space)
 
 
 def test_phi_identity_diagram():

@@ -51,7 +51,7 @@ from .diagram import (
 from .seminormal import RookIrrep, act_p1, act_si, verify_jm_action
 from .characters import chi_star, kronecker_with_defining, tensor_multiplicities
 from .bratteli import GradedGraph, GraphPath, ihat, rhat, rook_tower, tableau_to_path
-from .rsk import insert, path_to_spt, spt_to_path, uninsert
+from .rsk import insert, path_to_spt, spt_to_path
 from .tensor import TensorSpace, phi_diagram, phi_element, psi_element, psi_rook, schur_weyl_report
 from .jm import (
     build_m,

@@ -245,11 +245,3 @@ def kappa_tilde(n: int) -> FormalSum:
     for i in range(1, n + 1):
         out = out + jm_x_tilde(i, n)
     return out
-
-
-def embed(rho: RookElement, n: int) -> RookElement:
-    """Embed an element of R_m into R_n (m <= n) fixing m+1..n."""
-    if rho.n > n:
-        raise ValueError("cannot shrink")
-    mapping = list(rho.mapping) + list(range(rho.n + 1, n + 1))
-    return RookElement(n, mapping)

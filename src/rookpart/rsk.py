@@ -56,13 +56,10 @@ def insert(t: SetTableau, b) -> SetTableau:
     return tuple(tuple(row) for row in rows)
 
 
-def uninsert(t: SetTableau, corner) -> tuple[SetTableau, Block]:
-    """Reverse bumping from an inner corner; the unique inverse of insert."""
-    shape = tableau_shape(t)
-    corner = tuple(corner)
-    if corner not in inner_corners(shape):
-        raise ValueError(f"{corner} is not an inner corner of {shape}")
-    rows = [list(row) for row in t]
+def _unbump(rows: list, corner) -> Block:
+    """Reverse bumping in place on a list of rows, from an inner corner of
+    their shape: the corner block leaves, and in each row above it replaces
+    the rightmost block of smaller maximum, which moves up in turn."""
     r, c = corner
     b = rows[r - 1].pop(c - 1)
     if not rows[r - 1]:
@@ -71,7 +68,27 @@ def uninsert(t: SetTableau, corner) -> tuple[SetTableau, Block]:
         row = rows[q]
         spot = max(i for i, blk in enumerate(row) if max(blk) < max(b))
         b, row[spot] = row[spot], b
-    return tuple(tuple(row) for row in rows), b
+    return b
+
+
+def _place(rows: list, r: int, block: Block) -> bool:
+    """Append a block at the end of row r (from 1) of a standard tableau kept
+    as a list of rows, and say whether the tableau stays standard.  Only the
+    new box can break that: the block to its left and the block above it
+    (which must exist, so the shape stays a partition) need smaller maxima,
+    and nothing lies to its right or below it."""
+    if r == len(rows) + 1:
+        rows.append([])
+    elif not 1 <= r <= len(rows):
+        return False
+    row = rows[r - 1]
+    c, top = len(row), max(block)
+    if c and max(row[-1]) >= top:
+        return False
+    if r > 1 and (len(rows[r - 2]) <= c or max(rows[r - 2][c]) >= top):
+        return False
+    row.append(block)
+    return True
 
 
 def _find_block_with(t: SetTableau, letter: int):
@@ -88,6 +105,10 @@ def path_to_spt(path: GraphPath | list) -> SetTableau:
     The path must start at the one-box shape on level 1.  A move step needs
     its intermediate shape whenever the shape stays put and has several
     corners; enumerated paths carry it as the edge label.
+
+    The rows are kept as lists during the walk.  Reverse bumping keeps a
+    standard tableau standard, so each step checks only the box it places
+    against its neighbours; the whole tableau is checked once at the end.
     """
     if isinstance(path, GraphPath):
         shapes, vias = list(path.shapes), list(path.vias)
@@ -96,32 +117,26 @@ def path_to_spt(path: GraphPath | list) -> SetTableau:
     check("path correspondence", len(shapes))
     if not shapes or tuple(shapes[0]) != (1,):
         raise ValueError("path must start at the one-box shape")
-    t: SetTableau = (((1,),),)
+    rows = [[(1,)]]
     for i in range(2, len(shapes) + 1):
         prev, cur = tuple(shapes[i - 2]), tuple(shapes[i - 1])
         if sum(cur) == sum(prev) + 1:
-            r, c = box_difference(cur, prev)
-            rows = [list(row) for row in t]
-            if r - 1 == len(rows):
-                rows.append([(i,)])
-            else:
-                rows[r - 1].append((i,))
-            t = tuple(tuple(row) for row in rows)
+            block = (i,)
+            r = box_difference(cur, prev)[0]
         elif sum(cur) == sum(prev):
             omega = _intermediate_shape(prev, cur, vias[i - 2])
-            t_half, b = uninsert(t, box_difference(prev, omega))
-            new_box = box_difference(cur, omega)
-            rows = [list(row) for row in t_half]
-            block = tuple(sorted(b + (i,)))
-            if new_box[0] - 1 == len(rows):
-                rows.append([block])
-            else:
-                rows[new_box[0] - 1].append(block)
-            t = tuple(tuple(row) for row in rows)
+            corner = box_difference(prev, omega)
+            if corner not in inner_corners(prev):
+                raise ValueError(f"{corner} is not an inner corner of {prev}")
+            block = tuple(sorted(_unbump(rows, corner) + (i,)))
+            r = box_difference(cur, omega)[0]
         else:
             raise ValueError(f"invalid step {prev} -> {cur}")
-        if not is_standard_set_tableau(t):
+        if not _place(rows, r, block):
             raise ValueError(f"step {i} left a non-standard tableau")
+    t = tuple(tuple(row) for row in rows)
+    if not is_standard_set_tableau(t):
+        raise ValueError("the path gave a non-standard tableau")
     return t
 
 

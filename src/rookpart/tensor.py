@@ -14,11 +14,17 @@ Every action is built one way: a basis element gives the (row, col) cells
 where its 0/1 matrix has a 1 (one per assignment of letters to the blocks of a
 diagram, one per basis tuple a rook element keeps), each cell is paired with
 its term's coefficient, and ``ExactMatrix.from_entries`` adds up the pairs.
+The cells are found by index arithmetic alone: a word's index is its letters
+minus one read in base n, first letter most significant, which is the order
+of ``TensorSpace.basis``.  So a rook element's cells are the k-fold tensor
+power of the cells of its n x n matrix, and a letter x given to a diagram
+block adds x times the block's place values, the sums of n^(k-j) over its
+top vertices j and over its bottom vertices j'.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from math import comb
 
 from .combinat import stirling2
@@ -26,7 +32,7 @@ from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generat
 from .formal import FormalSum
 from .limits import check
 from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from .rook import RookElement, embed, enumerate_rook, generator
+from .rook import RookElement, enumerate_rook, generator
 from .scalars import XiPoly
 
 
@@ -44,7 +50,6 @@ class TensorSpace:
         self.k = k
         self.half = half
         self.basis = list(product(range(1, n + 1), repeat=k))
-        self.index = {t: i for i, t in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
@@ -71,39 +76,70 @@ def _check_diagram(d: PartitionDiagram, space: TensorSpace):
         raise ValueError("half space needs diagrams joining the last column")
 
 
-def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool):
-    """(row, col) cells of a diagram action, one per assignment of values to
+def _place_values(block, place: list) -> tuple[int, int]:
+    """What a letter one higher adds to the (row, col) indices through a
+    block: the place values of its top vertices and of its bottom vertices,
+    ``place[j]`` being n^(k-j) for the k visible places and 0 for a hidden
+    one."""
+    top = bottom = 0
+    for v in block:
+        if v > 0:
+            top += place[v]
+        else:
+            bottom += place[-v]
+    return top, bottom
+
+
+def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool) -> list:
+    """(row, col) cells of a diagram action, one per assignment of letters to
     blocks: every assignment for the diagram basis, the injective ones for the
-    orbit basis.  On a half space the block holding the hidden slot is pinned
-    to n."""
+    orbit basis, of which there are none when the blocks outnumber the
+    letters.  The cells grow block by block, a letter x (counted from 0)
+    adding x times the block's place values; each cell carries the mask of
+    the letters used so far, which the injective walk skips.  On a half space
+    the block holding the hidden slot is pinned to the letter n, so it starts
+    every cell and is taken in the starting mask.  The cells come in the
+    lexicographic order of the assignments in block order."""
     _check_diagram(d, space)
-    n, k, index = space.n, space.k, space.index
-    pinned = [b for b in d.blocks if k + 1 in b] if space.half else []
-    free = [b for b in d.blocks if b not in pinned]
-    # slot of each vertex in the value tuple: free blocks first, then the pinned one
-    slot = {v: s for s, b in enumerate(free + pinned) for v in b}
-    top = [slot[j] for j in range(1, k + 1)]
-    bottom = [slot[-j] for j in range(1, k + 1)]
-    tail = (n,) if pinned else ()
-    if injective:
-        choices = permutations(range(1, n if pinned else n + 1), len(free))
-    else:
-        choices = product(range(1, n + 1), repeat=len(free))
-    for values in choices:
-        values += tail
-        yield index[tuple(values[s] for s in top)], index[tuple(values[s] for s in bottom)]
+    n, k = space.n, space.k
+    blocks = d.blocks
+    if injective and len(blocks) > n:
+        return []
+    place = [0] + [n ** (k - j) for j in range(1, k + 1)] + [0]
+    cells = [(0, 0, 0)]
+    if space.half:
+        pinned = next(b for b in blocks if k + 1 in b)
+        blocks = [b for b in blocks if b is not pinned]
+        top, bottom = _place_values(pinned, place)
+        cells = [((n - 1) * top, (n - 1) * bottom, 1 << (n - 1))]
+    for block in blocks:
+        top, bottom = _place_values(block, place)
+        if injective:
+            cells = [
+                (r + x * top, c + x * bottom, used | 1 << x)
+                for r, c, used in cells
+                for x in range(n)
+                if not used >> x & 1
+            ]
+        else:
+            cells = [(r + x * top, c + x * bottom, used) for r, c, used in cells for x in range(n)]
+    return [(r, c) for r, c, _ in cells]
 
 
-def _rook_cells(rho: RookElement, space: TensorSpace):
-    """(row, col) cells of the diagonal action of a rook element."""
+def _rook_cells(rho: RookElement, space: TensorSpace) -> list:
+    """(row, col) cells of the diagonal action of a rook element: the k-fold
+    tensor power of the cells (rho(i)-1, i-1) of its n x n matrix, with the
+    cell (n-1, n-1) of the fixed letter n added on a half space."""
     if rho.n != space.rook_n:
         raise ValueError(f"{space!r} needs rook elements of size {space.rook_n}")
+    n = space.n
+    ones = [(j - 1, i) for i, j in enumerate(rho.mapping) if j]
     if space.half:
-        rho = embed(rho, space.n)
-    for col, tup in enumerate(space.basis):
-        images = tuple(rho.image(i) for i in tup)
-        if all(images):
-            yield space.index[images], col
+        ones.append((n - 1, n - 1))
+    cells = [(0, 0)]
+    for _ in range(space.k):
+        cells = [(r * n + a, c * n + b) for r, c in cells for a, b in ones]
+    return cells
 
 
 def _action(space: TensorSpace, terms) -> ExactMatrix:

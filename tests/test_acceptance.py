@@ -6,9 +6,10 @@ criterion, or ``rookpart verify`` for the JSON equivalent.
 
 import pytest
 
-from rookpart import bratteli, combinat, diagram, jm, rook, rsk, seminormal, tensor
+from rookpart import bratteli, characters, combinat, diagram, jm, rook, rsk, seminormal, tensor
 from rookpart.acceptance import CRITERIA, run_criteria
 from rookpart.diagram import AlgebraElement, PartitionDiagram
+from rookpart.formal import FormalSum
 
 
 @pytest.mark.parametrize(
@@ -48,6 +49,64 @@ def test_criterion_1_fails_when_the_rook_monoid_loses_an_element(monkeypatch):
     assert _record(1) == "n=1: sum of squares 2, monoid size 1"
 
 
+def test_criterion_2_fails_when_the_monoid_p1_has_the_wrong_rank(monkeypatch):
+    # P_1 killing the letters 1 and 2: it no longer commutes with s_2
+    real = rook.generator
+
+    def p1_of_rank_n_minus_2(name, i, n):
+        if (name, i) == ("P", 1) and n >= 2:
+            return rook.RookElement(n, (0, 0) + tuple(range(3, n + 1)))
+        return real(name, i, n)
+
+    monkeypatch.setattr(rook, "generator", p1_of_rank_n_minus_2)
+    assert _record(2) == "monoid relations fail at n=3: ['s_2P_1']"
+
+
+def test_criterion_2_fails_when_the_module_p1_has_the_wrong_rank(monkeypatch):
+    # the seminormal P_1 also drops the tableaux holding the letter 2
+    real = seminormal.act_p1
+
+    def keeps_fewer(tab):
+        return FormalSum.zero() if 2 in combinat.tableau_entries(tab) else real(tab)
+
+    monkeypatch.setattr(seminormal, "act_p1", keeps_fewer)
+    assert _record(2) == "module relations fail at n=3, (1,): ['s_2P_1']"
+
+
+def test_criterion_4_fails_when_the_content_family_stops_commuting(monkeypatch):
+    real = rook.jm_x_tilde
+
+    def last_is_s_1(i, n):
+        return FormalSum.term(rook.generator("s", 1, n)) if i == n >= 2 else real(i, n)
+
+    monkeypatch.setattr(rook, "jm_x_tilde", last_is_s_1)
+    assert _record(4) == "commutation fails at n=2 (0,3)"
+
+
+def test_criterion_4_fails_when_kappa_misses_one_x_i(monkeypatch):
+    def without_x_n(n):
+        out = FormalSum.zero()
+        for i in range(1, n):
+            out = out + rook.jm_x(i, n)
+        return out
+
+    monkeypatch.setattr(rook, "kappa", without_x_n)
+    assert _record(4) == "central sum not central at n=2"
+
+
+def test_criterion_5_fails_when_one_multiplicity_is_off_by_one(monkeypatch):
+    real = characters.defining_product_multiset
+
+    def one_more_11(lam, n):
+        out = dict(real(lam, n))
+        if (lam, n) == ((1,), 2):
+            out[(1, 1)] += 1
+        return out
+
+    monkeypatch.setattr(characters, "defining_product_multiset", one_more_11)
+    assert _record(5) == "RuntimeError: product rule fails for lam=(1,), n=2 at sigma=RookElement(2, [2, 1]): 0 != -1"
+
+
 def test_criterion_3_fails_when_the_content_family_reads_sizes(monkeypatch):
     monkeypatch.setattr(seminormal, "jm_x_tilde", seminormal.jm_x)
     assert _record(3) == "n=1, (1,): ['(1,) ((1,),) i=1: got (1,1), want (1,0)']"
@@ -62,6 +121,22 @@ def test_criterion_6_fails_when_one_stirling_number_is_off(monkeypatch):
 def test_criterion_10_fails_when_the_content_sum_is_the_size_sum(monkeypatch):
     monkeypatch.setattr(jm, "kappa_tilde", jm.kappa)
     assert _record(10) == "integer level 1, n=1: ['Z~ at level 1, n=1: first diffs [(0, 0)]']"
+
+
+def test_criterion_10_fails_when_the_half_space_loses_the_pinned_letter(monkeypatch):
+    # the rook action forgets that rho fixes the letter n: every word holding
+    # n is killed, which the integer levels never see
+    real = tensor._rook_cells
+
+    def without_letter_n(rho, space):
+        cells = real(rho, space)
+        if not space.half:
+            return cells
+        n = space.n
+        return [(r, c) for r, c in cells if all(c // n**j % n != n - 1 for j in range(space.k))]
+
+    monkeypatch.setattr(tensor, "_rook_cells", without_letter_n)
+    assert _record(10) == "half level 2+1/2, n=3: ['Z at level 5/2, n=3: first diffs [(2, 2), (5, 5), (6, 6), (7, 7)]']"
 
 
 def test_criterion_12_fails_when_the_predicted_pairs_are_swapped(monkeypatch):

@@ -220,7 +220,7 @@ REFUSALS = [
     (
         ["rsk", "--to-tableau", json.dumps([[1]] * 4001)],
         "path correspondence: letters = 4001 exceeds the limit 4000",
-        [(rsk, "box_difference"), (rsk, "uninsert"), (rsk, "is_standard_set_tableau")],
+        [(rsk, "box_difference"), (rsk, "_unbump"), (rsk, "is_standard_set_tableau")],
     ),
     (
         ["jm", "--t", "11/2", "--verify"],
@@ -412,6 +412,8 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["rsk", "--to-path", "[[[1]]]"], "error: --to-path needs --k"),
         (["schur-weyl", "--half", "--n", "1", "--k", "1"], "error: a half space needs n >= 2"),
         (["rsk", "--to-tableau", "5"], "error: --to-tableau must be JSON lists"),
+        # a step past the last row, which once raised IndexError
+        (["rsk", "--to-tableau", "[[1],[1,0,1]]"], "error: step 2 left a non-standard tableau"),
         (["rsk", "--to-path", "[[1]]", "--k", "2"], "error: --to-path must be JSON lists"),
         # k within its limit but far past the tableau's one entry
         (["rsk", "--to-path", "[[[1]]]", "--k", "4000"], "error: not a standard set-partition tableau over 1..k"),

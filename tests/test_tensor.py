@@ -18,7 +18,7 @@ from rookpart.diagram import (
 )
 from rookpart.formal import FormalSum
 from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
-from rookpart.rook import RookElement, embed, enumerate_rook, generator, generators
+from rookpart.rook import RookElement, enumerate_rook, generator, generators
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
     TensorSpace,
@@ -34,6 +34,11 @@ def D(text, half=False):
     return PartitionDiagram.parse(text, half=half)
 
 
+def word_index(space):
+    """Index of each basis word, read off the basis list."""
+    return {t: i for i, t in enumerate(space.basis)}
+
+
 def phi_orbit(d, space):
     """The action of the orbit-basis element x_d: its strict-pattern matrix."""
     return phi_element(AlgebraElement.from_diagram(d, basis="orbit"), space)
@@ -47,7 +52,7 @@ def test_phi_identity_diagram():
 def test_phi_swap_is_the_flip():
     space = TensorSpace(2, 2)
     mat = phi_diagram(D("[[1,-2],[2,-1]]"), space)
-    idx = space.index
+    idx = word_index(space)
     for i in (1, 2):
         for j in (1, 2):
             assert mat[idx[(i, j)], idx[(j, i)]] == 1
@@ -59,7 +64,7 @@ def test_phi_full_block_projects_onto_diagonal():
     for row, (i, j) in enumerate(space.basis):
         support = [c for c in range(space.dim) if mat[row, c]]
         if i == j:
-            assert support == [space.index[(i, i)]]
+            assert support == [word_index(space)[(i, i)]]
         else:
             assert support == []
 
@@ -69,7 +74,7 @@ def test_phi_orbit_examples():
     assert phi_orbit(D("[[1,-1]]"), space) == ExactMatrix.identity(2)
     space2 = TensorSpace(2, 2)
     mat = phi_orbit(D("[[1,-2],[2,-1]]"), space2)
-    idx = space2.index
+    idx = word_index(space2)
     assert mat[idx[(1, 2)], idx[(2, 1)]] == 1
     assert mat[idx[(1, 1)], idx[(1, 1)]] == 0  # equal letters are excluded
 
@@ -143,8 +148,9 @@ def test_psi_examples():
     space = TensorSpace(2, 2)
     assert psi_rook(RookElement.identity(2), space) == ExactMatrix.identity(4)
     p1 = psi_rook(generator("P", 1, 2), space)
-    assert p1[space.index[(1, 2)], space.index[(1, 2)]] == 0
-    assert all(not p1[r, space.index[(1, 2)]] for r in range(4))
+    at = word_index(space)[(1, 2)]
+    assert p1[at, at] == 0
+    assert all(not p1[r, at] for r in range(4))
     flip = psi_rook(generator("s", 1, 2), TensorSpace(2, 1))
     assert flip == ExactMatrix([[0, 1], [1, 0]])
 
@@ -437,7 +443,7 @@ def test_dimension_guard():
 
 def old_entries_from_assignments(d, space, injective):
     """One {(row, col): 1} entry per assignment of values to blocks."""
-    n, k = space.n, space.k
+    n, k, index = space.n, space.k, word_index(space)
     blocks = d.blocks
     pinned = None
     if space.half:
@@ -455,18 +461,18 @@ def old_entries_from_assignments(d, space, injective):
         value_of = {v: assign[b_idx] for b_idx, b in enumerate(blocks) for v in b}
         top = tuple(value_of[j] for j in range(1, k + 1))
         bottom = tuple(value_of[-j] for j in range(1, k + 1))
-        entries[(space.index[top], space.index[bottom])] = 1
+        entries[(index[top], index[bottom])] = 1
     return entries
 
 
 def old_rook_entries(rho, space):
     if space.half:
-        rho = embed(rho, space.n)
-    entries = {}
+        rho = RookElement(space.n, rho.mapping + (space.n,))  # fixing the letter n
+    entries, index = {}, word_index(space)
     for idx, tup in enumerate(space.basis):
         images = tuple(rho.image(i) for i in tup)
         if all(images):
-            entries[(space.index[images], idx)] = 1
+            entries[(index[images], idx)] = 1
     return entries
 
 
@@ -494,10 +500,54 @@ def test_diagram_cells_match_the_dict_route():
 
 def test_rook_cells_match_the_dict_route():
     for rook_n in (2, 3):
-        for space in (TensorSpace(rook_n, 2), TensorSpace(rook_n + 1, 2, half=True)):
-            for rho in enumerate_rook(rook_n):
-                want = old_combination(space, [(1, old_rook_entries(rho, space))])
-                assert psi_rook(rho, space) == want, (space, rho)
+        for k in (2, 3):
+            for space in (TensorSpace(rook_n, k), TensorSpace(rook_n + 1, k, half=True)):
+                for rho in enumerate_rook(rook_n):
+                    want = old_rook_entries(rho, space)
+                    cells = tensor._rook_cells(rho, space)
+                    assert len(set(cells)) == len(cells) and set(cells) == set(want), (space, rho)
+                    assert psi_rook(rho, space) == old_combination(space, [(1, want)]), (space, rho)
+
+
+CELL_CASES = [(2, 3, False, "A"), (3, 3, False, "A"), (3, 2, True, "I_half"), (4, 2, True, "I_half"),
+              (3, 3, True, "I_half"), (4, 3, True, "I_half")]
+
+
+@pytest.mark.parametrize("n, k, half, kind", CELL_CASES)
+def test_diagram_cells_are_the_dict_routes_cells_met_once(n, k, half, kind):
+    # in both bases each assignment gives its own cell, which the report's
+    # disjointness check of the orbit vectors relies on
+    space = TensorSpace(n, k, half)
+    for d in enumerate_monoid(kind, k):
+        for injective in (False, True):
+            cells = tensor._diagram_cells(d, space, injective)
+            want = old_entries_from_assignments(d, space, injective)
+            assert len(set(cells)) == len(cells) and set(cells) == set(want), (space, d, injective)
+
+
+def test_orbit_cells_vanish_past_n_blocks():
+    cases = [
+        (TensorSpace(2, 3), D("[[1],[2],[3],[-1,-2,-3]]")),
+        (TensorSpace(3, 2, half=True), D("[[1],[2],[-1,-2],[3,-3]]", half=True)),
+    ]
+    for space, d in cases:
+        assert d.n_blocks() > space.n
+        assert tensor._diagram_cells(d, space, injective=True) == []
+        assert old_entries_from_assignments(d, space, True) == {}
+        assert tensor._diagram_cells(d, space, injective=False)
+
+
+def test_xi_coefficients_on_a_half_space_match_the_dict_route():
+    for n, k in ((3, 2), (4, 2), (3, 3)):
+        space = TensorSpace(n, k, half=True)
+        diagrams = enumerate_monoid("I_half", k)
+        for basis in ("diagram", "orbit"):
+            a = AlgebraElement(k + 1, basis, [(d, COEFFS[i % len(COEFFS)]) for i, d in enumerate(diagrams)], half=True)
+            assert any(isinstance(c, XiPoly) for _, c in a.sum.items())
+            want = old_combination(
+                space, [(c, old_entries_from_assignments(d, space, basis == "orbit")) for d, c in a.sum.items()]
+            )
+            assert phi_element(a, space) == want, (space, basis)
 
 
 def test_element_actions_match_the_dict_route():

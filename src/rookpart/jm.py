@@ -260,8 +260,9 @@ def gt_decompose(t, n: int) -> dict:
     out a space of dimension equal to the matching rook irreducible, the
     eigenspaces must exhaust the tensor space, and the tuples must be pairwise
     distinct.  The paths share one :class:`CommutingFamily`, so a prefix of
-    eigenvalues common to several paths is eliminated once; besides the
-    entries, the report gives ``operators`` (the size of the family) and
+    eigenvalues common to several paths is eliminated once.  Each entry gives
+    a path's shape, path, eigenvalues and eigenspace ``dimension``; besides
+    the entries, the report gives ``operators`` (the size of the family) and
     ``prefix_kernels`` (the eigenvalue prefixes whose kernel it eliminated).
     """
     t = as_level(t)
@@ -282,26 +283,25 @@ def gt_decompose(t, n: int) -> dict:
         for path in graph.enumerate_paths((HALF, ()), (t, mu)):
             predicted = predicted_eigenvalues(path)
             flat = [v for pair in predicted for v in pair]
-            basis = simultaneous_eigenspace(ops, flat)
+            dim = len(simultaneous_eigenspace(ops, flat))
             expected_dim = rook_irrep_dim(mu, space.rook_n)
-            total += len(basis)
+            total += dim
             key = tuple(flat)
             if key in seen_tuples:
                 failures.append(
                     f"paths {seen_tuples[key]} and {path.shapes} share a tuple"
                 )
             seen_tuples[key] = path.shapes
-            if len(basis) != expected_dim:
+            if dim != expected_dim:
                 failures.append(
-                    f"path {path.shapes}: eigenspace dim {len(basis)} != {expected_dim}"
+                    f"path {path.shapes}: eigenspace dim {dim} != {expected_dim}"
                 )
             entries.append(
                 {
                     "shape": mu,
                     "path": path,
                     "eigenvalues": predicted,
-                    "dimension": len(basis),
-                    "basis": basis,
+                    "dimension": dim,
                 }
             )
     if total != space.dim:

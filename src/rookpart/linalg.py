@@ -2,8 +2,9 @@
 
 Matrices are immutable and stored by rows: each row is a dict
 ``{column: value}`` holding only its nonzero entries.  Values stay Python
-ints until a division forces a Fraction; every value handed back to a caller
-(entries, traces, diagonals, kernel and solution vectors) is a Fraction.
+ints until a division forces a Fraction.  Entries and solution vectors are
+handed back as Fractions; kernel vectors stay sparse dicts of exact ints and
+Fractions.
 
 All elimination goes through one sparse Gauss-Jordan routine with exact
 pivoting; there is no tolerance anywhere.
@@ -201,34 +202,20 @@ def _gauss_jordan(rows, reduced: bool) -> dict:
     return pivots
 
 
-def _basis_tuple(vec: dict, cols: int) -> tuple:
-    """A sparse kernel vector as a dense tuple of Fractions, scaled so that
-    its first nonzero coordinate is 1; only the nonzero coordinates are
-    divided."""
-    lead = vec[min(vec)]
-    out = [_ZERO] * cols
-    for j, v in vec.items():
-        out[j] = Fraction(v) / lead
-    return tuple(out)
-
-
 def nullspace(m: ExactMatrix) -> list:
     """Exact basis of the right kernel; size = cols - rank.
 
-    Each basis vector has its first nonzero coordinate normalized to 1.
+    One sparse vector ``{column: value}`` per free column f of the reduced
+    row echelon form, listed by f: 1 at f, 0 at every other free column, and
+    minus the pivot rows' entries at f at their pivot columns.
     """
     pivots = _gauss_jordan(m._rows, reduced=True)
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        vec = {f: 1}
-        for c, row in pivots.items():
-            v = row.get(f)
-            if v:
-                vec[c] = -v
-        basis.append(_basis_tuple(vec, m.cols))
-    return basis
+    basis = {f: {f: 1} for f in range(m.cols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v
+    return list(basis.values())
 
 
 def solve_unique(a: ExactMatrix, rhs) -> tuple:
@@ -348,10 +335,11 @@ class CommutingFamily(tuple):
     def _kernel(self, values: tuple) -> list:
         """Joint kernel of the first len(values) operators at those values.
 
-        A new prefix applies op_j - lambda_j to each of the r vectors of its
-        parent's kernel, and one ``nullspace`` of the d x r matrix of the
-        images gives the combinations of them that it kills; when every image
-        is zero, the parent's kernel is the prefix's own.
+        A new prefix applies op_j - lambda_j to each of the r sparse vectors
+        of its parent's kernel, and each sparse vector that ``nullspace`` gives
+        for the d x r matrix of the images names a combination of them that it
+        kills; when every image is zero, the parent's kernel is the prefix's
+        own.
         """
         kernel = self._kernels.get(values)
         if kernel is not None:
@@ -369,9 +357,8 @@ class CommutingFamily(tuple):
             kernel = []
             for coeffs in nullspace(ExactMatrix._from_rows(len(parent), rows)):
                 vec = {}
-                for col, c in enumerate(coeffs):
-                    if c:
-                        _axpy(vec, _exact(c), parent[col])
+                for col, c in coeffs.items():
+                    _axpy(vec, c, parent[col])
                 kernel.append(vec)
         else:
             kernel = parent
@@ -384,22 +371,19 @@ def simultaneous_eigenspace(ops, eigenvalues) -> list:
 
     The operators must commute pairwise: unless ``ops`` is already a
     :class:`CommutingFamily`, it is checked here and a non-commuting pair
-    raises ValueError.  The kernel comes from the family's kernels of the
-    eigenvalue prefixes, in the form ``nullspace`` gives the stacked system
-    of every op_i - lambda_i: one vector per free column f, zero past f and
-    at every other free column, listed by f and scaled to a first nonzero
-    coordinate of 1.  That form depends on the kernel alone, and each prefix
-    keeps it: if its parent's vectors v_i have it, with free columns f_i,
-    the vector sum_i c_i v_i made from the kernel vector c that
-    ``nullspace`` gives for a free column g of the image matrix is zero past
-    f_g and at the f_h of the other free columns h, since c_h = 0 there and
-    the c_p of its pivots p < g add only vectors that end before f_g.  So
-    the basis is the stacked system's, whichever prefixes were asked for
-    before, and only the scaling is left to do.
+    raises ValueError.  The basis is the family's kernel of the eigenvalue
+    tuple, as fresh sparse dicts.  It equals, vector for vector, the
+    ``nullspace`` of the stacked system of every op_i - lambda_i: the one
+    kernel vector per free column f that ends at f with a 1 and is 0 at the
+    other free columns.  Each prefix keeps that form: the combination that
+    ``nullspace`` gives for a free column g of the image matrix adds to the
+    parent's g-th vector only parent vectors that end before it and are 0 at
+    its free column, so it ends there with the same 1, and it is 0 at the
+    free columns of the other combinations.  So the basis does not depend on
+    which prefixes were asked for before.
     """
     if len(ops) != len(eigenvalues):
         raise ValueError("one eigenvalue per operator")
     if not isinstance(ops, CommutingFamily):
         ops = CommutingFamily(ops)
-    kernel = ops._kernel(tuple(_exact(lam) for lam in eigenvalues))
-    return [_basis_tuple(vec, ops[0].cols) for vec in kernel]
+    return [dict(vec) for vec in ops._kernel(tuple(_exact(lam) for lam in eigenvalues))]

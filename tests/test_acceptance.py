@@ -147,6 +147,37 @@ def test_criterion_12_fails_when_the_predicted_pairs_are_swapped(monkeypatch):
     )
 
 
+def _level_2_entries_changed(monkeypatch, change):
+    """gt_decompose as before, its ok report at level 2 with ``change`` applied
+    to the eigenvalue pairs of the three entries."""
+    real = jm.gt_decompose
+
+    def changed(t, n):
+        report = real(t, n)
+        if t == 2:
+            pairs = change([e["eigenvalues"] for e in report["entries"]])
+            for e, p in zip(report["entries"], pairs):
+                e["eigenvalues"] = p
+        return report
+
+    monkeypatch.setattr(jm, "gt_decompose", changed)
+
+
+def test_criterion_12_fails_when_an_ok_report_repeats_a_tuple(monkeypatch):
+    _level_2_entries_changed(monkeypatch, lambda pairs: [pairs[0], pairs[1], pairs[0]])
+    assert _record(12) == "level 2: eigenvalue tuples not distinct"
+
+
+def test_criterion_12_fails_when_the_content_values_alone_repeat(monkeypatch):
+    # path 1 takes path 0's M~ values; its M values still differ at level 3/2
+    def shared_content(pairs):
+        moved = [(m, mt) for (m, _), (_, mt) in zip(pairs[1], pairs[0])]
+        return [pairs[0], moved, pairs[2]]
+
+    _level_2_entries_changed(monkeypatch, shared_content)
+    assert _record(12) == "integer level 2: content family fails to separate"
+
+
 def test_criterion_7_fails_when_one_worked_path_gets_a_wrong_tableau(monkeypatch):
     real = rsk.path_to_spt
     swapped = (((2,),), ((1, 3),))  # the tableau of the path (1), (1, 1), (1, 1)
@@ -195,6 +226,17 @@ def test_criterion_9_fails_when_the_diagram_generators_lose_e_and_f(monkeypatch)
     detail = _record(9)
     assert detail.startswith("report fails at n=2, k=2, half=False: ")
     assert "'psi_image_dim': 6, 'phi_commutant_dim': 10," in detail
+
+
+def test_criterion_9_fails_when_an_ok_report_at_2_3_has_the_wrong_kernel(monkeypatch):
+    real = tensor.schur_weyl_report
+
+    def kernel_of_5(n, k, half=False):
+        report = real(n, k, half)
+        return dict(report, kernel_dim=5) if (n, k, half) == (2, 3, False) else report
+
+    monkeypatch.setattr(tensor, "schur_weyl_report", kernel_of_5)
+    assert _record(9) == "kernel at (2,3) is 5, expected 6"
 
 
 def test_criterion_11_fails_when_z_keeps_one_term(monkeypatch):

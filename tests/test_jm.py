@@ -288,6 +288,28 @@ def test_gt_decompose_reports_its_operators_and_prefix_kernels():
     assert report["prefix_kernels"] == len({t[:j] for t in tuples for j in range(1, 9)}) == 13
 
 
+def test_gt_decompose_reaches_the_traced_linalg_names(monkeypatch):
+    # a tracer wraps these module attributes by name, so gt_decompose must call
+    # through jm's binding of simultaneous_eigenspace and linalg's nullspace
+    from rookpart import linalg
+
+    calls = {"jm.simultaneous_eigenspace": 0, "linalg.nullspace": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(jm, "simultaneous_eigenspace", counting("jm.simultaneous_eigenspace", jm.simultaneous_eigenspace))
+    monkeypatch.setattr(linalg, "nullspace", counting("linalg.nullspace", linalg.nullspace))
+    report = gt_decompose(2, n=2)
+    assert report["ok"]
+    assert calls["jm.simultaneous_eigenspace"] == len(report["entries"])
+    assert calls["linalg.nullspace"] > 0
+
+
 def test_content_family_alone_separates_at_integer_levels():
     for t, n in ((Fraction(1), 2), (Fraction(2), 3)):
         report = gt_decompose(t, n)

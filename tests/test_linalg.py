@@ -34,6 +34,11 @@ def rank(m):
     return sparse_rank_of_vectors([dict(enumerate(row)) for row in m.data])
 
 
+def dense(vec, n_cols):
+    """A sparse vector as a dense tuple of Fractions."""
+    return tuple(Fraction(vec.get(j, 0)) for j in range(n_cols))
+
+
 def square_matrices(d):
     return st.lists(
         st.lists(small_entries, min_size=d, max_size=d), min_size=d, max_size=d
@@ -86,10 +91,13 @@ def test_nullspace_vectors_are_in_the_kernel(rows):
     m = ExactMatrix(rows)
     basis = nullspace(m)
     assert len(basis) == m.cols - rank(m)
-    for v in basis:
-        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m.data)
-        lead = next(x for x in v if x)
-        assert lead == 1
+    free = [f for f in range(m.cols) if f not in dense_rref(rows, m.cols)[1]]
+    # one vector per free column, in free-column order, each ending there
+    assert [max(v) for v in basis] == free
+    for v, f in zip(basis, free):
+        assert all(sum(x * y for x, y in zip(row, dense(v, m.cols))) == 0 for row in m.data)
+        assert v[f] == 1
+        assert all(v.get(g, 0) == 0 for g in free if g != f)
 
 
 def test_solve_unique():
@@ -291,8 +299,7 @@ def dense_nullspace(rows, n_cols):
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -reduced[r][f]
-        lead = next(x for x in vec if x)
-        basis.append(tuple(x / lead for x in vec))
+        basis.append(tuple(vec))
     return basis
 
 
@@ -355,7 +362,7 @@ def test_sparse_elimination_matches_dense_oracle(a, data):
     m = ExactMatrix(a)
     n_cols = len(a[0])
     assert rank(m) == len(dense_rref(a, n_cols)[1])
-    assert nullspace(m) == dense_nullspace(a, n_cols)
+    assert [dense(v, n_cols) for v in nullspace(m)] == dense_nullspace(a, n_cols)
     rhs = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
     expected = dense_solve(a, rhs)
     if expected is None:
@@ -424,8 +431,24 @@ def test_prefix_kernels_are_kept_and_a_killed_kernel_is_inherited():
     family = CommutingFamily([ExactMatrix.identity(3), a])
     assert family.prefix_kernels == 0
     # the identity at 1 kills the whole space: the prefix keeps its parent's kernel
-    assert simultaneous_eigenspace(family, [1, 1]) == [(1, 0, 0)]
+    assert simultaneous_eigenspace(family, [1, 1]) == [{0: 1}]
     assert family._kernels[(1,)] is family._kernels[()]
-    assert simultaneous_eigenspace(family, [1, 2]) == [(0, 0, 1)]
+    assert simultaneous_eigenspace(family, [1, 2]) == [{2: 1}]
     assert simultaneous_eigenspace(family, [0, 2]) == []
     assert family.prefix_kernels == 5
+
+
+def test_a_returned_eigenspace_can_change_without_changing_the_family():
+    # the identity at 1 kills the whole space, so each asked-for kernel is
+    # inherited: the root's in the first family, a prefix's in the second
+    a = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    for family, values, want in (
+        (CommutingFamily([ExactMatrix.identity(3)]), [1], [{0: 1}, {1: 1}, {2: 1}]),
+        (CommutingFamily([a, ExactMatrix.identity(3)]), [1, 1], [{0: 1}]),
+    ):
+        basis = simultaneous_eigenspace(family, values)
+        assert basis == want
+        basis[0][1] = 5
+        basis.append({1: 1})
+        assert all(kernel == want for key, kernel in family._kernels.items() if key)
+        assert simultaneous_eigenspace(family, values) == want

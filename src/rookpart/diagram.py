@@ -47,14 +47,20 @@ Products do only the work whose result they keep:
 Inside a product or a change of basis, every coefficient is summed in one
 form: per result key (its block-mask tuple, or its product-table id), a list
 of coefficients by power of xi, kept as ints while integral (an XiPoly
-coefficient contributes one entry per power).  Each result term then becomes
-one Fraction or one XiPoly and one diagram, reused from the coarsening or
-product table where it has one.  A term is an XiPoly exactly when an XiPoly
-coefficient, a loop or a structure constant of ``orbit_product_general``
-contributed to it, even if it sums to a constant, as the same sum of
-Fractions and XiPolys would be; results carry Fraction or XiPoly
-coefficients, never ints.  Zero sums are dropped as the terms are made, so
-the result's sum and element skip the public constructors' checks.
+coefficient contributes one entry per power).  The result keeps these sums
+as its entries, one per nonzero coefficient of a power of xi, each with its
+diagram, reused from the coarsening or product table where it has one.  The
+next product or change of basis reads them as they are, and the result
+builds its public sum, one Fraction or one XiPoly per term, only the first
+time ``sum`` is read; the sum then takes the entries' place.  A term is an
+XiPoly exactly when an XiPoly coefficient, a loop or a structure constant of
+``orbit_product_general`` contributed to it, even if it sums to a constant,
+as the same sum of Fractions and XiPolys would be; sums carry Fraction or
+XiPoly coefficients, never ints.  Zero sums are dropped as the entries are
+made, so the result skips the public constructors' checks.  An element that
+holds only its sum, as one built through the public constructor does, has
+it read into entries once, by the first product or change of basis that
+reads it.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
 diagrams of I_4), and their closure is the one listing of the monoid, made
@@ -326,9 +332,18 @@ class AlgebraElement:
 
     Coefficients may be Fractions or XiPolys; elements of the totally
     propagating algebras stay rational.
+
+    An element holds its terms as ``sum``, the public FormalSum, or as the
+    entries that products and changes of basis read (see ``_entries``), or
+    both.  The public constructor starts from the sum, and the entries are
+    read from it, and kept, the first time a product or a change of basis
+    needs them.  A product or a change of basis returns an element that
+    holds only its entries; the first read of ``sum`` builds the sum from
+    them and keeps it in their place, so a result that is read and not
+    multiplied again holds one form, as a publicly built one does.
     """
 
-    __slots__ = ("size", "half", "basis", "sum")
+    __slots__ = ("size", "half", "basis", "_sum", "_kept")
 
     def __init__(self, size: int, basis: str, terms, half: bool = False):
         if basis not in ("diagram", "orbit"):
@@ -337,20 +352,49 @@ class AlgebraElement:
         for key, _ in s.terms():
             if key.size != size or key.half != half:
                 raise ValueError("all keys must live at the same level")
-        self._set(size, basis, s, half)
+        self._set(size, basis, half, s, None)
 
-    def _set(self, size: int, basis: str, s: FormalSum, half: bool) -> None:
+    def _set(self, size: int, basis: str, half: bool, s: FormalSum | None, kept: tuple | None) -> None:
         self.size = size
         self.half = half
         self.basis = basis
-        self.sum = s
+        self._sum = s
+        self._kept = kept
 
     @classmethod
-    def _from_sum(cls, size: int, basis: str, s: FormalSum, half: bool) -> "AlgebraElement":
-        """Element from a sum whose keys all live at (size, half), without checks."""
+    def _from_entries(cls, size: int, basis: str, entries: list, degree: int, half: bool) -> "AlgebraElement":
+        """Element from entries as ``_entries`` returns them, all at (size,
+        half), nonzero and by ascending power for each diagram, without
+        checks."""
         a = object.__new__(cls)
-        a._set(size, basis, s, half)
+        a._set(size, basis, half, None, (entries, degree))
         return a
+
+    @property
+    def sum(self) -> FormalSum:
+        """The terms as a FormalSum, built from the entries on first read and
+        kept in their place.  A diagram with poly entries gets the XiPoly of
+        its entries by power, with 0 at the powers it lacks; any other gets
+        the Fraction of its one entry.  The diagrams keep their entries'
+        order."""
+        s = self._sum
+        if s is None:
+            out = {}
+            for d, j, x, p in self._kept[0]:
+                if p:
+                    row = out.get(d)
+                    if row is None:
+                        row = out[d] = []
+                    row.extend(repeat(0, j - len(row)))
+                    row.append(x)
+                else:
+                    out[d] = Fraction(x)
+            for d, c in out.items():
+                if type(c) is list:
+                    out[d] = XiPoly(c)
+            s = self._sum = FormalSum._from_dict(out)
+            self._kept = None
+        return s
 
     @property
     def level(self) -> Fraction:
@@ -405,21 +449,26 @@ class AlgebraElement:
         return f"AlgebraElement({self.basis}, level={self.level}, {self.sum!r})"
 
 
-def _entries(s: FormalSum) -> tuple[list, int]:
+def _entries(a: AlgebraElement) -> tuple[list, int]:
     """(diagram, j, c, poly) for each nonzero coefficient c of xi^j in a term
-    of s, c read as an int when integral, so that sums stay in ints; poly
-    tells an XiPoly coefficient from a rational one.  Also the highest j."""
-    out = []
-    degree = 0
-    for d, c in s.terms():
-        if type(c) is XiPoly:
-            degree = max(degree, len(c.coeffs) - 1)
-            for j, x in enumerate(c.coeffs):
-                if x:
-                    out.append((d, j, x.numerator if x.denominator == 1 else x, True))
-        else:
-            out.append((d, 0, c.numerator if c.denominator == 1 else c, False))
-    return out, degree
+    of a, c an int when integral, so that sums stay in ints; poly tells an
+    XiPoly coefficient from a rational one.  Also the highest j.  A product
+    or a change of basis made its result's entries with it; when a holds
+    none, its sum is read here once, and the entries are kept on a."""
+    kept = a._kept
+    if kept is None:
+        out = []
+        degree = 0
+        for d, c in a.sum.terms():
+            if type(c) is XiPoly:
+                degree = max(degree, len(c.coeffs) - 1)
+                for j, x in enumerate(c.coeffs):
+                    if x:
+                        out.append((d, j, x.numerator if x.denominator == 1 else x, True))
+            else:
+                out.append((d, 0, c.numerator if c.denominator == 1 else c, False))
+        kept = a._kept = out, degree
+    return kept
 
 
 class _Coeffs(dict):
@@ -447,25 +496,33 @@ class _Coeffs(dict):
         return row
 
     def element(self, a: AlgebraElement, basis: str) -> AlgebraElement:
-        """The sum as an element at a's level: one coefficient and one diagram
-        per nonzero key.  Zero sums are dropped here and every diagram is made
-        at a's level, so the sum and the element are built without the
-        public constructors' zero filter and level check."""
+        """The sums as an element at a's level that holds them as its entries
+        (see ``_entries``), in key order, each an int where integral; a
+        poly key gives one entry per nonzero power, any other key its power
+        0.  Keys whose sums are all zero are dropped here and every diagram
+        is made at a's level, so the element skips the public constructors'
+        zero filter and level check.  No Fraction, XiPoly or FormalSum is
+        built: the element's sum is made when it is first read."""
         k, half, poly = a.size, a.half, self.poly
-        out = {}
+        entries = []
+        degree = 0
         for (key, row), d in zip(self.items(), self.made or repeat(None)):
-            if key in poly:
-                while row and not row[-1]:
-                    row.pop()
-                if not row:
+            p = key in poly
+            if p:
+                powers = [(j, x) for j, x in enumerate(row) if x]
+                if not powers:
                     continue
-                c = XiPoly(row)
+                degree = max(degree, powers[-1][0])
             elif row[0]:
-                c = Fraction(row[0])
+                powers = ((0, row[0]),)
             else:
                 continue
-            out[d or PartitionDiagram._from_masks(k, key, half)] = c
-        return AlgebraElement._from_sum(k, basis, FormalSum._from_dict(out), half)
+            d = d or PartitionDiagram._from_masks(k, key, half)
+            for j, x in powers:
+                if type(x) is not int and x.denominator == 1:
+                    x = x.numerator
+                entries.append((d, j, x, p))
+        return AlgebraElement._from_entries(k, basis, entries, degree, half)
 
 
 # a size-4 table could need Bell(8)^2 = 17,139,600 cells
@@ -611,7 +668,7 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ValueError("diagram_product needs diagram-basis elements")
     a._check_compatible(b)
     k, width = a.size, a.size + 1
-    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
     # b's coefficients sliced by (power of xi, poly), so the pair loop only multiplies
     right = {}
     for d2, j2, c2, p2 in entries_b:
@@ -637,7 +694,7 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
     """Each term of a spread over its upset, times the Möbius value or 1; the
     upset's diagrams are the result's."""
-    entries, degree = _entries(a.sum)
+    entries, degree = _entries(a)
     acc = _Coeffs(degree + 1)
     width, made = acc.width, acc.made
     for d, j, x, p in entries:
@@ -738,7 +795,7 @@ def orbit_product_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElemen
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
-    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
     # structure constants have degree at most k, the most internal blocks
     acc = _Coeffs(degree_a + degree_b + a.size + 1)
     for d1, j1, c1, _, d2, j2, c2, _ in _matched_pairs(entries_a, entries_b):
@@ -759,12 +816,12 @@ def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
-    for s in (a.sum, b.sum):
-        bad = [key for key, _ in s.terms() if not is_totally_propagating(key)]
+    (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
+    for entries in (entries_a, entries_b):
+        bad = [d for d, *_ in entries if not is_totally_propagating(d)]
         if bad:
             raise ValueError(f"not totally propagating: {min(bad)}")
     k = a.size
-    (entries_a, degree_a), (entries_b, degree_b) = _entries(a.sum), _entries(b.sum)
     acc = _Coeffs(degree_a + degree_b + 1)
     for d1, j1, c1, p1, d2, j2, c2, p2 in _matched_pairs(entries_a, entries_b):
         masks, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)

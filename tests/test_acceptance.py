@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion, or ``rookpart verify`` for the JSON equivalent.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from rookpart import bratteli, characters, combinat, diagram, jm, rook, rsk, seminormal, tensor
@@ -270,3 +272,44 @@ def test_criterion_14_fails_when_the_listing_skips_the_s_i(monkeypatch):
         assert _record(14) == "RuntimeError: generators of I_half at 2 miss the diagram [[1,-2],[2,-1],[3,-3]]"
     finally:
         diagram._closure_listing.cache_clear()
+
+
+def test_criterion_14_fails_when_a_multiplicity_misses_an_edge(monkeypatch):
+    # count_paths still walks the edge 5/2 (1,1) -> 3 (2,1), which the multiplicity misses
+    real = bratteli.GradedGraph.multiplicity
+
+    def one_short(graph, level, low, high):
+        m = real(graph, level, low, high)
+        return m - 1 if (graph.kind, level, low, high) == ("ihat", Fraction(5, 2), (1, 1), (2, 1)) else m
+
+    monkeypatch.setattr(bratteli.GradedGraph, "multiplicity", one_short)
+    assert _record(14) == "recursion fails at level 3, (2, 1)"
+
+
+def test_criterion_14_fails_when_the_tower_loses_an_edge_into_an_integer_level(monkeypatch):
+    # without the edge 5/2 (1,1) -> 3 (2,1), (2,1) at level 3 has one path, not S(3,3) f^(2,1) = 2
+    real = bratteli.ihat
+
+    def one_edge_short(t):
+        graph = real(t)
+        li = graph.level_index(Fraction(5, 2))
+        del graph.edges[li][graph.vertex_index(Fraction(5, 2), (1, 1)), graph.vertex_index(3, (2, 1))]
+        return graph
+
+    monkeypatch.setattr(bratteli, "ihat", one_edge_short)
+    assert _record(14) == "count at level 3, (2, 1) is 1 != 2"
+
+
+def test_criterion_14_fails_when_the_top_level_loses_a_vertex(monkeypatch):
+    # (4,) is the last vertex of level 4, with one path: every count checked still
+    # holds, and the sum of squares falls to 339 - 1
+    real = bratteli.ihat
+
+    def top_vertex_short(t):
+        graph = real(t)
+        assert graph.vertices[-1][-1] == (4,)
+        graph.vertices = graph.vertices[:-1] + (graph.vertices[-1][:-1],)
+        return graph
+
+    monkeypatch.setattr(bratteli, "ihat", top_vertex_short)
+    assert _record(14) == "sum of squares at level 4 is 338 != 339"

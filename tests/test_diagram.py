@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import factorial, prod
 
 import pytest
 
-from rookpart import diagram
+from rookpart import acceptance, diagram
 from rookpart.combinat import bell, canonical_set_partition, set_partitions
 from rookpart.diagram import (
     AlgebraElement,
@@ -693,6 +693,167 @@ def test_internal_results_equal_their_publicly_built_form():
         _assert_built_once(_cancelled(f, pool, basis))
         for _ in range(20):
             _assert_built_once(f(_random_element(rng, pool, basis), _random_element(rng, pool, basis)))
+
+
+# --- deferred sums: the former eager _Coeffs.element as the oracle ----------
+
+
+def _eager_sum(acc, a):
+    """The former body of ``_Coeffs.element``: one Fraction or XiPoly and one
+    diagram per nonzero key, in key order.  It trimmed each poly row in place;
+    here it trims a copy, so the rows reach the real body as they were."""
+    k, half, poly = a.size, a.half, acc.poly
+    out = {}
+    for (key, row), d in zip(acc.items(), acc.made or repeat(None)):
+        if key in poly:
+            row = list(row)
+            while row and not row[-1]:
+                row.pop()
+            if not row:
+                continue
+            c = XiPoly(row)
+        elif row[0]:
+            c = Fraction(row[0])
+        else:
+            continue
+        out[d or PartitionDiagram._from_masks(k, key, half)] = c
+    return FormalSum._from_dict(out)
+
+
+@pytest.fixture
+def eager_oracle(monkeypatch):
+    """(result, its entries, eager sum, whether a key was dropped) for every
+    result that a product or a change of basis makes while the test runs."""
+    made = []
+    real = diagram._Coeffs.element
+
+    def element(acc, a, basis):
+        want = _eager_sum(acc, a)
+        got = real(acc, a, basis)
+        assert got._sum is None  # the sum waits for its first read
+        made.append((got, got._kept, want, len(want) < len(acc)))
+        return got
+
+    monkeypatch.setattr(diagram._Coeffs, "element", element)
+    return made
+
+
+def _through_every_route(x1, x2):
+    """x1 and x2 (orbit basis) through both basis changes and all three
+    products, chained as criterion 8 chains them and from public elements."""
+    y1, y2 = from_orbit(x1), from_orbit(x2)
+    to_orbit(diagram_product(y1, y2))
+    pub1 = AlgebraElement(x1.size, "diagram", x1.sum, x1.half)
+    pub2 = AlgebraElement(x2.size, "diagram", x2.sum, x2.half)
+    to_orbit(diagram_product(pub1, pub2))
+    orbit_product_general(x1, x2)
+    if all(is_totally_propagating(d) for x in (x1, x2) for d, _ in x.sum.terms()):
+        orbit_product_tppa(x1, x2)
+
+
+def _assert_deferred_sums_match(made):
+    for got, kept, want, _ in made:
+        assert all(type(x) is int or type(x) is Fraction and x.denominator != 1 for _, _, x, _ in kept[0])
+        s = got.sum
+        assert s == want
+        assert [(d, type(c)) for d, c in s.terms()] == [(d, type(c)) for d, c in want.terms()]
+        # the sum took the entries' place, and reads back to the same entries
+        assert got._kept is None
+        assert diagram._entries(got) == kept
+
+
+def test_deferred_sums_equal_the_eager_oracle_on_every_route(eager_oracle):
+    rng = random.Random(71)
+    pairs = [(a, b) for k in (1, 2) for monoid in [enumerate_monoid("A", k)] for a in monoid for b in monoid]
+    pairs += _sampled_a3_pairs(20, 71)
+    i_half = enumerate_monoid("I_half", 2)
+    pairs += [(rng.choice(i_half), rng.choice(i_half)) for _ in range(40)]
+    for d1, d2 in pairs:
+        _through_every_route(*(AlgebraElement.from_diagram(d, basis="orbit") for d in (d1, d2)))
+    # mixed sums, with an XiPoly whose xi term is 0
+    coeffs = [1, Fraction(-3, 2), XI, XiPoly([1, 0, 2]), XiPoly.const(3)]
+    for pool in (enumerate_monoid("A", 2), enumerate_monoid("I", 3), i_half):
+        for _ in range(15):
+            x1, x2 = (
+                AlgebraElement(pool[0].size, "orbit", [(d, rng.choice(coeffs)) for d in rng.sample(pool, 3)], pool[0].half)
+                for _ in range(2)
+            )
+            _through_every_route(x1, x2)
+    polys = [c for _, _, want, _ in eager_oracle for _, c in want.terms() if type(c) is XiPoly]
+    assert any(0 in c.coeffs[:-1] for c in polys)
+    _assert_deferred_sums_match(eager_oracle)
+
+
+def test_deferred_sums_that_cancel_equal_the_eager_oracle(eager_oracle):
+    # xi terms cancelling to a constant XiPoly
+    x, y, w, z = _cancelling_triple(enumerate_monoid("A", 2))
+    a = AlgebraElement(2, "diagram", [(x, Fraction(1)), (y, Fraction(-1)), (w, Fraction(3))])
+    diagram_product(a, AlgebraElement.from_diagram(z))
+    terms = [(D("[[1],[2],[-1,-2]]"), XI), (D("[[1,2],[-1],[-2]]"), XiPoly.const(2) - XI)]
+    to_orbit(AlgebraElement(2, "diagram", terms))
+    from_orbit(AlgebraElement(2, "orbit", terms))
+    # rows whose every power cancels, on each route
+    a_2, i_3 = enumerate_monoid("A", 2), enumerate_monoid("I", 3)
+    for f, basis, pool in [
+        (lambda a, b: to_orbit(a), "diagram", a_2),
+        (lambda a, b: from_orbit(a), "orbit", a_2),
+        (diagram_product, "diagram", a_2),
+        (orbit_product_general, "orbit", a_2),
+        (orbit_product_tppa, "orbit", i_3),
+    ]:
+        _cancelled(f, pool, basis)
+    wants = [want for _, _, want, _ in eager_oracle]
+    assert any(type(c) is XiPoly and c.is_constant() for want in wants for _, c in want.terms())
+    assert sum(dropped for *_, dropped in eager_oracle) >= 5
+    _assert_deferred_sums_match(eager_oracle)
+
+
+def test_reading_the_sum_twice_returns_the_same_object():
+    x = AlgebraElement.from_diagram(D("[[1],[2,-1],[-2]]"), basis="orbit")
+    for r in (from_orbit(x), orbit_product_general(x, x), AlgebraElement.one(2, "orbit"), x):
+        assert r.sum is r.sum
+
+
+def _count_formal_sums(monkeypatch) -> list:
+    """Every FormalSum built from now on, through either constructor."""
+    built = []
+    real_init, real_from_dict = FormalSum.__init__, FormalSum._from_dict
+
+    def init(self, terms=None):
+        real_init(self, terms)
+        built.append(self)
+
+    def from_dict(cls, terms):
+        s = real_from_dict(terms)
+        built.append(s)
+        return s
+
+    monkeypatch.setattr(FormalSum, "__init__", init)
+    monkeypatch.setattr(FormalSum, "_from_dict", classmethod(from_dict))
+    return built
+
+
+def test_a_change_of_basis_chain_builds_one_sum_when_it_is_read(monkeypatch):
+    d1, d2 = D("[[1],[2,-1],[3,-3],[-2]]"), D("[[1,-1,-2],[2],[3,-3]]")  # middle rows match
+    x1, x2 = (AlgebraElement.from_diagram(d, basis="orbit") for d in (d1, d2))
+    built = _count_formal_sums(monkeypatch)
+    r = to_orbit(diagram_product(from_orbit(x1), from_orbit(x2)))
+    assert built == []
+    s = r.sum
+    assert len(built) == 1 and built[0] is s and s
+    assert r.sum is s and len(built) == 1
+
+
+def test_criterion_8_reads_each_orbit_form_once_and_each_compared_result_once(monkeypatch):
+    reads = []  # holds every element read, so their ids stay distinct
+    real = AlgebraElement.sum
+    monkeypatch.setattr(AlgebraElement, "sum", property(lambda a: reads.append(a) or real.fget(a)))
+    assert acceptance.crit_orbit_product(2) == (True, "all 225 orbit products match the change of basis")
+    # the 15 x_d are read into entries once; their diagram-basis forms and the
+    # products pass entries on and are never read; both sides of each of the
+    # 225 comparisons are read once
+    assert len(reads) == 15 + 2 * 225 == len({id(a) for a in reads})
+    assert all(a.basis == "orbit" for a in reads)
 
 
 # --- oracles past A_3: seeded random diagrams, not enumerations --------------

@@ -14,8 +14,8 @@ from rookpart.jm import as_level, gt_decompose, size_and_half
 
 def level(text: str) -> Fraction:
     try:
-        return as_level(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_level(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

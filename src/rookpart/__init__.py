@@ -45,7 +45,6 @@ from .diagram import (
     is_half,
     is_totally_propagating,
     orbit_product_general,
-    orbit_product_tppa,
     to_orbit,
 )
 from .seminormal import RookIrrep, act_p1, act_si, verify_jm_action

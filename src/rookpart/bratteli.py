@@ -38,7 +38,10 @@ HALF = Fraction(1, 2)
 
 
 def as_level(t) -> Fraction:
-    t = Fraction(t)
+    try:
+        t = Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"not a positive half-integer level: {t}") from None
     if t <= 0 or t % HALF != 0:
         raise ValueError(f"not a positive half-integer level: {t}")
     return t

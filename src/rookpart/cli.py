@@ -31,7 +31,7 @@ def format_partition(lam) -> str:
 
 
 def parse_level(text: str) -> Fraction:
-    return jm.as_level(Fraction(text))
+    return jm.as_level(text)
 
 
 def parse_int_lists(text: str, depth: int, what: str):
@@ -118,7 +118,7 @@ def _cmd_bratteli(args) -> int:
     elif args.kind == "rhat":
         graph = bratteli.rhat(args.n, int(args.levels))
     else:
-        graph = bratteli.ihat(Fraction(args.levels))
+        graph = bratteli.ihat(parse_level(args.levels))
     if args.dot:
         print(graph.to_dot())
     else:

@@ -18,8 +18,8 @@ Products do only the work whose result they keep:
 
 - An orbit-basis product x_{d1} x_{d2} vanishes unless the bottom row of d1
   and the top row of d2 induce the same set partition (the middle rows
-  match), so the orbit products index the right factor's terms by top row and
-  pair each left term only with the terms its bottom row matches.
+  match), so the orbit product indexes the right factor's terms by top row
+  and pairs each left term only with the terms its bottom row matches.
 - ``compose`` works on 3k-bit masks: d1's masks shifted up by k put its
   bottom row on the middle bits k..2k-1, where d2's top row already sits.
   Each mask of d2 absorbs the components it meets; the components with no
@@ -40,9 +40,8 @@ Products do only the work whose result they keep:
 - ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
   value, for the latter) over one cached table of a diagram's coarsenings,
   built by adding its masks one at a time, each into a new group or OR-ed
-  into one; they never read the product table.  The orbit products add
-  c1*c2 times cached int rows of their falling-factorial structure
-  constants.
+  into one; they never read the product table.  The orbit product adds
+  c1*c2 times cached int rows of its falling-factorial structure constants.
 
 Inside a product or a change of basis, every coefficient is summed in one
 form: per result key (its block-mask tuple, or its product-table id), a list
@@ -330,8 +329,8 @@ def _joined(t: tuple, i: int, x) -> tuple:
 class AlgebraElement:
     """Element of a diagram algebra, in the diagram or the orbit basis.
 
-    Coefficients may be Fractions or XiPolys; elements of the totally
-    propagating algebras stay rational.
+    Coefficients may be Fractions or XiPolys; an orbit product's are all
+    XiPolys, constant ones when both factors are totally propagating.
 
     An element holds its terms as ``sum``, the public FormalSum, or as the
     entries that products and changes of basis read (see ``_entries``), or
@@ -736,22 +735,6 @@ def to_orbit(a: AlgebraElement) -> AlgebraElement:
     return _over_upset(a, "orbit", mobius=False)
 
 
-def _matched_pairs(entries_a: list, entries_b: list):
-    """(d1, j1, c1, p1, d2, j2, c2, p2) for each entry of a and entry of b
-    (see ``_entries``) whose diagrams' middle rows match.
-
-    b's entries are indexed by top row, so each entry of a meets only the
-    entries its bottom row matches; the orbit products of all other pairs
-    vanish.
-    """
-    by_top: dict[tuple, list] = {}
-    for e in entries_b:
-        by_top.setdefault(e[0].top_partition(), []).append(e)
-    for e in entries_a:
-        for other in by_top.get(e[0].bottom_partition(), ()):
-            yield e + other
-
-
 @cache
 def _falling_row(blocks: int, internal: int) -> tuple:
     """Coefficients of (xi - blocks)_internal by power of xi, as ints."""
@@ -772,8 +755,8 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
     low = (1 << k) - 1
     top_only = [m for m in d1._masks if not m & low]
     bottom_only = [m for m in d2._masks if m <= low]
-    out = []
-    for n in range(min(len(top_only), len(bottom_only)) + 1):
+    out = [(comp, _falling_row(len(comp), internal))]  # d1 ∘ d2, no one-row blocks joined
+    for n in range(1, min(len(top_only), len(bottom_only)) + 1):
         row = _falling_row(len(comp) - n, internal)
         for tops in combinations(top_only, n):
             for bots in permutations(bottom_only, n):
@@ -787,49 +770,30 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
 def orbit_product_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product in the orbit basis with symbolic xi coefficients.
 
-    Only entry pairs whose middle rows match are formed.  Each adds c1*c2
-    times the cached int rows of its falling-factorial structure constants,
-    shifted by the powers of xi of c1 and c2; every result coefficient is an
-    XiPoly.
+    Only entry pairs whose middle rows match are formed, b's entries being
+    indexed by top row.  Each adds c1*c2 times the cached int rows of its
+    falling-factorial structure constants, shifted by the powers of xi of c1
+    and c2; every result coefficient is an XiPoly.  Totally propagating
+    diagrams have no one-row block and compose with no internal block, so
+    their one structure constant is x_{d1∘d2} times 1.
     """
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
     (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
+    by_top: dict[tuple, list] = {}
+    for d2, j2, c2, _ in entries_b:
+        by_top.setdefault(d2.top_partition(), []).append((d2, j2, c2))
     # structure constants have degree at most k, the most internal blocks
     acc = _Coeffs(degree_a + degree_b + a.size + 1)
-    for d1, j1, c1, _, d2, j2, c2, _ in _matched_pairs(entries_a, entries_b):
-        scale = c1 * c2
-        for masks, row in _orbit_pair_product(d1, d2):
-            out = acc[masks]
-            for i, f in enumerate(row, j1 + j2):
-                out[i] += scale * f
+    for d1, j1, c1, _ in entries_a:
+        for d2, j2, c2 in by_top.get(d1.bottom_partition(), ()):
+            scale = c1 * c2
+            for masks, row in _orbit_pair_product(d1, d2):
+                out = acc[masks]
+                for i, f in enumerate(row, j1 + j2):
+                    out[i] += scale * f
     acc.poly.update(acc)
-    return acc.element(a, "orbit")
-
-
-def orbit_product_tppa(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Orbit product inside a totally propagating algebra: x_{d1} x_{d2} is
-    x_{d1∘d2} when the middle rows match and 0 otherwise; coefficients stay
-    rational.  Only the entry pairs whose middle rows match are formed, and
-    their coefficient products are summed as ints per masks of d1∘d2."""
-    if a.basis != "orbit" or b.basis != "orbit":
-        raise ValueError("orbit product needs orbit-basis elements")
-    a._check_compatible(b)
-    (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
-    for entries in (entries_a, entries_b):
-        bad = [d for d, *_ in entries if not is_totally_propagating(d)]
-        if bad:
-            raise ValueError(f"not totally propagating: {min(bad)}")
-    k = a.size
-    acc = _Coeffs(degree_a + degree_b + 1)
-    for d1, j1, c1, p1, d2, j2, c2, p2 in _matched_pairs(entries_a, entries_b):
-        masks, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
-        if internal:
-            raise RuntimeError(f"composing {d1} with {d2} leaves {internal} internal blocks")
-        acc[masks][j1 + j2] += c1 * c2
-        if p1 or p2:
-            acc.poly.add(masks)
     return acc.element(a, "orbit")
 
 

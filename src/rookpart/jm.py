@@ -30,7 +30,7 @@ from .diagram import (
     build_dtilde,
     enumerate_monoid,
     generating_set,
-    orbit_product_tppa,
+    orbit_product_general,
     to_orbit,
 )
 from .linalg import CommutingFamily, simultaneous_eigenspace
@@ -184,8 +184,8 @@ def verify_centrality(t) -> dict:
     for g in gens:
         go = to_orbit(AlgebraElement.from_diagram(g))
         for name, elem in (("Z", z), ("Z~", zt)):
-            left = orbit_product_tppa(go, elem)
-            right = orbit_product_tppa(elem, go)
+            left = orbit_product_general(go, elem)
+            right = orbit_product_general(elem, go)
             if left != right:
                 failures.append(f"{name} at level {t} does not commute with {g}")
     family = []
@@ -193,7 +193,7 @@ def verify_centrality(t) -> dict:
         family.append((f"M_{y}", build_m(y, t)))
         family.append((f"M~_{y}", build_m_tilde(y, t)))
     for (na, a), (nb, b) in combinations(family, 2):
-        if orbit_product_tppa(a, b) != orbit_product_tppa(b, a):
+        if orbit_product_general(a, b) != orbit_product_general(b, a):
             failures.append(f"{na} and {nb} do not commute at level {t}")
     return {
         "level": str(t),

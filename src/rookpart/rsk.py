@@ -177,6 +177,8 @@ def spt_to_path(t: SetTableau, k: int) -> GraphPath:
     the via label so the correspondence stays invertible.
     """
     check("path correspondence", k)
+    if k < 1:
+        raise ValueError(f"need k >= 1 letters, not {k}")
     if not is_standard_spt(t, k):
         raise ValueError("not a standard set-partition tableau over 1..k")
     shapes: list[Partition] = [None] * k

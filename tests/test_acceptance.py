@@ -120,6 +120,28 @@ def test_criterion_6_fails_when_one_stirling_number_is_off(monkeypatch):
     assert _record(6) == "n=3, k=1, (2,): paths=0, formula=1, chars=0"
 
 
+def test_criterion_6_fails_when_all_three_methods_agree_on_a_wrong_count(monkeypatch):
+    # S(3, 2) read as 4 by all three methods: they agree at every (k, lambda),
+    # and only the hand count of the 3 paths to (2) at level 3 is left to object
+    real_stirling = combinat.stirling2
+    real_count = bratteli.GradedGraph.count_paths
+    real_mult = characters.tensor_multiplicities
+
+    def two_of_three(level, shape):
+        return level == 3 and sum(shape) == 2
+
+    monkeypatch.setattr(combinat, "stirling2", lambda k, r: real_stirling(k, r) + ((k, r) == (3, 2)))
+    monkeypatch.setattr(
+        bratteli.GradedGraph, "count_paths", lambda g, src, dst: real_count(g, src, dst) + two_of_three(*dst)
+    )
+    monkeypatch.setattr(
+        characters,
+        "tensor_multiplicities",
+        lambda n, k: {lam: m + two_of_three(k, lam) for lam, m in real_mult(n, k).items()},
+    )
+    assert _record(6) == "expected 3 paths to (2) at level 3"
+
+
 def test_criterion_10_fails_when_the_content_sum_is_the_size_sum(monkeypatch):
     monkeypatch.setattr(jm, "kappa_tilde", jm.kappa)
     assert _record(10) == "integer level 1, n=1: ['Z~ at level 1, n=1: first diffs [(0, 0)]']"
@@ -191,6 +213,48 @@ def test_criterion_7_fails_when_one_worked_path_gets_a_wrong_tableau(monkeypatch
     assert _record(7) == "worked correspondence fails for ((1,), (2,), (1, 1))"
 
 
+def test_criterion_7_fails_when_one_path_loses_its_labels_on_the_way_back(monkeypatch):
+    real = rsk.spt_to_path
+    one_row = ((1,), (1,), (1,), (1,))  # the first path to (1) at level 4, labelled ((), (), ())
+
+    def drops_the_labels(t, k):
+        path = real(t, k)
+        if path.shapes == one_row:
+            return bratteli.GraphPath(path.levels, path.shapes, (None,) * len(path.vias))
+        return path
+
+    monkeypatch.setattr(rsk, "spt_to_path", drops_the_labels)
+    assert _record(7) == "path round trip fails for ((1,), (1,), (1,), (1,))"
+
+
+def test_criterion_7_fails_when_a_listed_tableau_does_not_come_back(monkeypatch):
+    # the paths all round-trip; the lister writes the one block of (1) at
+    # k = 4 in descending order, which the path walk gives back sorted
+    real = combinat.standard_spt_tableaux
+
+    def one_block_reversed(lam, k):
+        out = list(real(lam, k))
+        if lam == (1,):
+            out[0] = tuple(tuple(tuple(reversed(b)) for b in row) for row in out[0])
+        return out
+
+    monkeypatch.setattr(combinat, "standard_spt_tableaux", one_block_reversed)
+    assert _record(7) == "tableau round trip fails for (((4, 3, 2, 1),),)"
+
+
+def test_criterion_7_fails_when_the_graph_loses_a_path(monkeypatch):
+    # every listed path and tableau still round-trips, but 49 = sum of
+    # S(4, r) f_lambda paths reach level 4, and the count sees one missing
+    real = bratteli.GradedGraph.enumerate_paths
+
+    def one_short(graph, src, dst):
+        paths = real(graph, src, dst)
+        return paths[:-1] if dst == (4, (1,)) else paths
+
+    monkeypatch.setattr(bratteli.GradedGraph, "enumerate_paths", one_short)
+    assert _record(7) == "path count 48 != 49"
+
+
 def test_criterion_8_fails_when_one_product_table_cell_is_wrong(monkeypatch):
     real = diagram._product_table
     table = diagram._ProductTable(2)
@@ -215,6 +279,54 @@ def test_criterion_13_fails_when_the_rook_tower_loses_an_edge(monkeypatch):
 
     monkeypatch.setattr(bratteli, "rook_tower", one_edge_short)
     assert _record(13) == "rook tower edges differ"
+
+
+def _one_vertex_short(real):
+    def build(*args):
+        graph = real(*args)
+        graph.vertices = graph.vertices[:-1] + (graph.vertices[-1][:-1],)
+        return graph
+
+    return build
+
+
+def _one_edge_short(real):
+    def build(*args):
+        graph = real(*args)
+        del graph.edges[-1][max(graph.edges[-1])]
+        return graph
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "make, fault, detail",
+    [
+        ("rook_tower", _one_vertex_short, "rook tower vertex counts differ"),
+        ("rhat", _one_vertex_short, "tensor-step graph vertex counts differ"),
+        ("rhat", _one_edge_short, "tensor-step graph edges differ"),
+        ("ihat", _one_vertex_short, "propagating tower vertex counts differ"),
+        ("ihat", _one_edge_short, "propagating tower edges differ"),
+    ],
+    ids=["rook-vertex", "rhat-vertex", "rhat-edge", "ihat-vertex", "ihat-edge"],
+)
+def test_criterion_13_fails_when_a_graph_loses_a_vertex_or_an_edge(monkeypatch, make, fault, detail):
+    monkeypatch.setattr(bratteli, make, fault(getattr(bratteli, make)))
+    assert _record(13) == detail
+
+
+def test_criterion_13_fails_when_a_tower_holds_an_edge_with_no_label(monkeypatch):
+    # an unlabelled edge adds no edge triple, so the snapshots still match;
+    # only the simplicity check sees it
+    real = bratteli.rook_tower
+
+    def phantom_edge(n):
+        graph = real(n)
+        graph.edges[1][graph.vertex_index(1, ()), graph.vertex_index(2, (2,))] = ()
+        return graph
+
+    monkeypatch.setattr(bratteli, "rook_tower", phantom_edge)
+    assert _record(13) == "tower graphs must be simple"
 
 
 def test_criterion_9_fails_when_the_diagram_generators_lose_e_and_f(monkeypatch):

@@ -428,6 +428,12 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["orbit", "--diagram", "{}"], "error: a diagram must be"),
         (["dims"], "error: dims needs --n and/or --t"),
         (["jm", "--t", "2"], "error: jm needs --n"),
+        # zero denominators and an empty path, which once ended in tracebacks
+        (["dims", "--t", "1/0"], "error: not a positive half-integer level: 1/0"),
+        (["jm", "--t", "1/0", "--n", "3"], "error: not a positive half-integer level: 1/0"),
+        (["jm", "--t", "0/0", "--verify"], "error: not a positive half-integer level: 0/0"),
+        (["bratteli", "--kind", "ihat", "--levels", "1/0"], "error: not a positive half-integer level: 1/0"),
+        (["rsk", "--to-path", "[]", "--k", "0"], "error: need k >= 1 letters, not 0"),
         (["schur-weyl", "--n", "2"], None),
         (["mult", "--lambda", "1", "--k", "x", "--n", "2"], None),
     ]
@@ -455,6 +461,74 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == line + "\n", (argv, captured.err)
+
+
+# one small admitted command per variant, in which each int or level option
+# is swept; ``bratteli --levels`` is an int for rook and rhat and a level for ihat
+BOUNDARY_BASES = [
+    ["bratteli", "--kind", "rook", "--levels", "2"],
+    ["bratteli", "--kind", "rhat", "--levels", "2", "--n", "2"],
+    ["bratteli", "--kind", "ihat", "--levels", "2"],
+    ["dims", "--n", "2", "--t", "2"],
+    ["mult", "--lambda", "1", "--k", "2", "--n", "2"],
+    ["rsk", "--to-path", "[[[1]]]", "--k", "1"],
+    ["character", "--lambda", "1", "--sigma", "[]", "--n", "2"],
+    ["schur-weyl", "--n", "2", "--k", "1"],
+    ["schur-weyl", "--n", "2", "--k", "1", "--half"],
+    ["jm", "--t", "2", "--n", "2"],
+    ["jm", "--t", "2", "--verify"],
+    ["jm", "--t", "2", "--n", "2", "--verify"],
+    ["rook-jm", "--lambda", "1", "--n", "2"],
+    ["verify", "--criterion", "1"],
+]
+# refused at every k, so the sweep shows that k < 1 is refused the same way
+# (an empty tableau with k = 0 once got past the check and indexed an empty path)
+REFUSED_BASES = [["rsk", "--to-path", "[]", "--k", "1"]]
+LEVEL_OPTIONS = {("bratteli", "--levels"), ("dims", "--t"), ("jm", "--t")}
+BOUNDARY_VALUES = ["0", "-1", "1/0", "0/0"]
+
+
+def _int_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        (command, action.option_strings[-1])
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type is int
+    }
+
+
+def _boundary_cases():
+    swept = _int_options() | LEVEL_OPTIONS
+    for base in BOUNDARY_BASES + REFUSED_BASES:
+        for i, option in enumerate(base):
+            if (base[0], option) in swept:
+                for value in BOUNDARY_VALUES:
+                    yield base[: i + 1] + [value] + base[i + 2 :]
+
+
+def test_boundary_sweep_covers_every_int_and_level_option():
+    for base in BOUNDARY_BASES:
+        assert main(base) == 0, base
+    swept = {(argv[0], option) for argv in BOUNDARY_BASES for option in argv}
+    assert sorted((_int_options() | LEVEL_OPTIONS) - swept) == []
+    assert len(list(_boundary_cases())) == 4 * 22
+
+
+@pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
+def test_boundary_values_exit_0_or_2_with_one_error_line(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)  # an exception escaping fails the test
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):
+            # argparse refused the value before the program ran: its usage, then one error line
+            lines = [line for line in lines if not line.startswith((" ", "usage: "))]
+            assert len(lines) == 1 and f"{argv[0]}: error: argument" in lines[0], err
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def test_verify_timings_go_to_stderr(capsys):

@@ -22,7 +22,6 @@ from rookpart.diagram import (
     is_half,
     is_totally_propagating,
     orbit_product_general,
-    orbit_product_tppa,
     to_orbit,
 )
 from rookpart.formal import FormalSum
@@ -239,25 +238,28 @@ def test_orbit_product_change_of_basis_oracle_a2():
             )
 
 
-def test_orbit_product_tppa_examples():
+def test_orbit_product_swap_squared_is_the_identity():
     swap = D("[[1,-2],[2,-1]]")
     x = AlgebraElement.from_diagram(swap, basis="orbit")
-    sq = orbit_product_tppa(x, x)
+    sq = orbit_product_general(x, x)
     assert sq.sum == FormalSum.term(PartitionDiagram.identity(2))
-    with pytest.raises(ValueError):
-        orbit_product_tppa(
-            AlgebraElement.from_diagram(D("[[1],[-1]]"), basis="orbit"), x
-        )
+    assert [type(c) for _, c in sq.sum.terms()] == [XiPoly]
 
 
-def test_orbit_product_tppa_agrees_with_general():
-    for t in (2, 3):
-        diagrams = enumerate_monoid("I", t)
+def test_orbit_product_on_totally_propagating_monoids_follows_the_tp_rule():
+    # x_{d1} x_{d2} is x_{d1∘d2} when the middle rows match and 0 otherwise,
+    # on every pair of I_2, I_3, I_{1½} and I_{2½}, with the constant XiPoly 1
+    monoids = [enumerate_monoid("I", 2), enumerate_monoid("I", 3)]
+    monoids += [enumerate_monoid("I_half", 1), enumerate_monoid("I_half", 2)]
+    zeros = 0
+    for diagrams in monoids:
         for a in diagrams:
             for b in diagrams:
-                xa = AlgebraElement.from_diagram(a, basis="orbit")
-                xb = AlgebraElement.from_diagram(b, basis="orbit")
-                assert orbit_product_tppa(xa, xb) == orbit_product_general(xa, xb)
+                got = orbit_product_general(*(AlgebraElement.from_diagram(d, basis="orbit") for d in (a, b)))
+                assert got.sum == _oracle_tppa_pair(a, b), (a, b)
+                assert all(type(c) is XiPoly and c.coeffs == (1,) for _, c in got.sum.terms())
+                zeros += not got
+    assert zeros > 0
 
 
 def test_predicates():
@@ -297,8 +299,8 @@ def test_embed_half_preserves_products():
         for b in diagrams:
             xa = AlgebraElement.from_diagram(a, basis="orbit")
             xb = AlgebraElement.from_diagram(b, basis="orbit")
-            lhs = embed_half(orbit_product_tppa(xa, xb))
-            rhs = orbit_product_tppa(embed_half(xa), embed_half(xb))
+            lhs = embed_half(orbit_product_general(xa, xb))
+            rhs = orbit_product_general(embed_half(xa), embed_half(xb))
             assert lhs == rhs
 
 
@@ -499,7 +501,7 @@ def test_products_match_unmatched_oracles_on_single_diagrams():
         x2 = AlgebraElement.from_diagram(d2, basis="orbit")
         _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
         if is_totally_propagating(d1) and is_totally_propagating(d2):
-            _assert_same_sum(orbit_product_tppa(x1, x2), x1.sum.bilinear(x2.sum, _oracle_tppa_pair))
+            assert orbit_product_general(x1, x2).sum == x1.sum.bilinear(x2.sum, _oracle_tppa_pair)
 
 
 def _random_element(rng, pool, basis):
@@ -520,7 +522,9 @@ def test_products_match_unmatched_oracles_on_mixed_sums():
             x1, x2 = (_random_element(rng, monoid, "orbit") for _ in range(2))
             _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
             t1, t2 = (_random_element(rng, propagating, "orbit") for _ in range(2))
-            _assert_same_sum(orbit_product_tppa(t1, t2), t1.sum.bilinear(t2.sum, _oracle_tppa_pair))
+            tp = orbit_product_general(t1, t2)
+            _assert_same_sum(tp, t1.sum.bilinear(t2.sum, _oracle_orbit_pair))
+            assert tp.sum == t1.sum.bilinear(t2.sum, _oracle_tppa_pair)
 
 
 def test_to_orbit_matches_map_terms_oracle():
@@ -687,7 +691,7 @@ def test_internal_results_equal_their_publicly_built_form():
         (lambda a, b: from_orbit(a), "orbit", a_2),
         (diagram_product, "diagram", a_2),
         (orbit_product_general, "orbit", a_2),
-        (orbit_product_tppa, "orbit", i_3),
+        (orbit_product_general, "orbit", i_3),
     ]
     for f, basis, pool in cases:
         _assert_built_once(_cancelled(f, pool, basis))
@@ -739,16 +743,14 @@ def eager_oracle(monkeypatch):
 
 
 def _through_every_route(x1, x2):
-    """x1 and x2 (orbit basis) through both basis changes and all three
-    products, chained as criterion 8 chains them and from public elements."""
+    """x1 and x2 (orbit basis) through both basis changes and both products,
+    chained as criterion 8 chains them and from public elements."""
     y1, y2 = from_orbit(x1), from_orbit(x2)
     to_orbit(diagram_product(y1, y2))
     pub1 = AlgebraElement(x1.size, "diagram", x1.sum, x1.half)
     pub2 = AlgebraElement(x2.size, "diagram", x2.sum, x2.half)
     to_orbit(diagram_product(pub1, pub2))
     orbit_product_general(x1, x2)
-    if all(is_totally_propagating(d) for x in (x1, x2) for d, _ in x.sum.terms()):
-        orbit_product_tppa(x1, x2)
 
 
 def _assert_deferred_sums_match(made):
@@ -799,7 +801,7 @@ def test_deferred_sums_that_cancel_equal_the_eager_oracle(eager_oracle):
         (lambda a, b: from_orbit(a), "orbit", a_2),
         (diagram_product, "diagram", a_2),
         (orbit_product_general, "orbit", a_2),
-        (orbit_product_tppa, "orbit", i_3),
+        (orbit_product_general, "orbit", i_3),
     ]:
         _cancelled(f, pool, basis)
     wants = [want for _, _, want, _ in eager_oracle]

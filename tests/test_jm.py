@@ -10,7 +10,7 @@ from rookpart.diagram import (
     PartitionDiagram,
     enumerate_monoid,
     from_orbit,
-    orbit_product_tppa,
+    orbit_product_general,
     to_orbit,
 )
 from rookpart.formal import FormalSum
@@ -42,6 +42,10 @@ def test_as_level_validation():
         as_level(Fraction(1, 3))
     with pytest.raises(ValueError):
         as_level(0)
+    # a zero denominator is a malformed level, not a ZeroDivisionError
+    for text in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match=f"not a positive half-integer level: {text}"):
+            as_level(text)
 
 
 def test_z_examples():
@@ -157,7 +161,7 @@ def test_central_sum_commutes_with_every_diagram_by_hand():
     z = build_z(2)
     for d in (D("[[1,-1],[2,-2]]"), D("[[1,-2],[2,-1]]"), D("[[1,2,-1,-2]]")):
         g = to_orbit(AlgebraElement.from_diagram(d))
-        assert orbit_product_tppa(g, z) == orbit_product_tppa(z, g)
+        assert orbit_product_general(g, z) == orbit_product_general(z, g)
 
 
 def test_operator_identity_examples():

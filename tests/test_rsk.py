@@ -146,6 +146,10 @@ def test_path_to_spt_rejects_bad_paths():
 def test_spt_to_path_rejects_non_standard():
     with pytest.raises(ValueError):
         spt_to_path((((2, 3),), ((1,),)), 3)
+    # the empty tableau is standard over no letters, but a path has k >= 1 steps
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"need k >= 1 letters, not {k}"):
+            spt_to_path((), k)
 
 
 # --- the per-step route, kept as an oracle for the path walk ------------------

@@ -39,6 +39,7 @@ def test_help_exits_0_and_writes_nothing(script, tmp_path):
         ("export_graphs.py", ["out", "x"], "not a positive integer: 'x'"),
         ("export_graphs.py", ["out", "0"], "not a positive integer: '0'"),
         ("run_verification.py", ["extra"], "unrecognized arguments: extra"),
+        ("spectrum_table.py", ["1/0"], "not a positive half-integer level: 1/0"),
     ],
 )
 def test_malformed_argument_exits_2_with_one_error_line(name, argv, message, tmp_path):

@@ -154,6 +154,31 @@ def test_verify_jm_action_small():
     assert all(r["x_eig"] == 0 and r["xtilde_eig"] == 0 for r in empty["rows"])
 
 
+def test_verify_jm_action_names_each_mismatch(monkeypatch):
+    from rookpart import seminormal
+
+    # X_i read as X_{n+1-i}: letters 1 and 2 swap their membership eigenvalues
+    real = seminormal.jm_x
+    monkeypatch.setattr(seminormal, "jm_x", lambda i, n: real(n + 1 - i, n))
+    report = verify_jm_action((1,), 2)
+    assert not report["ok"]
+    assert report["mismatches"] == [
+        "(1,) ((2,),) i=1: got (1,0), want (0,0)",
+        "(1,) ((1,),) i=1: got (0,0), want (1,0)",
+        "(1,) ((2,),) i=2: got (0,0), want (1,0)",
+        "(1,) ((1,),) i=2: got (1,0), want (0,0)",
+    ]
+    # X_i read as s_1, which swaps the two basis vectors: not diagonal, and
+    # zero on the diagonal
+    monkeypatch.setattr(seminormal, "jm_x", lambda i, n: FormalSum.term(generator("s", 1, n), Fraction(1)))
+    assert verify_jm_action((1,), 2)["mismatches"] == [
+        "X_1 not diagonal on (1,)",
+        "(1,) ((1,),) i=1: got (0,0), want (1,0)",
+        "X_2 not diagonal on (1,)",
+        "(1,) ((2,),) i=2: got (0,0), want (1,0)",
+    ]
+
+
 def test_eigenvalue_sequences_separate_everything():
     # joint (membership, content) spectra distinguish all basis vectors of all
     # modules: the motivating separation property

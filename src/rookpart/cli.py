@@ -165,7 +165,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_rsk(args) -> int:
-    if args.to_tableau:
+    if args.to_tableau is not None:
         data = parse_int_lists(args.to_tableau, 2, "--to-tableau")
         shapes = [tuple(s) for s in data]
         tab = rsk.path_to_spt(shapes)

@@ -51,15 +51,15 @@ as its entries, one per nonzero coefficient of a power of xi, each with its
 diagram, reused from the coarsening or product table where it has one.  The
 next product or change of basis reads them as they are, and the result
 builds its public sum, one Fraction or one XiPoly per term, only the first
-time ``sum`` is read; the sum then takes the entries' place.  A term is an
-XiPoly exactly when an XiPoly coefficient, a loop or a structure constant of
-``orbit_product_general`` contributed to it, even if it sums to a constant,
-as the same sum of Fractions and XiPolys would be; sums carry Fraction or
-XiPoly coefficients, never ints.  Zero sums are dropped as the entries are
-made, so the result skips the public constructors' checks.  An element that
-holds only its sum, as one built through the public constructor does, has
-it read into entries once, by the first product or change of basis that
-reads it.
+time ``sum`` is read; the sum then takes the entries' place.  A term's type
+follows from its value alone: it is an XiPoly exactly when a nonzero
+coefficient of a positive power of xi survives, and a Fraction otherwise,
+whatever Fractions, XiPolys, loops or structure constants contributed to it;
+sums carry Fraction or XiPoly coefficients, never ints.  Zero sums are
+dropped as the entries are made, so the result skips the public
+constructors' checks.  An element that holds only its sum, as one built
+through the public constructor does, has it read into entries once, by the
+first product or change of basis that reads it.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
 diagrams of I_4), and their closure is the one listing of the monoid, made
@@ -216,7 +216,8 @@ class PartitionDiagram:
         if not blocks:
             raise ValueError("the diagram is empty")
         if size is None:
-            size = max(abs(v) for b in blocks for v in b)
+            # with no vertex at all, size 1 lets the constructor name the first empty block
+            size = max((abs(v) for b in blocks for v in b), default=1)
         return cls(size, [tuple(b) for b in blocks], half)
 
 
@@ -329,8 +330,9 @@ def _joined(t: tuple, i: int, x) -> tuple:
 class AlgebraElement:
     """Element of a diagram algebra, in the diagram or the orbit basis.
 
-    Coefficients may be Fractions or XiPolys; an orbit product's are all
-    XiPolys, constant ones when both factors are totally propagating.
+    Coefficients may be Fractions or XiPolys.  A product or a change of
+    basis gives a term an XiPoly exactly when xi survives in it, so elements
+    of the totally propagating algebras I_k and I_{k+1/2} stay rational.
 
     An element holds its terms as ``sum``, the public FormalSum, or as the
     entries that products and changes of basis read (see ``_entries``), or
@@ -372,25 +374,21 @@ class AlgebraElement:
     @property
     def sum(self) -> FormalSum:
         """The terms as a FormalSum, built from the entries on first read and
-        kept in their place.  A diagram with poly entries gets the XiPoly of
-        its entries by power, with 0 at the powers it lacks; any other gets
-        the Fraction of its one entry.  The diagrams keep their entries'
-        order."""
+        kept in their place.  A diagram whose one entry is at power 0 gets
+        the Fraction of that entry; any other gets the XiPoly of its entries
+        by power, with 0 at the powers it lacks.  The diagrams keep their
+        entries' order."""
         s = self._sum
         if s is None:
             out = {}
-            for d, j, x, p in self._kept[0]:
-                if p:
-                    row = out.get(d)
-                    if row is None:
-                        row = out[d] = []
-                    row.extend(repeat(0, j - len(row)))
-                    row.append(x)
-                else:
-                    out[d] = Fraction(x)
-            for d, c in out.items():
-                if type(c) is list:
-                    out[d] = XiPoly(c)
+            for d, j, x in self._kept[0]:
+                row = out.get(d)
+                if row is None:
+                    row = out[d] = []
+                row.extend(repeat(0, j - len(row)))
+                row.append(x)
+            for d, row in out.items():
+                out[d] = Fraction(row[0]) if len(row) == 1 else XiPoly(row)
             s = self._sum = FormalSum._from_dict(out)
             self._kept = None
         return s
@@ -449,11 +447,11 @@ class AlgebraElement:
 
 
 def _entries(a: AlgebraElement) -> tuple[list, int]:
-    """(diagram, j, c, poly) for each nonzero coefficient c of xi^j in a term
-    of a, c an int when integral, so that sums stay in ints; poly tells an
-    XiPoly coefficient from a rational one.  Also the highest j.  A product
-    or a change of basis made its result's entries with it; when a holds
-    none, its sum is read here once, and the entries are kept on a."""
+    """(diagram, j, c) for each nonzero coefficient c of xi^j in a term of
+    a, c an int when integral, so that sums stay in ints.  Also the highest
+    j.  A product or a change of basis made its result's entries with it;
+    when a holds none, its sum is read here once, and the entries are kept
+    on a."""
     kept = a._kept
     if kept is None:
         out = []
@@ -463,9 +461,9 @@ def _entries(a: AlgebraElement) -> tuple[list, int]:
                 degree = max(degree, len(c.coeffs) - 1)
                 for j, x in enumerate(c.coeffs):
                     if x:
-                        out.append((d, j, x.numerator if x.denominator == 1 else x, True))
+                        out.append((d, j, x.numerator if x.denominator == 1 else x))
             else:
-                out.append((d, 0, c.numerator if c.denominator == 1 else c, False))
+                out.append((d, 0, c.numerator if c.denominator == 1 else c))
         kept = a._kept = out, degree
     return kept
 
@@ -475,19 +473,16 @@ class _Coeffs(dict):
     or its id in the product table.
 
     Each value lists the coefficient of xi^0 .. xi^(width-1), kept as ints
-    while integral.  A key in ``poly`` received an XiPoly term or a power of
-    xi and ends as an XiPoly; any other ends as a Fraction, as a sum of the
-    same Fractions and XiPolys would.  ``made`` lists, in key order, a
-    diagram that already exists for every key, to be reused; it is empty
-    when the diagrams are to be built from mask keys.
+    while integral.  ``made`` lists, in key order, a diagram that already
+    exists for every key, to be reused; it is empty when the diagrams are to
+    be built from mask keys.
     """
 
-    __slots__ = ("width", "poly", "made")
+    __slots__ = ("width", "made")
 
     def __init__(self, width: int):
         super().__init__()
         self.width = width
-        self.poly = set()
         self.made = []
 
     def __missing__(self, key) -> list:
@@ -496,21 +491,19 @@ class _Coeffs(dict):
 
     def element(self, a: AlgebraElement, basis: str) -> AlgebraElement:
         """The sums as an element at a's level that holds them as its entries
-        (see ``_entries``), in key order, each an int where integral; a
-        poly key gives one entry per nonzero power, any other key its power
-        0.  Keys whose sums are all zero are dropped here and every diagram
-        is made at a's level, so the element skips the public constructors'
-        zero filter and level check.  No Fraction, XiPoly or FormalSum is
-        built: the element's sum is made when it is first read."""
-        k, half, poly = a.size, a.half, self.poly
+        (see ``_entries``), in key order, each an int where integral; a key
+        gives one entry per nonzero power, so it ends as an XiPoly exactly
+        when a positive power survives.  Keys whose sums are all zero are
+        dropped here and every diagram is made at a's level, so the element
+        skips the public constructors' zero filter and level check.  No
+        Fraction, XiPoly or FormalSum is built: the element's sum is made
+        when it is first read."""
+        k, half = a.size, a.half
         entries = []
         degree = 0
         for (key, row), d in zip(self.items(), self.made or repeat(None)):
-            p = key in poly
-            if p:
+            if any(row[1:]):
                 powers = [(j, x) for j, x in enumerate(row) if x]
-                if not powers:
-                    continue
                 degree = max(degree, powers[-1][0])
             elif row[0]:
                 powers = ((0, row[0]),)
@@ -520,7 +513,7 @@ class _Coeffs(dict):
             for j, x in powers:
                 if type(x) is not int and x.denominator == 1:
                     x = x.numerator
-                entries.append((d, j, x, p))
+                entries.append((d, j, x))
         return AlgebraElement._from_entries(k, basis, entries, degree, half)
 
 
@@ -620,15 +613,15 @@ def _product_table(size: int) -> _ProductTable:
 
 def _sums_from_table(table: _ProductTable, entries_a: list, right: dict) -> dict:
     """Coefficient products of the pairs summed per packed cell of the table,
-    one dict from cell to sum per (power of xi, poly) group; the cells are
-    returned as they are, each the result's id times k+1 plus its loops."""
+    one dict from cell to sum per power of xi; the cells are returned as
+    they are, each the result's id times k+1 plus its loops."""
     cells, cap = table.cells, table.cap
     right = {key: [(table[masks2], c2) for masks2, c2 in pairs] for key, pairs in right.items()}
     grouped = {}
-    for d1, j1, c1, p1 in entries_a:
+    for d1, j1, c1 in entries_a:
         base = table[d1._masks] * cap
-        for (j2, p2), pairs in right.items():
-            group = grouped.setdefault((j1 + j2, p1 or p2), {})
+        for j2, pairs in right.items():
+            group = grouped.setdefault(j1 + j2, {})
             for id2, c2 in pairs:
                 cell = cells[base + id2]
                 group[cell] = group.get(cell, 0) + c1 * c2
@@ -639,10 +632,10 @@ def _sums_by_composing(k: int, entries_a: list, right: dict) -> dict:
     """As ``_sums_from_table``, composing every pair as it comes: each group
     maps (masks of d1 ∘ d2, loops) to its sum."""
     grouped = {}
-    for d1, j1, c1, p1 in entries_a:
+    for d1, j1, c1 in entries_a:
         left = tuple(m << k for m in d1._masks)
-        for (j2, p2), pairs in right.items():
-            group = grouped.setdefault((j1 + j2, p1 or p2), {})
+        for j2, pairs in right.items():
+            group = grouped.setdefault(j1 + j2, {})
             for masks2, c2 in pairs:
                 key = _compose_masks(k, left, masks2)
                 group[key] = group.get(key, 0) + c1 * c2
@@ -668,22 +661,19 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_compatible(b)
     k, width = a.size, a.size + 1
     (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
-    # b's coefficients sliced by (power of xi, poly), so the pair loop only multiplies
+    # b's coefficients sliced by power of xi, so the pair loop only multiplies
     right = {}
-    for d2, j2, c2, p2 in entries_b:
-        right.setdefault((j2, p2), []).append((d2._masks, c2))
+    for d2, j2, c2 in entries_b:
+        right.setdefault(j2, []).append((d2._masks, c2))
     table = _product_table(k) if k <= _MAX_TABLED_SIZE else None
     sums = _sums_by_composing(k, entries_a, right) if table is None else _sums_from_table(table, entries_a, right)
     # at most k loops, each holding a vertex of the middle row
     acc = _Coeffs(degree_a + degree_b + width)
-    for (j, p), group in sums.items():
+    for j, group in sums.items():
         for key, c in group.items():
             # a table cell packs the result's id and its loop count
             key, loops = key if table is None else divmod(key, width)
-            power = j + loops
-            acc[key][power] += c
-            if p or power:
-                acc.poly.add(key)
+            acc[key][j + loops] += c
     if table is not None:
         made = table.diagrams(a.half)
         acc.made = [made[i] for i in acc]
@@ -696,17 +686,14 @@ def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
     entries, degree = _entries(a)
     acc = _Coeffs(degree + 1)
     width, made = acc.width, acc.made
-    for d, j, x, p in entries:
-        upset = _upset(d)
-        for c, mu in upset:
+    for d, j, x in entries:
+        for c, mu in _upset(d):
             masks = c._masks
             row = acc.get(masks)
             if row is None:
                 row = acc[masks] = [0] * width
                 made.append(c)
             row[j] += mu * x if mobius else x
-        if p:
-            acc.poly.update(c._masks for c, _ in upset)
     return acc.element(a, basis)
 
 
@@ -773,27 +760,26 @@ def orbit_product_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElemen
     Only entry pairs whose middle rows match are formed, b's entries being
     indexed by top row.  Each adds c1*c2 times the cached int rows of its
     falling-factorial structure constants, shifted by the powers of xi of c1
-    and c2; every result coefficient is an XiPoly.  Totally propagating
-    diagrams have no one-row block and compose with no internal block, so
-    their one structure constant is x_{d1∘d2} times 1.
+    and c2.  Totally propagating diagrams have no one-row block and compose
+    with no internal block, so their one structure constant is x_{d1∘d2}
+    times 1, and their products stay rational.
     """
     if a.basis != "orbit" or b.basis != "orbit":
         raise ValueError("orbit product needs orbit-basis elements")
     a._check_compatible(b)
     (entries_a, degree_a), (entries_b, degree_b) = _entries(a), _entries(b)
     by_top: dict[tuple, list] = {}
-    for d2, j2, c2, _ in entries_b:
+    for d2, j2, c2 in entries_b:
         by_top.setdefault(d2.top_partition(), []).append((d2, j2, c2))
     # structure constants have degree at most k, the most internal blocks
     acc = _Coeffs(degree_a + degree_b + a.size + 1)
-    for d1, j1, c1, _ in entries_a:
+    for d1, j1, c1 in entries_a:
         for d2, j2, c2 in by_top.get(d1.bottom_partition(), ()):
             scale = c1 * c2
             for masks, row in _orbit_pair_product(d1, d2):
                 out = acc[masks]
                 for i, f in enumerate(row, j1 + j2):
                     out[i] += scale * f
-    acc.poly.update(acc)
     return acc.element(a, "orbit")
 
 

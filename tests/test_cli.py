@@ -452,6 +452,9 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         (["orbit", "--diagram", "[[1,-1],[]]"], "error: block 2 of the diagram is empty"),
         (["orbit", "--diagram", "[[1,1,-1]]"], "error: block [1, 1, -1] repeats a vertex"),
         (["orbit", "--diagram", "[]"], "error: the diagram is empty"),
+        # no vertex at all, which once failed in max() before any block was read
+        (["orbit", "--diagram", "[[]]"], "error: block 1 of the diagram is empty"),
+        (["compose", "--d1", "[[]]", "--d2", "[[1,-1]]"], "error: block 1 of the diagram is empty"),
         (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
         (["orbit", "--diagram", "[[1,-1],[1]]"], "error: vertex 1 is in blocks [1, -1] and [1]"),
         (["compose", "--d1", "[[2750,-1]]", "--d2", "[[1,-1]]"], "error: blocks must partition the 5500 vertices"),
@@ -463,9 +466,13 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         assert captured.err == line + "\n", (argv, captured.err)
 
 
-# one small admitted command per variant, in which each int or level option
-# is swept; ``bratteli --levels`` is an int for rook and rhat and a level for ihat
+# one small admitted command per variant, in which each int, level, JSON or
+# partition option is swept; ``bratteli --levels`` is an int for rook and
+# rhat and a level for ihat
 BOUNDARY_BASES = [
+    ["compose", "--d1", "[[1,-1]]", "--d2", "[[1,-1]]"],
+    ["orbit", "--diagram", "[[1,-1]]"],
+    ["rsk", "--to-tableau", "[[1]]"],
     ["bratteli", "--kind", "rook", "--levels", "2"],
     ["bratteli", "--kind", "rhat", "--levels", "2", "--n", "2"],
     ["bratteli", "--kind", "ihat", "--levels", "2"],
@@ -486,6 +493,7 @@ BOUNDARY_BASES = [
 REFUSED_BASES = [["rsk", "--to-path", "[]", "--k", "1"]]
 LEVEL_OPTIONS = {("bratteli", "--levels"), ("dims", "--t"), ("jm", "--t")}
 BOUNDARY_VALUES = ["0", "-1", "1/0", "0/0"]
+TEXT_VALUES = ["[]", "[[]]", "[[[]]]", "", ","]
 
 
 def _int_options():
@@ -498,21 +506,39 @@ def _int_options():
     }
 
 
-def _boundary_cases():
-    swept = _int_options() | LEVEL_OPTIONS
-    for base in BOUNDARY_BASES + REFUSED_BASES:
+def _text_options():
+    """The options read as JSON or as a partition: every free-text option
+    that is not a level."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        (command, action.option_strings[-1])
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type is None and action.nargs is None and action.choices is None
+    }
+    return found - LEVEL_OPTIONS
+
+
+def _sweep(bases, options, values):
+    for base in bases:
         for i, option in enumerate(base):
-            if (base[0], option) in swept:
-                for value in BOUNDARY_VALUES:
+            if (base[0], option) in options:
+                for value in values:
                     yield base[: i + 1] + [value] + base[i + 2 :]
+
+
+def _boundary_cases():
+    yield from _sweep(BOUNDARY_BASES + REFUSED_BASES, _int_options() | LEVEL_OPTIONS, BOUNDARY_VALUES)
+    yield from _sweep(BOUNDARY_BASES, _text_options(), TEXT_VALUES)
 
 
 def test_boundary_sweep_covers_every_int_and_level_option():
     for base in BOUNDARY_BASES:
         assert main(base) == 0, base
     swept = {(argv[0], option) for argv in BOUNDARY_BASES for option in argv}
-    assert sorted((_int_options() | LEVEL_OPTIONS) - swept) == []
-    assert len(list(_boundary_cases())) == 4 * 22
+    assert sorted((_int_options() | LEVEL_OPTIONS | _text_options()) - swept) == []
+    assert len(_text_options()) == 9
+    assert len(list(_boundary_cases())) == 4 * 22 + 5 * 9
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
@@ -529,6 +555,9 @@ def test_boundary_values_exit_0_or_2_with_one_error_line(capsys, argv):
             assert len(lines) == 1 and f"{argv[0]}: error: argument" in lines[0], err
         else:
             assert len(lines) == 1 and lines[0].startswith("error: "), err
+            # an error names only options that were given
+            named = {word for word in lines[0].split() if word.startswith("--")}
+            assert named <= set(argv), err
 
 
 def test_verify_timings_go_to_stderr(capsys):

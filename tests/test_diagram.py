@@ -243,12 +243,12 @@ def test_orbit_product_swap_squared_is_the_identity():
     x = AlgebraElement.from_diagram(swap, basis="orbit")
     sq = orbit_product_general(x, x)
     assert sq.sum == FormalSum.term(PartitionDiagram.identity(2))
-    assert [type(c) for _, c in sq.sum.terms()] == [XiPoly]
+    assert [type(c) for _, c in sq.sum.terms()] == [Fraction]
 
 
 def test_orbit_product_on_totally_propagating_monoids_follows_the_tp_rule():
     # x_{d1} x_{d2} is x_{d1∘d2} when the middle rows match and 0 otherwise,
-    # on every pair of I_2, I_3, I_{1½} and I_{2½}, with the constant XiPoly 1
+    # on every pair of I_2, I_3, I_{1½} and I_{2½}, with the Fraction 1
     monoids = [enumerate_monoid("I", 2), enumerate_monoid("I", 3)]
     monoids += [enumerate_monoid("I_half", 1), enumerate_monoid("I_half", 2)]
     zeros = 0
@@ -257,7 +257,7 @@ def test_orbit_product_on_totally_propagating_monoids_follows_the_tp_rule():
             for b in diagrams:
                 got = orbit_product_general(*(AlgebraElement.from_diagram(d, basis="orbit") for d in (a, b)))
                 assert got.sum == _oracle_tppa_pair(a, b), (a, b)
-                assert all(type(c) is XiPoly and c.coeffs == (1,) for _, c in got.sum.terms())
+                assert all(type(c) is Fraction and c == 1 for _, c in got.sum.terms())
                 zeros += not got
     assert zeros > 0
 
@@ -447,11 +447,17 @@ def _oracle_to_orbit(s):
     return map_terms(s, lambda d: FormalSum([(c, Fraction(1)) for c in coarsenings(d)]))
 
 
+def _canonical_type(c):
+    """Fraction for a constant value, XiPoly for any other."""
+    return XiPoly if type(c) is XiPoly and not c.is_constant() else Fraction
+
+
 def _assert_same_sum(new, old):
-    """Equal sums, and the same coefficient type term by term: == alone would
-    not tell a Fraction from a constant XiPoly."""
+    """Equal sums, and term by term the canonical type of the oracle's value:
+    a Fraction exactly when it is constant.  == alone would not tell a
+    Fraction from a constant XiPoly."""
     assert new.sum == old
-    assert [(k, type(c)) for k, c in new.sum.items()] == [(k, type(c)) for k, c in old.items()]
+    assert [(k, type(c)) for k, c in new.sum.items()] == [(k, _canonical_type(c)) for k, c in old.items()]
 
 
 def _oracle_monoids():
@@ -597,19 +603,20 @@ def _cancelling_triple(monoid):
     raise AssertionError("no cancelling triple")
 
 
-def test_xipoly_sums_that_cancel_to_a_constant_stay_xipolys():
+def test_xipoly_sums_that_cancel_to_a_constant_become_fractions():
     x, y, w, z = _cancelling_triple(enumerate_monoid("A", 2))
     one = Fraction(1)
-    # rational coefficients: the one-loop group sums to 0, the key keeps its XiPoly
+    # rational coefficients: the one-loop group sums to 0, and the key is left a Fraction
     a = AlgebraElement(2, "diagram", [(x, one), (y, -one), (w, Fraction(3))])
     prod = diagram_product(a, AlgebraElement.from_diagram(z))
     ((key, coeff),) = prod.sum.terms()
-    assert key == compose(w, z)[0] and type(coeff) is XiPoly and coeff == 3
+    assert key == compose(w, z)[0] and type(coeff) is Fraction and coeff == 3
     _assert_same_sum(prod, _old_diagram_product(a, AlgebraElement.from_diagram(z)))
     # an XiPoly coefficient whose xi term cancels the loop group's
     b = AlgebraElement(2, "diagram", [(x, one), (w, XiPoly.const(2) - XI)])
     got = diagram_product(b, AlgebraElement.from_diagram(z))
     assert dict(got.sum.terms()) == {compose(w, z)[0]: 2}
+    assert [type(c) for _, c in got.sum.terms()] == [Fraction]
     _assert_same_sum(got, _old_diagram_product(b, AlgebraElement.from_diagram(z)))
     # two 3-block diagrams share the one-block coarsening, where xi and 2 - xi
     # (times mu = 2 for Möbius inversion) add to a constant
@@ -621,7 +628,7 @@ def test_xipoly_sums_that_cancel_to_a_constant_stay_xipolys():
     ):
         _assert_same_sum(got, want)
         full = dict(got.sum.terms())[D("[[1,2,-1,-2]]")]
-        assert type(full) is XiPoly and full.is_constant()
+        assert type(full) is Fraction
 
 
 def _a3_stratified_pairs(seed):
@@ -703,23 +710,19 @@ def test_internal_results_equal_their_publicly_built_form():
 
 
 def _eager_sum(acc, a):
-    """The former body of ``_Coeffs.element``: one Fraction or XiPoly and one
-    diagram per nonzero key, in key order.  It trimmed each poly row in place;
-    here it trims a copy, so the rows reach the real body as they were."""
-    k, half, poly = a.size, a.half, acc.poly
+    """An eager ``_Coeffs.element``: one coefficient and one diagram per
+    nonzero key, in key order, the coefficient a Fraction when only power 0
+    survives and an XiPoly otherwise.  It trims a copy of each row, so the
+    rows reach the real body as they were."""
+    k, half = a.size, a.half
     out = {}
     for (key, row), d in zip(acc.items(), acc.made or repeat(None)):
-        if key in poly:
-            row = list(row)
-            while row and not row[-1]:
-                row.pop()
-            if not row:
-                continue
-            c = XiPoly(row)
-        elif row[0]:
-            c = Fraction(row[0])
-        else:
+        row = list(row)
+        while row and not row[-1]:
+            row.pop()
+        if not row:
             continue
+        c = Fraction(row[0]) if len(row) == 1 else XiPoly(row)
         out[d or PartitionDiagram._from_masks(k, key, half)] = c
     return FormalSum._from_dict(out)
 
@@ -755,7 +758,7 @@ def _through_every_route(x1, x2):
 
 def _assert_deferred_sums_match(made):
     for got, kept, want, _ in made:
-        assert all(type(x) is int or type(x) is Fraction and x.denominator != 1 for _, _, x, _ in kept[0])
+        assert all(type(x) is int or type(x) is Fraction and x.denominator != 1 for _, _, x in kept[0])
         s = got.sum
         assert s == want
         assert [(d, type(c)) for d, c in s.terms()] == [(d, type(c)) for d, c in want.terms()]
@@ -787,7 +790,7 @@ def test_deferred_sums_equal_the_eager_oracle_on_every_route(eager_oracle):
 
 
 def test_deferred_sums_that_cancel_equal_the_eager_oracle(eager_oracle):
-    # xi terms cancelling to a constant XiPoly
+    # xi terms cancelling to a constant, which is a Fraction
     x, y, w, z = _cancelling_triple(enumerate_monoid("A", 2))
     a = AlgebraElement(2, "diagram", [(x, Fraction(1)), (y, Fraction(-1)), (w, Fraction(3))])
     diagram_product(a, AlgebraElement.from_diagram(z))
@@ -805,9 +808,66 @@ def test_deferred_sums_that_cancel_equal_the_eager_oracle(eager_oracle):
     ]:
         _cancelled(f, pool, basis)
     wants = [want for _, _, want, _ in eager_oracle]
-    assert any(type(c) is XiPoly and c.is_constant() for want in wants for _, c in want.terms())
+    full = D("[[1,2,-1,-2]]")
+    for want, d in zip(wants, (compose(w, z)[0], full, full)):
+        assert type(dict(want.terms())[d]) is Fraction
     assert sum(dropped for *_, dropped in eager_oracle) >= 5
     _assert_deferred_sums_match(eager_oracle)
+
+
+def _assert_type_follows_value(r) -> set:
+    """Every coefficient of r is an XiPoly exactly when a positive power of
+    xi has a nonzero coefficient, and a Fraction otherwise; r's entries read
+    back from its sum unchanged.  Returns the types seen."""
+    kept = diagram._entries(r)
+    for _, c in r.sum.terms():
+        assert type(c) is _canonical_type(c), c
+    assert r._kept is None and diagram._entries(r) == kept
+    return {type(c) for _, c in r.sum.terms()}
+
+
+def _cancelled_to_constant(f, pool, basis):
+    """f(xi u + (1 - xi) v, b) for the first u, v and b, one diagram of pool
+    or the sum of two, where a term of f(u, b) keeps a nonzero constant once
+    the xi terms cancel."""
+    for ws in [(w,) for w in pool] + list(combinations(pool, 2)):
+        b = AlgebraElement(pool[0].size, basis, [(w, Fraction(1)) for w in ws], pool[0].half)
+        for u, v in combinations(pool, 2):
+            a = AlgebraElement(u.size, basis, [(u, XI), (v, XiPoly.const(1) - XI)], u.half)
+            single = dict(f(AlgebraElement.from_diagram(u, basis=basis), b).sum.terms())
+            if any(d in single and _canonical_type(c) is Fraction for d, c in f(a, b).sum.terms()):
+                return f(a, b)  # a fresh result, whose sum is not built yet
+    raise AssertionError("no xi term cancels to a constant")
+
+
+def test_a_coefficient_is_an_xipoly_exactly_when_xi_survives_on_every_route():
+    rng = random.Random(73)
+    # a constant XiPoly, an XiPoly whose xi term is 0, and xi terms that can cancel
+    coeffs = [XiPoly.const(2), XiPoly([1, 0, 2]), XI, -XI, XiPoly.const(1) - XI, Fraction(-1, 2)]
+    routes = [
+        (lambda a, b: to_orbit(a), "diagram"),
+        (lambda a, b: from_orbit(a), "orbit"),
+        (diagram_product, "diagram"),
+        (orbit_product_general, "orbit"),
+    ]
+    for pool in (enumerate_monoid("A", 2), enumerate_monoid("I_half", 2)):
+        for f, basis in routes:
+            seen = _assert_type_follows_value(_cancelled_to_constant(f, pool, basis))
+            assert Fraction in seen
+            for _ in range(10):
+                a, b = (
+                    AlgebraElement(pool[0].size, basis, [(d, rng.choice(coeffs)) for d in rng.sample(pool, 3)], pool[0].half)
+                    for _ in range(2)
+                )
+                seen |= _assert_type_follows_value(f(a, b))
+            assert seen == {Fraction, XiPoly}, (pool[0], basis)
+    # totally propagating diagrams compose with no loop: xi never appears
+    for pool in (enumerate_monoid("I", 3), enumerate_monoid("I_half", 2)):
+        for d1 in pool:
+            for d2 in pool:
+                for basis, product in (("diagram", diagram_product), ("orbit", orbit_product_general)):
+                    r = product(*(AlgebraElement.from_diagram(d, basis=basis) for d in (d1, d2)))
+                    assert _assert_type_follows_value(r) <= {Fraction}
 
 
 def test_reading_the_sum_twice_returns_the_same_object():

@@ -11,9 +11,9 @@ n.
 The irreducible character attached to a shape lam is read on types by
 Solomon's formula (J. Algebra 256, 2002): chi*_lam(mu) is the sum over the
 sub-multisets nu of mu with |nu| = |lam| of prod_l C(m_l(mu), m_l(nu))
-chi_lam(nu), where m_l counts the parts equal to l.  Symmetric-group values
-chi_lam(nu) come from the Murnaghan-Nakayama rule; both are cached by
-(shape, type).
+chi_lam(nu), where m_l counts the parts equal to l.  Each type's sub-multisets
+are listed once, by size, and chi_lam(nu) comes from the Murnaghan-Nakayama
+rule, which ends at f_lam on fixed points; values are cached by (shape, type).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .combinat import (
     Partition,
     check_partition,
     corner_set,
+    f_lambda,
     move_steps,
     partitions_upto,
     shape_key,
@@ -75,9 +76,9 @@ def class_representatives(n: int) -> tuple[tuple[Partition, RookElement], ...]:
 
 @cache
 def _sym_char_by_type(lam: Partition, ctype: tuple[int, ...]) -> int:
-    """Symmetric-group character of lam at cycle type ctype, by the
-    Murnaghan-Nakayama rule: remove a rim hook of length ctype[0] in every
-    way, each with sign (-1)^(leg length), and recurse on the rest of ctype.
+    """Symmetric-group character of lam at cycle type ctype, by the Murnaghan-Nakayama
+    rule: remove a rim hook of length ctype[0] in every way, each with sign (-1)^(leg
+    length), and recurse on the rest of ctype until its parts are all 1 (f_lam there).
 
     On the beta-numbers lam_i + l - i of lam (l parts), removing a rim hook
     of length r moves a bead b to a free position b - r >= 0, and the leg
@@ -85,8 +86,8 @@ def _sym_char_by_type(lam: Partition, ctype: tuple[int, ...]) -> int:
     """
     if sum(lam) != sum(ctype):
         raise ValueError(f"shape {lam} and cycle type {ctype} differ in size")
-    if not ctype:
-        return 1
+    if ctype.count(1) == len(ctype):
+        return f_lambda(lam)
     r, rest = ctype[0], ctype[1:]
     top = len(lam) - 1
     beta = [part + top - i for i, part in enumerate(lam)]
@@ -102,20 +103,26 @@ def _sym_char_by_type(lam: Partition, ctype: tuple[int, ...]) -> int:
 
 
 @cache
+def _sub_multisets(mu: Partition) -> dict[int, tuple[tuple[int, Partition], ...]]:
+    """mu's sub-multisets nu in one pass, by |nu|, each with its ways prod_l C(m_l(mu), m_l(nu));
+    each cycle is in nu or out, so the ways must sum to 2^len(mu), or RuntimeError names mu."""
+    lengths = sorted(Counter(mu).items(), reverse=True)
+    by_size: dict[int, list] = {}
+    for counts in product(*(range(m + 1) for _, m in lengths)):
+        nu = tuple(length for (length, _), c in zip(lengths, counts) for _ in range(c))
+        ways = prod(comb(m, c) for (_, m), c in zip(lengths, counts))
+        by_size.setdefault(sum(nu), []).append((ways, nu))
+    if sum(w for row in by_size.values() for w, _ in row) != 2 ** len(mu):
+        raise RuntimeError(f"the ways to pick sub-multisets of {mu} do not sum to 2^{len(mu)}")
+    return {r: tuple(row) for r, row in by_size.items()}
+
+
+@cache
 def _chi_star_by_type(lam: Partition, mu: Partition) -> int:
     """Irreducible rook character of lam at closed type mu, by Solomon's
-    formula: nu runs over the sub-multisets of mu of size |lam|, each with
-    the number of ways prod_l C(m_l(mu), m_l(nu)) to pick it from mu."""
-    r = sum(lam)
-    lengths = sorted(Counter(mu).items(), reverse=True)
-    total = 0
-    for counts in product(*(range(m + 1) for _, m in lengths)):
-        if sum(length * c for (length, _), c in zip(lengths, counts)) != r:
-            continue
-        ways = prod(comb(m, c) for (_, m), c in zip(lengths, counts))
-        nu = tuple(length for (length, _), c in zip(lengths, counts) for _ in range(c))
-        total += ways * _sym_char_by_type(lam, nu)
-    return total
+    formula: the sum of ways * chi_lam(nu) over mu's sub-multisets nu of size
+    |lam|, listed once per type by ``_sub_multisets``."""
+    return sum(ways * _sym_char_by_type(lam, nu) for ways, nu in _sub_multisets(mu).get(sum(lam), ()))
 
 
 def chi_star(lam, sigma: RookElement) -> int:

@@ -20,10 +20,12 @@ from .rook import RookElement
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    return combinat.check_partition(tuple(int(p) for p in text.split(",")))
+    try:
+        return combinat.check_partition(tuple(int(p) for p in text.split(",")))
+    except ValueError:
+        raise ValueError("--lambda must be comma-separated positive parts, largest first, like 2,1") from None
 
 
 def format_partition(lam) -> str:

@@ -28,7 +28,7 @@ LIMITS = {
     "path enumeration": Limit("paths", 200_000),
     "coarsenings": Limit("blocks", 10),
     "rook tower": Limit("levels", 32),
-    # measured on ``mult --n 14``, whose characters add about 7 s to the graph
+    # measured on ``mult --n 15 --k 48``, whose characters add about 2 s (5.6 s in all)
     "tensor-step graph": Limit("vertices", 25_000),
     # rhat(m, m) has more than 25,000 vertices past m = 23, so this row refuses
     # nothing the one above accepts; checked first, it keeps that count cheap
@@ -36,7 +36,8 @@ LIMITS = {
     "propagating tower": Limit("level", 30),
     "rook irreducibles": Limit("n", 40),
     "propagating irreducibles": Limit("level", 17),
-    "tensor multiplicities": Limit("n", 14),
+    # measured on ``mult --n 15 --k 15 --lambda 2,1`` (2.1-2.6 s; n = 16 took 4.9 s)
+    "tensor multiplicities": Limit("n", 15),
     "tensor power": Limit("k", 2_000),
     # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
     "shape size": Limit("|lambda|", 120_000),
@@ -49,11 +50,11 @@ LIMITS = {
     # diagrams whose 2 * size vertices are all alone (2,750 took 8.8 s, 3,000
     # ran past 10 s)
     "diagram size": Limit("size", 2_750),
-    # the Murnaghan-Nakayama recursion visits every subshape of lambda, and a
-    # lambda larger than n gives 0 without it; measured on ``character`` with
-    # lambda the staircase (11, 10, ..., 1) and sigma the identity (7.4 s;
-    # n = 67 ran past 10 s)
-    "rook characters": Limit("n", 66),
+    # a lambda larger than n gives 0 at once; measured on ``character`` with a
+    # staircase, a rectangle and a hook at the types 1^n, 2^m and 3^m, the worst
+    # being the staircase (13, ..., 1) at 3^30 1 (2.8 s; near-staircases of size
+    # 96 took 3.7 s, of size 100 up to 8 s)
+    "rook characters": Limit("n", 91),
 }
 
 

@@ -1,11 +1,17 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations, product
+from math import comb, prod
 
 import pytest
 
 from rookpart import characters
 from rookpart.characters import (
+    _chi_star_by_type,
+    _sub_multisets,
     _sym_char_by_type,
     chi_star,
     class_representatives,
@@ -181,7 +187,7 @@ def test_chi_star_refuses_past_the_rook_characters_row(monkeypatch):
 
     monkeypatch.setattr(characters, "closed_type", no_work)
     for lam, sigma in (((1,), cycles), ((3000,), RookElement.identity(3000))):
-        message = f"rook characters: n = {sigma.n} exceeds the limit 66"
+        message = f"rook characters: n = {sigma.n} exceeds the limit 91"
         with pytest.raises(ValueError, match=f"^{message}$"):
             chi_star(lam, sigma)
     assert cycles.n == 1770
@@ -362,6 +368,89 @@ def test_murnaghan_nakayama_matches_seminormal_trace():
 def test_murnaghan_nakayama_checks_sizes():
     with pytest.raises(ValueError, match="differ in size"):
         _sym_char_by_type((2, 1), (2,))
+
+
+@cache
+def _murnaghan_nakayama_to_the_end(lam, ctype):
+    """The rule with no f_lam base case: rim hooks are removed until ctype is
+    empty, on the beta-numbers of lam."""
+    if not ctype:
+        return 1
+    r, rest = ctype[0], ctype[1:]
+    top = len(lam) - 1
+    beta = [part + top - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        leg = sum(1 for c in beta if b - r < c < b)
+        moved = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+        mu = tuple(p for p in (c - top + i for i, c in enumerate(moved)) if p)
+        total += (-1) ** leg * _murnaghan_nakayama_to_the_end(mu, rest)
+    return total
+
+
+def _chi_star_filtered_by_size(lam, mu):
+    """Solomon's sum with every sub-multiset of mu walked for each pair and
+    those of the wrong size skipped."""
+    lengths = sorted(Counter(mu).items(), reverse=True)
+    total = 0
+    for counts in product(*(range(m + 1) for _, m in lengths)):
+        if sum(length * c for (length, _), c in zip(lengths, counts)) != sum(lam):
+            continue
+        ways = prod(comb(m, c) for (_, m), c in zip(lengths, counts))
+        nu = tuple(length for (length, _), c in zip(lengths, counts) for _ in range(c))
+        total += ways * _murnaghan_nakayama_to_the_end(lam, nu)
+    return total
+
+
+def test_murnaghan_nakayama_matches_the_rule_without_its_base_case():
+    # every order of every cycle type, since callers may pass an unsorted one
+    for r in range(9):
+        for nu in partitions(r):
+            for ctype in set(permutations(nu)):
+                for lam in partitions(r):
+                    assert _sym_char_by_type(lam, ctype) == _murnaghan_nakayama_to_the_end(lam, ctype), (lam, ctype)
+
+
+def test_base_case_reads_every_part_of_the_type():
+    # a base case that looked only at the first part would return f_(2,1) = 2
+    assert _sym_char_by_type((2, 1), (1, 2)) == 0
+    assert _sym_char_by_type((2, 1), (1, 1, 1)) == f_lambda((2, 1)) == 2
+    assert _sym_char_by_type((), ()) == 1
+
+
+def test_chi_star_by_type_matches_the_filtered_enumeration():
+    shapes = partitions_upto(8)
+    for lam in shapes:
+        for mu in shapes:
+            assert _chi_star_by_type(lam, mu) == _chi_star_filtered_by_size(lam, mu), (lam, mu)
+
+
+def test_sub_multisets_by_size_with_their_ways():
+    assert _sub_multisets((2, 1, 1)) == {
+        0: ((1, ()),),
+        1: ((2, (1,)),),
+        2: ((1, (1, 1)), (1, (2,))),
+        3: ((2, (2, 1)),),
+        4: ((1, (2, 1, 1)),),
+    }
+
+
+def test_staircase_at_the_identity_is_f_lambda_in_one_step():
+    staircase = tuple(range(11, 0, -1))
+    _chi_star_by_type.cache_clear()
+    _sym_char_by_type.cache_clear()
+    assert _chi_star_by_type(staircase, (1,) * 66) == f_lambda(staircase)
+    assert _sym_char_by_type.cache_info().currsize == 1
+
+
+def test_ways_check_names_the_type(monkeypatch):
+    # a planted fault: every binomial read as 1, so (1, 1) counts 3 ways, not 4
+    monkeypatch.setattr(characters, "comb", lambda m, c: 1)
+    message = "the ways to pick sub-multisets of (1, 1) do not sum to 2^2"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        _sub_multisets.__wrapped__((1, 1))
 
 
 def test_chi_star_is_a_class_function_exhaustive():

@@ -158,7 +158,7 @@ REFUSALS = [
     (["dims", "--t", "30"], "propagating irreducibles: level = 30 exceeds the limit 17", [(bratteli, "ihat")]),
     (
         ["mult", "--lambda", "1", "--k", "3", "--n", "30"],
-        "tensor multiplicities: n = 30 exceeds the limit 14",
+        "tensor multiplicities: n = 30 exceeds the limit 15",
         [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
     ),
     (
@@ -233,8 +233,8 @@ REFUSALS = [
         [(diagram.PartitionDiagram, "parse"), (diagram, "compose")],
     ),
     (
-        ["character", "--lambda", "1", "--sigma", "[]", "--n", "67"],
-        "rook characters: n = 67 exceeds the limit 66",
+        ["character", "--lambda", "1", "--sigma", "[]", "--n", "92"],
+        "rook characters: n = 92 exceeds the limit 91",
         [(rook.RookElement, "from_pairs"), (characters, "chi_star")],
     ),
 ]
@@ -277,7 +277,7 @@ CLI_OPTION_BOUNDS = {
     ("rsk", "--to-path"): ("path correspondence",),
     ("rsk", "--k"): ("path correspondence",),
     # sigma has at most n pairs, and a lambda larger than n gives 0 at once:
-    # ``character --lambda 3000 --sigma [] --n 66`` takes 0.2 s
+    # ``character --lambda 3000 --sigma [] --n 91`` takes 0.1 s
     ("character", "--lambda"): ("rook characters",),
     ("character", "--sigma"): ("rook characters",),
     ("character", "--n"): ("rook characters",),
@@ -494,6 +494,9 @@ REFUSED_BASES = [["rsk", "--to-path", "[]", "--k", "1"]]
 LEVEL_OPTIONS = {("bratteli", "--levels"), ("dims", "--t"), ("jm", "--t")}
 BOUNDARY_VALUES = ["0", "-1", "1/0", "0/0"]
 TEXT_VALUES = ["[]", "[[]]", "[[[]]]", "", ","]
+# every text value but the empty shape is malformed as a partition
+MALFORMED_PARTITIONS = [value for value in TEXT_VALUES if value]
+LAMBDA_ERROR = "error: --lambda must be comma-separated positive parts, largest first, like 2,1\n"
 
 
 def _int_options():
@@ -539,6 +542,12 @@ def test_boundary_sweep_covers_every_int_and_level_option():
     assert sorted((_int_options() | LEVEL_OPTIONS | _text_options()) - swept) == []
     assert len(_text_options()) == 9
     assert len(list(_boundary_cases())) == 4 * 22 + 5 * 9
+    malformed = {argv[0] for argv in _boundary_cases() if _lambda_value(argv) in MALFORMED_PARTITIONS}
+    assert malformed == {"mult", "character", "rook-jm"}
+
+
+def _lambda_value(argv):
+    return argv[argv.index("--lambda") + 1] if "--lambda" in argv else None
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
@@ -558,6 +567,8 @@ def test_boundary_values_exit_0_or_2_with_one_error_line(capsys, argv):
             # an error names only options that were given
             named = {word for word in lines[0].split() if word.startswith("--")}
             assert named <= set(argv), err
+    if _lambda_value(argv) in MALFORMED_PARTITIONS:
+        assert (code, err) == (2, LAMBDA_ERROR), argv
 
 
 def test_verify_timings_go_to_stderr(capsys):

@@ -36,7 +36,7 @@ LIMITS = {
     "propagating tower": Limit("level", 30),
     "rook irreducibles": Limit("n", 40),
     "propagating irreducibles": Limit("level", 17),
-    # measured on ``mult --n 15 --k 15 --lambda 2,1`` (2.1-2.6 s; n = 16 took 4.9 s)
+    # measured on ``mult --n 15 --k 15 --lambda 2,1`` (2.1-3.6 s; n = 16 took 4.9 s)
     "tensor multiplicities": Limit("n", 15),
     "tensor power": Limit("k", 2_000),
     # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
@@ -50,11 +50,13 @@ LIMITS = {
     # diagrams whose 2 * size vertices are all alone (2,750 took 8.8 s, 3,000
     # ran past 10 s)
     "diagram size": Limit("size", 2_750),
-    # a lambda larger than n gives 0 at once; measured on ``character`` with a
-    # staircase, a rectangle and a hook at the types 1^n, 2^m and 3^m, the worst
-    # being the staircase (13, ..., 1) at 3^30 1 (2.8 s; near-staircases of size
-    # 96 took 3.7 s, of size 100 up to 8 s)
-    "rook characters": Limit("n", 91),
+    # a lambda larger than n gives 0 at once, and the recursion ends at f_lambda
+    # on fixed points, so the cost is the number of subshapes reached by
+    # removing the other cycles; slowest were dominoes against a large
+    # 2-quotient: ``character`` with lambda (12, 12, 8, 6, 6, 4, 4, 2, 2, 2, 2, 2)
+    # at type 2^31 1^4 (3.0 s; the slowest such pair found took 4.2 s at n = 68
+    # and 5.5 s at n = 70)
+    "rook characters": Limit("n", 66),
 }
 
 

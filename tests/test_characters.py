@@ -187,7 +187,7 @@ def test_chi_star_refuses_past_the_rook_characters_row(monkeypatch):
 
     monkeypatch.setattr(characters, "closed_type", no_work)
     for lam, sigma in (((1,), cycles), ((3000,), RookElement.identity(3000))):
-        message = f"rook characters: n = {sigma.n} exceeds the limit 91"
+        message = f"rook characters: n = {sigma.n} exceeds the limit 66"
         with pytest.raises(ValueError, match=f"^{message}$"):
             chi_star(lam, sigma)
     assert cycles.n == 1770

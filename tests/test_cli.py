@@ -233,8 +233,8 @@ REFUSALS = [
         [(diagram.PartitionDiagram, "parse"), (diagram, "compose")],
     ),
     (
-        ["character", "--lambda", "1", "--sigma", "[]", "--n", "92"],
-        "rook characters: n = 92 exceeds the limit 91",
+        ["character", "--lambda", "1", "--sigma", "[]", "--n", "67"],
+        "rook characters: n = 67 exceeds the limit 66",
         [(rook.RookElement, "from_pairs"), (characters, "chi_star")],
     ),
 ]
@@ -277,7 +277,7 @@ CLI_OPTION_BOUNDS = {
     ("rsk", "--to-path"): ("path correspondence",),
     ("rsk", "--k"): ("path correspondence",),
     # sigma has at most n pairs, and a lambda larger than n gives 0 at once:
-    # ``character --lambda 3000 --sigma [] --n 91`` takes 0.1 s
+    # ``character --lambda 3000 --sigma [] --n 66`` takes 0.1 s
     ("character", "--lambda"): ("rook characters",),
     ("character", "--sigma"): ("rook characters",),
     ("character", "--n"): ("rook characters",),

@@ -40,7 +40,7 @@ HALF = Fraction(1, 2)
 def as_level(t) -> Fraction:
     try:
         t = Fraction(t)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a positive half-integer level: {t}") from None
     if t <= 0 or t % HALF != 0:
         raise ValueError(f"not a positive half-integer level: {t}")

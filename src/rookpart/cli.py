@@ -115,12 +115,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
-    if args.kind == "rook":
-        graph = bratteli.rook_tower(int(args.levels))
-    elif args.kind == "rhat":
-        graph = bratteli.rhat(args.n, int(args.levels))
-    else:
+    if args.kind == "ihat":
         graph = bratteli.ihat(parse_level(args.levels))
+    else:
+        try:
+            levels = int(args.levels)
+        except ValueError:
+            raise ValueError(f"--levels must be an integer for --kind {args.kind}, like 3") from None
+        graph = bratteli.rook_tower(levels) if args.kind == "rook" else bratteli.rhat(args.n, levels)
     if args.dot:
         print(graph.to_dot())
     else:

@@ -25,6 +25,9 @@ LIMITS = {
     "I_k enumeration": Limit("diagram size", 5),
     "R_n enumeration": Limit("n", 7),
     "tensor space": Limit("dimension n^k", 729),
+    # the rank of the rook elements' vectors in ``schur-weyl``: ``--n 7 --k 3 --half``
+    # (4,571,161) took 2.3-2.9 s, ``--n 7 --k 2`` (6,415,178) 4.4-6.6 s and ``--n 7 --k 3`` 23 s
+    "rook image": Limit("|R_n| n^k", 5_000_000),
     "path enumeration": Limit("paths", 200_000),
     "coarsenings": Limit("blocks", 10),
     "rook tower": Limit("levels", 32),

@@ -25,7 +25,7 @@ top vertices j and over its bottom vertices j'.
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 from .combinat import stirling2
 from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
@@ -186,41 +186,37 @@ def _phi_orbits(space: TensorSpace):
             yield tuple(sorted(zip(a, b)))
 
 
-def _psi_orbits(space: TensorSpace):
-    """The unknown of each entry (a, b), row by row, in the rook commutant:
-    its orbit under the letter permutations of S_{rook n}, the
-    letter-equality pattern of the word a b, with the letter n apart on a
-    half space, where the rook elements fix it."""
-    for a in space.basis:
-        head_seen = {space.n: 0} if space.half else {}
-        head = tuple([head_seen.setdefault(x, len(head_seen)) for x in a])
-        for b in space.basis:
-            seen = head_seen.copy()
-            yield head + tuple([seen.setdefault(x, len(seen)) for x in b])
-
-
-def _orbit_unknowns(space: TensorSpace, names, expected: int, side: str) -> list:
+def _orbit_unknowns(space: TensorSpace, names, expected: int) -> list:
     """The unknowns of every entry of a dim x dim matrix, row by row, as
     ints; there must be as many as the closed form ``expected`` counts, and a
     mismatch raises RuntimeError naming the space."""
     ids = {}
     unknowns = [ids.setdefault(name, len(ids)) for name in names]
     if len(ids) != expected:
-        raise RuntimeError(f"{space!r}: {len(ids)} {side} orbital unknowns, the closed form counts {expected}")
+        raise RuntimeError(f"{space!r}: {len(ids)} phi orbital unknowns, the closed form counts {expected}")
     return unknowns
 
 
-def _psi_orbit_count(space: TensorSpace) -> int:
-    """Letter-equality patterns of 2k letters from n: set partitions of the
-    2k places into at most n blocks; on a half space, the j places holding
-    the fixed letter n are chosen first and the rest get at most n-1 blocks."""
-    places = 2 * space.k
-    if not space.half:
-        return sum(stirling2(places, r) for r in range(space.n + 1))
-    return sum(
-        comb(places, j) * sum(stirling2(places - j, r) for r in range(space.n))
-        for j in range(places + 1)
-    )
+def _rook_commutant_dim(space: TensorSpace) -> int:
+    """The rook commutant's dimension, counted: the matrices constant on the
+    letter-equality patterns of a b (n kept apart on a half space) that
+    commute with psi(P_1), the diagonal D with D_a = 1 exactly when a avoids
+    the letter 1.  Entry (a, b) of M D - D M is M_ab (D_b - D_a), so a
+    pattern is left when each letter class but n meets both words: r
+    classes of a matched with r of b, r! S(k, r)^2 for r <= n.  On a half
+    space the class of n, which holds the hidden place of both words, is
+    matched already: r! S(k+1, r+1)^2 for r <= n - 1.  The premise is
+    checked always: a row of psi(P_1) other than {a: 1} for a word a without
+    the letter 1, or {} for one with it, raises RuntimeError naming the space
+    and the word."""
+    p1 = psi_rook(generator("P", 1, space.rook_n), space)
+    for a, word in enumerate(space.basis):
+        if p1._rows[a] != ({} if 1 in word else {a: 1}):
+            raise RuntimeError(f"{space!r}: psi(P_1) is not the diagonal of the words without the letter 1, at {word}")
+    n, k = space.n, space.k
+    if space.half:
+        return sum(factorial(r) * stirling2(k + 1, r + 1) ** 2 for r in range(n))
+    return sum(factorial(r) * stirling2(k, r) ** 2 for r in range(n + 1))
 
 
 def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
@@ -234,18 +230,16 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     A matrix commutes with the action of a monoid as soon as it commutes with
     a generating set, and it commutes with a permutation action exactly when
     it is a combination of orbital matrices, one per orbit on pairs of basis
-    words (Halverson-Ram 2005; Benkart-Halverson 2019).  So each commutant is
-    solved in orbital unknowns (``linalg.commutant_dimension``), imposing only
-    the generators outside the permutation group:
-    (b) the unknowns are the S_{rook n}-orbits on the words a b, their
-    letter-equality patterns, and only psi(P_1) is imposed; (c) the unknowns
-    are the S_k-orbits on position pairs, the multisets of k letter pairs,
-    and only the non-permutation diagrams of ``diagram.generating_set`` are
-    imposed (e and f, or e_k, f_{k-1} and its transpose; I_1 has none, and
-    its commutant is every orbital).  The number of each kind of unknown is
-    checked against its closed form, a sum of Stirling numbers for (b) and
-    C(n^2+k-1, k) for (c), and a mismatch raises RuntimeError naming the
-    space.
+    words (Halverson-Ram 2005; Benkart-Halverson 2019).  (b) R_n is generated
+    by S_n and P_1, and psi(P_1) is diagonal, so the rook commutant is a
+    count (``_rook_commutant_dim``, whose premise is checked).  (c) The
+    diagram commutant is solved in orbital unknowns
+    (``linalg.commutant_dimension``): the S_k-orbits on position pairs, the
+    multisets of k letter pairs, whose number is checked against
+    C(n^2+k-1, k) (a mismatch raises RuntimeError naming the space), imposing
+    only the non-permutation diagrams of ``diagram.generating_set`` (e and
+    f, or e_k, f_{k-1} and its transpose; I_1 has none, and its commutant is
+    every orbital).
 
     The orbit vectors of distinct diagrams have disjoint supports, since
     each entry (a, b) has one letter-equality pattern, so the diagram image
@@ -254,18 +248,21 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     RuntimeError naming the diagram whose vector meets an earlier one.  The
     rook image is the rank of the rook elements' vectors.  The monoid and its
     generators come from one cached listing, and the sizes are bounded by
-    the "tensor space", "R_n enumeration" and "I_k enumeration" limits, all
-    checked before any elimination.
+    the "tensor space", "rook image", "R_n enumeration" and "I_k
+    enumeration" limits, all checked before any elimination.
 
     Besides the checked dimensions and ``ok``, the report gives the sizes it
     touched: ``dim`` (of the tensor space), ``diagram_count`` (of the
-    monoid), ``phi_generators`` (the non-permutation diagrams imposed),
-    ``phi_unknowns`` and ``psi_unknowns`` (the orbital unknowns of the two
-    commutants).
+    monoid), ``rook_elements`` (of R_n, or R_{n-1} on a half space),
+    ``phi_generators`` (the non-permutation diagrams imposed) and
+    ``phi_unknowns`` (the orbital unknowns of the diagram commutant).
     """
     space = TensorSpace(n, k, half)
-    # first, so that an R_n too large to list is refused before any elimination
-    rooks = enumerate_rook(space.rook_n)
+    rook_n = space.rook_n
+    check("R_n enumeration", rook_n)  # first, so that R_n's own row refuses its n
+    rook_elements = sum(comb(rook_n, r) ** 2 * factorial(r) for r in range(rook_n + 1))
+    check("rook image", rook_elements * space.dim)
+    rooks = enumerate_rook(rook_n)
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
 
@@ -279,16 +276,13 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
                 raise RuntimeError(f"{space!r}: the orbit vector of {d} meets that of {owner[cell]} at cell {cell}")
         image_dim += len(owner) > before
     kernel_dim = len(diagrams) - image_dim
-
-    psi_count = _psi_orbit_count(space)
-    psi_unknowns = _orbit_unknowns(space, _psi_orbits(space), psi_count, "psi")
-    commutant_dim = commutant_dimension([psi_rook(generator("P", 1, space.rook_n), space)], psi_unknowns)
+    commutant_dim = _rook_commutant_dim(space)
 
     psi_image_dim = sparse_rank_of_vectors(
         [{i * space.dim + j: 1 for i, j in _rook_cells(rho, space)} for rho in rooks]
     )
     phi_count = comb(n * n + k - 1, k)
-    phi_unknowns = _orbit_unknowns(space, _phi_orbits(space), phi_count, "phi")
+    phi_unknowns = _orbit_unknowns(space, _phi_orbits(space), phi_count)
     phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) if d.n_blocks() < d.size]
     phi_commutant_dim = commutant_dimension(phi_gens, phi_unknowns)
 
@@ -310,7 +304,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
         "ok": ok,
         "dim": space.dim,
         "diagram_count": len(diagrams),
+        "rook_elements": rook_elements,
         "phi_generators": len(phi_gens),
         "phi_unknowns": phi_count,
-        "psi_unknowns": psi_count,
     }

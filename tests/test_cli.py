@@ -140,11 +140,16 @@ def test_schur_weyl_refuses_a_large_rook_monoid_before_eliminating(capsys, monke
 
     monkeypatch.setattr(tensor, "sparse_rank_of_vectors", no_elimination)
     monkeypatch.setattr(tensor, "commutant_dimension", no_elimination)
+    monkeypatch.setattr(tensor, "enumerate_rook", no_elimination)
     for n, k in ((27, 2), (9, 3), (8, 1)):
         assert main(["schur-weyl", "--n", str(n), "--k", str(k)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: R_n enumeration: n = {n} exceeds the limit 7\n"
+    # R_7 is within its row, but the rank of its 130,922 vectors of 343 cells
+    # is refused before R_7 is listed
+    assert main(["schur-weyl", "--n", "7", "--k", "3"]) == 2
+    assert capsys.readouterr().err == "error: rook image: |R_n| n^k = 44906246 exceeds the limit 5000000\n"
 
 
 IDENTITY_11 = json.dumps([[v, -v] for v in range(1, 12)])
@@ -207,6 +212,11 @@ REFUSALS = [
         ORBIT_WORK,
     ),
     (["schur-weyl", "--n", "8", "--k", "1"], "R_n enumeration: n = 8 exceeds the limit 7", [(rook, "combinations")]),
+    (
+        ["schur-weyl", "--n", "8", "--k", "2", "--half"],
+        "rook image: |R_n| n^k = 8379008 exceeds the limit 5000000",
+        [(rook, "combinations"), (diagram, "_closure_listing")],
+    ),
     (
         ["schur-weyl", "--n", "3", "--k", "7"],
         "tensor space: dimension n^k = 2187 exceeds the limit 729",
@@ -281,8 +291,8 @@ CLI_OPTION_BOUNDS = {
     ("character", "--lambda"): ("rook characters",),
     ("character", "--sigma"): ("rook characters",),
     ("character", "--n"): ("rook characters",),
-    ("schur-weyl", "--n"): ("R_n enumeration", "tensor space"),
-    ("schur-weyl", "--k"): ("tensor space", "I_k enumeration"),
+    ("schur-weyl", "--n"): ("R_n enumeration", "tensor space", "rook image"),
+    ("schur-weyl", "--k"): ("tensor space", "I_k enumeration", "rook image"),
     ("schur-weyl", "--half"): "no row: a flag",
     ("jm", "--t"): ("tensor space", "propagating tower", "path enumeration", "I_k enumeration"),
     ("jm", "--n"): ("tensor space",),
@@ -433,6 +443,9 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["jm", "--t", "1/0", "--n", "3"], "error: not a positive half-integer level: 1/0"),
         (["jm", "--t", "0/0", "--verify"], "error: not a positive half-integer level: 0/0"),
         (["bratteli", "--kind", "ihat", "--levels", "1/0"], "error: not a positive half-integer level: 1/0"),
+        # an integer form asked for by name, where Python's int() once spoke
+        (["bratteli", "--kind", "rook", "--levels", "2.5"], "error: --levels must be an integer for --kind rook, like 3"),
+        (["bratteli", "--kind", "rhat", "--levels", "1/2"], "error: --levels must be an integer for --kind rhat, like 3"),
         (["rsk", "--to-path", "[]", "--k", "0"], "error: need k >= 1 letters, not 0"),
         (["schur-weyl", "--n", "2"], None),
         (["mult", "--lambda", "1", "--k", "x", "--n", "2"], None),
@@ -493,6 +506,8 @@ BOUNDARY_BASES = [
 REFUSED_BASES = [["rsk", "--to-path", "[]", "--k", "1"]]
 LEVEL_OPTIONS = {("bratteli", "--levels"), ("dims", "--t"), ("jm", "--t")}
 BOUNDARY_VALUES = ["0", "-1", "1/0", "0/0"]
+# no number at all, for every level option
+MALFORMED_LEVELS = ["abc", "nan", "inf", "2,5"]
 TEXT_VALUES = ["[]", "[[]]", "[[[]]]", "", ","]
 # every text value but the empty shape is malformed as a partition
 MALFORMED_PARTITIONS = [value for value in TEXT_VALUES if value]
@@ -533,6 +548,7 @@ def _sweep(bases, options, values):
 def _boundary_cases():
     yield from _sweep(BOUNDARY_BASES + REFUSED_BASES, _int_options() | LEVEL_OPTIONS, BOUNDARY_VALUES)
     yield from _sweep(BOUNDARY_BASES, _text_options(), TEXT_VALUES)
+    yield from _sweep(BOUNDARY_BASES, LEVEL_OPTIONS, MALFORMED_LEVELS)
 
 
 def test_boundary_sweep_covers_every_int_and_level_option():
@@ -541,13 +557,22 @@ def test_boundary_sweep_covers_every_int_and_level_option():
     swept = {(argv[0], option) for argv in BOUNDARY_BASES for option in argv}
     assert sorted((_int_options() | LEVEL_OPTIONS | _text_options()) - swept) == []
     assert len(_text_options()) == 9
-    assert len(list(_boundary_cases())) == 4 * 22 + 5 * 9
+    assert len(list(_boundary_cases())) == 4 * 22 + 5 * 9 + 4 * 7
     malformed = {argv[0] for argv in _boundary_cases() if _lambda_value(argv) in MALFORMED_PARTITIONS}
     assert malformed == {"mult", "character", "rook-jm"}
 
 
 def _lambda_value(argv):
     return argv[argv.index("--lambda") + 1] if "--lambda" in argv else None
+
+
+def _level_error(argv, level):
+    """A level that is no number names itself, or, where ``bratteli`` reads
+    an integer, names --levels and its kind."""
+    kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "ihat"
+    if kind != "ihat":
+        return f"error: --levels must be an integer for --kind {kind}, like 3\n"
+    return f"error: not a positive half-integer level: {level}\n"
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
@@ -569,6 +594,9 @@ def test_boundary_values_exit_0_or_2_with_one_error_line(capsys, argv):
             assert named <= set(argv), err
     if _lambda_value(argv) in MALFORMED_PARTITIONS:
         assert (code, err) == (2, LAMBDA_ERROR), argv
+    level = next((value for option, value in zip(argv, argv[1:]) if (argv[0], option) in LEVEL_OPTIONS), None)
+    if level in MALFORMED_LEVELS:
+        assert (code, err) == (2, _level_error(argv, level)), argv
 
 
 def test_verify_timings_go_to_stderr(capsys):

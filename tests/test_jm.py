@@ -42,8 +42,9 @@ def test_as_level_validation():
         as_level(Fraction(1, 3))
     with pytest.raises(ValueError):
         as_level(0)
-    # a zero denominator is a malformed level, not a ZeroDivisionError
-    for text in ("1/0", "0/0"):
+    # a zero denominator or text that is no number is a malformed level,
+    # not a ZeroDivisionError or Fraction's own message
+    for text in ("1/0", "0/0", "abc", "nan", "inf"):
         with pytest.raises(ValueError, match=f"not a positive half-integer level: {text}"):
             as_level(text)
 

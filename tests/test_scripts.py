@@ -32,7 +32,7 @@ def test_help_exits_0_and_writes_nothing(script, tmp_path):
 @pytest.mark.parametrize(
     "name, argv, message",
     [
-        ("spectrum_table.py", ["abc"], "Invalid literal for Fraction: 'abc'"),
+        ("spectrum_table.py", ["abc"], "not a positive half-integer level: abc"),
         ("spectrum_table.py", ["7/3"], "not a positive half-integer level: 7/3"),
         ("spectrum_table.py", ["5/2", "x"], "invalid int value: 'x'"),
         ("spectrum_table.py", ["5/2", "0"], "need n >= 3 at level 5/2"),

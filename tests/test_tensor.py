@@ -2,15 +2,16 @@ import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from rookpart import tensor
-from rookpart.combinat import standard_tableaux
+from rookpart.combinat import standard_tableaux, stirling2
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
+    _closed_form_size,
     diagram_product,
     enumerate_monoid,
     from_orbit,
@@ -263,7 +264,7 @@ def _all_diagrams_report(n, k, half=False):
     }
 
 
-SIZE_KEYS = {"dim", "diagram_count", "phi_generators", "phi_unknowns", "psi_unknowns"}
+SIZE_KEYS = {"dim", "diagram_count", "rook_elements", "phi_generators", "phi_unknowns"}
 
 
 @pytest.mark.parametrize("n, k, half", [(2, 3, False), (3, 3, False), (2, 3, True), (2, 4, False)])
@@ -280,9 +281,9 @@ def test_schur_weyl_report_sizes():
     assert {key: report[key] for key in SIZE_KEYS} == {
         "dim": 16,
         "diagram_count": 339,
+        "rook_elements": 7,
         "phi_generators": 2,
         "phi_unknowns": 35,
-        "psi_unknowns": 128,
     }
 
 
@@ -340,21 +341,87 @@ ORBIT_CASES = [(2, 2, False), (3, 2, False), (4, 2, False), (2, 3, False), (3, 3
                (2, 2, True), (3, 2, True), (4, 2, True), (2, 3, True), (3, 3, True)]
 
 
+# --- the orbital rook commutant, kept as an oracle for its count --------------
+
+
+def _psi_orbits(space):
+    """The unknown of each entry (a, b), row by row, in the rook commutant:
+    its orbit under the letter permutations of S_{rook n}, the
+    letter-equality pattern of the word a b, with the letter n apart on a
+    half space, where the rook elements fix it (as class 0)."""
+    for a in space.basis:
+        head_seen = {space.n: 0} if space.half else {}
+        head = tuple([head_seen.setdefault(x, len(head_seen)) for x in a])
+        for b in space.basis:
+            seen = head_seen.copy()
+            yield head + tuple([seen.setdefault(x, len(seen)) for x in b])
+
+
+def _psi_orbit_count(space):
+    """Letter-equality patterns of 2k letters from n: set partitions of the
+    2k places into at most n blocks; on a half space, the j places holding
+    the fixed letter n are chosen first and the rest get at most n-1 blocks."""
+    places = 2 * space.k
+    if not space.half:
+        return sum(stirling2(places, r) for r in range(space.n + 1))
+    return sum(
+        comb(places, j) * sum(stirling2(places - j, r) for r in range(space.n))
+        for j in range(places + 1)
+    )
+
+
 @pytest.mark.parametrize("n, k, half", ORBIT_CASES)
 def test_orbital_unknown_counts_match_their_closed_forms(n, k, half):
     space = TensorSpace(n, k, half)
     psi, phi = _orbit_counts(space)
-    assert tensor._psi_orbit_count(space) == psi
+    assert _psi_orbit_count(space) == len(set(_psi_orbits(space))) == psi
     assert comb(n * n + k - 1, k) == phi
-    report = schur_weyl_report(n, k, half)
-    assert (report["psi_unknowns"], report["phi_unknowns"]) == (psi, phi)
+    assert schur_weyl_report(n, k, half)["phi_unknowns"] == phi
 
 
 def test_psi_closed_form_values():
     # sum of S(2k, r) over r <= n; on a half space, the places of n are chosen first
-    assert tensor._psi_orbit_count(TensorSpace(4, 4)) == 2795
-    assert tensor._psi_orbit_count(TensorSpace(3, 5)) == 9842
-    assert tensor._psi_orbit_count(TensorSpace(3, 2, half=True)) == 8 + 4 * 4 + 6 * 2 + 4 + 1
+    assert _psi_orbit_count(TensorSpace(4, 4)) == 2795
+    assert _psi_orbit_count(TensorSpace(3, 5)) == 9842
+    assert _psi_orbit_count(TensorSpace(3, 2, half=True)) == 8 + 4 * 4 + 6 * 2 + 4 + 1
+
+
+@pytest.mark.parametrize("n, k, half", ORBIT_CASES + [(4, 4, False), (3, 4, True)])
+def test_rook_commutant_count_matches_the_orbital_route(n, k, half):
+    # the route the count replaced: one unknown per pattern, psi(P_1) imposed
+    space = TensorSpace(n, k, half)
+    p1 = psi_rook(generator("P", 1, space.rook_n), space)
+    orbital = commutant_dimension([p1], list(_psi_orbits(space)))
+    assert tensor._rook_commutant_dim(space) == schur_weyl_report(n, k, half)["commutant_dim"] == orbital
+
+
+@pytest.mark.parametrize("n, k, half", ORBIT_CASES + [(3, 4, False), (2, 4, True)])
+def test_rook_commutant_count_keeps_the_patterns_whose_classes_meet_both_words(n, k, half):
+    # a pattern of a b survives psi(P_1) when every class but that of n
+    # (class 0 on a half space) lies in both words
+    space = TensorSpace(n, k, half)
+    kept = 0
+    for pattern in set(_psi_orbits(space)):
+        a, b = set(pattern[:k]), set(pattern[k:])
+        kept += (a ^ b) <= ({0} if half else set())
+    assert tensor._rook_commutant_dim(space) == kept
+
+
+def test_rook_commutant_count_is_the_monoid_size_truncated_at_n_blocks():
+    # Schur-Weyl duality: as many as the diagrams of I_k (I_{k+1/2}) with at
+    # most n blocks, the whole monoid once n reaches the size
+    for n in range(2, 9):
+        for k in range(1, 9):
+            if n**k > 729:
+                continue
+            integer = sum(stirling2(k, r) ** 2 * factorial(r) for r in range(n + 1))
+            half = sum(stirling2(k + 1, r) ** 2 * factorial(r - 1) for r in range(1, n + 1))
+            assert tensor._rook_commutant_dim(TensorSpace(n, k)) == integer, (n, k)
+            assert tensor._rook_commutant_dim(TensorSpace(n, k, half=True)) == half, (n, k)
+            if n >= k:
+                assert integer == _closed_form_size("I", k)
+            if n >= k + 1:
+                assert half == _closed_form_size("I_half", k)
 
 
 # --- planted faults: each check of the report fails and names its witness -----
@@ -376,12 +443,23 @@ def test_schur_weyl_kernel_check_fails_alone(monkeypatch):
 
 
 def test_schur_weyl_rook_commutant_check_fails_alone(monkeypatch):
-    # P_1 replaced by the identity: every orbital of the rook action commutes
-    monkeypatch.setattr(tensor, "generator", lambda name, i, n: RookElement.identity(n))
+    # one pattern too many in the count
+    real = tensor._rook_commutant_dim
+    monkeypatch.setattr(tensor, "_rook_commutant_dim", lambda space: real(space) + 1)
     report = schur_weyl_report(3, 3)
     assert not report["ok"]
-    assert (report["image_dim"], report["commutant_dim"]) == (25, report["psi_unknowns"]) == (25, 122)
+    assert (report["image_dim"], report["commutant_dim"]) == (25, 26)
     assert _agree(report, ("kernel_dim", "expected_kernel_dim"), ("psi_image_dim", "phi_commutant_dim"))
+
+
+@pytest.mark.parametrize("half, word", [(False, "(1, 1, 1)"), (True, "(1, 1)")])
+def test_schur_weyl_checks_that_psi_p1_is_the_diagonal_it_counts(monkeypatch, half, word):
+    # P_1 replaced by the identity: the first word with the letter 1 keeps its 1
+    monkeypatch.setattr(tensor, "generator", lambda name, i, n: RookElement.identity(n))
+    space = TensorSpace(3, 3 - half, half)
+    with pytest.raises(RuntimeError) as raised:
+        schur_weyl_report(3, 3 - half, half)
+    assert str(raised.value) == f"{space!r}: psi(P_1) is not the diagonal of the words without the letter 1, at {word}"
 
 
 def test_schur_weyl_diagram_commutant_check_fails_alone(monkeypatch):
@@ -407,20 +485,6 @@ def test_schur_weyl_names_orbit_vectors_that_meet(monkeypatch):
     message = f"TensorSpace(n=3, k=3): the orbit vector of {second} meets that of {first} at cell (0, 0)"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         schur_weyl_report(3, 3)
-
-
-def test_schur_weyl_checks_the_rook_unknowns_against_their_closed_form(monkeypatch):
-    # letter n not kept apart: the patterns of a full space, too few for a half one
-    def patterns(space):
-        for a in space.basis:
-            for b in space.basis:
-                seen = {}
-                yield tuple(seen.setdefault(x, len(seen)) for x in a + b)
-
-    monkeypatch.setattr(tensor, "_psi_orbits", patterns)
-    message = "TensorSpace(n=3, k=2+1/2): 14 psi orbital unknowns, the closed form counts 41"
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        schur_weyl_report(3, 2, half=True)
 
 
 def test_schur_weyl_checks_the_diagram_unknowns_against_their_closed_form(monkeypatch):

@@ -13,6 +13,11 @@ that only adds c to each orbit key is also an algebra embedding, but it is
 not unital: lifting along it collapses the differences M_y (for instance M at
 level 3/2 would vanish identically), so the unital embedding is the one that
 matches the spectrum on tensor space.
+
+On tensor space the family is phi of elements of C I_k (or C I_{k+1/2}),
+whose diagrams have no one-row block, so it keeps each letter-set block of
+words; ``gt_decompose`` eliminates on one block per number of letters and
+counts each block's copies, never listing the n^k words.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .diagram import (
 )
 from .linalg import CommutingFamily, simultaneous_eigenspace
 from .rook import kappa, kappa_tilde
-from .tensor import TensorSpace, phi_element, psi_element
+from .limits import check
+from .tensor import LetterBlock, TensorSpace, letter_block_dim, phi_block, phi_element, psi_element
 
 
 def size_and_half(t) -> tuple[int, bool]:
@@ -45,17 +51,24 @@ def size_and_half(t) -> tuple[int, bool]:
     return int(t + HALF), t.denominator == 2
 
 
-def tensor_space(t, n: int) -> TensorSpace:
-    """The tensor space the level-t algebra acts on: k = floor(t) factors of
-    C^n, plus the hidden slot at half levels; n must reach the diagram size.
-    Level 1/2 has no factor, so the tower acts on tensor space from level 1."""
+def _space_shape(t, n: int) -> tuple[int, bool]:
+    """k and the half flag of the tensor space the level-t algebra acts on:
+    k = floor(t) factors of C^n, plus the hidden slot at half levels; n must
+    reach the diagram size.  Level 1/2 has no factor, so the tower acts on
+    tensor space from level 1."""
     t = as_level(t)
     if t < 1:
         raise ValueError(f"level {t} has no tensor space; need a level >= 1")
     size, half = size_and_half(t)
     if n < size:
         raise ValueError(f"need n >= {size} at level {t}")
-    return TensorSpace(n, int(t), half=half)
+    return int(t), half
+
+
+def tensor_space(t, n: int) -> TensorSpace:
+    """The tensor space the level-t algebra acts on (``_space_shape``)."""
+    k, half = _space_shape(t, n)
+    return TensorSpace(n, k, half=half)
 
 
 def zero_element(t) -> AlgebraElement:
@@ -148,25 +161,39 @@ def tower_lift(a: AlgebraElement, target) -> AlgebraElement:
     return a
 
 
-def _lifted_difference(build, bottom, y, t) -> AlgebraElement:
-    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2."""
+def _lifted_difference(build, bottom, y, t, lifted) -> AlgebraElement:
+    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2.
+    Each lift is read from, or kept in, the dict ``lifted`` when one is given."""
     y, t = as_level(y), as_level(t)
     if y > t:
         raise ValueError("y exceeds the ambient level")
     if y == HALF:
         return bottom(t)
-    return tower_lift(build(y), t) - tower_lift(build(y - HALF), t)
+    lifted = {} if lifted is None else lifted
+    for x in (y, y - HALF):
+        if x not in lifted:
+            lifted[x] = tower_lift(build(x), t)
+    return lifted[y] - lifted[y - HALF]
 
 
-def build_m(y, t) -> AlgebraElement:
+def build_m(y, t, lifted: dict | None = None) -> AlgebraElement:
     """M at position y inside the level-t algebra: M_{1/2} = 1 and otherwise
-    the difference of consecutive lifted Z's."""
-    return _lifted_difference(build_z, identity_element, y, t)
+    the difference of consecutive lifted Z's.  A caller that asks for several
+    y at one t can pass one dict as ``lifted``, so that each Z is built and
+    lifted once."""
+    return _lifted_difference(build_z, identity_element, y, t, lifted)
 
 
-def build_m_tilde(y, t) -> AlgebraElement:
+def build_m_tilde(y, t, lifted: dict | None = None) -> AlgebraElement:
     """M~ likewise from Z~, with M~_{1/2} = 0."""
-    return _lifted_difference(build_z_tilde, zero_element, y, t)
+    return _lifted_difference(build_z_tilde, zero_element, y, t, lifted)
+
+
+def _m_family(t) -> list[tuple[Fraction, AlgebraElement, AlgebraElement]]:
+    """(y, M_y, M~_y) for every y up to t, each Z and Z~ built and lifted to
+    t once."""
+    lifted, lifted_tilde = {}, {}
+    return [(y, build_m(y, t, lifted), build_m_tilde(y, t, lifted_tilde)) for y in levels_upto(t)]
 
 
 def verify_centrality(t) -> dict:
@@ -189,9 +216,8 @@ def verify_centrality(t) -> dict:
             if left != right:
                 failures.append(f"{name} at level {t} does not commute with {g}")
     family = []
-    for y in levels_upto(t):
-        family.append((f"M_{y}", build_m(y, t)))
-        family.append((f"M~_{y}", build_m_tilde(y, t)))
+    for y, m, mt in _m_family(t):
+        family += [(f"M_{y}", m), (f"M~_{y}", mt)]
     for (na, a), (nb, b) in combinations(family, 2):
         if orbit_product_general(a, b) != orbit_product_general(b, a):
             failures.append(f"{na} and {nb} do not commute at level {t}")
@@ -259,59 +285,86 @@ def gt_decompose(t, n: int) -> dict:
     For each branching path to level t the predicted eigenvalue tuple must cut
     out a space of dimension equal to the matching rook irreducible, the
     eigenspaces must exhaust the tensor space, and the tuples must be pairwise
-    distinct.  The paths share one :class:`CommutingFamily`, so a prefix of
-    eigenvalues common to several paths is eliminated once.  Each entry gives
-    a path's shape, path, eigenvalues and eigenspace ``dimension``; besides
-    the entries, the report gives ``operators`` (the size of the family) and
-    ``prefix_kernels`` (the eigenvalue prefixes whose kernel it eliminated).
+    distinct.
+
+    The family is phi of elements of C I_k (or C I_{k+1/2}), so it keeps each
+    letter-set block, and a path's dimension is the sum over r of the copies
+    of V_[r] times its dimension there (``tensor.LetterBlock``).  The family
+    is built and eliminated on one block per r up to the diagram size, so
+    neither grows with n, and the n^k words are never listed.  Each block
+    has its own :class:`CommutingFamily`, checked to commute (a pair that
+    does not raises ValueError naming the block), which its paths share, so
+    a prefix common to several paths is eliminated once per block.  The
+    eigenspaces exhaust the space when on each block the path dimensions add
+    up to the block's (a failure line names the block) and the blocks'
+    copies add up to n^k (checked always; RuntimeError).  A term that would
+    join two letter sets raises RuntimeError in the block builder.  The
+    "propagating tower" and "GT decomposition" limits bound the level and
+    the largest block, both checked before any work.
+
+    Each entry gives a path's shape, path, eigenvalues and eigenspace
+    ``dimension``.  Besides the entries, the report gives ``operators`` (the
+    size of the family), ``blocks`` ((r, dimension, copies) per block),
+    ``prefix_kernels`` (the eigenvalue prefixes whose kernel was eliminated,
+    summed over the blocks) and ``largest_prefix_kernel`` (the most vectors
+    an elimination gave).
     """
     t = as_level(t)
-    space = tensor_space(t, n)
+    k, half = _space_shape(t, n)
+    sizes = range(1, k + half + 1)
+    check("propagating tower", t)  # first, so that the blocks are counted only at levels it admits
+    check("GT decomposition", max(letter_block_dim(k, r, half) for r in sizes))
     graph = ihat(t)
-    ops = []
-    for y in levels_upto(t):
-        ops.append(phi_element(build_m(y, t), space))
-        ops.append(phi_element(build_m_tilde(y, t), space))
-    # checked to commute once here, not again for every path
-    ops = CommutingFamily(ops)
-
-    entries = []
-    failures = []
-    total = 0
-    seen_tuples = {}
+    paths = []
     for mu in graph.vertices[graph.level_index(t)]:
         for path in graph.enumerate_paths((HALF, ()), (t, mu)):
             predicted = predicted_eigenvalues(path)
-            flat = [v for pair in predicted for v in pair]
+            paths.append((mu, path, predicted, [v for pair in predicted for v in pair]))
+    family = _m_family(t)
+    blocks = [LetterBlock(n, k, r, half) for r in sizes]
+    if sum(b.copies * b.dim for b in blocks) != n**k:
+        raise RuntimeError(f"the letter-set blocks of (C^{n})^(x){k} do not add up to its {n**k} words")
+
+    dims = [0] * len(paths)
+    block_failures = []
+    prefix_kernels = largest = 0
+    for block in blocks:
+        ops = [phi_block(x, block) for _, m, mt in family for x in (m, mt)]
+        try:
+            ops = CommutingFamily(ops)  # checked here, not again for every path
+        except ValueError as err:
+            raise ValueError(f"{block!r}: {err}") from None
+        covered = 0
+        for i, (_, _, _, flat) in enumerate(paths):
             dim = len(simultaneous_eigenspace(ops, flat))
-            expected_dim = rook_irrep_dim(mu, space.rook_n)
-            total += dim
-            key = tuple(flat)
-            if key in seen_tuples:
-                failures.append(
-                    f"paths {seen_tuples[key]} and {path.shapes} share a tuple"
-                )
-            seen_tuples[key] = path.shapes
-            if dim != expected_dim:
-                failures.append(
-                    f"path {path.shapes}: eigenspace dim {dim} != {expected_dim}"
-                )
-            entries.append(
-                {
-                    "shape": mu,
-                    "path": path,
-                    "eigenvalues": predicted,
-                    "dimension": dim,
-                }
-            )
-    if total != space.dim:
-        failures.append(f"eigenspaces cover {total} of {space.dim} dimensions")
+            dims[i] += block.copies * dim
+            covered += dim
+        if covered != block.dim:
+            block_failures.append(f"{block!r}: eigenspaces cover {covered} of {block.dim} dimensions")
+        prefix_kernels += ops.prefix_kernels
+        largest = max(largest, ops.largest_kernel)
+
+    entries = []
+    failures = []
+    seen_tuples = {}
+    for (mu, path, predicted, flat), dim in zip(paths, dims):
+        expected_dim = rook_irrep_dim(mu, n - half)
+        key = tuple(flat)
+        if key in seen_tuples:
+            failures.append(f"paths {seen_tuples[key]} and {path.shapes} share a tuple")
+        seen_tuples[key] = path.shapes
+        if dim != expected_dim:
+            failures.append(f"path {path.shapes}: eigenspace dim {dim} != {expected_dim}")
+        entries.append({"shape": mu, "path": path, "eigenvalues": predicted, "dimension": dim})
+    failures += block_failures
     return {
         "level": str(t),
         "n": n,
         "entries": entries,
         "ok": not failures,
         "failures": failures,
-        "operators": len(ops),
-        "prefix_kernels": ops.prefix_kernels,
+        "operators": 2 * len(family),
+        "blocks": [(b.r, b.dim, b.copies) for b in blocks],
+        "prefix_kernels": prefix_kernels,
+        "largest_prefix_kernel": largest,
     }

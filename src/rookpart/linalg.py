@@ -6,15 +6,17 @@ ints until a division forces a Fraction.  Entries and solution vectors are
 handed back as Fractions; kernel vectors stay sparse dicts of exact ints and
 Fractions.
 
-All elimination goes through one sparse Gauss-Jordan routine with exact
-pivoting; there is no tolerance anywhere.
+All elimination is sparse Gauss-Jordan with exact pivoting: over the
+rationals for ranks, commutants and solutions, and without fractions, on
+integer rows with no common factor, for kernels.  There is no tolerance
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 _ZERO = Fraction(0)
 
@@ -202,19 +204,75 @@ def _gauss_jordan(rows, reduced: bool) -> dict:
     return pivots
 
 
+def _primitive(row: dict) -> dict:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _integer_gauss_jordan(rows) -> dict:
+    """Fraction-free sparse Gauss-Jordan elimination of integer rows.
+
+    The same steps as ``_gauss_jordan`` with ``reduced``, each row operation
+    r := a r - b p taken with the smallest integers a, b that clear the
+    column, and each pivot row divided by the gcd of its entries.  Returns
+    ``{pivot column: pivot row}``: the reduced row echelon form with each
+    row scaled to integers with no common factor."""
+    pivots = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = _primitive(row)
+                break
+            a, b = p[c], row[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            _axpy(row, -b, p)
+            if row and a != 1:
+                row = _primitive(row)
+    order = sorted(pivots)
+    for idx in range(len(order) - 1, 0, -1):
+        col = order[idx]
+        p = pivots[col]
+        for c in order[:idx]:
+            q = pivots[c]
+            f = q.get(col)
+            if f:
+                a, b = p[col], f
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    q = {k: a * v for k, v in q.items()}
+                _axpy(q, -b, p)
+                pivots[c] = _primitive(q)
+    return pivots
+
+
 def nullspace(m: ExactMatrix) -> list:
     """Exact basis of the right kernel; size = cols - rank.
 
     One sparse vector ``{column: value}`` per free column f of the reduced
     row echelon form, listed by f: 1 at f, 0 at every other free column, and
-    minus the pivot rows' entries at f at their pivot columns.
+    minus the pivot rows' entries at f at their pivot columns.  The form is
+    found without fractions (``_integer_gauss_jordan``), each row first
+    scaled to integers, and divided by each pivot row's lead at the end.
     """
-    pivots = _gauss_jordan(m._rows, reduced=True)
+    rows = []
+    for row in m._rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        rows.append({k: v.numerator * (scale // v.denominator) for k, v in row.items()} if scale > 1 else row)
+    pivots = _integer_gauss_jordan(rows)
     basis = {f: {f: 1} for f in range(m.cols) if f not in pivots}
     for c, row in pivots.items():
+        lead = row[c]
         for f, v in row.items():
             if f != c:
-                basis[f][c] = -v
+                basis[f][c] = _div(-v, lead)
     return list(basis.values())
 
 
@@ -300,9 +358,11 @@ class CommutingFamily(tuple):
     The family also keeps, for as long as it lives, the joint kernel of each
     eigenvalue prefix it has been asked for: at (lambda_1, ..., lambda_j), the
     vectors killed by op_i - lambda_i for every i <= j, as sparse basis
-    vectors.  Eigenvalue tuples that share a prefix, as those of the paths of
-    a branching graph through one vertex do, share its kernel, and each new
-    prefix is eliminated once, in the r unknowns its parent's kernel leaves.
+    vectors of integers with no common factor.  Eigenvalue tuples that share
+    a prefix, as those of the paths of a branching graph through one vertex
+    do, share its kernel, and each new prefix is eliminated once, in the r
+    unknowns its parent's kernel leaves; with integer operators and
+    eigenvalues, its images of the parent's vectors stay integers.
     """
 
     def __new__(cls, ops):
@@ -332,14 +392,21 @@ class CommutingFamily(tuple):
         """How many nonempty eigenvalue prefixes the family holds a kernel of."""
         return len(self._kernels) - 1
 
+    @property
+    def largest_kernel(self) -> int:
+        """The most vectors in a prefix kernel that an elimination gave, not
+        inherited from its parent; 0 when no elimination ran."""
+        kernels = self._kernels
+        return max((len(v) for key, v in kernels.items() if key and v is not kernels[key[:-1]]), default=0)
+
     def _kernel(self, values: tuple) -> list:
         """Joint kernel of the first len(values) operators at those values.
 
         A new prefix applies op_j - lambda_j to each of the r sparse vectors
         of its parent's kernel, and each sparse vector that ``nullspace`` gives
         for the d x r matrix of the images names a combination of them that it
-        kills; when every image is zero, the parent's kernel is the prefix's
-        own.
+        kills, taken as the primitive integer vector it is a multiple of; when
+        every image is zero, the parent's kernel is the prefix's own.
         """
         kernel = self._kernels.get(values)
         if kernel is not None:
@@ -356,10 +423,12 @@ class CommutingFamily(tuple):
         if any(rows):
             kernel = []
             for coeffs in nullspace(ExactMatrix._from_rows(len(parent), rows)):
+                # integer multiples of the parent's integer vectors, then primitive
+                scale = lcm(*(c.denominator for c in coeffs.values()))
                 vec = {}
                 for col, c in coeffs.items():
-                    _axpy(vec, c, parent[col])
-                kernel.append(vec)
+                    _axpy(vec, c.numerator * (scale // c.denominator), parent[col])
+                kernel.append(_primitive(vec))
         else:
             kernel = parent
         self._kernels[values] = kernel
@@ -372,18 +441,24 @@ def simultaneous_eigenspace(ops, eigenvalues) -> list:
     The operators must commute pairwise: unless ``ops`` is already a
     :class:`CommutingFamily`, it is checked here and a non-commuting pair
     raises ValueError.  The basis is the family's kernel of the eigenvalue
-    tuple, as fresh sparse dicts.  It equals, vector for vector, the
-    ``nullspace`` of the stacked system of every op_i - lambda_i: the one
-    kernel vector per free column f that ends at f with a 1 and is 0 at the
-    other free columns.  Each prefix keeps that form: the combination that
-    ``nullspace`` gives for a free column g of the image matrix adds to the
-    parent's g-th vector only parent vectors that end before it and are 0 at
-    its free column, so it ends there with the same 1, and it is 0 at the
-    free columns of the other combinations.  So the basis does not depend on
-    which prefixes were asked for before.
+    tuple, each vector divided by its last entry, as fresh sparse dicts.  It
+    equals, vector for vector, the ``nullspace`` of the stacked system of
+    every op_i - lambda_i: the one kernel vector per free column f that ends
+    at f with a 1 and is 0 at the other free columns.  Each prefix keeps that
+    form up to a nonzero factor per vector: the combination that
+    ``nullspace`` gives for a free column g of the image matrix adds to a
+    multiple of the parent's g-th vector only parent vectors that end before
+    it and are 0 at its free column, so it ends there, and it is 0 at the
+    free columns of the other combinations.  Dividing by the last entry
+    removes the factor, so the basis does not depend on which prefixes were
+    asked for before.
     """
     if len(ops) != len(eigenvalues):
         raise ValueError("one eigenvalue per operator")
     if not isinstance(ops, CommutingFamily):
         ops = CommutingFamily(ops)
-    return [dict(vec) for vec in ops._kernel(tuple(_exact(lam) for lam in eigenvalues))]
+    basis = []
+    for vec in ops._kernel(tuple(_exact(lam) for lam in eigenvalues)):
+        last = vec[max(vec)]
+        basis.append({i: _div(v, last) for i, v in vec.items()})
+    return basis

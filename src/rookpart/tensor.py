@@ -12,26 +12,38 @@ products.
 
 Every action is built one way: a basis element gives the (row, col) cells
 where its 0/1 matrix has a 1 (one per assignment of letters to the blocks of a
-diagram, one per basis tuple a rook element keeps), each cell is paired with
-its term's coefficient, and ``ExactMatrix.from_entries`` adds up the pairs.
-The cells are found by index arithmetic alone: a word's index is its letters
-minus one read in base n, first letter most significant, which is the order
-of ``TensorSpace.basis``.  So a rook element's cells are the k-fold tensor
-power of the cells of its n x n matrix, and a letter x given to a diagram
-block adds x times the block's place values, the sums of n^(k-j) over its
-top vertices j and over its bottom vertices j'.
+diagram, one per basis tuple a rook element keeps), and each term's
+coefficient, made exact once, is added at its cells.  The cells are found by
+index arithmetic alone: a word's index is its letters minus one read in base
+n, first letter most significant, which is the order of ``TensorSpace.basis``.
+So a rook element's cells are the k-fold tensor power of the cells of its
+n x n matrix, and a letter x given to a diagram block adds x times the
+block's place values, the sums of n^(k-j) over its top vertices j and over
+its bottom vertices j'.
+
+The totally propagating algebras also act on each letter-set block alone
+(``LetterBlock``, ``phi_block``): the same cells grown on r letters, kept when
+they use all r, never listing the n^k words.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
 from .combinat import stirling2
-from .diagram import AlgebraElement, PartitionDiagram, enumerate_monoid, generating_set, is_half
+from .diagram import (
+    AlgebraElement,
+    PartitionDiagram,
+    enumerate_monoid,
+    generating_set,
+    is_half,
+    is_totally_propagating,
+)
 from .formal import FormalSum
 from .limits import check
-from .linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
+from .linalg import ExactMatrix, _exact, commutant_dimension, sparse_rank_of_vectors
 from .rook import RookElement, enumerate_rook, generator
 from .scalars import XiPoly
 
@@ -90,40 +102,127 @@ def _place_values(block, place: list) -> tuple[int, int]:
     return top, bottom
 
 
-def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool) -> list:
-    """(row, col) cells of a diagram action, one per assignment of letters to
-    blocks: every assignment for the diagram basis, the injective ones for the
-    orbit basis, of which there are none when the blocks outnumber the
-    letters.  The cells grow block by block, a letter x (counted from 0)
-    adding x times the block's place values; each cell carries the mask of
-    the letters used so far, which the injective walk skips.  On a half space
-    the block holding the hidden slot is pinned to the letter n, so it starts
-    every cell and is taken in the starting mask.  The cells come in the
-    lexicographic order of the assignments in block order."""
-    _check_diagram(d, space)
-    n, k = space.n, space.k
+def _grown_cells(d: PartitionDiagram, letters: int, k: int, half: bool, injective: bool) -> list:
+    """(row, col, used) cells of a diagram action on the words of k places
+    over ``letters`` letters, indexed in base ``letters``: one per assignment
+    of letters to blocks, every assignment for the diagram basis, the
+    injective ones for the orbit basis, of which there are none when the
+    blocks outnumber the letters.  The cells grow block by block, a letter x
+    (counted from 0) adding x times the block's place values; ``used`` is
+    the mask of the letters given so far, which the injective walk skips.
+    On a half space the block holding the hidden slot is pinned to the last
+    letter, so it starts every cell and is taken in the starting mask.  The
+    cells come in the lexicographic order of the assignments in block
+    order."""
     blocks = d.blocks
-    if injective and len(blocks) > n:
+    if injective and len(blocks) > letters:
         return []
-    place = [0] + [n ** (k - j) for j in range(1, k + 1)] + [0]
+    place = [0] + [letters ** (k - j) for j in range(1, k + 1)] + [0]
     cells = [(0, 0, 0)]
-    if space.half:
+    if half:
         pinned = next(b for b in blocks if k + 1 in b)
         blocks = [b for b in blocks if b is not pinned]
         top, bottom = _place_values(pinned, place)
-        cells = [((n - 1) * top, (n - 1) * bottom, 1 << (n - 1))]
+        last = letters - 1
+        cells = [(last * top, last * bottom, 1 << last)]
     for block in blocks:
         top, bottom = _place_values(block, place)
-        if injective:
-            cells = [
-                (r + x * top, c + x * bottom, used | 1 << x)
-                for r, c, used in cells
-                for x in range(n)
-                if not used >> x & 1
-            ]
-        else:
-            cells = [(r + x * top, c + x * bottom, used) for r, c, used in cells for x in range(n)]
-    return [(r, c) for r, c, _ in cells]
+        cells = [
+            (r + x * top, c + x * bottom, used | 1 << x)
+            for r, c, used in cells
+            for x in range(letters)
+            if not (injective and used >> x & 1)
+        ]
+    return cells
+
+
+def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool) -> list:
+    """(row, col) cells of a diagram action on the whole tensor space, whose
+    word indices are the words read in base n (``_grown_cells``)."""
+    _check_diagram(d, space)
+    return [(r, c) for r, c, _ in _grown_cells(d, space.n, space.k, space.half, injective)]
+
+
+def _crossing_words(d: PartitionDiagram, n: int, k: int, half: bool, injective: bool):
+    """Two words, on the letters 1..n, at which the action of d has an entry
+    joining different letter sets, or None when it has none.  Only a block
+    that misses a row can cross: the first such block takes the letter 1 and
+    the others the letters from 2 up (orbit basis) or the letter n (diagram
+    basis), so that the letter 1 is in one word only."""
+    blocks = d.blocks
+    if is_totally_propagating(d) or (injective and len(blocks) > n) or (not injective and n == 1):
+        return None
+    lone = next(b for b in blocks if not b[0] > 0 > b[-1])
+    pinned = [b for b in blocks if half and k + 1 in b]
+    others = [b for b in blocks if b is not lone and b not in pinned]
+    letter = {v: 1 for v in lone}
+    for i, b in enumerate(others):
+        letter.update((v, i + 2 if injective else n) for v in b)
+    for b in pinned:
+        letter.update((v, n) for v in b)
+    return tuple(letter[j] for j in range(1, k + 1)), tuple(letter[-j] for j in range(1, k + 1))
+
+
+def letter_block_dim(k: int, r: int, half: bool = False) -> int:
+    """The number of words of k places whose letter set is [r], r! S(k, r),
+    or on a half space (r-1)! S(k+1, r): the dimension of ``LetterBlock``."""
+    return factorial(r - 1) * stirling2(k + 1, r) if half else factorial(r) * stirling2(k, r)
+
+
+class LetterBlock:
+    """The words of the tensor space (C^n)^{(x)k} whose letter set is [r] =
+    {1..r}, or on a half space [r-1] with the hidden slot's letter n: the
+    block V_[r].
+
+    A diagram of I_k, or of I_{k+1/2}, has no one-row block, so its action
+    sends each word only to words with the same letters (with n added on a
+    half space); the tensor space is the direct sum of the blocks V_S over
+    the letter sets S, each kept by the algebra.  Renaming letters commutes
+    with the action, whose entries depend only on letter-equality patterns,
+    so V_S is a copy of V_[r] when |S| = r.  ``copies`` counts those letter
+    sets, C(n, r), or C(n-1, r-1) on a half space, and ``dim`` is the
+    number of words, r! S(k, r), or (r-1)! S(k+1, r); neither listing nor
+    elimination on a block depends on n.  The words are listed on the
+    letters 0..r-1 (the letter n read as r-1), in lexicographic order, and
+    xi coefficients still evaluate at the true n."""
+
+    def __init__(self, n: int, k: int, r: int, half: bool = False):
+        if not 1 <= r <= min(n, k + half):
+            raise ValueError(f"no letter-set block of {r} letters in (C^{n})^(x){k}")
+        self.n, self.k, self.r, self.half = n, k, r, half
+        self.copies = comb(n - 1, r - 1) if half else comb(n, r)
+        full = self._full = (1 << r) - 1
+        start = 1 << (r - 1) if half else 0
+        words = []
+        for i, word in enumerate(product(range(r), repeat=k)):
+            used = start
+            for x in word:
+                used |= 1 << x
+            if used == full:
+                words.append(i)
+        self._index = {w: i for i, w in enumerate(words)}
+        self.dim = len(words)
+
+    def diagram_size(self) -> int:
+        return self.k + 1 if self.half else self.k
+
+    def _cells(self, d: PartitionDiagram, injective: bool) -> list:
+        """(row, col) cells of a diagram action on the block: the cells of
+        ``_grown_cells`` on r letters that use every letter.  A diagram whose
+        action has an entry joining two letter sets raises RuntimeError
+        naming it and the two words."""
+        _check_diagram(d, self)
+        crossing = _crossing_words(d, self.n, self.k, self.half, injective)
+        if crossing is not None:
+            raise RuntimeError(f"{d} has a one-row block: its entry at the words {crossing[0]} and {crossing[1]} joins two letter sets")
+        if injective and len(d.blocks) != self.r:
+            return []  # an injective cell uses one letter per block
+        index, full = self._index, self._full
+        return [(index[r], index[c]) for r, c, used in _grown_cells(d, self.r, self.k, self.half, injective) if used == full]
+
+    def __repr__(self):
+        tag = "+1/2" if self.half else ""
+        return f"LetterBlock(n={self.n}, k={self.k}{tag}, r={self.r})"
 
 
 def _rook_cells(rho: RookElement, space: TensorSpace) -> list:
@@ -142,26 +241,54 @@ def _rook_cells(rho: RookElement, space: TensorSpace) -> list:
     return cells
 
 
-def _action(space: TensorSpace, terms) -> ExactMatrix:
-    """Matrix of the sum of c * E over (c, cells) terms, E having a 1 at each
-    cell; an XiPoly coefficient is evaluated at n."""
-    pairs = []
+def _action(n: int, dim: int, terms) -> ExactMatrix:
+    """The dim x dim matrix of the sum of c * E over (c, cells) terms, E
+    having a 1 at each cell, on words of n letters; an XiPoly coefficient is
+    evaluated at n.  Each term's coefficient is made exact once and added at
+    its cells; a cell outside the matrix raises IndexError naming it."""
+    rows = [{} for _ in range(dim)]
+    fractional = False
     for coeff, cells in terms:
+        if not cells:
+            continue
         if isinstance(coeff, XiPoly):
-            coeff = coeff.subs(space.n)
-        pairs += [(cell, coeff) for cell in cells]
-    return ExactMatrix.from_entries(space.dim, space.dim, pairs)
+            coeff = coeff.subs(n)
+        coeff = _exact(coeff)
+        fractional |= type(coeff) is Fraction
+        low, high = min(cells), max(cells)
+        if low[0] < 0 or high[0] >= dim:
+            _outside(low if low[0] < 0 else high, dim)
+        for i, j in cells:
+            row = rows[i]
+            row[j] = row.get(j, 0) + coeff
+    for i, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= dim):
+            _outside((i, min(row) if min(row) < 0 else max(row)), dim)
+    if fractional:
+        return ExactMatrix._from_rows(dim, ({j: _exact(v) for j, v in row.items() if v} for row in rows))
+    return ExactMatrix._from_rows(dim, ({j: v for j, v in row.items() if v} for row in rows))
+
+
+def _outside(cell, dim: int):
+    raise IndexError(f"entry {cell} outside a {dim}x{dim} matrix")
 
 
 def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
     """Right action of a diagram-basis element (row convention)."""
-    return _action(space, [(1, _diagram_cells(d, space, injective=False))])
+    return _action(space.n, space.dim, [(1, _diagram_cells(d, space, injective=False))])
 
 
 def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
     """Linear extension of the diagram action; xi coefficients evaluate at n."""
     injective = a.basis == "orbit"
-    return _action(space, ((c, _diagram_cells(d, space, injective)) for d, c in a.sum.terms()))
+    return _action(space.n, space.dim, ((c, _diagram_cells(d, space, injective)) for d, c in a.sum.terms()))
+
+
+def phi_block(a: AlgebraElement, block: LetterBlock) -> ExactMatrix:
+    """The action of an element of I_k (or I_{k+1/2}) on one letter-set
+    block, on its listed words; xi coefficients evaluate at the true n."""
+    injective = a.basis == "orbit"
+    return _action(block.n, block.dim, ((c, block._cells(d, injective)) for d, c in a.sum.terms()))
 
 
 def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
@@ -170,11 +297,11 @@ def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
     On a half space, rho must have size n-1 and is embedded fixing the last
     basis vector.
     """
-    return _action(space, [(1, _rook_cells(rho, space))])
+    return _action(space.n, space.dim, [(1, _rook_cells(rho, space))])
 
 
 def psi_element(x: FormalSum, space: TensorSpace) -> ExactMatrix:
-    return _action(space, ((c, _rook_cells(rho, space)) for rho, c in x.terms()))
+    return _action(space.n, space.dim, ((c, _rook_cells(rho, space)) for rho, c in x.terms()))
 
 
 def _phi_orbits(space: TensorSpace):
@@ -261,7 +388,8 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     rook_n = space.rook_n
     check("R_n enumeration", rook_n)  # first, so that R_n's own row refuses its n
     rook_elements = sum(comb(rook_n, r) ** 2 * factorial(r) for r in range(rook_n + 1))
-    check("rook image", rook_elements * space.dim)
+    dim = space.dim
+    check("rook image", rook_elements * dim)
     rooks = enumerate_rook(rook_n)
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
@@ -279,7 +407,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     commutant_dim = _rook_commutant_dim(space)
 
     psi_image_dim = sparse_rank_of_vectors(
-        [{i * space.dim + j: 1 for i, j in _rook_cells(rho, space)} for rho in rooks]
+        [{i * dim + j: 1 for i, j in _rook_cells(rho, space)} for rho in rooks]
     )
     phi_count = comb(n * n + k - 1, k)
     phi_unknowns = _orbit_unknowns(space, _phi_orbits(space), phi_count)
@@ -302,7 +430,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
         "psi_image_dim": psi_image_dim,
         "phi_commutant_dim": phi_commutant_dim,
         "ok": ok,
-        "dim": space.dim,
+        "dim": dim,
         "diagram_count": len(diagrams),
         "rook_elements": rook_elements,
         "phi_generators": len(phi_gens),

@@ -167,7 +167,8 @@ def test_criterion_12_fails_when_the_predicted_pairs_are_swapped(monkeypatch):
     real = jm.predicted_eigenvalues
     monkeypatch.setattr(jm, "predicted_eigenvalues", lambda path: [(mt, m) for m, mt in real(path)])
     assert _record(12) == (
-        "level 1, n=2: ['path ((), (1,)): eigenspace dim 0 != 2', 'eigenspaces cover 0 of 2 dimensions']"
+        "level 1, n=2: ['path ((), (1,)): eigenspace dim 0 != 2', "
+        "'LetterBlock(n=2, k=1, r=1): eigenspaces cover 0 of 1 dimensions']"
     )
 
 

@@ -238,6 +238,11 @@ REFUSALS = [
         [(diagram, "_closure_listing"), (jm, "build_z")],
     ),
     (
+        ["jm", "--t", "6", "--n", "6"],
+        "GT decomposition: largest block = 1800 exceeds the limit 390",
+        [(jm, "ihat"), (jm, "build_z"), (jm, "LetterBlock")],
+    ),
+    (
         ["compose", "--d1", json.dumps([[v, -v] for v in range(1, 2752)]), "--d2", "[[1,-1]]"],
         "diagram size: size = 2751 exceeds the limit 2750",
         [(diagram.PartitionDiagram, "parse"), (diagram, "compose")],
@@ -294,7 +299,9 @@ CLI_OPTION_BOUNDS = {
     ("schur-weyl", "--n"): ("R_n enumeration", "tensor space", "rook image"),
     ("schur-weyl", "--k"): ("tensor space", "I_k enumeration", "rook image"),
     ("schur-weyl", "--half"): "no row: a flag",
-    ("jm", "--t"): ("tensor space", "propagating tower", "path enumeration", "I_k enumeration"),
+    # the eigenvalue table works on one letter-set block per size, whatever n
+    # is; ``--verify --n`` builds the whole tensor space
+    ("jm", "--t"): ("GT decomposition", "tensor space", "propagating tower", "path enumeration", "I_k enumeration"),
     ("jm", "--n"): ("tensor space",),
     ("jm", "--verify"): "no row: a flag",
     ("rook-jm", "--lambda"): ("rook-jm",),

@@ -5,6 +5,7 @@ import pytest
 
 from rookpart import jm
 from rookpart.bratteli import HALF, GradedGraph, ihat, levels_upto
+from rookpart.combinat import rook_irrep_dim
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -27,6 +28,7 @@ from rookpart.jm import (
     verify_operator_identity,
     zero_element,
 )
+from rookpart.linalg import CommutingFamily, simultaneous_eigenspace
 from rookpart.rook import kappa
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import phi_element, psi_element
@@ -247,7 +249,8 @@ def test_gt_decompose_names_the_failing_paths(monkeypatch):
         "path ((), (1,), ()): eigenspace dim 0 != 1",
         "paths ((), (1,), ()) and ((), (1,), (1,)) share a tuple",
         "path ((), (1,), (1,)): eigenspace dim 0 != 1",
-        "eigenspaces cover 0 of 2 dimensions",
+        "LetterBlock(n=2, k=1+1/2, r=1): eigenspaces cover 0 of 1 dimensions",
+        "LetterBlock(n=2, k=1+1/2, r=2): eigenspaces cover 0 of 1 dimensions",
     ]
 
 
@@ -261,7 +264,8 @@ def test_gt_decompose_names_a_wrong_dimension_alone(monkeypatch):
 
 def test_gt_decompose_names_a_shared_tuple_alone(monkeypatch):
     # every path reads the first path's tuple: each eigenspace has the right
-    # dimension and together they count up to the space, the same line twice
+    # dimension, so no path line but the shared tuple's; the blocks see the
+    # one eigenspace counted twice and the other block left uncovered
     real = jm.predicted_eigenvalues
     first = []
 
@@ -273,7 +277,11 @@ def test_gt_decompose_names_a_shared_tuple_alone(monkeypatch):
     monkeypatch.setattr(jm, "predicted_eigenvalues", the_first_tuple)
     report = gt_decompose(Fraction(3, 2), 2)
     assert not report["ok"]
-    assert report["failures"] == ["paths ((), (1,), ()) and ((), (1,), (1,)) share a tuple"]
+    assert report["failures"] == [
+        "paths ((), (1,), ()) and ((), (1,), (1,)) share a tuple",
+        "LetterBlock(n=2, k=1+1/2, r=1): eigenspaces cover 2 of 1 dimensions",
+        "LetterBlock(n=2, k=1+1/2, r=2): eigenspaces cover 0 of 1 dimensions",
+    ]
 
 
 def test_gt_decompose_names_a_shortfall_in_coverage_alone(monkeypatch):
@@ -281,21 +289,34 @@ def test_gt_decompose_names_a_shortfall_in_coverage_alone(monkeypatch):
     monkeypatch.setattr(GradedGraph, "enumerate_paths", lambda g, src, dst: [] if dst[1] == (1,) else real(g, src, dst))
     report = gt_decompose(Fraction(3, 2), 2)
     assert not report["ok"]
-    assert report["failures"] == ["eigenspaces cover 1 of 2 dimensions"]
+    # the path to (1,) lives on the block of the letters 1 and n
+    assert report["failures"] == ["LetterBlock(n=2, k=1+1/2, r=2): eigenspaces cover 0 of 1 dimensions"]
 
 
 def test_gt_decompose_reports_its_operators_and_prefix_kernels():
-    # 2 operators per level 1/2, 1, ..., t; the 13 distinct prefixes of the 3
-    # eigenvalue tuples at level 2 are each eliminated once
+    # 2 operators per level 1/2, 1, ..., t; at level 2 and n = 3 the blocks of
+    # 1 and 2 letters have 1 and 2 words and 3 copies each, and each block's
+    # family eliminates the 13 distinct prefixes of the 3 eigenvalue tuples
+    # once; the one elimination that is not inherited leaves one vector
     report = gt_decompose(Fraction(2), 3)
     assert report["operators"] == 8
+    assert report["blocks"] == [(1, 1, 3), (2, 2, 3)]
     tuples = [tuple(v for pair in e["eigenvalues"] for v in pair) for e in report["entries"]]
-    assert report["prefix_kernels"] == len({t[:j] for t in tuples for j in range(1, 9)}) == 13
+    assert len({t[:j] for t in tuples for j in range(1, 9)}) == 13
+    assert report["prefix_kernels"] == 2 * 13
+    assert report["largest_prefix_kernel"] == 1
+    # at level 4 and n = 5, r! S(4, r) words and C(5, r) copies, 625 in all;
+    # the largest kernel an elimination gives is on the block of 3 letters
+    report = gt_decompose(4, 5)
+    assert report["ok"]
+    assert report["blocks"] == [(1, 1, 5), (2, 14, 10), (3, 36, 10), (4, 24, 5)]
+    assert report["largest_prefix_kernel"] == 30
 
 
 def test_gt_decompose_reaches_the_traced_linalg_names(monkeypatch):
     # a tracer wraps these module attributes by name, so gt_decompose must call
-    # through jm's binding of simultaneous_eigenspace and linalg's nullspace
+    # through jm's binding of simultaneous_eigenspace and linalg's nullspace,
+    # once per path on each letter-set block
     from rookpart import linalg
 
     calls = {"jm.simultaneous_eigenspace": 0, "linalg.nullspace": 0}
@@ -311,8 +332,158 @@ def test_gt_decompose_reaches_the_traced_linalg_names(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", counting("linalg.nullspace", linalg.nullspace))
     report = gt_decompose(2, n=2)
     assert report["ok"]
-    assert calls["jm.simultaneous_eigenspace"] == len(report["entries"])
+    assert len(report["blocks"]) == 2
+    assert calls["jm.simultaneous_eigenspace"] == 2 * len(report["entries"])
     assert calls["linalg.nullspace"] > 0
+
+
+def _add_to_z(monkeypatch, level, diagram):
+    """Z at ``level`` with the orbit element of ``diagram`` added."""
+    real = jm.build_z
+    x = AlgebraElement.from_diagram(D(diagram), basis="orbit")
+    monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == level else real(t))
+
+
+def test_gt_decompose_refuses_a_term_that_joins_two_letter_sets(monkeypatch):
+    # the top vertex 1 alone: the block of 1 letter already meets the term,
+    # and the entry named takes the word (1, 2) to the word (2, 2)
+    _add_to_z(monkeypatch, 2, "[[1],[2,-1,-2]]")
+    with pytest.raises(RuntimeError) as refused:
+        gt_decompose(2, 3)
+    assert str(refused.value) == "[[1],[2,-1,-2]] has a one-row block: its entry at the words (1, 2) and (2, 2) joins two letter sets"
+
+
+def test_gt_decompose_names_the_block_whose_operators_do_not_commute(monkeypatch):
+    # the extra term keeps Z central on the 1-letter block only; operators 7
+    # and 10 are M~_2 and M_3, as verify_centrality names them
+    _add_to_z(monkeypatch, 3, "[[1,3,-2],[2,-1,-3]]")
+    with pytest.raises(ValueError) as refused:
+        gt_decompose(3, 3)
+    assert str(refused.value) == "LetterBlock(n=3, k=3, r=2): operators 7 and 10 do not commute"
+
+
+def test_gt_decompose_names_a_block_whose_paths_do_not_add_up(monkeypatch):
+    # one vector too many for each of the 3 paths on the 2-word block of
+    # level 2 at n = 2, which has 1 copy: every path reads one too many, and
+    # the block's 2 words are covered 2 + 3 times
+    real = jm.simultaneous_eigenspace
+
+    def one_more_on_two_words(ops, values):
+        basis = real(ops, values)
+        return basis + [{}] if ops[0].rows == 2 else basis
+
+    monkeypatch.setattr(jm, "simultaneous_eigenspace", one_more_on_two_words)
+    report = gt_decompose(2, 2)
+    assert report["blocks"] == [(1, 1, 2), (2, 2, 1)]
+    assert report["failures"] == [
+        "path ((), (1,), (), (1,)): eigenspace dim 3 != 2",
+        "path ((), (1,), (1,), (1, 1)): eigenspace dim 2 != 1",
+        "path ((), (1,), (1,), (2,)): eigenspace dim 2 != 1",
+        "LetterBlock(n=2, k=2, r=2): eigenspaces cover 5 of 2 dimensions",
+    ]
+
+
+def test_gt_decompose_checks_that_the_blocks_tile_the_space(monkeypatch):
+    class OneCopyShort(jm.LetterBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.copies -= self.r == 2
+
+    monkeypatch.setattr(jm, "LetterBlock", OneCopyShort)
+    with pytest.raises(RuntimeError) as refused:
+        gt_decompose(2, 3)
+    assert str(refused.value) == "the letter-set blocks of (C^3)^(x)2 do not add up to its 9 words"
+
+
+def test_gt_decompose_is_refused_past_its_largest_block():
+    # level 11/2 (largest block 390 words) is admitted; level 6 is refused,
+    # whatever n, before any central sum is built
+    with pytest.raises(ValueError) as refused:
+        gt_decompose(6, 6)
+    assert str(refused.value) == "GT decomposition: largest block = 1800 exceeds the limit 390"
+
+
+def test_gt_decompose_counts_blocks_only_at_levels_the_tower_admits(monkeypatch):
+    # the block sizes of level 1000 would take Stirling numbers S(1000, r)
+    # for every r, so the tower's row refuses it first
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(jm, "letter_block_dim", no_work)
+    with pytest.raises(ValueError) as refused:
+        gt_decompose(1000, 1000)
+    assert str(refused.value) == "propagating tower: level = 1000 exceeds the limit 30"
+
+
+# --- oracle: the decomposition on the whole tensor space -----------------------
+
+
+def whole_space_gt_decompose(t, n):
+    """The eigenspaces on the whole n^k-dimensional tensor space, with the
+    per-path checks of the block route and its coverage of n^k."""
+    t = as_level(t)
+    space = jm.tensor_space(t, n)
+    graph = ihat(t)
+    ops = []
+    for y in levels_upto(t):
+        ops.append(phi_element(build_m(y, t), space))
+        ops.append(phi_element(build_m_tilde(y, t), space))
+    ops = CommutingFamily(ops)
+    entries, failures, total, seen_tuples = [], [], 0, {}
+    for mu in graph.vertices[graph.level_index(t)]:
+        for path in graph.enumerate_paths((HALF, ()), (t, mu)):
+            predicted = predicted_eigenvalues(path)
+            flat = [v for pair in predicted for v in pair]
+            dim = len(simultaneous_eigenspace(ops, flat))
+            expected_dim = rook_irrep_dim(mu, space.rook_n)
+            total += dim
+            key = tuple(flat)
+            if key in seen_tuples:
+                failures.append(f"paths {seen_tuples[key]} and {path.shapes} share a tuple")
+            seen_tuples[key] = path.shapes
+            if dim != expected_dim:
+                failures.append(f"path {path.shapes}: eigenspace dim {dim} != {expected_dim}")
+            entries.append({"shape": mu, "path": path, "eigenvalues": predicted, "dimension": dim})
+    if total != space.dim:
+        failures.append(f"eigenspaces cover {total} of {space.dim} dimensions")
+    return {"entries": entries, "ok": not failures, "failures": failures}
+
+
+# test_linalg's EIGEN_LEVELS (every level up to 7/2 with n one past the
+# diagram size, and level 3 at n = 4), every half level up to 9/2 at n equal
+# to the diagram size, and level 3 at n = 5 and 6
+BLOCK_ORACLE_LEVELS = (
+    [(Fraction(k, 2), jm.size_and_half(Fraction(k, 2))[0] + 1) for k in range(2, 8)]
+    + [(Fraction(3), 4)]
+    + [(Fraction(k, 2), jm.size_and_half(Fraction(k, 2))[0]) for k in (3, 5, 7, 9)]
+    + [(Fraction(3), 5), (Fraction(3), 6)]
+)
+
+
+@pytest.mark.parametrize("t, n", BLOCK_ORACLE_LEVELS)
+def test_blocks_give_the_whole_space_entries(t, n):
+    report = gt_decompose(t, n)
+    whole = whole_space_gt_decompose(t, n)
+    assert report["ok"] and whole["ok"], (report["failures"], whole["failures"])
+    assert report["entries"] == whole["entries"]
+    assert sum(dim * copies for _, dim, copies in report["blocks"]) == n ** int(t)
+
+
+def test_level_eleven_halves_is_admitted_and_gives_the_rook_dimensions():
+    report = gt_decompose(Fraction(11, 2), 6)
+    assert report["ok"], report["failures"][:3]
+    assert max(dim for _, dim, _ in report["blocks"]) == 390
+    assert all(e["dimension"] == rook_irrep_dim(e["shape"], 5) for e in report["entries"])
+    assert sum(e["dimension"] for e in report["entries"]) == 6**5
+
+
+def test_m_family_matches_build_m_and_build_m_tilde():
+    for t in levels_upto(Fraction(9, 2)):
+        family = jm._m_family(t)
+        assert [y for y, _, _ in family] == levels_upto(t)
+        for y, m, mt in family:
+            _assert_same_sum(m, build_m(y, t))
+            _assert_same_sum(mt, build_m_tilde(y, t))
 
 
 def test_content_family_alone_separates_at_integer_levels():

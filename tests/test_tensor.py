@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -551,6 +551,34 @@ def old_combination(space, terms):
     return ExactMatrix([[acc.get((i, j), 0) for j in range(space.dim)] for i in range(space.dim)])
 
 
+def pair_route(space, terms):
+    """The action as built before each term's coefficient was made exact
+    once: every (cell, coefficient) pair through ``ExactMatrix.from_entries``."""
+    pairs = []
+    for coeff, cells in terms:
+        if isinstance(coeff, XiPoly):
+            coeff = coeff.subs(space.n)
+        pairs += [(cell, coeff) for cell in cells]
+    return ExactMatrix.from_entries(space.dim, space.dim, pairs)
+
+
+def assert_pair_route(matrix, space, terms):
+    # == alone would not tell an int entry from an integral Fraction
+    want = pair_route(space, terms)
+    assert matrix == want
+    assert [[type(v) for v in row.values()] for row in matrix._rows] == [
+        [type(v) for v in row.values()] for row in want._rows
+    ]
+
+
+def phi_terms(a, space):
+    return [(c, tensor._diagram_cells(d, space, a.basis == "orbit")) for d, c in a.sum.terms()]
+
+
+def psi_terms(x, space):
+    return [(c, tensor._rook_cells(rho, space)) for rho, c in x.terms()]
+
+
 def test_diagram_cells_match_the_dict_route():
     cases = [(TensorSpace(n, 2), "A", 2) for n in (2, 3)]
     cases += [(TensorSpace(n, 3), "I", 3) for n in (2, 3)]
@@ -612,6 +640,7 @@ def test_xi_coefficients_on_a_half_space_match_the_dict_route():
                 space, [(c, old_entries_from_assignments(d, space, basis == "orbit")) for d, c in a.sum.items()]
             )
             assert phi_element(a, space) == want, (space, basis)
+            assert_pair_route(phi_element(a, space), space, phi_terms(a, space))
 
 
 def test_element_actions_match_the_dict_route():
@@ -632,6 +661,7 @@ def test_element_actions_match_the_dict_route():
                     space, [(c, old_entries_from_assignments(d, space, injective)) for d, c in a.sum.items()]
                 )
                 assert phi_element(a, space) == want
+                assert_pair_route(phi_element(a, space), space, phi_terms(a, space))
         # xi-polynomial coefficients, from products in the diagram basis
         polys = 0
         for _ in range(6):
@@ -645,9 +675,100 @@ def test_element_actions_match_the_dict_route():
                 space, [(c, old_entries_from_assignments(d, space, False)) for d, c in prod.sum.items()]
             )
             assert phi_element(prod, space) == want
+            assert_pair_route(phi_element(prod, space), space, phi_terms(prod, space))
         assert polys
         rooks = enumerate_rook(n)
         for _ in range(4):
             x = FormalSum([(rho, rng.choice(pool)) for rho in rng.sample(rooks, 5)])
             want = old_combination(space, [(c, old_rook_entries(rho, space)) for rho, c in x.items()])
             assert psi_element(x, space) == want
+            assert_pair_route(psi_element(x, space), space, psi_terms(x, space))
+
+
+def test_actions_name_a_cell_outside_the_matrix():
+    # a row past either end, caught per term; a column, caught per row
+    for cells, cell in (
+        ([(0, 0), (4, 1)], (4, 1)),
+        ([(0, 0), (-1, 2)], (-1, 2)),
+        ([(1, 0), (2, 7)], (2, 7)),
+        ([(1, -3), (1, 1)], (1, -3)),
+    ):
+        with pytest.raises(IndexError) as outside:
+            tensor._action(2, 4, [(1, []), (Fraction(1, 2), cells)])
+        assert str(outside.value) == f"entry {cell} outside a 4x4 matrix"
+
+
+# --- letter-set blocks ----------------------------------------------------------
+
+
+def letter_set_words(space, letters):
+    """Basis indices of the words whose letters, with n on a half space, are
+    exactly ``letters``, in basis order."""
+    extra = {space.n} if space.half else set()
+    return [i for i, w in enumerate(space.basis) if set(w) | extra == letters]
+
+
+BLOCK_CASES = [(1, 2, False), (2, 2, False), (3, 2, False), (3, 3, False), (4, 3, False),
+               (2, 1, True), (3, 2, True), (4, 2, True), (4, 3, True)]
+
+
+@pytest.mark.parametrize("n, k, half", BLOCK_CASES)
+def test_letter_blocks_are_the_whole_space_action_on_each_letter_set(n, k, half):
+    space = TensorSpace(n, k, half)
+    size = k + half
+    blocks = [tensor.LetterBlock(n, k, r, half) for r in range(1, min(n, size) + 1)]
+    assert [b.dim for b in blocks] == [tensor.letter_block_dim(k, b.r, half) for b in blocks]
+    assert sum(b.copies * b.dim for b in blocks) == n**k
+    kind = "I_half" if half else "I"
+    diagrams = enumerate_monoid(kind, k)
+    for basis in ("diagram", "orbit"):
+        a = AlgebraElement(size, basis, [(d, COEFFS[i % len(COEFFS)]) for i, d in enumerate(diagrams)], half=half)
+        whole = phi_element(a, space)
+        # the premise: no entry joins two letter sets
+        extra = {n} if half else set()
+        for i, row in enumerate(whole._rows):
+            assert all(set(space.basis[i]) | extra == set(space.basis[j]) | extra for j in row)
+        for block in blocks:
+            sets = [set(c) for c in combinations(range(1, n + 1), block.r) if not half or n in c]
+            assert len(sets) == block.copies
+            on_block = tensor.phi_block(a, block)
+            for letters in sets:
+                idx = letter_set_words(space, letters)
+                assert ExactMatrix([[whole[i, j] for j in idx] for i in idx]) == on_block, (basis, block, letters)
+
+
+def test_blocks_refuse_a_term_that_joins_two_letter_sets():
+    # the first one-row block takes the letter 1, the others 2, 3, ... in the
+    # orbit basis and n in the diagram basis; the named entry is one of the
+    # whole space's
+    cases = [
+        (tensor.LetterBlock(3, 2, 1), "[[1],[2,-1,-2]]", "orbit", (1, 2), (2, 2)),
+        (tensor.LetterBlock(3, 2, 2), "[[1],[2,-1,-2]]", "diagram", (1, 3), (3, 3)),
+        (tensor.LetterBlock(3, 2, 2), "[[1,-1],[2],[-2]]", "orbit", (2, 1), (2, 3)),
+        (tensor.LetterBlock(3, 1, 1, half=True), "[[1],[-1],[2,-2]]", "orbit", (1,), (2,)),
+        (tensor.LetterBlock(3, 1, 2, half=True), "[[1],[-1,2,-2]]", "diagram", (1,), (3,)),
+    ]
+    for block, text, basis, a, b in cases:
+        d = D(text, half=block.half)
+        x = AlgebraElement.from_diagram(d, basis=basis)
+        with pytest.raises(RuntimeError) as refused:
+            tensor.phi_block(x, block)
+        assert str(refused.value) == f"{d} has a one-row block: its entry at the words {a} and {b} joins two letter sets"
+        space = TensorSpace(block.n, block.k, block.half)
+        index = word_index(space)
+        assert phi_element(x, space)[index[a], index[b]] == 1
+
+
+def test_blocks_admit_one_row_terms_that_join_nothing():
+    # an orbit element with more blocks than letters acts as 0, and with one
+    # letter every word is 1...1
+    x = AlgebraElement.from_diagram(D("[[1],[2],[-1],[-2]]"), basis="orbit")
+    assert tensor.phi_block(x, tensor.LetterBlock(3, 2, 2)) == ExactMatrix.zeros(2, 2)
+    y = AlgebraElement.from_diagram(D("[[1],[2,-1,-2]]"))
+    assert tensor.phi_block(y, tensor.LetterBlock(1, 2, 1)) == phi_element(y, TensorSpace(1, 2))
+
+
+def test_letter_blocks_refuse_a_size_they_do_not_have():
+    for n, k, r, half in ((3, 2, 0, False), (3, 2, 3, False), (2, 3, 3, False), (3, 2, 4, True)):
+        with pytest.raises(ValueError):
+            tensor.LetterBlock(n, k, r, half)

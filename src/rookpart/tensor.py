@@ -192,14 +192,9 @@ class LetterBlock:
         self.n, self.k, self.r, self.half = n, k, r, half
         self.copies = comb(n - 1, r - 1) if half else comb(n, r)
         full = self._full = (1 << r) - 1
-        start = 1 << (r - 1) if half else 0
-        words = []
-        for i, word in enumerate(product(range(r), repeat=k)):
-            used = start
-            for x in word:
-                used |= 1 << x
-            if used == full:
-                words.append(i)
+        # the words on r letters are the diagonal cells of the identity
+        identity = PartitionDiagram.identity(k + half, half)
+        words = [w for w, _, used in _grown_cells(identity, r, k, half, injective=False) if used == full]
         self._index = {w: i for i, w in enumerate(words)}
         self.dim = len(words)
 

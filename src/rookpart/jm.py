@@ -161,39 +161,36 @@ def tower_lift(a: AlgebraElement, target) -> AlgebraElement:
     return a
 
 
-def _lifted_difference(build, bottom, y, t, lifted) -> AlgebraElement:
-    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2.
-    Each lift is read from, or kept in, the dict ``lifted`` when one is given."""
+def _lifted_difference(build, bottom, y, t) -> AlgebraElement:
+    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2."""
     y, t = as_level(y), as_level(t)
     if y > t:
         raise ValueError("y exceeds the ambient level")
     if y == HALF:
         return bottom(t)
-    lifted = {} if lifted is None else lifted
-    for x in (y, y - HALF):
-        if x not in lifted:
-            lifted[x] = tower_lift(build(x), t)
-    return lifted[y] - lifted[y - HALF]
+    return tower_lift(build(y), t) - tower_lift(build(y - HALF), t)
 
 
-def build_m(y, t, lifted: dict | None = None) -> AlgebraElement:
+def build_m(y, t) -> AlgebraElement:
     """M at position y inside the level-t algebra: M_{1/2} = 1 and otherwise
-    the difference of consecutive lifted Z's.  A caller that asks for several
-    y at one t can pass one dict as ``lifted``, so that each Z is built and
-    lifted once."""
-    return _lifted_difference(build_z, identity_element, y, t, lifted)
+    the difference of consecutive lifted Z's."""
+    return _lifted_difference(build_z, identity_element, y, t)
 
 
-def build_m_tilde(y, t, lifted: dict | None = None) -> AlgebraElement:
+def build_m_tilde(y, t) -> AlgebraElement:
     """M~ likewise from Z~, with M~_{1/2} = 0."""
-    return _lifted_difference(build_z_tilde, zero_element, y, t, lifted)
+    return _lifted_difference(build_z_tilde, zero_element, y, t)
 
 
 def _m_family(t) -> list[tuple[Fraction, AlgebraElement, AlgebraElement]]:
-    """(y, M_y, M~_y) for every y up to t, each Z and Z~ built and lifted to
-    t once."""
-    lifted, lifted_tilde = {}, {}
-    return [(y, build_m(y, t, lifted), build_m_tilde(y, t, lifted_tilde)) for y in levels_upto(t)]
+    """(y, M_y, M~_y) for every y up to t.  The tower embedding is linear, so
+    past y = 1/2 each M_y is taken at its own level y, where only Z_{y-1/2} is
+    lifted, one step, and the difference is lifted to t once, rather than
+    both Z's."""
+    family = [(HALF, build_m(HALF, t), build_m_tilde(HALF, t))]
+    for y in levels_upto(t)[1:]:
+        family.append((y, tower_lift(build_m(y, y), t), tower_lift(build_m_tilde(y, y), t)))
+    return family
 
 
 def verify_centrality(t) -> dict:

@@ -217,10 +217,10 @@ def _integer_gauss_jordan(rows) -> dict:
     r := a r - b p taken with the smallest integers a, b that clear the
     column, and each pivot row divided by the gcd of its entries.  Returns
     ``{pivot column: pivot row}``: the reduced row echelon form with each
-    row scaled to integers with no common factor."""
+    row scaled to integers with no common factor.  The rows must be dicts of
+    nonzero ints that the caller gives up: they are modified in place."""
     pivots = {}
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
         while row:
             c = min(row)
             p = pivots.get(c)
@@ -264,8 +264,9 @@ def nullspace(m: ExactMatrix) -> list:
     """
     rows = []
     for row in m._rows:
+        # every value to an int, integral Fractions too, since gcd takes ints only
         scale = lcm(*(v.denominator for v in row.values()))
-        rows.append({k: v.numerator * (scale // v.denominator) for k, v in row.items()} if scale > 1 else row)
+        rows.append({k: v.numerator * (scale // v.denominator) for k, v in row.items() if v})
     pivots = _integer_gauss_jordan(rows)
     basis = {f: {f: 1} for f in range(m.cols) if f not in pivots}
     for c, row in pivots.items():

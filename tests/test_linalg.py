@@ -426,6 +426,25 @@ def test_a_shared_family_gives_the_bases_of_a_fresh_one(t, n):
         assert simultaneous_eigenspace(shared, values) == simultaneous_eigenspace(CommutingFamily(ops), values)
 
 
+def test_elimination_takes_integral_fractions_from_products_and_multiples():
+    # `*` and `scaled` keep the Fractions their arithmetic gives, integral ones
+    # included, and a Fraction operator at a Fraction eigenvalue gives them too
+    halves = ExactMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2), Fraction(3, 2)]])
+    for m in (halves * ExactMatrix.identity(2).scaled(2), halves.scaled(Fraction(4))):
+        assert any(type(v) is Fraction for row in m._rows for v in row.values())
+        assert [dense(v, 2) for v in nullspace(m)] == dense_nullspace(m.data, 2)
+    assert nullspace(ExactMatrix([[Fraction(1, 2)]]) * ExactMatrix([[2]])) == []
+    assert simultaneous_eigenspace([ExactMatrix([[Fraction(3, 2)]])], [Fraction(1, 2)]) == []
+    op = ExactMatrix([[Fraction(1, 2), Fraction(1, 2)], [0, Fraction(3, 2)]])
+    ops = [op, op * op]
+    for values, want in (
+        ([Fraction(1, 2), Fraction(1, 4)], [{0: 1}]),
+        ([Fraction(3, 2), Fraction(9, 4)], [{0: Fraction(1, 2), 1: 1}]),
+        ([Fraction(3, 2), Fraction(1, 4)], []),
+    ):
+        assert simultaneous_eigenspace(ops, values) == want == stacked_eigenspace(ops, values)
+
+
 def test_prefix_kernels_are_kept_and_a_killed_kernel_is_inherited():
     a = ExactMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     family = CommutingFamily([ExactMatrix.identity(3), a])

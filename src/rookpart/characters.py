@@ -14,6 +14,8 @@ sub-multisets nu of mu with |nu| = |lam| of prod_l C(m_l(mu), m_l(nu))
 chi_lam(nu), where m_l counts the parts equal to l.  Each type's sub-multisets
 are listed once, by size, and chi_lam(nu) comes from the Murnaghan-Nakayama
 rule, which ends at f_lam on fixed points; values are cached by (shape, type).
+``tensor_multiplicities`` solves the block-triangular system of these values at
+the closed types size by size, by column orthogonality in each S_m.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import product
-from math import comb, prod
+from fractions import Fraction
+from math import comb, factorial, prod
 
 from .combinat import (
     Partition,
@@ -29,11 +32,11 @@ from .combinat import (
     corner_set,
     f_lambda,
     move_steps,
+    partitions,
     partitions_upto,
     shape_key,
 )
 from .limits import check
-from .linalg import ExactMatrix, solve_unique
 from .rook import RookElement
 
 
@@ -177,29 +180,51 @@ def kronecker_with_defining(lam, n: int, verify: bool = True) -> dict[Partition,
     return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))
 
 
+def _class_size(mu: Partition) -> int:
+    """Number of permutations of cycle type mu in S_|mu|: |mu|! / prod_l l^m_l m_l!."""
+    return factorial(sum(mu)) // prod(length**m * factorial(m) for length, m in Counter(mu).items())
+
+
 def tensor_multiplicities(n: int, k: int) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the k-th tensor power of the
     defining representation, solved exactly from characters.
 
-    The system is square, one row per class of R_n, that is per closed type
-    mu of size at most n, read off the type with no representative built.  At
-    type mu the tensor character is the trace of an element on V^(x)k, which
-    is (#fixed points)^k = mu.count(1)^k.  The right-hand side comes from the
+    There is one equation per class of R_n, that is per closed type mu of size
+    at most n, read off the type with no representative built.  At type mu the
+    tensor character is the trace of an element on V^(x)k, which is
+    (#fixed points)^k = mu.count(1)^k.  The right-hand side comes from the
     action on the tensor space, not from any branching-graph count.
+
+    The system is block-triangular: chi*_lam(mu) is 0 when |lam| > |mu| and
+    chi_lam(mu) when |lam| = |mu|.  So at each size m = 0..n, the types of size
+    m lose the smaller shapes' share of their right-hand side, and S_m's
+    character table is inverted by column orthogonality, in ints:
+    a_lam = (1/m!) sum_mu |C_mu| chi_lam(mu) residual_mu.  A multiplicity that
+    is not a nonnegative integer raises ValueError; a type that does not get
+    its (#fixed points)^k back raises RuntimeError naming both values.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    shapes = partitions_upto(n)
-    rows = [[_chi_star_by_type(lam, mu) for lam in shapes] for mu in shapes]
-    rhs = [mu.count(1) ** k for mu in shapes]
-    sol = solve_unique(ExactMatrix(rows), rhs)
-    out = {}
-    for lam, m in zip(shapes, sol):
-        if m.denominator != 1 or m < 0:
-            raise ValueError(
-                f"multiplicity of {lam} in the tensor power n={n}, k={k} is {m}, "
-                "not a nonnegative integer"
-            )
-        if m:
-            out[lam] = int(m)
+    out: dict[Partition, int] = {}
+    for m in range(n + 1):
+        types, order = partitions(m), factorial(m)
+        rhs = [mu.count(1) ** k for mu in types]
+        residual = [r - sum(a * _chi_star_by_type(lam, mu) for lam, a in out.items()) for mu, r in zip(types, rhs)]
+        weighted = [_class_size(mu) * r for mu, r in zip(types, residual)]
+        for lam in types:
+            total = sum(w * _chi_star_by_type(lam, mu) for mu, w in zip(types, weighted))
+            a, rem = divmod(total, order)
+            if rem or a < 0:
+                raise ValueError(
+                    f"multiplicity of {lam} in the tensor power n={n}, k={k} is "
+                    f"{Fraction(total, order)}, not a nonnegative integer"
+                )
+            if a:
+                out[lam] = a
+        for mu, r, rest in zip(types, rhs, residual):
+            got = r - rest + sum(out.get(lam, 0) * _chi_star_by_type(lam, mu) for lam in types)
+            if got != r:
+                raise RuntimeError(
+                    f"tensor multiplicities n={n}, k={k} give {got} at closed type {mu}, not (#fixed points)^k = {r}"
+                )
     return dict(sorted(out.items(), key=lambda kv: shape_key(kv[0])))

@@ -43,8 +43,8 @@ LIMITS = {
     "propagating tower": Limit("level", 30),
     "rook irreducibles": Limit("n", 40),
     "propagating irreducibles": Limit("level", 17),
-    # measured on ``mult --n 15 --k 15 --lambda 2,1`` (2.1-3.6 s; n = 16 took 4.9 s)
-    "tensor multiplicities": Limit("n", 15),
+    # measured on ``mult --n 16 --k 16 --lambda 2,1`` (2.4-2.9 s, 98 MB; n = 17 took 3.7 s)
+    "tensor multiplicities": Limit("n", 16),
     "tensor power": Limit("k", 2_000),
     # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
     "shape size": Limit("|lambda|", 120_000),

@@ -2,14 +2,13 @@
 
 Matrices are immutable and stored by rows: each row is a dict
 ``{column: value}`` holding only its nonzero entries.  Values stay Python
-ints until a division forces a Fraction.  Entries and solution vectors are
-handed back as Fractions; kernel vectors stay sparse dicts of exact ints and
-Fractions.
+ints until a division forces a Fraction.  Entries are handed back as
+Fractions; kernel vectors stay sparse dicts of exact ints and Fractions.
 
 All elimination is sparse Gauss-Jordan with exact pivoting: over the
-rationals for ranks, commutants and solutions, and without fractions, on
-integer rows with no common factor, for kernels.  There is no tolerance
-anywhere.
+rationals for ranks and commutants, and without fractions, on integer rows
+with no common factor, for kernels and joint eigenspaces.  There is no
+tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -167,17 +166,15 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _gauss_jordan(rows, reduced: bool) -> dict:
+def _gauss_jordan(rows) -> dict:
     """Sparse Gauss-Jordan elimination of rows given as {column: value} dicts.
 
     Returns ``{pivot column: pivot row}``, each pivot row scaled to a leading
     1 at its pivot column; the number of pivots is the rank.  Rows are taken
     one at a time and eliminated at their lowest column until they either
     start a new pivot or empty out (a dependent row), so pivot rows stay
-    sparse.  With ``reduced`` each pivot column is also cleared from the
-    pivot rows above it, giving the reduced row echelon form.  That form is
-    unique, so kernel bases and solutions do not depend on the row order;
-    rank-only callers skip the step.  The input rows are not modified.
+    sparse.  Pivot columns are not cleared from the pivot rows above them:
+    every caller reads only the rank.  The input rows are not modified.
     """
     pivots = {}
     for row in rows:
@@ -192,15 +189,6 @@ def _gauss_jordan(rows, reduced: bool) -> dict:
                 pivots[c] = row
                 break
             _axpy(row, -row[c], p)
-    if reduced:
-        order = sorted(pivots)
-        for idx in range(len(order) - 1, 0, -1):
-            p = pivots[order[idx]]
-            for c in order[:idx]:
-                q = pivots[c]
-                f = q.get(order[idx])
-                if f:
-                    _axpy(q, -f, p)
     return pivots
 
 
@@ -213,9 +201,10 @@ def _primitive(row: dict) -> dict:
 def _integer_gauss_jordan(rows) -> dict:
     """Fraction-free sparse Gauss-Jordan elimination of integer rows.
 
-    The same steps as ``_gauss_jordan`` with ``reduced``, each row operation
-    r := a r - b p taken with the smallest integers a, b that clear the
-    column, and each pivot row divided by the gcd of its entries.  Returns
+    The same steps as ``_gauss_jordan``, each row operation r := a r - b p
+    taken with the smallest integers a, b that clear the column, and each
+    pivot row divided by the gcd of its entries; then each pivot column is
+    cleared from the pivot rows above it the same way.  Returns
     ``{pivot column: pivot row}``: the reduced row echelon form with each
     row scaled to integers with no common factor.  The rows must be dicts of
     nonzero ints that the caller gives up: they are modified in place."""
@@ -277,27 +266,10 @@ def nullspace(m: ExactMatrix) -> list:
     return list(basis.values())
 
 
-def solve_unique(a: ExactMatrix, rhs) -> tuple:
-    """Solve a x = rhs when the solution exists and is unique; raise otherwise."""
-    if len(rhs) != a.rows:
-        raise ValueError("dimension mismatch")
-    n = a.cols
-    augmented = []
-    for row, v in zip(a._rows, rhs):
-        v = _exact(v)
-        augmented.append({**row, n: v} if v else row)
-    pivots = _gauss_jordan(augmented, reduced=True)
-    if n in pivots:
-        raise ValueError("inconsistent system")
-    if len(pivots) != n:
-        raise ValueError("underdetermined system")
-    return tuple(Fraction(pivots[c].get(n, 0)) for c in range(n))
-
-
 def sparse_rank_of_vectors(vectors) -> int:
     """Rank of a family of vectors given as {index: coefficient} dicts."""
     rows = ({k: _exact(v) for k, v in vec.items() if v} for vec in vectors)
-    return len(_gauss_jordan(rows, reduced=False))
+    return len(_gauss_jordan(rows))
 
 
 def _commutator_rows(g: ExactMatrix, ids):
@@ -345,7 +317,7 @@ def commutant_dimension(generators, unknowns) -> int:
     names = {}
     ids = [names.setdefault(u, len(names)) for u in unknowns]
     rows = chain.from_iterable(_commutator_rows(g, ids) for g in generators)
-    return len(names) - len(_gauss_jordan(rows, reduced=False))
+    return len(names) - len(_gauss_jordan(rows))
 
 
 class CommutingFamily(tuple):

@@ -1,10 +1,9 @@
 import random
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -27,10 +26,10 @@ from rookpart.combinat import (
     partitions_upto,
     shape_key,
 )
-from rookpart.linalg import ExactMatrix, solve_unique
 from rookpart.rook import RookElement, enumerate_rook, generator, rook_mul
 from rookpart.seminormal import RookIrrep
 from rookpart.tensor import TensorSpace, psi_rook
+from test_linalg import dense_rref, dense_solve
 
 
 def trace(m):
@@ -313,13 +312,28 @@ def test_kronecker_failure_reports_witness(monkeypatch):
 
 
 def test_tensor_multiplicities_rejects_non_integral_solution(monkeypatch):
-    from rookpart import characters
-
-    shapes = partitions_upto(2)
-    fake = tuple(Fraction(1, 2) if lam == (1,) else Fraction(0) for lam in shapes)
-    monkeypatch.setattr(characters, "solve_unique", lambda a, rhs: fake)
-    with pytest.raises(ValueError, match=r"multiplicity of \(1,\).* is 1/2"):
+    # a planted fault: the order of S_1 read as 2, so the one term at size 1 halves
+    real = characters.factorial
+    monkeypatch.setattr(characters, "factorial", lambda m: 2 if m == 1 else real(m))
+    message = "multiplicity of (1,) in the tensor power n=2, k=1 is 1/2, not a nonnegative integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tensor_multiplicities(2, 1)
+
+
+def test_tensor_multiplicities_check_names_the_type(monkeypatch):
+    # a planted fault: the class of the identity in S_1 counted twice, so (1,)
+    # comes out twice and the types of size 1 get 2 back, not 1^k
+    real = characters._class_size
+    monkeypatch.setattr(characters, "_class_size", lambda mu: 2 if mu == (1,) else real(mu))
+    message = "tensor multiplicities n=2, k=3 give 2 at closed type (1,), not (#fixed points)^k = 1"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        tensor_multiplicities(2, 3)
+
+
+def test_class_sizes_count_each_symmetric_group():
+    for m in range(8):
+        assert sum(characters._class_size(mu) for mu in partitions(m)) == factorial(m)
+    assert [characters._class_size(mu) for mu in partitions(4)] == [6, 8, 3, 6, 1]
 
 
 def test_tensor_multiplicities_needs_positive_sizes():
@@ -467,10 +481,25 @@ def _tensor_multiplicities_over_monoid(n, k):
     shapes = partitions_upto(n)
     space = TensorSpace(n, k)
     elements = enumerate_rook(n)
-    rows = [[Fraction(chi_star(lam, sigma)) for lam in shapes] for sigma in elements]
+    rows = [[chi_star(lam, sigma) for lam in shapes] for sigma in elements]
     rhs = [trace(psi_rook(sigma, space)) for sigma in elements]
-    sol = solve_unique(ExactMatrix(rows), rhs)
-    return {lam: int(m) for lam, m in zip(shapes, sol) if m}
+    sol = dense_solve(rows, rhs)
+    assert sol is not None, (n, k)
+    return {lam: m for lam, m in zip(shapes, sol) if m}
+
+
+def test_tensor_multiplicities_match_the_closed_type_system():
+    # the former route: the square system of every shape at every closed type,
+    # eliminated whole, one right-hand side (#fixed points)^k per k
+    ks = range(1, 8)
+    for n in range(1, 11):
+        shapes = partitions_upto(n)
+        rows = [[_chi_star_by_type(lam, mu) for lam in shapes] + [mu.count(1) ** k for k in ks] for mu in shapes]
+        reduced, pivots = dense_rref(rows, len(shapes) + len(ks))
+        assert pivots == list(range(len(shapes)))
+        for j, k in enumerate(ks):
+            solved = {lam: row[len(shapes) + j] for lam, row in zip(shapes, reduced) if row[len(shapes) + j]}
+            assert tensor_multiplicities(n, k) == solved, (n, k)
 
 
 def test_tensor_multiplicities_match_monoid_system():

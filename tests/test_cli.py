@@ -163,7 +163,7 @@ REFUSALS = [
     (["dims", "--t", "30"], "propagating irreducibles: level = 30 exceeds the limit 17", [(bratteli, "ihat")]),
     (
         ["mult", "--lambda", "1", "--k", "3", "--n", "30"],
-        "tensor multiplicities: n = 30 exceeds the limit 15",
+        "tensor multiplicities: n = 30 exceeds the limit 16",
         [(combinat, "stirling2"), (bratteli, "rhat"), (characters, "tensor_multiplicities")],
     ),
     (

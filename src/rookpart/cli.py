@@ -37,8 +37,14 @@ def parse_level(text: str) -> Fraction:
 
 
 def parse_int_lists(text: str, depth: int, what: str):
-    """A JSON argument made of lists of integers nested exactly depth deep."""
-    value = json.loads(text)
+    """A JSON argument made of lists of integers nested exactly depth deep.
+    Text that is not JSON gets the same one-line message, naming ``what``,
+    as JSON of another shape."""
+    message = f"{what} must be JSON lists of integers nested {depth} deep"
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        raise ValueError(message) from None
 
     def fits(x, d):
         if d == 0:
@@ -46,12 +52,12 @@ def parse_int_lists(text: str, depth: int, what: str):
         return isinstance(x, list) and all(fits(y, d - 1) for y in x)
 
     if not fits(value, depth):
-        raise ValueError(f"{what} must be JSON lists of integers nested {depth} deep")
+        raise ValueError(message)
     return value
 
 
-def parse_diagram(text: str) -> diagram.PartitionDiagram:
-    blocks = parse_int_lists(text, 2, "a diagram")
+def parse_diagram(text: str, option: str) -> diagram.PartitionDiagram:
+    blocks = parse_int_lists(text, 2, option)
     check("diagram size", max((abs(v) for b in blocks for v in b), default=0))
     return diagram.PartitionDiagram.parse(text)
 
@@ -88,15 +94,15 @@ def emit(payload) -> None:
 
 
 def _cmd_compose(args) -> int:
-    d1 = parse_diagram(args.d1)
-    d2 = parse_diagram(args.d2)
+    d1 = parse_diagram(args.d1, "--d1")
+    d2 = parse_diagram(args.d2, "--d2")
     composed, loops = diagram.compose(d1, d2)
     emit({"diagram": str(composed), "xi_power": loops})
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    d = parse_diagram(args.diagram)
+    d = parse_diagram(args.diagram, "--diagram")
     elem = diagram.AlgebraElement.from_diagram(
         d, basis="orbit" if args.direction == "from-orbit" else "diagram"
     )
@@ -366,7 +372,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,10 @@ Products do only the work whose result they keep:
 - An orbit-basis product x_{d1} x_{d2} vanishes unless the bottom row of d1
   and the top row of d2 induce the same set partition (the middle rows
   match), so the orbit product indexes the right factor's terms by top row
-  and pairs each left term only with the terms its bottom row matches.
+  and pairs each left term only with the terms its bottom row matches.  In
+  such a pair each block of d1 with a bottom part meets exactly one block
+  of d2, the one whose top part it is, so d1 ∘ d2 is read off by a lookup
+  on those parts, with no search for components.
 - ``compose`` works on 3k-bit masks: d1's masks shifted up by k put its
   bottom row on the middle bits k..2k-1, where d2's top row already sits.
   Each mask of d2 absorbs the components it meets; the components with no
@@ -30,7 +33,8 @@ Products do only the work whose result they keep:
   and kept for the process: A_k is listed as a generator tree, the
   breadth-first closure of the identity under right multiplication by s_i,
   p_1 and b_1, so only the diagram-times-generator cells are composed (812
-  at size 3), and every other cell takes two reads of cells already filled.
+  at size 3), and every other column is gathered whole from a column
+  already filled, through one list per generator and loop count.
   One int cell per pair holds the result's id times k+1 plus its loop count,
   Bell(2k)^2 cells in all (41,209 at size 3, 165 KB).  The sums stay on
   those ints: each cell is split once, and each result term is the table's
@@ -40,8 +44,10 @@ Products do only the work whose result they keep:
 - ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
   value, for the latter) over one cached table of a diagram's coarsenings,
   built by adding its masks one at a time, each into a new group or OR-ed
-  into one; they never read the product table.  The orbit product adds
-  c1*c2 times cached int rows of its falling-factorial structure constants.
+  into one; they never read the product table.  An element of one diagram
+  sums nothing: its coarsenings are distinct, so the result's entries are
+  the table's, each times the coefficient.  The orbit product adds c1*c2
+  times cached int rows of its falling-factorial structure constants.
 
 Inside a product or a change of basis, every coefficient is summed in one
 form: per result key (its block-mask tuple, or its product-table id), a list
@@ -59,7 +65,8 @@ sums carry Fraction or XiPoly coefficients, never ints.  Zero sums are
 dropped as the entries are made, so the result skips the public
 constructors' checks.  An element that holds only its sum, as one built
 through the public constructor does, has it read into entries once, by the
-first product or change of basis that reads it.
+first product, change of basis or comparison that reads it.  Two elements
+are compared on their entries, so ``==`` builds no sum either.
 
 ``generating_set`` names generators of I_k and I_{k+1/2} (5 of the 339
 diagrams of I_4), and their closure is the one listing of the monoid, made
@@ -80,6 +87,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, repeat
 from math import factorial
+from operator import itemgetter
 
 from .combinat import bell, canonical_set_partition, set_partitions, stirling2
 from .formal import FormalSum
@@ -422,13 +430,17 @@ class AlgebraElement:
         return self._like(self.sum - other.sum)
 
     def __eq__(self, other):
+        """Same level and basis, and the same coefficient at every power of
+        xi of every diagram.  Both sides are compared on their entries (see
+        ``_entries``), so no sum is built; an XiPoly constant and its
+        Fraction give the same entry, as they compare equal in a sum."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return (
             self.size == other.size
             and self.half == other.half
             and self.basis == other.basis
-            and self.sum == other.sum
+            and _entry_values(self) == _entry_values(other)
         )
 
     def __bool__(self):
@@ -466,6 +478,11 @@ def _entries(a: AlgebraElement) -> tuple[list, int]:
                 out.append((d, 0, c.numerator if c.denominator == 1 else c))
         kept = a._kept = out, degree
     return kept
+
+
+def _entry_values(a: AlgebraElement) -> dict:
+    """{(masks, j): c} over the entries of a."""
+    return {(d._masks, j): x for d, j, x in _entries(a)[0]}
 
 
 class _Coeffs(dict):
@@ -554,10 +571,14 @@ class _ProductTable(dict):
     compositions (812 at size 3), and no other pair is composed.  By
     associativity, d_i d_j = xi^-l (d_i d_p) g, so the column of d_j is filled
     from the column of its parent d_p and that of g, in id order: cell(i, j)
-    = gen_g[cell(i, p) // (k+1)] + cell(i, p) % (k+1) - l.  Every closure
-    element is a diagram of size k, so the closure is all of A_k exactly when
-    it has Bell(2k) elements; this is checked on every build, and a shortfall
-    raises RuntimeError naming the size reached.
+    = gen_g[c // (k+1)] + c % (k+1) - l with c = cell(i, p).  That value
+    depends only on c, g and l, so it is listed once per (g, l) pair the
+    tree uses, as ``step[c]`` for each of the Bell(2k) * (k+1) packed cells
+    c, and each column is one gather of the parent's cells from that list
+    (``operator.itemgetter``), with no Python-level work per cell.  Every
+    closure element is a diagram of size k, so the closure is all of A_k
+    exactly when it has Bell(2k) elements; this is checked on every build,
+    and a shortfall raises RuntimeError naming the size reached.
 
     ``diagrams(half)`` lists the diagram of each id, made once per half flag,
     so the products read at this size share their result diagrams (and the
@@ -593,9 +614,12 @@ class _ProductTable(dict):
         # one column at a time, in place: no more than the array and one column is held
         cells = self.cells = array("i", [0]) * (cap * cap)
         cells[::cap] = array("i", range(0, cap * width, width))  # d_i ∘ 1 = d_i
+        steps = {}  # (g, l) -> the new cell for each packed cell c
         for j, (p, g, loops) in enumerate(tree[1:], 1):
-            gen = columns[g]
-            cells[j::cap] = array("i", [gen[c // width] + c % width - loops for c in cells[p::cap]])
+            step = steps.get((g, loops))
+            if step is None:
+                step = steps[g, loops] = [c + r - loops for c in columns[g] for r in range(width)]
+            cells[j::cap] = array("i", itemgetter(*cells[p::cap])(step))
 
     def diagrams(self, half: bool) -> list[PartitionDiagram]:
         """The diagram of each id, with the half flag given, built the first
@@ -682,8 +706,21 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
     """Each term of a spread over its upset, times the Möbius value or 1; the
-    upset's diagrams are the result's."""
+    upset's diagrams are the result's.
+
+    When every entry of a has one diagram d, the coarsenings of d are
+    distinct and mu is never 0, so nothing is summed: at each coarsening c
+    of the cached upset of d, in its order, each entry (d, j, x) of a gives
+    the entry (c, j, mu x) or (c, j, x), an int wherever it is integral.
+    Two or more diagrams are summed per coarsening in a ``_Coeffs``."""
     entries, degree = _entries(a)
+    if entries and all(e[0] is entries[0][0] for e in entries):
+        powers = [(j, x) for _, j, x in entries]
+        out = [(c, j, mu * x if mobius else x) for c, mu in _upset(entries[0][0]) for j, x in powers]
+        if mobius and any(type(x) is not int for _, x in powers):
+            # mu times a Fraction can be integral
+            out = [(c, j, y.numerator if y.denominator == 1 else y) for c, j, y in out]
+        return AlgebraElement._from_entries(a.size, basis, out, degree, a.half)
     acc = _Coeffs(degree + 1)
     width, made = acc.width, acc.made
     for d, j, x in entries:
@@ -735,13 +772,44 @@ def _orbit_pair_product(d1: PartitionDiagram, d2: PartitionDiagram) -> list:
     over the coarsenings of d1 ∘ d2 obtained by matching top-row-only blocks
     of d1 with bottom-row-only blocks of d2, with falling-factorial
     coefficients.
+
+    As the middle rows match, a block m of d1 with bottom part b = m & low
+    meets one block m2 of d2, the one whose top part m2 >> k is b, and only
+    that one: d2's blocks are indexed by top part, and the joined block is
+    m's top part with m2's bottom part, (m & high) | (m2 & low), or an
+    internal block when that is 0.  d1's top-only and d2's bottom-only blocks
+    pass through, and one descending sort gives d1 ∘ d2 in canonical order.
+    A bottom part with no partner means the rows do not match, and raises
+    ValueError naming both diagrams.
     """
     k = d1.size
-    comp, internal = _compose_masks(k, (m << k for m in d1._masks), d2._masks)
-    # blocks of one row only pass through composition unchanged
     low = (1 << k) - 1
-    top_only = [m for m in d1._masks if not m & low]
+    high = low << k
+    # d2's blocks by their top part, moved down onto the bottom row's bits
+    by_top = {m2 >> k: m2 for m2 in d2._masks if m2 > low}
+    top_only = []
+    joined = []
+    internal = 0
+    for m in d1._masks:
+        b = m & low
+        if not b:
+            top_only.append(m)
+            continue
+        m2 = by_top.get(b)
+        if m2 is None:
+            part = [-v for v in _block_table(k)[b]]
+            raise ValueError(
+                f"the middle rows of {d1} and {d2} do not match: "
+                f"the bottom part {part} of the first is no top part of the second"
+            )
+        outer = m & high | m2 & low
+        if outer:
+            joined.append(outer)
+        else:
+            internal += 1
+    # blocks of one row only pass through composition unchanged
     bottom_only = [m for m in d2._masks if m <= low]
+    comp = tuple(sorted(joined + top_only + bottom_only, reverse=True))
     out = [(comp, _falling_row(len(comp), internal))]  # d1 ∘ d2, no one-row blocks joined
     for n in range(1, min(len(top_only), len(bottom_only)) + 1):
         row = _falling_row(len(comp) - n, internal)

@@ -437,12 +437,13 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         (["character", "--lambda", "1", "--sigma", "5", "--n", "3"], "error: --sigma must be"),
         (["character", "--lambda", "1", "--sigma", "[[1,2,3]]", "--n", "3"], "error: --sigma pair [1, 2, 3] must have two entries"),
         (["character", "--lambda", "1", "--sigma", "[[1]]", "--n", "3"], "error: --sigma pair [1] must have two entries"),
-        (["compose", "--d1", "5", "--d2", "[[1,-1]]"], "error: a diagram must be"),
+        (["compose", "--d1", "5", "--d2", "[[1,-1]]"], "error: --d1 must be"),
+        (["compose", "--d1", "[[1,-1]]", "--d2", "[1]"], "error: --d2 must be"),
         (
             ["compose", "--d1", "[[1,-1]]", "--d2", "[[1,-1],[2,-2]]"],
             "error: cannot compose a size-1 diagram with a size-2 diagram",
         ),
-        (["orbit", "--diagram", "{}"], "error: a diagram must be"),
+        (["orbit", "--diagram", "{}"], "error: --diagram must be"),
         (["dims"], "error: dims needs --n and/or --t"),
         (["jm", "--t", "2"], "error: jm needs --n"),
         # zero denominators and an empty path, which once ended in tracebacks
@@ -463,6 +464,26 @@ def test_malformed_arguments_exit_2_without_traceback(capsys):
         assert "Traceback" not in err, argv
         if message is not None:
             assert len(err.splitlines()) == 1 and err.startswith(message), (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv, option, depth",
+    [
+        (["compose", "--d1", "x", "--d2", "[[1,-1]]"], "--d1", 2),
+        (["compose", "--d1", "[[1,-1]]", "--d2", "x"], "--d2", 2),
+        (["orbit", "--diagram", "x"], "--diagram", 2),
+        (["character", "--lambda", "1", "--sigma", "x", "--n", "2"], "--sigma", 2),
+        (["rsk", "--to-tableau", "x"], "--to-tableau", 2),
+        (["rsk", "--to-path", "x", "--k", "1"], "--to-path", 3),
+    ],
+)
+def test_json_options_name_themselves_on_text_that_is_not_json(capsys, argv, option, depth):
+    for text in ("x", "[[1,-1]", "{", "[[1]] 2"):
+        bad = [text if arg == "x" else arg for arg in argv]
+        assert main(bad) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be JSON lists of integers nested {depth} deep\n", bad
 
 
 def test_malformed_diagrams_exit_2_without_traceback(capsys):

@@ -510,6 +510,41 @@ def test_products_match_unmatched_oracles_on_single_diagrams():
             assert orbit_product_general(x1, x2).sum == x1.sum.bilinear(x2.sum, _oracle_tppa_pair)
 
 
+def test_matched_middles_compose_as_the_component_search_does():
+    # every matched pair of A_2, A_3 and I_{3 1/2}: the orbit product's first
+    # term is d1 ∘ d2 with no one-row blocks joined, and its falling-factorial
+    # row has degree equal to the number of internal blocks
+    count = 0
+    for monoid in (enumerate_monoid("A", 2), enumerate_monoid("A", 3), enumerate_monoid("I_half", 3)):
+        by_top = {}
+        for d2 in monoid:
+            by_top.setdefault(d2.top_partition(), []).append(d2)
+        for d1 in monoid:
+            k = d1.size
+            left = [m << k for m in d1._masks]
+            for d2 in by_top.get(d1.bottom_partition(), ()):
+                masks, loops = diagram._compose_masks(k, left, d2._masks)
+                first = diagram._orbit_pair_product(d1, d2)[0]
+                assert first == (masks, diagram._falling_row(len(masks), loops)), (d1, d2)
+                count += 1
+    assert count > 10_000
+
+
+def test_an_unmatched_middle_names_both_diagrams(monkeypatch):
+    # a planted fault: with every row read as the same partition, the orbit
+    # product pairs diagrams whose middle rows differ
+    monkeypatch.setattr(PartitionDiagram, "top_partition", lambda d: ())
+    monkeypatch.setattr(PartitionDiagram, "bottom_partition", lambda d: ())
+    x1 = AlgebraElement.from_diagram(D("[[1,-1],[2,-2]]"), basis="orbit")
+    x2 = AlgebraElement.from_diagram(D("[[1,2,-1,-2]]"), basis="orbit")
+    with pytest.raises(ValueError) as raised:
+        orbit_product_general(x1, x2)
+    assert str(raised.value) == (
+        "the middle rows of [[1,-1],[2,-2]] and [[1,2,-1,-2]] do not match: "
+        "the bottom part [1] of the first is no top part of the second"
+    )
+
+
 def _random_element(rng, pool, basis):
     # int, Fraction and XiPoly coefficients, constant XiPolys included
     coeffs = [1, -2, Fraction(3, 2), Fraction(-1), XI, XI - 2, XiPoly.const(3)]
@@ -586,6 +621,40 @@ def test_products_and_basis_changes_match_the_xipoly_summing_route():
             _assert_same_sum(to_orbit(y1), _old_over_upset(y1, mobius=False))
             x = _random_element(rng, monoid, "orbit")
             _assert_same_sum(from_orbit(x), _old_over_upset(x, mobius=True))
+
+
+def _merged_over_upset(a, mobius):
+    """_over_upset through its ``_Coeffs`` merge: a's entries, each split in
+    two between its diagram and an equal copy of it, so that no one diagram
+    holds them all."""
+    entries, degree = diagram._entries(a)
+    split = []
+    for d, j, x in entries:
+        copy = PartitionDiagram._from_masks(d.size, d._masks, d.half)
+        split += [(d, j, x - 1), (copy, j, 1)] if x != 1 else [(d, j, 2), (copy, j, -1)]
+    merged = AlgebraElement._from_entries(a.size, a.basis, split, degree, a.half)
+    return diagram._over_upset(merged, "diagram" if mobius else "orbit", mobius)
+
+
+def test_one_diagram_basis_changes_equal_the_merge():
+    half = D("[[1,-1],[2,3,-3],[-2]]", half=True)
+    coeffs = [1, -3, Fraction(2, 3), Fraction(-5), XI, XiPoly([Fraction(1, 2), 0, -2, 7]), XiPoly.const(4)]
+    for d in (D("[[1],[2],[3],[-1],[-2],[-3]]"), D("[[1,2],[-1],[3,-2,-3]]"), half):
+        for c in coeffs:
+            for basis, f, mobius in (("orbit", from_orbit, True), ("diagram", to_orbit, False)):
+                a = AlgebraElement(d.size, basis, [(d, c)], d.half)
+                got = f(a)
+                assert diagram._entries(got) == diagram._entries(_merged_over_upset(a, mobius)), (d, c)
+                _assert_same_sum(got, _old_over_upset(a, mobius))
+    # a half times mu is integral where mu is even: mu = 2 where the three top
+    # blocks of d merge, and -6 where all four do
+    d = D("[[1],[2],[3],[-1,-2,-3]]")
+    got = from_orbit(AlgebraElement(3, "orbit", [(d, Fraction(1, 2))]))
+    values = {c.blocks: x for c, _, x in diagram._entries(got)[0]}
+    assert values[((1, 2, 3), (-1, -2, -3))] == 1 and values[((1, 2, 3, -1, -2, -3),)] == -3
+    assert all(type(x) is int for x in values.values() if x.denominator == 1)
+    assert {type(x) for x in values.values()} == {int, Fraction}
+    _assert_same_sum(got, _old_over_upset(AlgebraElement(3, "orbit", [(d, Fraction(1, 2))]), mobius=True))
 
 
 def _cancelling_triple(monoid):
@@ -727,20 +796,42 @@ def _eager_sum(acc, a):
     return FormalSum._from_dict(out)
 
 
+def _summed_entries(entries, degree):
+    """The entries summed into a ``_Coeffs`` by block masks, as the merge
+    sums them, with each diagram kept to be reused."""
+    acc = diagram._Coeffs(degree + 1)
+    for d, j, x in entries:
+        if d._masks not in acc:
+            acc.made.append(d)
+        acc[d._masks][j] += x
+    return acc
+
+
 @pytest.fixture
 def eager_oracle(monkeypatch):
     """(result, its entries, eager sum, whether a key was dropped) for every
-    result that a product or a change of basis makes while the test runs."""
+    result that a product or a change of basis makes while the test runs.
+    Every result is made by ``AlgebraElement._from_entries``; one made from
+    a ``_Coeffs`` gets the eager sum of those sums, and one made without,
+    such as a one-diagram change of basis, that of its entries summed."""
     made = []
-    real = diagram._Coeffs.element
+    real_element = diagram._Coeffs.element
+    real_from_entries = AlgebraElement._from_entries
+
+    def from_entries(cls, size, basis, entries, degree, half):
+        got = real_from_entries(size, basis, entries, degree, half)
+        assert got._sum is None  # the sum waits for its first read
+        made.append((got, got._kept, _eager_sum(_summed_entries(entries, degree), got), False))
+        return got
 
     def element(acc, a, basis):
         want = _eager_sum(acc, a)
-        got = real(acc, a, basis)
-        assert got._sum is None  # the sum waits for its first read
-        made.append((got, got._kept, want, len(want) < len(acc)))
+        got = real_element(acc, a, basis)
+        assert made[-1][0] is got
+        made[-1] = (got, got._kept, want, len(want) < len(acc))
         return got
 
+    monkeypatch.setattr(AlgebraElement, "_from_entries", classmethod(from_entries))
     monkeypatch.setattr(diagram._Coeffs, "element", element)
     return made
 
@@ -912,10 +1003,71 @@ def test_criterion_8_reads_each_orbit_form_once_and_each_compared_result_once(mo
     monkeypatch.setattr(AlgebraElement, "sum", property(lambda a: reads.append(a) or real.fget(a)))
     assert acceptance.crit_orbit_product(2) == (True, "all 225 orbit products match the change of basis")
     # the 15 x_d are read into entries once; their diagram-basis forms and the
-    # products pass entries on and are never read; both sides of each of the
-    # 225 comparisons are read once
-    assert len(reads) == 15 + 2 * 225 == len({id(a) for a in reads})
+    # products pass entries on and are never read, and the 225 comparisons
+    # read both sides' entries, so no compared result is read as a sum
+    assert len(reads) == 15 == len({id(a) for a in reads})
     assert all(a.basis == "orbit" for a in reads)
+
+
+# --- equality on entries ---------------------------------------------------------
+
+
+def test_a_result_equals_a_public_element_of_the_same_values():
+    d1, d2 = D("[[1],[2,-1],[3,-3],[-2]]"), D("[[1,-1,-2],[2],[3,-3]]")  # middle rows match
+    x1, x2 = (AlgebraElement.from_diagram(d, basis="orbit") for d in (d1, d2))
+    routes = [
+        lambda: orbit_product_general(x1, x2),
+        lambda: from_orbit(x1),
+        lambda: diagram_product(from_orbit(x1), from_orbit(x2)),
+    ]
+    seen = set()
+    for route in routes:
+        terms = list(route().sum.terms())
+        seen |= {type(c) for _, c in terms}
+        # each Fraction of the result's sum is an XiPoly constant on the public side
+        public_terms = [(d, XiPoly.const(c) if type(c) is Fraction else c) for d, c in terms]
+        r = route()
+        public = AlgebraElement(r.size, r.basis, public_terms, r.half)
+        assert r == public and public == r and not r != public
+        assert r._sum is None
+    assert seen == {Fraction, XiPoly}
+    # a rational result and a public element holding a constant XiPoly
+    t = AlgebraElement.from_diagram(D("[[1,-2],[2,-1]]"), basis="orbit")
+    one = AlgebraElement(2, "orbit", [(PartitionDiagram.identity(2), XiPoly.const(1))])
+    assert orbit_product_general(t, t) == one == AlgebraElement.from_diagram(PartitionDiagram.identity(2), basis="orbit")
+
+
+def test_elements_that_differ_anywhere_compare_unequal():
+    d, e = D("[[1],[2,-1],[-2]]"), D("[[1,2],[-1,-2]]")
+    base = AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3])), (e, Fraction(1, 2))])
+    same = AlgebraElement(2, "diagram", [(e, Fraction(1, 2)), (d, XiPoly([1, 2, 3]))])
+    assert base == same
+    differ = [
+        AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 4])), (e, Fraction(1, 2))]),  # one power of xi
+        AlgebraElement(2, "diagram", [(d, XiPoly([1, 2])), (e, Fraction(1, 2))]),  # a power missing
+        AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3])), (e, Fraction(1, 3))]),  # one diagram's value
+        AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3]))]),  # a diagram missing
+        AlgebraElement(2, "orbit", [(d, XiPoly([1, 2, 3])), (e, Fraction(1, 2))]),  # the basis
+    ]
+    for other in differ:
+        assert base != other and other != base and not base == other
+    # the same masks at a half level
+    one = AlgebraElement.from_diagram(PartitionDiagram.identity(2))
+    one_half = AlgebraElement.from_diagram(PartitionDiagram.identity(2, half=True))
+    assert one != one_half and one_half != one
+    assert diagram_product(one, one) != diagram_product(one_half, one_half)
+    assert one != AlgebraElement.one(3) and one != "one"
+
+
+def test_comparing_results_builds_no_sum():
+    d1, d2 = D("[[1],[2,-1],[3,-3],[-2]]"), D("[[1,-1,-2],[2],[3,-3]]")
+    x1, x2 = (AlgebraElement.from_diagram(d, basis="orbit") for d in (d1, d2))
+    direct = orbit_product_general(x1, x2)
+    via_basis = to_orbit(diagram_product(from_orbit(x1), from_orbit(x2)))
+    assert direct == via_basis and not direct != via_basis
+    assert direct._sum is None and via_basis._sum is None
+    assert direct != orbit_product_general(x2, x1)
+    assert direct._sum is None
 
 
 # --- oracles past A_3: seeded random diagrams, not enumerations --------------

@@ -1047,6 +1047,7 @@ def test_elements_that_differ_anywhere_compare_unequal():
         AlgebraElement(2, "diagram", [(d, XiPoly([1, 2])), (e, Fraction(1, 2))]),  # a power missing
         AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3])), (e, Fraction(1, 3))]),  # one diagram's value
         AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3]))]),  # a diagram missing
+        AlgebraElement(2, "diagram", [(d, XiPoly([1, 2, 3])), (D("[[1,2,-1],[-2]]"), Fraction(1, 2))]),  # one diagram
         AlgebraElement(2, "orbit", [(d, XiPoly([1, 2, 3])), (e, Fraction(1, 2))]),  # the basis
     ]
     for other in differ:

@@ -35,9 +35,6 @@ from .rook import (
 from .diagram import (
     AlgebraElement,
     PartitionDiagram,
-    build_dp,
-    build_dpcd,
-    build_dtilde,
     compose,
     diagram_product,
     enumerate_monoid,
@@ -58,7 +55,6 @@ from .jm import (
     build_z,
     build_z_tilde,
     gt_decompose,
-    tower_lift,
     verify_centrality,
     verify_operator_identity,
 )

@@ -279,14 +279,6 @@ def bell(k: int) -> int:
     return sum(stirling2(k, r) for r in range(k + 1))
 
 
-def canonical_set_partition(blocks) -> SetPartition:
-    out = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    seen = [e for b in out for e in b]
-    if len(set(seen)) != len(seen) or any(not b for b in out):
-        raise ValueError("blocks must be disjoint and nonempty")
-    return out
-
-
 def set_partitions(k: int, min_blocks: int = 1) -> list[SetPartition]:
     """All set partitions of {1..k} with at least min_blocks blocks.
 

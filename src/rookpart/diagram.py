@@ -89,7 +89,7 @@ from itertools import combinations, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
-from .combinat import bell, canonical_set_partition, set_partitions, stirling2
+from .combinat import bell, set_partitions, stirling2
 from .formal import FormalSum
 from .limits import check
 from .scalars import XI, XiPoly, falling_factorial
@@ -149,11 +149,10 @@ class PartitionDiagram:
                         raise ValueError(f"vertex {v} is in blocks {list(owner[v])} and {list(b)}")
                     owner[v] = b
             raise ValueError(f"blocks must partition the {2 * size} vertices")
-        bits = _block_table(size).bits
-        masks = sorted((sum(1 << bits[v] for v in b) for b in blocks), reverse=True)
+        masks = _vertex_masks(size, blocks)
         if half and not _joins_last_column(masks, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
-        self._set(size, tuple(masks), half)
+        self._set(size, masks, half)
 
     def _set(self, size: int, masks: tuple, half: bool) -> None:
         table = _block_table(size)
@@ -195,9 +194,6 @@ class PartitionDiagram:
         """Restriction to the bottom row, unprimed."""
         return self._row_partitions()[1]
 
-    def with_half(self, half: bool) -> "PartitionDiagram":
-        return PartitionDiagram(self.size, self.blocks, half)
-
     def __eq__(self, other):
         if not isinstance(other, PartitionDiagram):
             return NotImplemented
@@ -229,10 +225,38 @@ class PartitionDiagram:
         return cls(size, [tuple(b) for b in blocks], half)
 
 
+def _vertex_masks(size: int, blocks) -> tuple:
+    """The masks of blocks given as vertex lists, in canonical order, unchecked."""
+    bits = _block_table(size).bits
+    return tuple(sorted((sum(1 << bits[v] for v in b) for b in blocks), reverse=True))
+
+
+def _slot_lifts(masks: tuple, size: int) -> list:
+    """The masks of the orbit-basis terms that the unital tower lift of one
+    orbit element x_d from size k to the half level k+1/2 gives: every vertex
+    keeps its name, so top bits move up by 2 and bottom bits by 1, and the
+    block c = {k+1, (k+1)'} is added as a new block, then OR-ed into each
+    block in turn."""
+    low = (1 << size) - 1
+    moved = tuple([(m >> size) << (size + 2) | (m & low) << 1 for m in masks])
+    c = 1 << (size + 1) | 1
+    out = [tuple(sorted(moved + (c,), reverse=True))]
+    for i, m in enumerate(moved):
+        out.append(tuple(sorted(_joined(moved, i, m | c), reverse=True)))
+    return out
+
+
+def _propagates(masks, size: int, half: bool) -> bool:
+    """Every block meets both rows, and at a half level one joins k+1 and (k+1)'."""
+    low = (1 << size) - 1
+    meets = all(map(low.__and__, masks)) and all(map((low << size).__and__, masks))
+    return meets and (not half or _joins_last_column(masks, size))
+
+
 def _joins_last_column(masks, size: int) -> bool:
     # top vertex k is bit k, bottom vertex -k is bit 0
     both = 1 << size | 1
-    return any(m & both == both for m in masks)
+    return both in map(both.__and__, masks)
 
 
 def is_totally_propagating(d: PartitionDiagram) -> bool:
@@ -379,6 +403,17 @@ class AlgebraElement:
         a._set(size, basis, half, None, (entries, degree))
         return a
 
+    @classmethod
+    def _from_masks(cls, size: int, basis: str, terms: dict, half: bool) -> "AlgebraElement":
+        """Element of ``{masks: coefficient}``, the masks canonical at (size,
+        half) and the coefficients nonzero, with one diagram made per term and
+        no checks; the coefficients are kept as they are."""
+        make = PartitionDiagram._from_masks
+        s = FormalSum._from_dict({make(size, m, half): c for m, c in terms.items()})
+        a = object.__new__(cls)
+        a._set(size, basis, half, s, None)
+        return a
+
     @property
     def sum(self) -> FormalSum:
         """The terms as a FormalSum, built from the entries on first read and
@@ -412,11 +447,6 @@ class AlgebraElement:
     @classmethod
     def zero(cls, size: int, basis: str, half: bool = False):
         return cls(size, basis, FormalSum.zero(), half)
-
-    @classmethod
-    def one(cls, size: int, basis: str = "diagram", half: bool = False):
-        ident = cls.from_diagram(PartitionDiagram.identity(size, half))
-        return to_orbit(ident) if basis == "orbit" else ident
 
     def _like(self, s: FormalSum) -> "AlgebraElement":
         return AlgebraElement(self.size, self.basis, s, self.half)
@@ -996,42 +1026,3 @@ def _enumerate_propagating(k: int, half: bool) -> list[PartitionDiagram]:
                 out.append(PartitionDiagram(k, blocks, half))
     return sorted(set(out))
 
-
-# --- diagrams attached to set partitions ---------------------------------------
-
-
-def build_dp(p) -> PartitionDiagram:
-    """Diagram with blocks B ∪ B' for each block B of the set partition p."""
-    p = canonical_set_partition(p)
-    k = max(e for b in p for e in b)
-    blocks = [b + tuple(-v for v in b) for b in p]
-    return PartitionDiagram(k, blocks)
-
-
-def build_dpcd(p, c, d) -> PartitionDiagram:
-    """Diagram fixing every block of p except c, d, which are crossed:
-    blocks C ∪ D' and D ∪ C'."""
-    p = canonical_set_partition(p)
-    c = tuple(sorted(c))
-    d = tuple(sorted(d))
-    if c not in p or d not in p or c == d:
-        raise ValueError("c and d must be distinct blocks of p")
-    k = max(e for b in p for e in b)
-    blocks = [b + tuple(-v for v in b) for b in p if b not in (c, d)]
-    blocks.append(c + tuple(-v for v in d))
-    blocks.append(d + tuple(-v for v in c))
-    return PartitionDiagram(k, blocks)
-
-
-def build_dtilde(p, c, d) -> PartitionDiagram:
-    """Half-level crossed diagram: as build_dpcd but p partitions {1..k+1} and
-    neither c nor d may be the block containing the last letter."""
-    p = canonical_set_partition(p)
-    k1 = max(e for b in p for e in b)
-    anchor = next(b for b in p if k1 in b)
-    c = tuple(sorted(c))
-    d = tuple(sorted(d))
-    if c == anchor or d == anchor:
-        raise ValueError("crossed blocks may not contain the last letter")
-    full = build_dpcd(p, c, d)
-    return full.with_half(True)

@@ -78,20 +78,6 @@ class FormalSum:
     def __neg__(self):
         return FormalSum({k: -c for k, c in self._terms.items()})
 
-    def map_keys(self, fn) -> "FormalSum":
-        """Relabel basis keys with ``fn``: key -> key."""
-        return FormalSum([(fn(k), c) for k, c in self._terms.items()])
-
-    def bilinear(self, other: "FormalSum", pair_fn) -> "FormalSum":
-        """Sum of c1*c2*pair_fn(k1, k2) over all term pairs; pair_fn returns a FormalSum."""
-        acc = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                scale = c1 * c2
-                for k, c in pair_fn(k1, k2)._terms.items():
-                    acc[k] = acc.get(k, 0) + scale * c
-        return FormalSum(acc)
-
     def __repr__(self) -> str:
         if not self._terms:
             return "FormalSum(0)"

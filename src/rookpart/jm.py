@@ -14,6 +14,16 @@ not unital: lifting along it collapses the differences M_y (for instance M at
 level 3/2 would vanish identically), so the unital embedding is the one that
 matches the spectrum on tensor space.
 
+Z, Z~, their lifts and the M family are built on block-mask tuples (see
+``diagram``), not on diagrams.  A lift step from size k moves top bits up by
+2 and bottom bits up by 1, then adds c as a new mask or ORs it into each mask
+in turn; the half-to-integer step only drops the flag.  Each level's Z, Z~
+and family are kept for the process, and the family at t is grown from the
+family at t - 1/2 by one step, so M_y = Z_y - lift(Z_{y-1/2}) is formed once,
+at level y.  One diagram is made per term, when an element is handed out.
+Every term of Z, Z~, M and M~ is checked to be totally propagating at its
+level, with the last column joined at half levels (RuntimeError naming it).
+
 On tensor space the family is phi of elements of C I_k (or C I_{k+1/2}),
 whose diagrams have no one-row block, so it keeps each letter-set block of
 words; ``gt_decompose`` eliminates on one block per number of letters and
@@ -23,6 +33,7 @@ counts each block's copies, never listing the n^k words.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .bratteli import HALF, GraphPath, as_level, ihat, levels_upto
@@ -30,9 +41,9 @@ from .combinat import content_sum, rook_irrep_dim, set_partitions
 from .diagram import (
     AlgebraElement,
     PartitionDiagram,
-    build_dp,
-    build_dpcd,
-    build_dtilde,
+    _propagates,
+    _slot_lifts,
+    _vertex_masks,
     enumerate_monoid,
     generating_set,
     orbit_product_general,
@@ -71,126 +82,139 @@ def tensor_space(t, n: int) -> TensorSpace:
     return TensorSpace(n, k, half=half)
 
 
-def zero_element(t) -> AlgebraElement:
-    size, half = size_and_half(t)
-    return AlgebraElement.zero(size, "orbit", half=half)
+def _through_blocks(p, c=None, d=None) -> list:
+    """The blocks B ∪ B' of the set partition p, except that the blocks c and
+    d, when given, are crossed: C ∪ D' and D ∪ C'."""
+    return [b + tuple(-v for v in (d if b == c else c if b == d else b)) for b in p]
 
 
-def identity_element(t) -> AlgebraElement:
+@cache
+def _central_terms(t) -> tuple[dict, dict]:
+    """Z and Z~ at level t on block masks, each ``{masks: coefficient}``.
+
+    Z sums the block-diagonal orbit elements d_p weighted by their number of
+    blocks, at a half level over the p with two blocks or more, shifted by
+    one; Z at level 1/2 is 1.  Z~ sums the crossed-pair elements d_{p,c,d}
+    over unordered pairs of blocks, avoiding the block of the last letter at
+    a half level; it is zero at levels 1/2, 1 and 3/2.  The unordered reading
+    is forced by the operator identity with the rook center on tensor space;
+    the ordered one would double it.  Kept for the process."""
     size, half = size_and_half(t)
-    return AlgebraElement.one(size, "orbit", half=half)
+    z, zt = {}, {}
+    for p in set_partitions(size, min_blocks=1 + half):
+        z[_vertex_masks(size, _through_blocks(p))] = Fraction(len(p) - half)
+        free = [b for b in p if not (half and size in b)]
+        for c, d in combinations(free, 2):
+            zt[_vertex_masks(size, _through_blocks(p, c, d))] = Fraction(1)
+    _check_propagating(t, (("Z", z), ("Z~", zt)))
+    return z, zt
+
+
+def _check_propagating(t, named) -> None:
+    """Raise RuntimeError naming the first term of the (name, terms) pairs
+    that is not totally propagating at level t, with its last column joined
+    at a half level."""
+    size, half = size_and_half(t)
+    for name, terms in named:
+        for masks in terms:
+            if not _propagates(masks, size, half):
+                joined = " with its last column joined" if half else ""
+                d = PartitionDiagram._from_masks(size, masks, half)
+                raise RuntimeError(f"{name} at level {t} has the term {d}, which is not totally propagating{joined}")
+
+
+def _lift_step(terms: dict, size: int, half: bool) -> dict:
+    """Orbit-basis ``{masks: coefficient}`` lifted one half step up the tower
+    from the level of (size, half): from a half level the flag only drops, so
+    the terms are the same; from size k each term goes to its ``_slot_lifts``
+    at k+1/2 with its own coefficient.  The lifts of distinct terms are
+    distinct (removing k+1 and (k+1)' gives the term back), so nothing is
+    summed."""
+    if half:
+        return terms
+    return {lifted: c for masks, c in terms.items() for lifted in _slot_lifts(masks, size)}
+
+
+def _difference(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for masks, c in b.items():
+        v = out.get(masks, 0) - c
+        if v:
+            out[masks] = v
+        else:
+            del out[masks]
+    return out
+
+
+@cache
+def _family_terms(t) -> tuple:
+    """(y, M_y, M~_y) on block masks at level t for every y up to t, grown
+    from the family at t - 1/2 by one lift step of each term, with M_t =
+    Z_t - lift(Z_{t-1/2}) and M~_t likewise (Z below level 1/2 being 0, M at
+    1/2 is 1 and M~ is 0).  Level 1/2 is read as I_1, so the step from 1/2 to
+    1 lifts nothing.  Every term formed is checked to be totally propagating
+    (RuntimeError).  Kept for the process."""
+    z, zt = _central_terms(t)
+    if t == HALF:
+        return ((t, z, zt),)
+    below = t - HALF
+    lower = _family_terms(below)
+    lz, lzt = _central_terms(below)
+    if t == 1:
+        family = lower
+    else:
+        size, half = size_and_half(below)
+        family = tuple((y, _lift_step(m, size, half), _lift_step(mt, size, half)) for y, m, mt in lower)
+        lz, lzt = _lift_step(lz, size, half), _lift_step(lzt, size, half)
+    family += ((t, _difference(z, lz), _difference(zt, lzt)),)
+    for y, m, mt in family:
+        _check_propagating(t, ((f"M_{y}", m), (f"M~_{y}", mt)))
+    return family
+
+
+def _orbit_element(t, terms: dict) -> AlgebraElement:
+    size, half = size_and_half(t)
+    return AlgebraElement._from_masks(size, "orbit", terms, half)
 
 
 def build_z(t) -> AlgebraElement:
-    """Z at level t: the block-diagonal orbit elements weighted by their
-    number of blocks (shifted by one at half levels); Z at level 1/2 is 1."""
+    """Z at level t (``_central_terms``): the block-diagonal orbit elements
+    weighted by their number of blocks (shifted by one at half levels); Z at
+    level 1/2 is 1."""
     t = as_level(t)
-    if t == HALF:
-        return identity_element(Fraction(1))
-    if t.denominator == 1:
-        k = int(t)
-        terms = [(build_dp(p), Fraction(len(p))) for p in set_partitions(k)]
-        return AlgebraElement(k, "orbit", terms)
-    k = int(t - HALF)
-    terms = [
-        (build_dp(p).with_half(True), Fraction(len(p) - 1))
-        for p in set_partitions(k + 1, min_blocks=2)
-    ]
-    return AlgebraElement(k + 1, "orbit", terms, half=True)
+    return _orbit_element(t, _central_terms(t)[0])
 
 
 def build_z_tilde(t) -> AlgebraElement:
-    """Z~ at level t: crossed-pair orbit elements summed over unordered block
-    pairs; zero at levels 1/2, 1 and 3/2.
-
-    The unordered reading is forced by the operator identity with the rook
-    center on tensor space; the ordered one would double it.
-    """
+    """Z~ at level t (``_central_terms``): crossed-pair orbit elements summed
+    over unordered block pairs; zero at levels 1/2, 1 and 3/2."""
     t = as_level(t)
-    if t in (HALF, Fraction(1), Fraction(3, 2)):
-        return zero_element(t)
-    if t.denominator == 1:
-        k = int(t)
-        pairs = [(p, c, d) for p in set_partitions(k, min_blocks=2) for c, d in combinations(p, 2)]
-        return AlgebraElement(k, "orbit", [(build_dpcd(*x), Fraction(1)) for x in pairs])
-    k = int(t - HALF)
-    # the crossed blocks avoid the block holding the last letter
-    pairs = [
-        (p, c, d)
-        for p in set_partitions(k + 1, min_blocks=3)
-        for c, d in combinations([b for b in p if k + 1 not in b], 2)
-    ]
-    return AlgebraElement(k + 1, "orbit", [(build_dtilde(*x), Fraction(1)) for x in pairs], half=True)
+    return _orbit_element(t, _central_terms(t)[1])
 
 
-def _add_slot(a: AlgebraElement) -> AlgebraElement:
-    """Unital embedding into the next half level, adding c = {k+1, (k+1)'}:
-    a diagram-basis term d becomes d with c; an orbit-basis term x_d becomes
-    x_{d with c} plus x_{d with B ∪ c} for each block B of d."""
-    if a.half:
-        raise ValueError("element already sits at a half level")
-    k = a.size
-    c = (k + 1, -(k + 1))
-
-    def lifts(blocks):
-        yield blocks + (c,)
-        if a.basis == "orbit":
-            for i, b in enumerate(blocks):
-                yield blocks[:i] + (b + c,) + blocks[i + 1 :]
-
-    terms = [
-        (PartitionDiagram(k + 1, blocks, half=True), coeff)
-        for d, coeff in a.sum.terms()
-        for blocks in lifts(d.blocks)
-    ]
-    return AlgebraElement(k + 1, a.basis, terms, half=True)
-
-
-def tower_lift(a: AlgebraElement, target) -> AlgebraElement:
-    """Lift an element along the tower to the target level."""
-    target = as_level(target)
-    cur = a.level
-    if cur > target:
-        raise ValueError("cannot lift downward")
-    while cur < target:
-        if a.half:
-            a = AlgebraElement(a.size, a.basis, a.sum.map_keys(lambda d: d.with_half(False)))
-        else:
-            a = _add_slot(a)
-        cur += HALF
-    return a
-
-
-def _lifted_difference(build, bottom, y, t) -> AlgebraElement:
-    """build(y) - build(y - 1/2), both lifted to level t; bottom(t) at y = 1/2."""
+def _family_member(y, t, tilde: bool) -> AlgebraElement:
     y, t = as_level(y), as_level(t)
     if y > t:
         raise ValueError("y exceeds the ambient level")
-    if y == HALF:
-        return bottom(t)
-    return tower_lift(build(y), t) - tower_lift(build(y - HALF), t)
+    return _orbit_element(t, _family_terms(t)[int(2 * y) - 1][1 + tilde])
 
 
 def build_m(y, t) -> AlgebraElement:
     """M at position y inside the level-t algebra: M_{1/2} = 1 and otherwise
-    the difference of consecutive lifted Z's."""
-    return _lifted_difference(build_z, identity_element, y, t)
+    Z_y - Z_{y-1/2}, both lifted to level t, read from ``_family_terms``;
+    one diagram is made per term, here."""
+    return _family_member(y, t, False)
 
 
 def build_m_tilde(y, t) -> AlgebraElement:
     """M~ likewise from Z~, with M~_{1/2} = 0."""
-    return _lifted_difference(build_z_tilde, zero_element, y, t)
+    return _family_member(y, t, True)
 
 
 def _m_family(t) -> list[tuple[Fraction, AlgebraElement, AlgebraElement]]:
-    """(y, M_y, M~_y) for every y up to t.  The tower embedding is linear, so
-    past y = 1/2 each M_y is taken at its own level y, where only Z_{y-1/2} is
-    lifted, one step, and the difference is lifted to t once, rather than
-    both Z's."""
-    family = [(HALF, build_m(HALF, t), build_m_tilde(HALF, t))]
-    for y in levels_upto(t)[1:]:
-        family.append((y, tower_lift(build_m(y, y), t), tower_lift(build_m_tilde(y, y), t)))
-    return family
+    """(y, M_y, M~_y) for every y up to t, from the block masks that
+    ``_family_terms`` keeps for level t."""
+    return [(y, build_m(y, t), build_m_tilde(y, t)) for y in levels_upto(t)]
 
 
 def verify_centrality(t) -> dict:

@@ -48,7 +48,11 @@ LIMITS = {
     "tensor power": Limit("k", 2_000),
     # measured on ``mult --lambda``, where f_lambda's hook product grows like |lambda|^2
     "shape size": Limit("|lambda|", 120_000),
-    "rook-jm": Limit("n^3 (10 f_lambda dim + n)", 39_000_000),
+    # ``rook-jm`` reads each tableau's path and contents and makes O(n) sparse
+    # products of its seminormal matrices: --lambda 2,1 --n 25 (460,000) took
+    # 4.5 s and --n 26 (540,800) 3.9 s, --lambda 3 --n 32 (634,880) 4.1 s,
+    # --lambda 2,2 --n 20 (969,000) 9.0 s and --lambda 3,3,3 --n 12 (1.1M) 10 s
+    "rook-jm": Limit("n (|lambda| + 1) dim", 500_000),
     # measured on ``rsk --to-path`` of a one-column tableau, which grows about
     # like letters^2; the other direction is linear in the size of its path (a
     # one-column growth path of 4,000 steps, 8M parts in all, took 1.3 s)

@@ -320,12 +320,24 @@ def commutant_dimension(generators, unknowns) -> int:
     return len(names) - len(_gauss_jordan(rows))
 
 
+def _is_scalar(m: ExactMatrix) -> bool:
+    """Every row is {i: c} for one c, or every row is empty: a multiple of
+    the identity, read in O(d)."""
+    rows = m._rows
+    if not rows or not rows[0]:
+        return not any(rows)
+    c = rows[0].get(0)
+    return c is not None and all(row == {i: c} for i, row in enumerate(rows))
+
+
 class CommutingFamily(tuple):
     """Square matrices of one size, checked on construction to commute pairwise.
 
     Construction raises ValueError naming the first pair of indices (i, j)
     with ``ops[i] * ops[j] != ops[j] * ops[i]``.  The check runs at every size
-    and under ``python -O``; a caller that reuses one family for many
+    and under ``python -O``, and skips the pairs of a scalar operator (a
+    multiple of the identity, such as M_{1/2} = 1 or M_1 = 0), which commutes
+    with every matrix; a caller that reuses one family for many
     eigenspaces builds it once and pays for the check once.
 
     The family also keeps, for as long as it lives, the joint kernel of each
@@ -346,8 +358,10 @@ class CommutingFamily(tuple):
         for op in ops:
             if op.rows != d or op.cols != d:
                 raise ValueError("operators must be square and same size")
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
+        # a scalar operator commutes with every other, so its pairs are skipped
+        checked = [i for i, op in enumerate(ops) if not _is_scalar(op)]
+        for a, i in enumerate(checked):
+            for j in checked[a + 1 :]:
                 if ops[i] * ops[j] != ops[j] * ops[i]:
                     raise ValueError(f"operators {i} and {j} do not commute")
         family = super().__new__(cls, ops)

@@ -32,6 +32,14 @@ class RookElement:
         self.mapping = mapping
 
     @classmethod
+    def _unchecked(cls, n: int, mapping: tuple) -> "RookElement":
+        """Element of a mapping tuple known to be a partial injection on 1..n."""
+        rho = object.__new__(cls)
+        rho.n = n
+        rho.mapping = mapping
+        return rho
+
+    @classmethod
     def identity(cls, n: int) -> "RookElement":
         return cls(n, range(1, n + 1))
 
@@ -191,8 +199,25 @@ def factor_to_word(rho: RookElement) -> list[SToken]:
 
 
 def algebra_mul(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Product in the monoid algebra, term by term."""
-    return a.bilinear(b, lambda x, y: FormalSum.term(rook_mul(x, y)))
+    """Product in the monoid algebra.
+
+    Each pair of terms composes its mapping tuples, as ``rook_mul`` does, and
+    the coefficient products are summed per composed tuple in one dict.  A
+    composition of partial injections is one, so each element of the result
+    is made once, unchecked, from its tuple.  Mixed sizes raise ValueError.
+    """
+    sizes = {x.n for x, _ in a.terms()} | {y.n for y, _ in b.terms()}
+    if len(sizes) > 1:
+        raise ValueError("size mismatch")
+    right = [(y.mapping, c) for y, c in b.terms()]
+    acc = {}
+    for x, c1 in a.terms():
+        image = (0,) + x.mapping  # image[j] is x(j), 0 at j = 0
+        for m, c2 in right:
+            key = tuple(map(image.__getitem__, m))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    n = sizes.pop() if sizes else 0
+    return FormalSum._from_dict({RookElement._unchecked(n, m): c for m, c in acc.items() if c})
 
 
 @cache

@@ -4,6 +4,12 @@ The module attached to a shape lam with at most n boxes has a basis indexed by
 n-standard tableaux of shape lam.  Basis vectors are ordered by their
 branching path read from the top level down, so restriction to the subalgebra
 fixing the last letter splits into contiguous blocks.
+
+A monoid element acts through its factorization into the generators s_i and
+P_1, whose matrices are cached per module.  The commuting family X_i, X~_i
+is not expanded into monoid elements: its matrices follow the recursions
+X_i = s_{i-1} X_{i-1} s_{i-1} and its content analogue, one conjugation by
+the token matrix of s_{i-1} per step (``_jm_matrices``).
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from .bratteli import tableau_to_path
 from .combinat import (
     check_partition,
     content,
-    f_lambda,
     is_standard_tableau,
     rook_irrep_dim,
     shape_key,
@@ -24,7 +29,7 @@ from .combinat import (
 from .formal import FormalSum
 from .limits import check
 from .linalg import ExactMatrix
-from .rook import RookElement, factor_to_word, jm_x, jm_x_tilde
+from .rook import RookElement, factor_to_word
 
 
 def _position(tab, entry) -> tuple[int, int]:
@@ -128,12 +133,46 @@ class RookIrrep:
         self._elements[rho] = mat
         return mat
 
-    def rep(self, x: FormalSum) -> ExactMatrix:
-        """Matrix of a FormalSum of monoid elements; use rep_rook for one element."""
-        out = ExactMatrix.zeros(self.dim, self.dim)
-        for rho, coeff in x.items():
-            out = out + self.rep_rook(rho).scaled(coeff)
-        return out
+
+def _jm_matrices(irrep: RookIrrep) -> list[tuple[ExactMatrix, ExactMatrix]]:
+    """(rho(X_i), rho(X~_i)) for i = 1..n, along the recursions of the
+    family, from the cached token matrices.
+
+    rho(X_1) = I - rho(P_1), rho(X~_1) = 0 and gamma_1 = P_1; for i >= 2,
+    with s = rho(s_{i-1}),
+
+        rho(X_i)     = s rho(X_{i-1}) s,
+        rho(gamma_i) = s rho(gamma_{i-1}) s,
+        rho(X~_i)    = s rho(X~_{i-1}) s + s - s rho(gamma_{i-1})
+                       - rho(gamma_{i-1}) s + rho(gamma_{i-1}) rho(gamma_i),
+
+    the last term being rho(Q_i), as Q_i = gamma_{i-1} gamma_i.  So a module
+    takes O(n) sparse products.  Each rho(gamma_i) formed is checked to be
+    the 0/1 diagonal of the tableaux without the letter i (RuntimeError
+    naming the first tableau whose row differs).
+    """
+    n, d = irrep.n, irrep.dim
+    letters = [tableau_entries(t) for t in irrep.basis]
+    out = []
+    for i in range(1, n + 1):
+        if i == 1:
+            gamma = irrep.token_matrix(("P1", 0))
+            x, xt = ExactMatrix.identity(d) - gamma, ExactMatrix.zeros(d, d)
+        else:
+            s = irrep.token_matrix(("s", i - 1))
+            before, s_before = gamma, s * gamma
+            gamma = s_before * s
+            x = s * x * s
+            xt = s * xt * s + s - s_before - before * s + before * gamma
+        want = ExactMatrix.from_entries(d, d, (((j, j), 1) for j in range(d) if i not in letters[j]))
+        if gamma != want:
+            j = next(j for j in range(d) if gamma.data[j] != want.data[j])
+            raise RuntimeError(
+                f"rho(gamma_{i}) on {irrep.lam} at n={n} is not the 0/1 diagonal of the tableaux "
+                f"without {i}: its row {j}, at the tableau {irrep.basis[j]}, differs"
+            )
+        out.append((x, xt))
+    return out
 
 
 def verify_jm_action(lam, n: int) -> dict:
@@ -141,17 +180,19 @@ def verify_jm_action(lam, n: int) -> dict:
 
     X_i reads off membership of i in the tableau, and the content family reads
     ct(box of i).  Returns a report with one row per (tableau, i); any
-    mismatch lands in report["mismatches"].  The work grows like n^3 times
-    f_lam and the dimension (the density of the products times their size),
-    plus n^4 for the sums X~_i, which the "rook-jm" limit bounds first.
+    mismatch lands in report["mismatches"].  The matrices come from
+    ``_jm_matrices``: O(n) sparse products, each linear in the dimension,
+    since a token matrix has at most two entries per row.  The report has
+    n rows per tableau, each reading the tableau's letters, and ordering the
+    basis reads each tableau's path through n levels, so the work grows like
+    n (|lambda| + 1) times the dimension, which the "rook-jm" limit bounds
+    first.
     """
-    check("rook-jm", n**3 * (10 * f_lambda(lam) * rook_irrep_dim(lam, n) + n))
+    check("rook-jm", n * (sum(lam) + 1) * rook_irrep_dim(lam, n))
     irrep = RookIrrep(lam, n)
     rows = []
     mismatches = []
-    for i in range(1, n + 1):
-        mat_x = irrep.rep(jm_x(i, n))
-        mat_t = irrep.rep(jm_x_tilde(i, n))
+    for i, (mat_x, mat_t) in enumerate(_jm_matrices(irrep), start=1):
         if not mat_x.is_diagonal():
             mismatches.append(f"X_{i} not diagonal on {lam}")
         if not mat_t.is_diagonal():

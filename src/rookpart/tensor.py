@@ -240,7 +240,8 @@ def _action(n: int, dim: int, terms) -> ExactMatrix:
     """The dim x dim matrix of the sum of c * E over (c, cells) terms, E
     having a 1 at each cell, on words of n letters; an XiPoly coefficient is
     evaluated at n.  Each term's coefficient is made exact once and added at
-    its cells; a cell outside the matrix raises IndexError naming it."""
+    its cells, which the cell builders keep inside the matrix; nothing here
+    checks them again."""
     rows = [{} for _ in range(dim)]
     fractional = False
     for coeff, cells in terms:
@@ -250,22 +251,12 @@ def _action(n: int, dim: int, terms) -> ExactMatrix:
             coeff = coeff.subs(n)
         coeff = _exact(coeff)
         fractional |= type(coeff) is Fraction
-        low, high = min(cells), max(cells)
-        if low[0] < 0 or high[0] >= dim:
-            _outside(low if low[0] < 0 else high, dim)
         for i, j in cells:
             row = rows[i]
             row[j] = row.get(j, 0) + coeff
-    for i, row in enumerate(rows):
-        if row and (min(row) < 0 or max(row) >= dim):
-            _outside((i, min(row) if min(row) < 0 else max(row)), dim)
     if fractional:
         return ExactMatrix._from_rows(dim, ({j: _exact(v) for j, v in row.items() if v} for row in rows))
     return ExactMatrix._from_rows(dim, ({j: v for j, v in row.items() if v} for row in rows))
-
-
-def _outside(cell, dim: int):
-    raise IndexError(f"entry {cell} outside a {dim}x{dim} matrix")
 
 
 def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:

@@ -110,7 +110,8 @@ def test_criterion_5_fails_when_one_multiplicity_is_off_by_one(monkeypatch):
 
 
 def test_criterion_3_fails_when_the_content_family_reads_sizes(monkeypatch):
-    monkeypatch.setattr(seminormal, "jm_x_tilde", seminormal.jm_x)
+    real = seminormal._jm_matrices
+    monkeypatch.setattr(seminormal, "_jm_matrices", lambda irrep: [(x, x) for x, _ in real(irrep)])
     assert _record(3) == "n=1, (1,): ['(1,) ((1,),) i=1: got (1,1), want (1,0)']"
 
 

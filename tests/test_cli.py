@@ -202,8 +202,8 @@ REFUSALS = [
         [(bratteli, "levels_upto")],
     ),
     (
-        ["rook-jm", "--lambda", "2", "--n", "40"],
-        "rook-jm: n^3 (10 f_lambda dim + n) = 501760000 exceeds the limit 39000000",
+        ["rook-jm", "--lambda", "2,1", "--n", "30"],
+        "rook-jm: n (|lambda| + 1) dim = 974400 exceeds the limit 500000",
         [(seminormal, "RookIrrep")],
     ),
     (

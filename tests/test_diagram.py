@@ -7,13 +7,10 @@ from math import factorial, prod
 import pytest
 
 from rookpart import acceptance, diagram
-from rookpart.combinat import bell, canonical_set_partition, set_partitions
+from rookpart.combinat import bell, set_partitions
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
-    build_dp,
-    build_dpcd,
-    build_dtilde,
     compose,
     diagram_product,
     enumerate_monoid,
@@ -26,6 +23,7 @@ from rookpart.diagram import (
 )
 from rookpart.formal import FormalSum
 from rookpart.scalars import XI, XiPoly, falling_factorial
+from test_scalars import bilinear
 
 
 def D(text, size=None, half=False):
@@ -147,7 +145,7 @@ def test_compose_associative_random_a3():
 
 
 def test_diagram_product_identity_and_xi_power():
-    ident = AlgebraElement.one(2)
+    ident = unit(2)
     for d in enumerate_monoid("A", 2):
         elem = AlgebraElement.from_diagram(d)
         assert diagram_product(ident, elem) == elem
@@ -210,7 +208,7 @@ def test_orbit_round_trip_all_of_a2():
 
 
 def test_orbit_product_examples():
-    ident = AlgebraElement.one(2, basis="orbit")
+    ident = unit(2, basis="orbit")
     x_id = AlgebraElement.from_diagram(PartitionDiagram.identity(2), basis="orbit")
     assert orbit_product_general(x_id, x_id) == x_id
     e = D("[[1],[-1]]")
@@ -290,7 +288,7 @@ def embed_half(a):
     def lift(d):
         return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
 
-    return AlgebraElement(k + 1, "orbit", a.sum.map_keys(lift), half=True)
+    return AlgebraElement(k + 1, "orbit", [(lift(d), c) for d, c in a.sum.terms()], half=True)
 
 
 def test_embed_half_preserves_products():
@@ -315,6 +313,64 @@ def test_embed_half_matches_central_sum_decomposition():
             anchor = next(b for b in key.blocks if k + 1 in b)
             assert len([v for v in anchor if v > 0]) > 1
             assert coeff == Fraction(key.n_blocks() - 1)
+
+
+# --- diagrams attached to set partitions: the oracle of the central sums ----------
+
+
+def canonical_set_partition(blocks):
+    out = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    seen = [e for b in out for e in b]
+    if len(set(seen)) != len(seen) or any(not b for b in out):
+        raise ValueError("blocks must be disjoint and nonempty")
+    return out
+
+
+def build_dp(p) -> PartitionDiagram:
+    """Diagram with blocks B ∪ B' for each block B of the set partition p."""
+    p = canonical_set_partition(p)
+    k = max(e for b in p for e in b)
+    blocks = [b + tuple(-v for v in b) for b in p]
+    return PartitionDiagram(k, blocks)
+
+
+def build_dpcd(p, c, d) -> PartitionDiagram:
+    """Diagram fixing every block of p except c, d, which are crossed:
+    blocks C ∪ D' and D ∪ C'."""
+    p = canonical_set_partition(p)
+    c = tuple(sorted(c))
+    d = tuple(sorted(d))
+    if c not in p or d not in p or c == d:
+        raise ValueError("c and d must be distinct blocks of p")
+    k = max(e for b in p for e in b)
+    blocks = [b + tuple(-v for v in b) for b in p if b not in (c, d)]
+    blocks.append(c + tuple(-v for v in d))
+    blocks.append(d + tuple(-v for v in c))
+    return PartitionDiagram(k, blocks)
+
+
+def build_dtilde(p, c, d) -> PartitionDiagram:
+    """Half-level crossed diagram: as build_dpcd but p partitions {1..k+1} and
+    neither c nor d may be the block containing the last letter."""
+    p = canonical_set_partition(p)
+    k1 = max(e for b in p for e in b)
+    anchor = next(b for b in p if k1 in b)
+    c = tuple(sorted(c))
+    d = tuple(sorted(d))
+    if c == anchor or d == anchor:
+        raise ValueError("crossed blocks may not contain the last letter")
+    full = build_dpcd(p, c, d)
+    return with_half(full, True)
+
+
+def with_half(d, half):
+    return PartitionDiagram(d.size, d.blocks, half)
+
+
+def unit(size, basis="diagram", half=False):
+    """The unit of the size-k algebra in either basis."""
+    ident = AlgebraElement.from_diagram(PartitionDiagram.identity(size, half))
+    return to_orbit(ident) if basis == "orbit" else ident
 
 
 def test_build_dp_examples():
@@ -502,12 +558,12 @@ def test_middle_rows_read_cached_partitions():
 def test_products_match_unmatched_oracles_on_single_diagrams():
     for d1, d2 in _all_oracle_pairs():
         y1, y2 = AlgebraElement.from_diagram(d1), AlgebraElement.from_diagram(d2)
-        _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+        _assert_same_sum(diagram_product(y1, y2), bilinear(y1.sum, y2.sum, _oracle_diagram_pair))
         x1 = AlgebraElement.from_diagram(d1, basis="orbit")
         x2 = AlgebraElement.from_diagram(d2, basis="orbit")
-        _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
+        _assert_same_sum(orbit_product_general(x1, x2), bilinear(x1.sum, x2.sum, _oracle_orbit_pair))
         if is_totally_propagating(d1) and is_totally_propagating(d2):
-            assert orbit_product_general(x1, x2).sum == x1.sum.bilinear(x2.sum, _oracle_tppa_pair)
+            assert orbit_product_general(x1, x2).sum == bilinear(x1.sum, x2.sum, _oracle_tppa_pair)
 
 
 def test_matched_middles_compose_as_the_component_search_does():
@@ -558,14 +614,14 @@ def test_products_match_unmatched_oracles_on_mixed_sums():
         propagating = [d for d in monoid if is_totally_propagating(d)]
         for _ in range(25):
             y1, y2 = (_random_element(rng, monoid, "diagram") for _ in range(2))
-            _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+            _assert_same_sum(diagram_product(y1, y2), bilinear(y1.sum, y2.sum, _oracle_diagram_pair))
             _assert_same_sum(to_orbit(y1), _oracle_to_orbit(y1.sum))
             x1, x2 = (_random_element(rng, monoid, "orbit") for _ in range(2))
-            _assert_same_sum(orbit_product_general(x1, x2), x1.sum.bilinear(x2.sum, _oracle_orbit_pair))
+            _assert_same_sum(orbit_product_general(x1, x2), bilinear(x1.sum, x2.sum, _oracle_orbit_pair))
             t1, t2 = (_random_element(rng, propagating, "orbit") for _ in range(2))
             tp = orbit_product_general(t1, t2)
-            _assert_same_sum(tp, t1.sum.bilinear(t2.sum, _oracle_orbit_pair))
-            assert tp.sum == t1.sum.bilinear(t2.sum, _oracle_tppa_pair)
+            _assert_same_sum(tp, bilinear(t1.sum, t2.sum, _oracle_orbit_pair))
+            assert tp.sum == bilinear(t1.sum, t2.sum, _oracle_tppa_pair)
 
 
 def test_to_orbit_matches_map_terms_oracle():
@@ -731,7 +787,7 @@ def test_orbit_product_matches_both_via_basis_routes_on_a_stratified_a3_sample()
         direct = orbit_product_general(x1, x2)
         y1, y2 = from_orbit(x1), from_orbit(x2)
         assert direct == to_orbit(diagram_product(y1, y2)), (d1, d2)
-        assert direct.sum == _oracle_to_orbit(y1.sum.bilinear(y2.sum, _oracle_diagram_pair)), (d1, d2)
+        assert direct.sum == _oracle_to_orbit(bilinear(y1.sum, y2.sum, _oracle_diagram_pair)), (d1, d2)
 
 
 def _assert_built_once(r):
@@ -963,7 +1019,7 @@ def test_a_coefficient_is_an_xipoly_exactly_when_xi_survives_on_every_route():
 
 def test_reading_the_sum_twice_returns_the_same_object():
     x = AlgebraElement.from_diagram(D("[[1],[2,-1],[-2]]"), basis="orbit")
-    for r in (from_orbit(x), orbit_product_general(x, x), AlgebraElement.one(2, "orbit"), x):
+    for r in (from_orbit(x), orbit_product_general(x, x), unit(2, "orbit"), x):
         assert r.sum is r.sum
 
 
@@ -1057,7 +1113,7 @@ def test_elements_that_differ_anywhere_compare_unequal():
     one_half = AlgebraElement.from_diagram(PartitionDiagram.identity(2, half=True))
     assert one != one_half and one_half != one
     assert diagram_product(one, one) != diagram_product(one_half, one_half)
-    assert one != AlgebraElement.one(3) and one != "one"
+    assert one != unit(3) and one != "one"
 
 
 def test_comparing_results_builds_no_sum():
@@ -1157,7 +1213,7 @@ def test_diagram_product_matches_bilinear_oracle_past_a3():
     for pool in _random_pools(47):
         for _ in range(10):
             y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
-            _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+            _assert_same_sum(diagram_product(y1, y2), bilinear(y1.sum, y2.sum, _oracle_diagram_pair))
 
 
 # --- the product table of sizes 1..3 -------------------------------------------
@@ -1193,12 +1249,12 @@ def test_product_table_serves_half_levels_at_size_3():
     for _ in range(40):
         y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
         # the same masks at the integer level fill the cells the half product then reads
-        whole = [AlgebraElement(3, "diagram", [(d.with_half(False), c) for d, c in y.sum.terms()])
+        whole = [AlgebraElement(3, "diagram", [(with_half(d, False), c) for d, c in y.sum.terms()])
                  for y in (y1, y2)]
         assert not any(d.half for d, _ in diagram_product(*whole).sum.terms())
         got = diagram_product(y1, y2)
         assert got.half and all(d.half and is_half(d) for d, _ in got.sum.terms())
-        _assert_same_sum(got, y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+        _assert_same_sum(got, bilinear(y1.sum, y2.sum, _oracle_diagram_pair))
 
 
 def test_product_table_cells_stay_within_bell_squared():
@@ -1267,9 +1323,9 @@ def test_size_4_products_allocate_no_table():
     rng = random.Random(59)
     pool = [_random_diagram(rng, 4) for _ in range(20)]
     y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
-    _assert_same_sum(diagram_product(y1, y2), y1.sum.bilinear(y2.sum, _oracle_diagram_pair))
+    _assert_same_sum(diagram_product(y1, y2), bilinear(y1.sum, y2.sum, _oracle_diagram_pair))
     assert diagram._product_table.cache_info().currsize == 0
-    diagram_product(AlgebraElement.one(3), AlgebraElement.one(3))
+    diagram_product(unit(3), unit(3))
     assert diagram._product_table.cache_info().currsize == 1
 
 
@@ -1524,5 +1580,5 @@ def test_from_orbit_matches_recursive_inversion_on_mixed_sums():
 
 def test_half_monoid_matches_the_filtered_propagating_monoid():
     for k in (1, 2, 3, 4):
-        filtered = sorted(d.with_half(True) for d in _oracle_monoid("I", k + 1) if is_half(d))
+        filtered = sorted(with_half(d, True) for d in _oracle_monoid("I", k + 1) if is_half(d))
         assert enumerate_monoid("I_half", k) == filtered

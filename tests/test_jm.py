@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 
 from rookpart import jm
 from rookpart.bratteli import HALF, GradedGraph, ihat, levels_upto
-from rookpart.combinat import rook_irrep_dim
+from rookpart.combinat import rook_irrep_dim, set_partitions
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -23,19 +25,37 @@ from rookpart.jm import (
     build_z_tilde,
     gt_decompose,
     predicted_eigenvalues,
-    tower_lift,
+    size_and_half,
     verify_centrality,
     verify_operator_identity,
-    zero_element,
 )
 from rookpart.linalg import CommutingFamily, simultaneous_eigenspace
 from rookpart.rook import kappa
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import phi_element, psi_element
+from test_diagram import build_dp, build_dpcd, build_dtilde, unit, with_half
 
 
 def D(text, half=False):
     return PartitionDiagram.parse(text, half=half)
+
+
+def tower_lift(a, target):
+    """An orbit element lifted along the tower on block masks, one
+    ``jm._lift_step`` per half level, as the M family is."""
+    target = as_level(target)
+    if a.basis != "orbit" or a.level > target:
+        raise ValueError("the mask route lifts orbit elements upward")
+    terms, size, half = {d._masks: c for d, c in a.sum.terms()}, a.size, a.half
+    for _ in range(int(2 * (target - a.level))):
+        terms = jm._lift_step(terms, size, half)
+        size, half = (size, False) if half else (size + 1, True)
+    return AlgebraElement._from_masks(size, "orbit", terms, half)
+
+
+def zero_element(t):
+    size, half = size_and_half(t)
+    return AlgebraElement.zero(size, "orbit", half=half)
 
 
 def test_as_level_validation():
@@ -81,18 +101,13 @@ def test_z_half_weights():
 
 
 def test_tower_lift_is_unital():
-    one1 = AlgebraElement.one(1, basis="orbit")
+    one1 = unit(1, basis="orbit")
     for target in (Fraction(3, 2), Fraction(2), Fraction(5, 2)):
         lifted = tower_lift(one1, target)
         size = int(target) if target.denominator == 1 else int(target + HALF)
-        assert lifted == AlgebraElement.one(
+        assert lifted == unit(
             size, basis="orbit", half=target.denominator == 2
         )
-
-
-def test_tower_lift_refuses_downward():
-    with pytest.raises(ValueError):
-        tower_lift(build_z(2), 1)
 
 
 def test_m_bottom_values():
@@ -338,16 +353,26 @@ def test_gt_decompose_reaches_the_traced_linalg_names(monkeypatch):
 
 
 def _add_to_z(monkeypatch, level, diagram):
-    """Z at ``level`` with the orbit element of ``diagram`` added."""
-    real = jm.build_z
-    x = AlgebraElement.from_diagram(D(diagram), basis="orbit")
-    monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == level else real(t))
+    """Z at ``level`` with the orbit element of ``diagram`` added, where Z is
+    built on block masks, and the families built afresh from it."""
+    real = jm._central_terms
+    masks = D(diagram)._masks
+
+    def planted(t):
+        z, zt = real(t)
+        return ({**z, masks: z.get(masks, 0) + 1} if t == level else z), zt
+
+    monkeypatch.setattr(jm, "_central_terms", planted)
+    monkeypatch.setattr(jm, "_family_terms", cache(jm._family_terms.__wrapped__))
 
 
 def test_gt_decompose_refuses_a_term_that_joins_two_letter_sets(monkeypatch):
     # the top vertex 1 alone: the block of 1 letter already meets the term,
     # and the entry named takes the word (1, 2) to the word (2, 2)
-    _add_to_z(monkeypatch, 2, "[[1],[2,-1,-2]]")
+    # planted past the family's own check, which refuses such a term first
+    real = jm._m_family
+    x = AlgebraElement.from_diagram(D("[[1],[2,-1,-2]]"), basis="orbit")
+    monkeypatch.setattr(jm, "_m_family", lambda t: [(y, m + x if y == 2 else m, mt) for y, m, mt in real(t)])
     with pytest.raises(RuntimeError) as refused:
         gt_decompose(2, 3)
     assert str(refused.value) == "[[1],[2,-1,-2]] has a one-row block: its entry at the words (1, 2) and (2, 2) joins two letter sets"
@@ -536,7 +561,78 @@ def test_build_m_rejects_levels_above_ambient():
         build_m_tilde(3, Fraction(5, 2))
 
 
-# --- oracle: the tower lift through the diagram basis -------------------------
+# --- oracles: Z, the tower lift and the M family built diagram by diagram ------
+
+
+def _oracle_z(t):
+    """Z at level t from the validated diagrams d_p."""
+    size, half = size_and_half(t)
+    terms = [(with_half(build_dp(p), half), Fraction(len(p) - half)) for p in set_partitions(size, min_blocks=1 + half)]
+    return AlgebraElement(size, "orbit", terms, half=half)
+
+
+def _oracle_z_tilde(t):
+    """Z~ at level t from the validated diagrams d_{p,c,d} and d~_{p,c,d}."""
+    size, half = size_and_half(t)
+    build = build_dtilde if half else build_dpcd
+    terms = [
+        (build(p, c, d), Fraction(1))
+        for p in set_partitions(size, min_blocks=2 + half)
+        for c, d in combinations([b for b in p if not (half and size in b)], 2)
+    ]
+    return AlgebraElement(size, "orbit", terms, half=half)
+
+
+def _add_slot(a):
+    """Unital embedding into the next half level, adding c = {k+1, (k+1)'},
+    term by term through the validating constructor: a diagram-basis term d
+    becomes d with c; an orbit-basis term x_d becomes x_{d with c} plus
+    x_{d with B ∪ c} for each block B of d."""
+    if a.half:
+        raise ValueError("element already sits at a half level")
+    k = a.size
+    c = (k + 1, -(k + 1))
+
+    def lifts(blocks):
+        yield blocks + (c,)
+        if a.basis == "orbit":
+            for i, b in enumerate(blocks):
+                yield blocks[:i] + (b + c,) + blocks[i + 1 :]
+
+    terms = [
+        (PartitionDiagram(k + 1, blocks, half=True), coeff)
+        for d, coeff in a.sum.terms()
+        for blocks in lifts(d.blocks)
+    ]
+    return AlgebraElement(k + 1, a.basis, terms, half=True)
+
+
+def _oracle_lift(a, target, add_slot=_add_slot):
+    target = as_level(target)
+    cur = a.level
+    while cur < target:
+        if a.half:
+            a = AlgebraElement(a.size, a.basis, [(with_half(d, False), c) for d, c in a.sum.terms()])
+        else:
+            a = add_slot(a)
+        cur += HALF
+    return a
+
+
+def _lifted_difference(build, y, t, add_slot=_add_slot):
+    """build(y) - build(y - 1/2), both lifted to level t; build(1/2) at y = 1/2."""
+    y, t = as_level(y), as_level(t)
+    if y == HALF:
+        return _oracle_lift(build(y), t, add_slot)
+    return _oracle_lift(build(y), t, add_slot) - _oracle_lift(build(y - HALF), t, add_slot)
+
+
+def _oracle_family(t):
+    """(y, M_y, M~_y) up to t, each M taken at its own level and lifted once."""
+    return [
+        (y, _oracle_lift(_lifted_difference(_oracle_z, y, y), t), _oracle_lift(_lifted_difference(_oracle_z_tilde, y, y), t))
+        for y in levels_upto(t)
+    ]
 
 
 def _round_trip_add_slot(a):
@@ -548,7 +644,7 @@ def _round_trip_add_slot(a):
     def lift(d):
         return PartitionDiagram(k + 1, d.blocks + ((k + 1, -(k + 1)),), half=True)
 
-    lifted = AlgebraElement(k + 1, "diagram", dia.sum.map_keys(lift), half=True)
+    lifted = AlgebraElement(k + 1, "diagram", [(lift(d), c) for d, c in dia.sum.terms()], half=True)
     return to_orbit(lifted) if a.basis == "orbit" else lifted
 
 
@@ -558,28 +654,48 @@ def _assert_same_sum(new, old):
     assert [(k, type(c)) for k, c in new.sum.items()] == [(k, type(c)) for k, c in old.sum.items()]
 
 
-def test_m_families_match_the_round_trip_lift(monkeypatch):
-    def family():
-        return {
-            (build.__name__, y, t): build(y, t)
-            for t in levels_upto(4)
-            for y in levels_upto(t)
-            for build in (build_m, build_m_tilde)
-        }
-
-    new = family()
-    monkeypatch.setattr(jm, "_add_slot", _round_trip_add_slot)
-    old = family()
+def test_m_families_match_the_round_trip_lift():
+    new = {
+        (build.__name__, y, t): build(y, t)
+        for t in levels_upto(4)
+        for y in levels_upto(t)
+        for build in (build_m, build_m_tilde)
+    }
+    old = {
+        (name, y, t): _lifted_difference(z, y, t, _round_trip_add_slot)
+        for t in levels_upto(4)
+        for y in levels_upto(t)
+        for name, z in (("build_m", _oracle_z), ("build_m_tilde", _oracle_z_tilde))
+    }
     assert new.keys() == old.keys() and len(new) == 72
     for key in new:
         _assert_same_sum(new[key], old[key])
+
+
+def test_mask_route_matches_the_term_by_term_lift_up_to_eleven_halves():
+    for t in levels_upto(Fraction(11, 2)):
+        _assert_same_sum(build_z(t), _oracle_z(t))
+        _assert_same_sum(build_z_tilde(t), _oracle_z_tilde(t))
+        family = jm._m_family(t)
+        assert [y for y, _, _ in family] == levels_upto(t)
+        for (y, m, mt), (_, old_m, old_mt) in zip(family, _oracle_family(t)):
+            _assert_same_sum(m, old_m)
+            _assert_same_sum(mt, old_mt)
+            _assert_same_sum(build_m(y, t), old_m)
+            _assert_same_sum(build_m_tilde(y, t), old_mt)
+        if t <= 4:
+            for x in (build_z(t), build_z_tilde(t)):
+                for step in (HALF, 1):
+                    _assert_same_sum(tower_lift(x, t + step), _oracle_lift(x, t + step))
 
 
 def test_add_slot_matches_the_round_trip_on_single_diagrams():
     for d in enumerate_monoid("A", 2) + enumerate_monoid("I", 3):
         for basis in ("orbit", "diagram"):
             x = AlgebraElement.from_diagram(d, basis=basis)
-            _assert_same_sum(jm._add_slot(x), _round_trip_add_slot(x))
+            _assert_same_sum(_add_slot(x), _round_trip_add_slot(x))
+            if basis == "orbit":
+                _assert_same_sum(tower_lift(x, d.size + HALF), _add_slot(x))
 
 
 def test_add_slot_matches_the_round_trip_on_mixed_sums():
@@ -591,15 +707,47 @@ def test_add_slot_matches_the_round_trip_on_mixed_sums():
         for _ in range(50):
             terms = [(d, rng.choice(coeffs)) for d in rng.sample(pool, 4)]
             x = AlgebraElement(pool[0].size, "orbit", terms)
-            new = jm._add_slot(x)
+            new = _add_slot(x)
             assert new.sum == _round_trip_add_slot(x).sum
             assert sorted(map(repr, (c for _, c in new.sum.items()))) == sorted(
                 repr(c) for d, c in terms for _ in range(len(d.blocks) + 1)
             )
+            _assert_same_sum(tower_lift(x, x.level + HALF), new)
+            _assert_same_sum(tower_lift(x, x.level + 1), _oracle_lift(x, x.level + 1))
+
+
+def test_a_central_sum_that_stops_propagating_is_named(monkeypatch):
+    # the one-block partition's block split into its top and bottom rows
+    real = jm._through_blocks
+
+    def split_single(p, c=None, d=None):
+        blocks = real(p, c, d)
+        return [p[0], tuple(-v for v in p[0])] if len(p) == 1 else blocks
+
+    monkeypatch.setattr(jm, "_through_blocks", split_single)
+    monkeypatch.setattr(jm, "_central_terms", cache(jm._central_terms.__wrapped__))
+    with pytest.raises(RuntimeError) as refused:
+        build_z(2)
+    assert str(refused.value) == "Z at level 2 has the term [[1,2],[-1,-2]], which is not totally propagating"
+
+
+def test_a_lifted_family_term_that_stops_propagating_is_named(monkeypatch):
+    # the added block {k+1, (k+1)'} split into its two vertices
+    real = jm._slot_lifts
+
+    def split_slot(masks, size):
+        return [tuple(sorted([m & ~1 for m in lifted] + [1], reverse=True)) for lifted in real(masks, size)]
+
+    monkeypatch.setattr(jm, "_slot_lifts", split_slot)
+    monkeypatch.setattr(jm, "_family_terms", cache(jm._family_terms.__wrapped__))
+    with pytest.raises(RuntimeError) as refused:
+        build_m(HALF, Fraction(3, 2))
+    assert str(refused.value) == (
+        "M_1/2 at level 3/2 has the term [[1,-1],[2],[-2]], which is not totally propagating with its last column joined"
+    )
 
 
 def test_centrality_check_names_a_non_central_witness(monkeypatch):
-    real = jm.build_z
     cases = [
         (
             "[[1,-2],[2,-1],[3,-3]]",
@@ -618,8 +766,8 @@ def test_centrality_check_names_a_non_central_witness(monkeypatch):
         ),
     ]
     for extra, failures in cases:
-        x = AlgebraElement.from_diagram(D(extra), basis="orbit")
-        monkeypatch.setattr(jm, "build_z", lambda t: real(t) + x if t == 3 else real(t))
-        report = verify_centrality(3)
+        with monkeypatch.context() as planted:
+            _add_to_z(planted, 3, extra)
+            report = verify_centrality(3)
         assert not report["ok"]
         assert report["failures"] == failures

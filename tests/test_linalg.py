@@ -16,6 +16,7 @@ from rookpart.jm import build_m, build_m_tilde, predicted_eigenvalues, size_and_
 from rookpart.linalg import (
     CommutingFamily,
     ExactMatrix,
+    _is_scalar,
     commutant_dimension,
     nullspace,
     simultaneous_eigenspace,
@@ -195,6 +196,28 @@ def test_non_commuting_operators_are_rejected_past_the_old_debug_limit():
         simultaneous_eigenspace(ops, [1, 0, 0])
     with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
         CommutingFamily(ops)
+
+
+def test_scalar_operators_are_skipped_and_a_planted_pair_is_still_named(monkeypatch):
+    # scalars of every kind around a non-commuting pair: the identity, a
+    # multiple of it, a Fraction multiple and zero; the pair keeps its indices
+    d = 4
+    e01 = ExactMatrix.from_entries(d, d, [((0, 1), 1)])
+    e10 = ExactMatrix.from_entries(d, d, [((1, 0), 1)])
+    one = ExactMatrix.identity(d)
+    scalars = [one, one.scaled(3), one.scaled(Fraction(-1, 2)), ExactMatrix.zeros(d, d)]
+    assert all(_is_scalar(m) for m in scalars)
+    diagonal = ExactMatrix.from_entries(d, d, [((0, 0), 1), ((1, 1), 1), ((2, 2), 1), ((3, 3), 2)])
+    assert not any(_is_scalar(m) for m in (e01, diagonal, ExactMatrix.from_entries(d, d, [((1, 1), 1)])))
+    ops = scalars[:2] + [e01] + scalars[2:] + [e10]
+    with pytest.raises(ValueError) as refused:
+        CommutingFamily(ops)
+    assert str(refused.value) == "operators 2 and 5 do not commute"
+    products = []
+    real = ExactMatrix.__mul__
+    monkeypatch.setattr(ExactMatrix, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    CommutingFamily(scalars + [e01, e01])
+    assert len(products) == 2  # the one pair of non-scalar operators
 
 
 def test_commuting_family_is_checked_once():

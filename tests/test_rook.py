@@ -17,6 +17,7 @@ from rookpart.rook import (
     kappa_tilde,
     rook_mul,
 )
+from test_scalars import bilinear
 
 
 def test_identity_and_zero():
@@ -204,3 +205,36 @@ def test_kappa_examples_and_centrality():
 def test_rook_mul_size_mismatch():
     with pytest.raises(ValueError):
         rook_mul(RookElement.identity(2), RookElement.identity(3))
+
+
+def _bilinear_mul(a, b):
+    """The product term by term: one checked composition and one FormalSum per pair."""
+    return bilinear(a, b, lambda x, y: FormalSum.term(rook_mul(x, y)))
+
+
+def _assert_same_sum(new, old):
+    assert new == old
+    assert [(k, type(c)) for k, c in new.items()] == [(k, type(c)) for k, c in old.items()]
+
+
+def test_tuple_products_match_the_bilinear_route():
+    for n in range(1, 5):
+        fam = [jm_x(i, n) for i in range(1, n + 1)] + [jm_x_tilde(i, n) for i in range(1, n + 1)]
+        fam += [kappa(n), kappa_tilde(n)] + [FormalSum.term(g) for g in generators(n)]
+        for a in fam:
+            for b in fam:
+                _assert_same_sum(algebra_mul(a, b), _bilinear_mul(a, b))
+    # seeded sums with repeated products, so that coefficients cancel
+    rng = random.Random(53)
+    coeffs = [Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(3)]
+    for n in (2, 3):
+        pool = enumerate_rook(n)
+        for _ in range(60):
+            a, b = (FormalSum([(rho, rng.choice(coeffs)) for rho in rng.sample(pool, 5)]) for _ in range(2))
+            _assert_same_sum(algebra_mul(a, b), _bilinear_mul(a, b))
+    assert algebra_mul(FormalSum.zero(), jm_x(1, 2)) == FormalSum.zero()
+
+
+def test_algebra_mul_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        algebra_mul(FormalSum.term(RookElement.identity(2)), FormalSum.term(RookElement.identity(3)))

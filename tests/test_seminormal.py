@@ -15,6 +15,15 @@ from rookpart.seminormal import (
 )
 
 
+def rep(irrep, x):
+    """Matrix of a FormalSum of monoid elements, term by term: each element
+    through its factorization into the generators."""
+    out = ExactMatrix.zeros(irrep.dim, irrep.dim)
+    for rho, coeff in x.items():
+        out = out + irrep.rep_rook(rho).scaled(coeff)
+    return out
+
+
 def _strip_last(tab, n):
     return tuple(row_ for row_ in (tuple(e for e in row if e != n) for row in tab) if row_)
 
@@ -132,7 +141,7 @@ def test_rep_homomorphism_random_r3():
 def test_rep_of_algebra_elements_is_linear():
     irrep = RookIrrep((1,), 2)
     x = jm_x(1, 2)
-    direct = irrep.rep(x)
+    direct = rep(irrep, x)
     manual = irrep.rep_rook(RookElement.identity(2)) - irrep.rep_rook(
         generator("P", 1, 2)
     )
@@ -158,8 +167,13 @@ def test_verify_jm_action_names_each_mismatch(monkeypatch):
     from rookpart import seminormal
 
     # X_i read as X_{n+1-i}: letters 1 and 2 swap their membership eigenvalues
-    real = seminormal.jm_x
-    monkeypatch.setattr(seminormal, "jm_x", lambda i, n: real(n + 1 - i, n))
+    real = seminormal._jm_matrices
+
+    def reversed_x(irrep):
+        pairs = real(irrep)
+        return [(x, xt) for (x, _), (_, xt) in zip(reversed(pairs), pairs)]
+
+    monkeypatch.setattr(seminormal, "_jm_matrices", reversed_x)
     report = verify_jm_action((1,), 2)
     assert not report["ok"]
     assert report["mismatches"] == [
@@ -170,13 +184,44 @@ def test_verify_jm_action_names_each_mismatch(monkeypatch):
     ]
     # X_i read as s_1, which swaps the two basis vectors: not diagonal, and
     # zero on the diagonal
-    monkeypatch.setattr(seminormal, "jm_x", lambda i, n: FormalSum.term(generator("s", 1, n), Fraction(1)))
+    monkeypatch.setattr(
+        seminormal, "_jm_matrices", lambda irrep: [(irrep.token_matrix(("s", 1)), xt) for _, xt in real(irrep)]
+    )
     assert verify_jm_action((1,), 2)["mismatches"] == [
         "X_1 not diagonal on (1,)",
         "(1,) ((1,),) i=1: got (0,0), want (1,0)",
         "X_2 not diagonal on (1,)",
         "(1,) ((2,),) i=2: got (0,0), want (1,0)",
     ]
+
+
+def test_jm_recursion_names_a_gamma_off_its_diagonal(monkeypatch):
+    from rookpart import seminormal
+
+    # P_1 that also drops the tableaux holding the letter 2
+    real = seminormal.act_p1
+    monkeypatch.setattr(seminormal, "act_p1", lambda tab: FormalSum.zero() if 2 in tableau_entries(tab) else real(tab))
+    with pytest.raises(RuntimeError) as refused:
+        verify_jm_action((1,), 2)
+    assert str(refused.value) == (
+        "rho(gamma_1) on (1,) at n=2 is not the 0/1 diagonal of the tableaux without 1: "
+        "its row 0, at the tableau ((2,),), differs"
+    )
+
+
+def _term_by_term_jm_matrices(irrep):
+    """rho(X_i) and rho(X~_i) evaluated term by term: every monoid element of
+    the expanded X_i and X~_i through its factorization into the generators."""
+    return [(rep(irrep, jm_x(i, irrep.n)), rep(irrep, jm_x_tilde(i, irrep.n))) for i in range(1, irrep.n + 1)]
+
+
+def test_jm_recursion_matches_the_term_by_term_evaluation():
+    from rookpart.seminormal import _jm_matrices
+
+    for n in range(1, 6):
+        for lam in partitions_upto(n):
+            irrep = RookIrrep(lam, n)
+            assert _jm_matrices(irrep) == _term_by_term_jm_matrices(irrep), (lam, n)
 
 
 def test_eigenvalue_sequences_separate_everything():
@@ -186,8 +231,8 @@ def test_eigenvalue_sequences_separate_everything():
         seen = {}
         for lam in partitions_upto(n):
             irrep = RookIrrep(lam, n)
-            xs = [irrep.rep(jm_x(i, n)) for i in range(1, n + 1)]
-            ts = [irrep.rep(jm_x_tilde(i, n)) for i in range(1, n + 1)]
+            xs = [rep(irrep, jm_x(i, n)) for i in range(1, n + 1)]
+            ts = [rep(irrep, jm_x_tilde(i, n)) for i in range(1, n + 1)]
             for idx in range(irrep.dim):
                 key = tuple((xs[i][idx, idx], ts[i][idx, idx]) for i in range(n))
                 assert key not in seen, (lam, seen[key])
@@ -198,8 +243,8 @@ def test_membership_spectrum_alone_does_not_separate():
     # both size-2 shapes at n=2 have constant membership spectrum (1,1)
     a = RookIrrep((2,), 2)
     b = RookIrrep((1, 1), 2)
-    xa = [a.rep(jm_x(i, 2))[0, 0] for i in (1, 2)]
-    xb = [b.rep(jm_x(i, 2))[0, 0] for i in (1, 2)]
+    xa = [rep(a, jm_x(i, 2))[0, 0] for i in (1, 2)]
+    xb = [rep(b, jm_x(i, 2))[0, 0] for i in (1, 2)]
     assert xa == xb == [Fraction(1), Fraction(1)]
 
 

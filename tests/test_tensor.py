@@ -8,6 +8,7 @@ import pytest
 
 from rookpart import tensor
 from rookpart.combinat import standard_tableaux, stirling2
+from rookpart.bratteli import levels_upto
 from rookpart.diagram import (
     AlgebraElement,
     PartitionDiagram,
@@ -16,8 +17,10 @@ from rookpart.diagram import (
     enumerate_monoid,
     from_orbit,
     generating_set,
+    is_half,
 )
 from rookpart.formal import FormalSum
+from rookpart.jm import _m_family, size_and_half
 from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
 from rookpart.rook import RookElement, enumerate_rook, generator, generators
 from rookpart.scalars import XI, XiPoly
@@ -685,17 +688,71 @@ def test_element_actions_match_the_dict_route():
             assert_pair_route(psi_element(x, space), space, psi_terms(x, space))
 
 
-def test_actions_name_a_cell_outside_the_matrix():
-    # a row past either end, caught per term; a column, caught per row
-    for cells, cell in (
-        ([(0, 0), (4, 1)], (4, 1)),
-        ([(0, 0), (-1, 2)], (-1, 2)),
-        ([(1, 0), (2, 7)], (2, 7)),
-        ([(1, -3), (1, 1)], (1, -3)),
-    ):
-        with pytest.raises(IndexError) as outside:
-            tensor._action(2, 4, [(1, []), (Fraction(1, 2), cells)])
-        assert str(outside.value) == f"entry {cell} outside a 4x4 matrix"
+def _assert_in_range(cells, dim, what):
+    assert all(0 <= i < dim and 0 <= j < dim for i, j in cells), what
+
+
+def _random_diagram(rng, size, half):
+    """A seeded set partition of the 2 * size vertices, with size and size'
+    joined on a half level."""
+    label = {v: rng.randrange(2 * size) for v in range(-size, size + 1) if v}
+    if half:
+        label[-size] = label[size]
+    blocks = {}
+    for v, b in label.items():
+        blocks.setdefault(b, []).append(v)
+    return PartitionDiagram(size, blocks.values(), half)
+
+
+def _random_rook(rng, n):
+    """A seeded partial injection of 1..n."""
+    r = rng.randrange(n + 1)
+    mapping = [0] * n
+    for col, row in zip(rng.sample(range(1, n + 1), r), rng.sample(range(1, n + 1), r)):
+        mapping[col - 1] = row
+    return RookElement(n, mapping)
+
+
+def test_cell_builders_stay_inside_the_matrix():
+    # ``_action`` adds cells without a bounds check, so every builder must
+    # stay in range at the sizes the tests reach: every diagram and rook
+    # element on the whole spaces of diagram size up to 3 and n up to 3,
+    # seeded samples on the other spaces up to the "tensor space" limit, and
+    # each letter-set block up to level 11/2 with the M family that
+    # ``gt_decompose`` acts with there
+    rng = random.Random(71)
+    for n, k, half in product(range(1, 10), range(1, 10), (False, True)):
+        size = k + half
+        if n**k > 729 or (half and n < 2):
+            continue
+        space = TensorSpace(n, k, half)
+        if size <= 3 and n <= 3:
+            diagrams = [d for d in enumerate_monoid("A", size) if not half or is_half(d)]
+            rooks = enumerate_rook(space.rook_n)
+        else:
+            diagrams = [_random_diagram(rng, size, half) for _ in range(12)]
+            rooks = [_random_rook(rng, space.rook_n) for _ in range(12)]
+        for d in diagrams:
+            # n^blocks cells in the diagram basis: the largest are left to the orbit basis
+            for injective in (False, True) if n ** d.n_blocks() <= 4096 else (True,):
+                _assert_in_range(tensor._diagram_cells(d, space, injective), space.dim, (n, k, half, d, injective))
+        for rho in rooks:
+            _assert_in_range(tensor._rook_cells(rho, space), space.dim, (n, k, half, rho))
+    for t in levels_upto(Fraction(11, 2)):
+        if t < 1:
+            continue
+        size, half = size_and_half(t)
+        k = size - half
+        terms = {d for _, m, mt in _m_family(t) for x in (m, mt) for d, _ in x.sum.terms()}
+        if size <= 3:
+            terms |= set(enumerate_monoid("I_half" if half else "I", k))
+        # a block's cells depend on n only through its one-row check
+        for n in (size, 7):
+            for r in range(1, size + 1):
+                block = tensor.LetterBlock(n, k, r, half)
+                for d in terms:
+                    for injective in (False, True):
+                        _assert_in_range(block._cells(d, injective), block.dim, (n, t, r, d, injective))
 
 
 # --- letter-set blocks ----------------------------------------------------------

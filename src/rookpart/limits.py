@@ -29,9 +29,6 @@ LIMITS = {
     # N is: level 11/2 (largest block 390 words) took 1.3-2.5 s and 27 MB at
     # N = 6, 7 and 40; level 6 (1,800 words) took 16 s
     "GT decomposition": Limit("largest block", 390),
-    # the rank of the rook elements' vectors in ``schur-weyl``: ``--n 7 --k 3 --half``
-    # (4,571,161) took 2.3-2.9 s, ``--n 7 --k 2`` (6,415,178) 4.4-6.6 s and ``--n 7 --k 3`` 23 s
-    "rook image": Limit("|R_n| n^k", 5_000_000),
     "path enumeration": Limit("paths", 200_000),
     "coarsenings": Limit("blocks", 10),
     "rook tower": Limit("levels", 32),

@@ -266,12 +266,6 @@ def nullspace(m: ExactMatrix) -> list:
     return list(basis.values())
 
 
-def sparse_rank_of_vectors(vectors) -> int:
-    """Rank of a family of vectors given as {index: coefficient} dicts."""
-    rows = ({k: _exact(v) for k, v in vec.items() if v} for vec in vectors)
-    return len(_gauss_jordan(rows))
-
-
 def _commutator_rows(g: ExactMatrix, ids):
     """Rows of the linear system M g - g M = 0, one per entry (i, k) of the
     commutator, in the unknowns ``ids[a * d + b]`` of the entries M_{ab}."""

@@ -43,8 +43,8 @@ from .diagram import (
 )
 from .formal import FormalSum
 from .limits import check
-from .linalg import ExactMatrix, _exact, commutant_dimension, sparse_rank_of_vectors
-from .rook import RookElement, enumerate_rook, generator
+from .linalg import ExactMatrix, _exact, commutant_dimension
+from .rook import RookElement, generator
 from .scalars import XiPoly
 
 
@@ -310,26 +310,41 @@ def _orbit_unknowns(space: TensorSpace, names, expected: int) -> list:
     return unknowns
 
 
-def _rook_commutant_dim(space: TensorSpace) -> int:
-    """The rook commutant's dimension, counted: the matrices constant on the
-    letter-equality patterns of a b (n kept apart on a half space) that
-    commute with psi(P_1), the diagonal D with D_a = 1 exactly when a avoids
-    the letter 1.  Entry (a, b) of M D - D M is M_ab (D_b - D_a), so a
-    pattern is left when each letter class but n meets both words: r
-    classes of a matched with r of b, r! S(k, r)^2 for r <= n.  On a half
-    space the class of n, which holds the hidden place of both words, is
-    matched already: r! S(k+1, r+1)^2 for r <= n - 1.  The premise is
-    checked always: a row of psi(P_1) other than {a: 1} for a word a without
-    the letter 1, or {} for one with it, raises RuntimeError naming the space
-    and the word."""
-    p1 = psi_rook(generator("P", 1, space.rook_n), space)
+def _rook_counts(space: TensorSpace) -> tuple[int, int]:
+    """(rook image, rook commutant) dimensions, counted on the premise that
+    psi acts letter by letter (n kept apart on a half space).  It is checked
+    always, on two generators of R_n: psi(P_1) must be the diagonal D with
+    D_a = 1 exactly when a avoids the letter 1, and psi(s_1) must swap the
+    letters 1 and 2 of each word; a mismatch raises RuntimeError naming the
+    space, the generator and the word.
+
+    Image (Solomon, J. Algebra 256, 2002): psi(rho) is the sum of E_sigma
+    over the restrictions sigma of rho, E_sigma sending each word whose
+    letter set is dom sigma to its image.  This change of basis is
+    unitriangular and the E_sigma have disjoint supports, so there is one
+    dimension per sigma whose domain is some word's letter set.  Commutant:
+    the matrices constant on the letter-equality patterns of a b that
+    commute with D.  Entry (a, b) of M D - D M is M_ab (D_b - D_a), so a
+    pattern is left when each letter class but n meets both words: r!
+    S(k, r)^2 for r <= n, or r! S(k+1, r+1)^2 for r <= n - 1 on a half
+    space, where the class of n holds the hidden place of both words."""
+    n, k, rook_n = space.n, space.k, space.rook_n
+    p1 = psi_rook(generator("P", 1, rook_n), space)
     for a, word in enumerate(space.basis):
         if p1._rows[a] != ({} if 1 in word else {a: 1}):
             raise RuntimeError(f"{space!r}: psi(P_1) is not the diagonal of the words without the letter 1, at {word}")
-    n, k = space.n, space.k
+    if rook_n >= 2:
+        s1 = psi_rook(generator("s", 1, rook_n), space)
+        index = {word: a for a, word in enumerate(space.basis)}
+        for a, word in enumerate(space.basis):
+            swapped = tuple(3 - x if x <= 2 else x for x in word)
+            if s1._rows[index[swapped]] != {a: 1}:
+                raise RuntimeError(f"{space!r}: psi(s_1) does not send {word} to {swapped}")
     if space.half:
-        return sum(factorial(r) * stirling2(k + 1, r + 1) ** 2 for r in range(n))
-    return sum(factorial(r) * stirling2(k, r) ** 2 for r in range(n + 1))
+        image = sum(comb(rook_n, r) ** 2 * factorial(r) for r in range(min(rook_n, k) + 1))
+        return image, sum(factorial(r) * stirling2(k + 1, r + 1) ** 2 for r in range(n))
+    image = sum(comb(n, r) ** 2 * factorial(r) for r in range(1, min(n, k) + 1))
+    return image, sum(factorial(r) * stirling2(k, r) ** 2 for r in range(n + 1))
 
 
 def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
@@ -345,8 +360,9 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     it is a combination of orbital matrices, one per orbit on pairs of basis
     words (Halverson-Ram 2005; Benkart-Halverson 2019).  (b) R_n is generated
     by S_n and P_1, and psi(P_1) is diagonal, so the rook commutant is a
-    count (``_rook_commutant_dim``, whose premise is checked).  (c) The
-    diagram commutant is solved in orbital unknowns
+    count; (c) so is the rook image, in Solomon's basis of restrictions
+    (both in ``_rook_counts``, whose premise is checked).  The diagram
+    commutant is solved in orbital unknowns
     (``linalg.commutant_dimension``): the S_k-orbits on position pairs, the
     multisets of k letter pairs, whose number is checked against
     C(n^2+k-1, k) (a mismatch raises RuntimeError naming the space), imposing
@@ -359,10 +375,9 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     has the dimension of the number of diagrams with any injective cell; an
     always-on check that no cell is met twice backs this, and raises
     RuntimeError naming the diagram whose vector meets an earlier one.  The
-    rook image is the rank of the rook elements' vectors.  The monoid and its
-    generators come from one cached listing, and the sizes are bounded by
-    the "tensor space", "rook image", "R_n enumeration" and "I_k
-    enumeration" limits, all checked before any elimination.
+    monoid and its generators come from one cached listing, and the sizes
+    are bounded by the "tensor space" and "I_k enumeration" limits, both
+    checked before any listing or elimination; R_n is never listed.
 
     Besides the checked dimensions and ``ok``, the report gives the sizes it
     touched: ``dim`` (of the tensor space), ``diagram_count`` (of the
@@ -372,11 +387,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     """
     space = TensorSpace(n, k, half)
     rook_n = space.rook_n
-    check("R_n enumeration", rook_n)  # first, so that R_n's own row refuses its n
     rook_elements = sum(comb(rook_n, r) ** 2 * factorial(r) for r in range(rook_n + 1))
-    dim = space.dim
-    check("rook image", rook_elements * dim)
-    rooks = enumerate_rook(rook_n)
     kind = "I_half" if half else "I"
     diagrams = enumerate_monoid(kind, k)
 
@@ -390,11 +401,8 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
                 raise RuntimeError(f"{space!r}: the orbit vector of {d} meets that of {owner[cell]} at cell {cell}")
         image_dim += len(owner) > before
     kernel_dim = len(diagrams) - image_dim
-    commutant_dim = _rook_commutant_dim(space)
+    psi_image_dim, commutant_dim = _rook_counts(space)
 
-    psi_image_dim = sparse_rank_of_vectors(
-        [{i * dim + j: 1 for i, j in _rook_cells(rho, space)} for rho in rooks]
-    )
     phi_count = comb(n * n + k - 1, k)
     phi_unknowns = _orbit_unknowns(space, _phi_orbits(space), phi_count)
     phi_gens = [phi_diagram(d, space) for d in generating_set(kind, k) if d.n_blocks() < d.size]
@@ -416,7 +424,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
         "psi_image_dim": psi_image_dim,
         "phi_commutant_dim": phi_commutant_dim,
         "ok": ok,
-        "dim": dim,
+        "dim": space.dim,
         "diagram_count": len(diagrams),
         "rook_elements": rook_elements,
         "phi_generators": len(phi_gens),

@@ -133,23 +133,27 @@ def test_schur_weyl_single_place(capsys):
     )
 
 
-def test_schur_weyl_refuses_a_large_rook_monoid_before_eliminating(capsys, monkeypatch):
-    # the refusal must come before any rank or commutant is computed
-    def no_elimination(*args):
-        raise AssertionError("elimination started")
+def test_schur_weyl_admits_r7_on_three_places(capsys):
+    # R_7 is counted, not listed: 343 words, as the tensor space row allows
+    assert run_cli(capsys, "schur-weyl", "--n", "7", "--k", "3") == (
+        0,
+        '{"commutant_dim": 25, "image_dim": 25, "kernel_dim": 0, "ok": true}\n',
+    )
 
-    monkeypatch.setattr(tensor, "sparse_rank_of_vectors", no_elimination)
-    monkeypatch.setattr(tensor, "commutant_dimension", no_elimination)
-    monkeypatch.setattr(tensor, "enumerate_rook", no_elimination)
-    for n, k in ((27, 2), (9, 3), (8, 1)):
-        assert main(["schur-weyl", "--n", str(n), "--k", str(k)]) == 2
+
+def test_schur_weyl_refuses_a_large_tensor_space_before_any_work(capsys, monkeypatch):
+    # the tensor space row alone bounds a large n: the refusal comes before
+    # the words, the monoid or either count is made, and nothing is eliminated
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in ("product", "enumerate_monoid", "_rook_counts", "commutant_dimension"):
+        monkeypatch.setattr(tensor, name, no_work)
+    for n, k, half in ((28, 2, False), (28, 2, True), (10, 3, False), (730, 1, False)):
+        assert main(["schur-weyl", "--n", str(n), "--k", str(k)] + ["--half"] * half) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: R_n enumeration: n = {n} exceeds the limit 7\n"
-    # R_7 is within its row, but the rank of its 130,922 vectors of 343 cells
-    # is refused before R_7 is listed
-    assert main(["schur-weyl", "--n", "7", "--k", "3"]) == 2
-    assert capsys.readouterr().err == "error: rook image: |R_n| n^k = 44906246 exceeds the limit 5000000\n"
+        assert captured.err == f"error: tensor space: dimension n^k = {n**k} exceeds the limit 729\n"
 
 
 IDENTITY_11 = json.dumps([[v, -v] for v in range(1, 12)])
@@ -210,12 +214,6 @@ REFUSALS = [
         ["orbit", "--diagram", IDENTITY_11],
         "coarsenings: blocks = 11 exceeds the limit 10",
         ORBIT_WORK,
-    ),
-    (["schur-weyl", "--n", "8", "--k", "1"], "R_n enumeration: n = 8 exceeds the limit 7", [(rook, "combinations")]),
-    (
-        ["schur-weyl", "--n", "8", "--k", "2", "--half"],
-        "rook image: |R_n| n^k = 8379008 exceeds the limit 5000000",
-        [(rook, "combinations"), (diagram, "_closure_listing")],
     ),
     (
         ["schur-weyl", "--n", "3", "--k", "7"],
@@ -296,8 +294,9 @@ CLI_OPTION_BOUNDS = {
     ("character", "--lambda"): ("rook characters",),
     ("character", "--sigma"): ("rook characters",),
     ("character", "--n"): ("rook characters",),
-    ("schur-weyl", "--n"): ("R_n enumeration", "tensor space", "rook image"),
-    ("schur-weyl", "--k"): ("tensor space", "I_k enumeration", "rook image"),
+    # R_n is counted, not listed: ``schur-weyl --n 9 --k 3 --half`` took 2.1-3.4 s
+    ("schur-weyl", "--n"): ("tensor space",),
+    ("schur-weyl", "--k"): ("tensor space", "I_k enumeration"),
     ("schur-weyl", "--half"): "no row: a flag",
     # the eigenvalue table works on one letter-set block per size, whatever n
     # is; ``--verify --n`` builds the whole tensor space
@@ -333,9 +332,10 @@ def test_every_cli_option_names_its_size_limit_or_why_it_has_none():
             assert bound.startswith("no row: ") and len(bound) > len("no row: "), option
         else:
             assert bound and set(bound) <= LIMITS.keys(), option
-    # every row the CLI can reach is named by some option
+    # every row the CLI can reach is named by some option; R_n is listed
+    # only by ``verify``, at fixed sizes
     named = {row for bound in CLI_OPTION_BOUNDS.values() if not isinstance(bound, str) for row in bound}
-    assert sorted(LIMITS.keys() - named) == ["A_k enumeration"]
+    assert sorted(LIMITS.keys() - named) == ["A_k enumeration", "R_n enumeration"]
 
 
 @pytest.mark.parametrize("module, name", ORBIT_WORK, ids=[name for _, name in ORBIT_WORK])

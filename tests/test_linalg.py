@@ -16,17 +16,25 @@ from rookpart.jm import build_m, build_m_tilde, predicted_eigenvalues, size_and_
 from rookpart.linalg import (
     CommutingFamily,
     ExactMatrix,
+    _exact,
+    _gauss_jordan,
     _is_scalar,
     commutant_dimension,
     nullspace,
     simultaneous_eigenspace,
-    sparse_rank_of_vectors,
 )
 from rookpart.rook import generator
 from rookpart.seminormal import RookIrrep
 from rookpart.tensor import TensorSpace, phi_element, psi_rook
 
 small_entries = st.integers(min_value=-4, max_value=4).map(Fraction)
+
+
+def sparse_rank_of_vectors(vectors) -> int:
+    """Rank of a family of vectors given as {index: coefficient} dicts, by
+    the package's sparse elimination: the oracle for counted ranks."""
+    rows = ({k: _exact(v) for k, v in vec.items() if v} for vec in vectors)
+    return len(_gauss_jordan(rows))
 
 
 def rank(m):

@@ -21,7 +21,7 @@ from rookpart.diagram import (
 )
 from rookpart.formal import FormalSum
 from rookpart.jm import _m_family, size_and_half
-from rookpart.linalg import ExactMatrix, commutant_dimension, sparse_rank_of_vectors
+from rookpart.linalg import ExactMatrix, commutant_dimension
 from rookpart.rook import RookElement, enumerate_rook, generator, generators
 from rookpart.scalars import XI, XiPoly
 from rookpart.tensor import (
@@ -32,6 +32,7 @@ from rookpart.tensor import (
     psi_rook,
     schur_weyl_report,
 )
+from test_linalg import sparse_rank_of_vectors
 
 
 def D(text, half=False):
@@ -395,7 +396,7 @@ def test_rook_commutant_count_matches_the_orbital_route(n, k, half):
     space = TensorSpace(n, k, half)
     p1 = psi_rook(generator("P", 1, space.rook_n), space)
     orbital = commutant_dimension([p1], list(_psi_orbits(space)))
-    assert tensor._rook_commutant_dim(space) == schur_weyl_report(n, k, half)["commutant_dim"] == orbital
+    assert tensor._rook_counts(space)[1] == schur_weyl_report(n, k, half)["commutant_dim"] == orbital
 
 
 @pytest.mark.parametrize("n, k, half", ORBIT_CASES + [(3, 4, False), (2, 4, True)])
@@ -407,7 +408,7 @@ def test_rook_commutant_count_keeps_the_patterns_whose_classes_meet_both_words(n
     for pattern in set(_psi_orbits(space)):
         a, b = set(pattern[:k]), set(pattern[k:])
         kept += (a ^ b) <= ({0} if half else set())
-    assert tensor._rook_commutant_dim(space) == kept
+    assert tensor._rook_counts(space)[1] == kept
 
 
 def test_rook_commutant_count_is_the_monoid_size_truncated_at_n_blocks():
@@ -419,12 +420,55 @@ def test_rook_commutant_count_is_the_monoid_size_truncated_at_n_blocks():
                 continue
             integer = sum(stirling2(k, r) ** 2 * factorial(r) for r in range(n + 1))
             half = sum(stirling2(k + 1, r) ** 2 * factorial(r - 1) for r in range(1, n + 1))
-            assert tensor._rook_commutant_dim(TensorSpace(n, k)) == integer, (n, k)
-            assert tensor._rook_commutant_dim(TensorSpace(n, k, half=True)) == half, (n, k)
+            assert tensor._rook_counts(TensorSpace(n, k))[1] == integer, (n, k)
+            assert tensor._rook_counts(TensorSpace(n, k, half=True))[1] == half, (n, k)
             if n >= k:
                 assert integer == _closed_form_size("I", k)
             if n >= k + 1:
                 assert half == _closed_form_size("I_half", k)
+
+
+# --- the rank of the rook vectors, kept as an oracle for the image count ------
+
+
+@pytest.mark.parametrize(
+    "n, k, half",
+    ORBIT_CASES
+    + [(1, 3, False), (5, 2, False), (4, 3, False), (3, 4, False), (4, 4, False), (5, 3, False)]
+    + [(4, 3, True), (2, 4, True), (4, 4, True), (5, 3, True)],
+)
+def test_rook_image_count_matches_the_rank_of_the_rook_vectors(n, k, half):
+    # the route the count replaced: one vector of dim^2 entries per element of R_n
+    space = TensorSpace(n, k, half)
+    vectors = [{i * space.dim + j: 1 for i, j in tensor._rook_cells(rho, space)} for rho in enumerate_rook(space.rook_n)]
+    assert tensor._rook_counts(space)[0] == sparse_rank_of_vectors(vectors)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_psi_of_a_rook_element_is_the_sum_of_its_restrictions(half):
+    # Solomon's basis: E_sigma sends the words whose letter set (n apart on a
+    # half space) is exactly dom sigma to their letter-by-letter images
+    space = TensorSpace(3, 2, half)
+    index = word_index(space)
+    fixed = {space.n} if half else set()
+    for rho in enumerate_rook(space.rook_n):
+        pairs = [(i, j) for i, j in enumerate(rho.mapping, 1) if j]
+        total = [{} for _ in range(space.dim)]
+        for r in range(len(pairs) + 1):
+            for sigma in map(dict, combinations(pairs, r)):
+                for a, w in enumerate(space.basis):
+                    if set(w) - fixed == sigma.keys():
+                        b = index[tuple(sigma.get(x, x) for x in w)]
+                        total[b][a] = total[b].get(a, 0) + 1
+        assert psi_rook(rho, space)._rows == tuple(total), rho
+
+
+def test_schur_weyl_admits_r7_on_three_places():
+    # R_7 is not listed: 8,281 partial bijections of at most 3 of the 7 letters
+    report = schur_weyl_report(7, 3)
+    assert report["ok"]
+    assert report["psi_image_dim"] == report["phi_commutant_dim"] == 8281
+    assert report["rook_elements"] == 130922
 
 
 # --- planted faults: each check of the report fails and names its witness -----
@@ -447,12 +491,22 @@ def test_schur_weyl_kernel_check_fails_alone(monkeypatch):
 
 def test_schur_weyl_rook_commutant_check_fails_alone(monkeypatch):
     # one pattern too many in the count
-    real = tensor._rook_commutant_dim
-    monkeypatch.setattr(tensor, "_rook_commutant_dim", lambda space: real(space) + 1)
+    real = tensor._rook_counts
+    monkeypatch.setattr(tensor, "_rook_counts", lambda space: (real(space)[0], real(space)[1] + 1))
     report = schur_weyl_report(3, 3)
     assert not report["ok"]
     assert (report["image_dim"], report["commutant_dim"]) == (25, 26)
     assert _agree(report, ("kernel_dim", "expected_kernel_dim"), ("psi_image_dim", "phi_commutant_dim"))
+
+
+def test_schur_weyl_rook_image_check_fails_alone(monkeypatch):
+    # one partial bijection too many in the count
+    real = tensor._rook_counts
+    monkeypatch.setattr(tensor, "_rook_counts", lambda space: (real(space)[0] + 1, real(space)[1]))
+    report = schur_weyl_report(3, 3)
+    assert not report["ok"]
+    assert (report["psi_image_dim"], report["phi_commutant_dim"]) == (34, 33)
+    assert _agree(report, ("kernel_dim", "expected_kernel_dim"), ("image_dim", "commutant_dim"))
 
 
 @pytest.mark.parametrize("half, word", [(False, "(1, 1, 1)"), (True, "(1, 1)")])
@@ -463,6 +517,17 @@ def test_schur_weyl_checks_that_psi_p1_is_the_diagonal_it_counts(monkeypatch, ha
     with pytest.raises(RuntimeError) as raised:
         schur_weyl_report(3, 3 - half, half)
     assert str(raised.value) == f"{space!r}: psi(P_1) is not the diagonal of the words without the letter 1, at {word}"
+
+
+@pytest.mark.parametrize("half, word, swapped", [(False, "(1, 1, 1)", "(2, 2, 2)"), (True, "(1, 1)", "(2, 2)")])
+def test_schur_weyl_checks_that_psi_s1_swaps_the_letters_1_and_2(monkeypatch, half, word, swapped):
+    # s_1 replaced by the identity: the first word with the letter 1 is sent to itself
+    real = tensor.generator
+    monkeypatch.setattr(tensor, "generator", lambda name, i, n: RookElement.identity(n) if name == "s" else real(name, i, n))
+    space = TensorSpace(3, 3 - half, half)
+    with pytest.raises(RuntimeError) as raised:
+        schur_weyl_report(3, 3 - half, half)
+    assert str(raised.value) == f"{space!r}: psi(s_1) does not send {word} to {swapped}"
 
 
 def test_schur_weyl_diagram_commutant_check_fails_alone(monkeypatch):

@@ -20,15 +20,15 @@ PROP_SIZES = {1: 1, 2: 3, 3: 25, 4: 339}
 PROP_HALF_SIZES = {1: 2, 2: 12, 3: 128}
 
 
-def crit_dimension_identity(max_n: int = 4):
+def crit_dimension_identity():
     details = []
-    for n in range(1, max_n + 1):
+    for n, size in ROOK_SIZES.items():
         total = sum(
             len(combinat.standard_tableaux(lam, n)) ** 2
             for lam in combinat.partitions_upto(n)
         )
         monoid = len(rook.enumerate_rook(n))
-        if total != monoid or monoid != ROOK_SIZES[n]:
+        if total != monoid or monoid != size:
             return False, f"n={n}: sum of squares {total}, monoid size {monoid}"
         details.append(f"n={n}: {total}")
     return True, "; ".join(details)
@@ -60,7 +60,8 @@ def _relation_checks(n, mul, s, p1, pj, identity):
     return checks
 
 
-def crit_presentation_relations(max_n: int = 4):
+def crit_presentation_relations():
+    max_n = 4
     for n in range(1, max_n + 1):
         checks = _relation_checks(
             n,
@@ -89,9 +90,9 @@ def crit_presentation_relations(max_n: int = 4):
     return True, f"relations hold in the monoid and all modules, n <= {max_n}"
 
 
-def crit_jm_action(max_n: int = 4):
+def crit_jm_action():
     count = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for lam in combinat.partitions_upto(n):
             report = seminormal.verify_jm_action(lam, n)
             if not report["ok"]:
@@ -100,7 +101,8 @@ def crit_jm_action(max_n: int = 4):
     return True, f"{count} diagonal eigenvalues verified"
 
 
-def crit_rook_commutation(max_n: int = 4):
+def crit_rook_commutation():
+    max_n = 4
     for n in range(1, max_n + 1):
         fam = [rook.jm_x(i, n) for i in range(1, n + 1)] + [
             rook.jm_x_tilde(i, n) for i in range(1, n + 1)
@@ -117,16 +119,17 @@ def crit_rook_commutation(max_n: int = 4):
     return True, f"family commutes and sums are central, n <= {max_n}"
 
 
-def crit_kronecker_pointwise(max_n: int = 4):
+def crit_kronecker_pointwise():
     shapes = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for lam in combinat.partitions_upto(n):
             characters.kronecker_with_defining(lam, n, verify=True)
             shapes += 1
     return True, f"pointwise product rule verified for {shapes} (lam, n) pairs"
 
 
-def crit_three_way_multiplicity(n: int = 3, kmax: int = 4):
+def crit_three_way_multiplicity():
+    n, kmax = 3, 4
     graph = bratteli.rhat(n, kmax)
     for k in range(1, kmax + 1):
         by_chars = characters.tensor_multiplicities(n, k)
@@ -147,7 +150,8 @@ def crit_three_way_multiplicity(n: int = 3, kmax: int = 4):
     return True, f"three methods agree for n={n}, k <= {kmax}"
 
 
-def crit_rsk_bijection(kmax: int = 4, n: int = 4):
+def crit_rsk_bijection():
+    kmax = n = 4
     worked = {
         ((1,), (2,), (1, 1)): (((1,),), ((2, 3),)),
         ((1,), (1, 1), (1, 1)): (((2,),), ((1, 3),)),
@@ -214,9 +218,10 @@ def crit_schur_weyl():
     return True, "; ".join(details)
 
 
-def crit_operator_identity(max_n: int = 4, max_k: int = 3):
+def crit_operator_identity():
+    max_n = 4
     count = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, 4):
         for n in range(k, max_n + 1):
             report = jm.verify_operator_identity(n, Fraction(k))
             if not report["ok"]:
@@ -317,7 +322,8 @@ def crit_level3_snapshots():
     return True, "all three level-3 graphs match their frozen snapshots"
 
 
-def crit_propagating_dimensions(kmax: int = 4):
+def crit_propagating_dimensions():
+    kmax = max(PROP_SIZES)
     graph = bratteli.ihat(kmax)
     start = (HALF, ())
     for t in [lv for lv in graph.levels if lv > HALF]:
@@ -335,21 +341,21 @@ def crit_propagating_dimensions(kmax: int = 4):
                 expected = combinat.stirling2(int(t), sum(mu)) * combinat.f_lambda(mu)
                 if total != expected:
                     return False, f"count at level {t}, {mu} is {total} != {expected}"
-    for k in range(1, kmax + 1):
+    for k, size in PROP_SIZES.items():
         total = sum(
             graph.count_paths(start, (Fraction(k), mu)) ** 2
             for mu in graph.vertices[graph.level_index(Fraction(k))]
         )
-        if total != PROP_SIZES[k]:
-            return False, f"sum of squares at level {k} is {total} != {PROP_SIZES[k]}"
-    for k in range(1, kmax):
+        if total != size:
+            return False, f"sum of squares at level {k} is {total} != {size}"
+    for k, size in PROP_HALF_SIZES.items():
         t = Fraction(k) + HALF
         total = sum(
             graph.count_paths(start, (t, mu)) ** 2
             for mu in graph.vertices[graph.level_index(t)]
         )
         expected = len(diagram.enumerate_monoid("I_half", k))
-        if total != expected or expected != PROP_HALF_SIZES[k]:
+        if total != expected or expected != size:
             return False, f"sum of squares at level {t} is {total} != {expected}"
     return True, f"dimension recursion and monoid sizes match up to level {kmax}"
 

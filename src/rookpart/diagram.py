@@ -85,7 +85,7 @@ import json
 from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -148,7 +148,12 @@ class PartitionDiagram:
                     if v in owner:
                         raise ValueError(f"vertex {v} is in blocks {list(owner[v])} and {list(b)}")
                     owner[v] = b
-            raise ValueError(f"blocks must partition the {2 * size} vertices")
+            for v in owner:
+                if not (isinstance(v, int) and 0 < abs(v) <= size):
+                    raise ValueError(f"vertex {v!r} is not a vertex of a size-{size} diagram")
+            # within len(owner) + 1 steps, in canonical order
+            missing = next(v for v in chain(range(1, size + 1), range(-1, -size - 1, -1)) if v not in owner)
+            raise ValueError(f"vertex {missing} is in no block")
         masks = _vertex_masks(size, blocks)
         if half and not _joins_last_column(masks, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
@@ -215,13 +220,12 @@ class PartitionDiagram:
         return f"PartitionDiagram({self.size}{tag}: {self})"
 
     @classmethod
-    def parse(cls, text: str, size: int | None = None, half: bool = False) -> "PartitionDiagram":
+    def parse(cls, text: str, half: bool = False) -> "PartitionDiagram":
         blocks = json.loads(text)
         if not blocks:
             raise ValueError("the diagram is empty")
-        if size is None:
-            # with no vertex at all, size 1 lets the constructor name the first empty block
-            size = max((abs(v) for b in blocks for v in b), default=1)
+        # at least 1, so that the constructor names a vertex 0 or an empty block
+        size = max(1, max((abs(v) for b in blocks for v in b), default=0))
         return cls(size, [tuple(b) for b in blocks], half)
 
 

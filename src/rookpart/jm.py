@@ -52,7 +52,7 @@ from .diagram import (
 from .linalg import CommutingFamily, simultaneous_eigenspace
 from .rook import kappa, kappa_tilde
 from .limits import check
-from .tensor import LetterBlock, TensorSpace, letter_block_dim, phi_block, phi_element, psi_element
+from .tensor import LetterBlock, TensorSpace, letter_block_dim, phi_element, psi_element
 
 
 def size_and_half(t) -> tuple[int, bool]:
@@ -311,9 +311,9 @@ def gt_decompose(t, n: int) -> dict:
     The family is phi of elements of C I_k (or C I_{k+1/2}), so it keeps each
     letter-set block, and a path's dimension is the sum over r of the copies
     of V_[r] times its dimension there (``tensor.LetterBlock``).  The family
-    is built and eliminated on one block per r up to the diagram size, so
-    neither grows with n, and the n^k words are never listed.  Each block
-    has its own :class:`CommutingFamily`, checked to commute (a pair that
+    is built (``tensor.phi_element``) and eliminated on one block per r up to
+    the diagram size, so neither grows with n; no n^k words are listed.  Each
+    block has its own :class:`CommutingFamily`, checked to commute (a pair that
     does not raises ValueError naming the block), which its paths share, so
     a prefix common to several paths is eliminated once per block.  The
     eigenspaces exhaust the space when on each block the path dimensions add
@@ -350,7 +350,7 @@ def gt_decompose(t, n: int) -> dict:
     block_failures = []
     prefix_kernels = largest = 0
     for block in blocks:
-        ops = [phi_block(x, block) for _, m, mt in family for x in (m, mt)]
+        ops = [phi_element(x, block) for _, m, mt in family for x in (m, mt)]
         try:
             ops = CommutingFamily(ops)  # checked here, not again for every path
         except ValueError as err:

@@ -22,6 +22,8 @@ class RookElement:
     __slots__ = ("n", "mapping")
 
     def __init__(self, n: int, mapping):
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, not {n}")
         mapping = tuple(mapping)
         if len(mapping) != n:
             raise ValueError("mapping length must be n")

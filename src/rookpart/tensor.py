@@ -22,8 +22,9 @@ block's place values, the sums of n^(k-j) over its top vertices j and over
 its bottom vertices j'.
 
 The totally propagating algebras also act on each letter-set block alone
-(``LetterBlock``, ``phi_block``): the same cells grown on r letters, kept when
-they use all r, never listing the n^k words.
+(``LetterBlock``): the same cells grown on r letters, kept when they use all
+r, never listing the n^k words.  Both spaces give a diagram's cells through
+their ``_cells`` method, so ``phi_diagram`` and ``phi_element`` act on either.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class TensorSpace:
         self.k = k
         self.half = half
         self.basis = list(product(range(1, n + 1), repeat=k))
+        self.dim = len(self.basis)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def diagram_size(self) -> int:
-        return self.k + 1 if self.half else self.k
+    def _cells(self, d: PartitionDiagram, injective: bool) -> list:
+        """(row, col) cells of a diagram action on the whole tensor space,
+        whose word indices are the words read in base n (``_grown_cells``)."""
+        _check_diagram(d, self)
+        return [(r, c) for r, c, _ in _grown_cells(d, self.n, self.k, self.half, injective)]
 
     @property
     def rook_n(self) -> int:
@@ -82,7 +83,7 @@ class TensorSpace:
 
 
 def _check_diagram(d: PartitionDiagram, space: TensorSpace):
-    if d.size != space.diagram_size():
+    if d.size != space.k + space.half:
         raise ValueError(f"diagram size {d.size} does not fit {space!r}")
     if space.half and not is_half(d):
         raise ValueError("half space needs diagrams joining the last column")
@@ -134,13 +135,6 @@ def _grown_cells(d: PartitionDiagram, letters: int, k: int, half: bool, injectiv
             if not (injective and used >> x & 1)
         ]
     return cells
-
-
-def _diagram_cells(d: PartitionDiagram, space: TensorSpace, injective: bool) -> list:
-    """(row, col) cells of a diagram action on the whole tensor space, whose
-    word indices are the words read in base n (``_grown_cells``)."""
-    _check_diagram(d, space)
-    return [(r, c) for r, c, _ in _grown_cells(d, space.n, space.k, space.half, injective)]
 
 
 def _crossing_words(d: PartitionDiagram, n: int, k: int, half: bool, injective: bool):
@@ -197,9 +191,6 @@ class LetterBlock:
         words = [w for w, _, used in _grown_cells(identity, r, k, half, injective=False) if used == full]
         self._index = {w: i for i, w in enumerate(words)}
         self.dim = len(words)
-
-    def diagram_size(self) -> int:
-        return self.k + 1 if self.half else self.k
 
     def _cells(self, d: PartitionDiagram, injective: bool) -> list:
         """(row, col) cells of a diagram action on the block: the cells of
@@ -261,20 +252,15 @@ def _action(n: int, dim: int, terms) -> ExactMatrix:
 
 def phi_diagram(d: PartitionDiagram, space: TensorSpace) -> ExactMatrix:
     """Right action of a diagram-basis element (row convention)."""
-    return _action(space.n, space.dim, [(1, _diagram_cells(d, space, injective=False))])
+    return _action(space.n, space.dim, [(1, space._cells(d, injective=False))])
 
 
 def phi_element(a: AlgebraElement, space: TensorSpace) -> ExactMatrix:
-    """Linear extension of the diagram action; xi coefficients evaluate at n."""
+    """Linear extension of the diagram action on a ``TensorSpace`` or, for an
+    element of I_k (or I_{k+1/2}), on one ``LetterBlock`` and its listed
+    words; xi coefficients evaluate at the true n."""
     injective = a.basis == "orbit"
-    return _action(space.n, space.dim, ((c, _diagram_cells(d, space, injective)) for d, c in a.sum.terms()))
-
-
-def phi_block(a: AlgebraElement, block: LetterBlock) -> ExactMatrix:
-    """The action of an element of I_k (or I_{k+1/2}) on one letter-set
-    block, on its listed words; xi coefficients evaluate at the true n."""
-    injective = a.basis == "orbit"
-    return _action(block.n, block.dim, ((c, block._cells(d, injective)) for d, c in a.sum.terms()))
+    return _action(space.n, space.dim, ((c, space._cells(d, injective)) for d, c in a.sum.terms()))
 
 
 def psi_rook(rho: RookElement, space: TensorSpace) -> ExactMatrix:
@@ -396,7 +382,7 @@ def schur_weyl_report(n: int, k: int, half: bool = False) -> dict:
     image_dim = 0
     for d in diagrams:
         before = len(owner)
-        for cell in _diagram_cells(d, space, injective=True):
+        for cell in space._cells(d, injective=True):
             if owner.setdefault(cell, d) is not d:
                 raise RuntimeError(f"{space!r}: the orbit vector of {d} meets that of {owner[cell]} at cell {cell}")
         image_dim += len(owner) > before

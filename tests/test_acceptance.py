@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion, or ``rookpart verify`` for the JSON equivalent.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,12 @@ def test_criterion(number, name, fn, budget):
 
 def test_every_criterion_is_registered():
     assert [c[0] for c in CRITERIA] == list(range(1, 15))
+
+
+def test_only_the_orbit_product_criterion_takes_a_size():
+    takes = {num: list(inspect.signature(fn).parameters) for num, _, fn, _ in CRITERIA}
+    assert takes.pop(8) == ["k"]
+    assert all(params == [] for params in takes.values()), takes
 
 
 def test_run_criteria_rejects_unknown_numbers():

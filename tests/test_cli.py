@@ -498,13 +498,22 @@ def test_malformed_diagrams_exit_2_without_traceback(capsys):
         (["compose", "--d1", "[[]]", "--d2", "[[1,-1]]"], "error: block 1 of the diagram is empty"),
         (["compose", "--d1", "[]", "--d2", "[[1,-1]]"], "error: the diagram is empty"),
         (["orbit", "--diagram", "[[1,-1],[1]]"], "error: vertex 1 is in blocks [1, -1] and [1]"),
-        (["compose", "--d1", "[[2750,-1]]", "--d2", "[[1,-1]]"], "error: blocks must partition the 5500 vertices"),
+        (["compose", "--d1", "[[2750,-1]]", "--d2", "[[1,-1]]"], "error: vertex 1 is in no block"),
+        (["orbit", "--diagram", "[[2,-2]]"], "error: vertex 1 is in no block"),
+        (["orbit", "--diagram", "[[0]]"], "error: vertex 0 is not a vertex of a size-1 diagram"),
     ]
     for argv, line in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == line + "\n", (argv, captured.err)
+
+
+def test_a_negative_rook_size_exits_2_naming_it(capsys):
+    assert main(["character", "--lambda", "1", "--sigma", "[]", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be nonnegative, not -1\n"
 
 
 # one small admitted command per variant, in which each int, level, JSON or

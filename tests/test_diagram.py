@@ -26,8 +26,8 @@ from rookpart.scalars import XI, XiPoly, falling_factorial
 from test_scalars import bilinear
 
 
-def D(text, size=None, half=False):
-    return PartitionDiagram.parse(text, size=size, half=half)
+def D(text, half=False):
+    return PartitionDiagram.parse(text, half=half)
 
 
 def coarsenings(d):
@@ -72,13 +72,21 @@ def test_validation_names_malformed_blocks():
         PartitionDiagram(1, [[1, -1], [1]])
     with pytest.raises(ValueError, match=r"^vertex -2 is in blocks \[2, -2\] and \[-1, -2\]$"):
         PartitionDiagram(2, [(1,), (2, -2), (-1, -2)])
-    with pytest.raises(ValueError, match="blocks must partition"):
+    with pytest.raises(ValueError, match="^vertex 1 is in no block$"):
         PartitionDiagram(1, [])
+    with pytest.raises(ValueError, match="^vertex 1 is in no block$"):
+        PartitionDiagram(2, [(2, -2)])
+    with pytest.raises(ValueError, match="^vertex -2 is in no block$"):
+        D("[[1,-1],[2]]")
+    with pytest.raises(ValueError, match="^vertex 0 is not a vertex of a size-1 diagram$"):
+        D("[[0]]")
+    with pytest.raises(ValueError, match="^vertex 3 is not a vertex of a size-2 diagram$"):
+        PartitionDiagram(2, [(1, -1), (2, 3)])
 
 
 def test_validation_of_a_far_vertex_builds_no_table_of_its_size():
     tables = diagram._block_table.cache_info().currsize
-    with pytest.raises(ValueError, match="^blocks must partition the 2000000 vertices$"):
+    with pytest.raises(ValueError, match="^vertex 1 is in no block$"):
         D("[[1000000,-1]]")
     assert diagram._block_table.cache_info().currsize == tables
 

@@ -36,6 +36,11 @@ def test_pairs_round_trip():
         RookElement.from_pairs(2, [(1, 1), (1, 2)])
 
 
+def test_a_negative_size_is_refused_by_name():
+    with pytest.raises(ValueError, match="^n must be nonnegative, not -2$"):
+        RookElement(-2, [])
+
+
 def test_transpose_is_inverse_partial_map():
     a = RookElement(3, (2, 0, 1))
     transpose = RookElement.from_pairs(3, [(a.image(i), i) for i in a.domain()])

@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import rookpart
@@ -194,3 +196,51 @@ def test_size_limits_and_the_environment_live_in_limits_py():
                 if isinstance(target, ast.Name) and re.search("_GUARD|_CEILING|_LIMIT", target.id):
                     found.append(f"{path.name}:{top.lineno} {target.id}")
     assert found == []
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def test_names_in_docstrings_resolve():
+    # a double-backticked identifier or dotted name in a package docstring
+    # names something that exists: each part a module, def, class, attribute,
+    # argument, module-level name or identifier-like string constant of the
+    # package, or, when it starts with a standard-library module, an object
+    # found from there; so a docstring cannot outlive the code it names
+    names = set()
+    quoted = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names.add(path.stem)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (*_DEFS, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _IDENTIFIER.fullmatch(node.value):
+                names.add(node.value)
+        for top in tree.body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in [tree, *ast.walk(tree)]:
+            if isinstance(node, (ast.Module, ast.ClassDef, *_DEFS)):
+                for text in re.findall(r"``([^`]+)``", ast.get_docstring(node, clean=False) or ""):
+                    if all(_IDENTIFIER.fullmatch(part) for part in text.split(".")):
+                        quoted.append((f"{path.name}:{getattr(node, 'lineno', 1)}", text))
+
+    def resolves(text):
+        head, *rest = text.split(".")
+        if head not in sys.stdlib_module_names:
+            return all(part in names for part in text.split("."))
+        obj = importlib.import_module(head)
+        for part in rest:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    assert [f"{where} ``{text}``" for where, text in quoted if not resolves(text)] == []
+    assert len(quoted) > 100

@@ -542,13 +542,13 @@ def test_schur_weyl_diagram_commutant_check_fails_alone(monkeypatch):
 
 
 def test_schur_weyl_names_orbit_vectors_that_meet(monkeypatch):
-    real = tensor._diagram_cells
+    real = TensorSpace._cells
 
-    def with_a_shared_cell(d, space, injective):
-        yield from real(d, space, injective)
+    def with_a_shared_cell(space, d, injective):
+        yield from real(space, d, injective)
         yield (0, 0)
 
-    monkeypatch.setattr(tensor, "_diagram_cells", with_a_shared_cell)
+    monkeypatch.setattr(TensorSpace, "_cells", with_a_shared_cell)
     first, second = enumerate_monoid("I", 3)[:2]
     message = f"TensorSpace(n=3, k=3): the orbit vector of {second} meets that of {first} at cell (0, 0)"
     with pytest.raises(RuntimeError, match=re.escape(message)):
@@ -640,7 +640,7 @@ def assert_pair_route(matrix, space, terms):
 
 
 def phi_terms(a, space):
-    return [(c, tensor._diagram_cells(d, space, a.basis == "orbit")) for d, c in a.sum.terms()]
+    return [(c, space._cells(d, a.basis == "orbit")) for d, c in a.sum.terms()]
 
 
 def psi_terms(x, space):
@@ -680,7 +680,7 @@ def test_diagram_cells_are_the_dict_routes_cells_met_once(n, k, half, kind):
     space = TensorSpace(n, k, half)
     for d in enumerate_monoid(kind, k):
         for injective in (False, True):
-            cells = tensor._diagram_cells(d, space, injective)
+            cells = space._cells(d, injective)
             want = old_entries_from_assignments(d, space, injective)
             assert len(set(cells)) == len(cells) and set(cells) == set(want), (space, d, injective)
 
@@ -692,9 +692,9 @@ def test_orbit_cells_vanish_past_n_blocks():
     ]
     for space, d in cases:
         assert d.n_blocks() > space.n
-        assert tensor._diagram_cells(d, space, injective=True) == []
+        assert space._cells(d, injective=True) == []
         assert old_entries_from_assignments(d, space, True) == {}
-        assert tensor._diagram_cells(d, space, injective=False)
+        assert space._cells(d, injective=False)
 
 
 def test_xi_coefficients_on_a_half_space_match_the_dict_route():
@@ -800,7 +800,7 @@ def test_cell_builders_stay_inside_the_matrix():
         for d in diagrams:
             # n^blocks cells in the diagram basis: the largest are left to the orbit basis
             for injective in (False, True) if n ** d.n_blocks() <= 4096 else (True,):
-                _assert_in_range(tensor._diagram_cells(d, space, injective), space.dim, (n, k, half, d, injective))
+                _assert_in_range(space._cells(d, injective), space.dim, (n, k, half, d, injective))
         for rho in rooks:
             _assert_in_range(tensor._rook_cells(rho, space), space.dim, (n, k, half, rho))
     for t in levels_upto(Fraction(11, 2)):
@@ -853,7 +853,7 @@ def test_letter_blocks_are_the_whole_space_action_on_each_letter_set(n, k, half)
         for block in blocks:
             sets = [set(c) for c in combinations(range(1, n + 1), block.r) if not half or n in c]
             assert len(sets) == block.copies
-            on_block = tensor.phi_block(a, block)
+            on_block = phi_element(a, block)
             for letters in sets:
                 idx = letter_set_words(space, letters)
                 assert ExactMatrix([[whole[i, j] for j in idx] for i in idx]) == on_block, (basis, block, letters)
@@ -874,7 +874,7 @@ def test_blocks_refuse_a_term_that_joins_two_letter_sets():
         d = D(text, half=block.half)
         x = AlgebraElement.from_diagram(d, basis=basis)
         with pytest.raises(RuntimeError) as refused:
-            tensor.phi_block(x, block)
+            phi_element(x, block)
         assert str(refused.value) == f"{d} has a one-row block: its entry at the words {a} and {b} joins two letter sets"
         space = TensorSpace(block.n, block.k, block.half)
         index = word_index(space)
@@ -885,9 +885,9 @@ def test_blocks_admit_one_row_terms_that_join_nothing():
     # an orbit element with more blocks than letters acts as 0, and with one
     # letter every word is 1...1
     x = AlgebraElement.from_diagram(D("[[1],[2],[-1],[-2]]"), basis="orbit")
-    assert tensor.phi_block(x, tensor.LetterBlock(3, 2, 2)) == ExactMatrix.zeros(2, 2)
+    assert phi_element(x, tensor.LetterBlock(3, 2, 2)) == ExactMatrix.zeros(2, 2)
     y = AlgebraElement.from_diagram(D("[[1],[2,-1,-2]]"))
-    assert tensor.phi_block(y, tensor.LetterBlock(1, 2, 1)) == phi_element(y, TensorSpace(1, 2))
+    assert phi_element(y, tensor.LetterBlock(1, 2, 1)) == phi_element(y, TensorSpace(1, 2))
 
 
 def test_letter_blocks_refuse_a_size_they_do_not_have():

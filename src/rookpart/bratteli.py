@@ -79,6 +79,7 @@ class GradedGraph:
         self._index = [
             {shape: i for i, shape in enumerate(vs)} for vs in self.vertices
         ]
+        self._level_index = {level: i for i, level in enumerate(self.levels)}
         # edges[i]: dict (u_idx at level i, v_idx at level i+1) -> tuple of labels
         edges = []
         for i in range(len(self.levels) - 1):
@@ -98,11 +99,16 @@ class GradedGraph:
                 self._out[i][u].append((v, labels))
 
     def level_index(self, level) -> int:
-        level = Fraction(level)
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise ValueError(f"no level {level} in graph") from None
+        """The index of a level given as an int, a Fraction or text that
+        ``fractions.Fraction`` reads.  An int or a Fraction hashes as its
+        value, so only text is read into a Fraction first."""
+        li = self._level_index.get(level)
+        if li is None:
+            level = Fraction(level)
+            li = self._level_index.get(level)
+            if li is None:
+                raise ValueError(f"no level {level} in graph")
+        return li
 
     def vertex_index(self, level, shape: Partition) -> int:
         li = self.level_index(level)

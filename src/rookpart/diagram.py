@@ -3,8 +3,12 @@
 Vertices of a size-k diagram are encoded as +1..+k (top row) and -1..-k
 (bottom row).  A diagram at a half level k+1/2 is stored as a size-(k+1)
 diagram with ``half=True``; its last top and bottom vertices must share a
-block.  All diagrams are kept in a canonical form, so they are hashable and
-comparable.  Each diagram reads its two row partitions once and keeps them.
+block.  All diagrams are kept in a canonical form, and the process holds one
+object per diagram: every way of building one (the constructor, ``parse``,
+``identity``, a product, a coarsening, a listing) returns the object already
+made for its size, half flag and block masks, so two diagrams are equal
+exactly when they are the same object, and hash as that object.  Each
+diagram reads its two row partitions and its coarsenings once and keeps them.
 
 Each diagram also keeps its blocks as bitmasks over its 2k vertices: top
 vertex v is bit 2k-v and bottom vertex -v is bit k-v, so the top row holds
@@ -12,7 +16,8 @@ bits k..2k-1 and the bottom row bits 0..k-1, and the canonical vertex order
 (1..k, then -1..-k) is descending bit order.  Disjoint masks compare like
 their highest bits, so the canonical block order is descending numeric
 order.  A per-size table turns a mask back into its block, filled on demand
-(at most 4^k entries for size k).
+(at most 4^k entries for size k), and holds that size's diagrams, one pool
+per half flag keyed by the block-mask tuple (at most Bell(2k) diagrams each).
 
 Products do only the work whose result they keep:
 
@@ -37,10 +42,10 @@ Products do only the work whose result they keep:
   already filled, through one list per generator and loop count.
   One int cell per pair holds the result's id times k+1 plus its loop count,
   Bell(2k)^2 cells in all (41,209 at size 3, 165 KB).  The sums stay on
-  those ints: each cell is split once, and each result term is the table's
-  own diagram for its id, one list per half flag made on first use.  Past
-  size 3 a table would need Bell(8)^2, about 17M cells, and pairs repeat
-  less, so each pair is composed as it comes.
+  those ints: each cell is split once, and each result term is the pooled
+  diagram of its id's masks.  Past size 3 a table would need Bell(8)^2,
+  about 17M cells, and pairs repeat less, so each pair is composed as it
+  comes.
 - ``to_orbit`` and ``from_orbit`` add each coefficient (times the Möbius
   value, for the latter) over one cached table of a diagram's coarsenings,
   built by adding its masks one at a time, each into a new group or OR-ed
@@ -53,15 +58,15 @@ Inside a product or a change of basis, every coefficient is summed in one
 form: per result key (its block-mask tuple, or its product-table id), a list
 of coefficients by power of xi, kept as ints while integral (an XiPoly
 coefficient contributes one entry per power).  The result keeps these sums
-as its entries, one per nonzero coefficient of a power of xi, each with its
-diagram, reused from the coarsening or product table where it has one.  The
-next product or change of basis reads them as they are, and the result
-builds its public sum, one Fraction or one XiPoly per term, only the first
-time ``sum`` is read; the sum then takes the entries' place.  A term's type
-follows from its value alone: it is an XiPoly exactly when a nonzero
-coefficient of a positive power of xi survives, and a Fraction otherwise,
-whatever Fractions, XiPolys, loops or structure constants contributed to it;
-sums carry Fraction or XiPoly coefficients, never ints.  Zero sums are
+as its entries, one per nonzero coefficient of a power of xi, each with the
+pooled diagram of its key.  The next product or change of basis reads them
+as they are, and the result builds its public sum, one Fraction or one
+XiPoly per term, only the first time ``sum`` is read; the sum then takes the
+entries' place.  A term's type follows from its value alone: it is an XiPoly
+exactly when a nonzero coefficient of a positive power of xi survives, and a
+Fraction otherwise, whatever Fractions, XiPolys, loops or structure
+constants contributed to it; sums carry Fraction or XiPoly coefficients,
+never ints.  Zero sums are
 dropped as the entries are made, so the result skips the public
 constructors' checks.  An element that holds only its sum, as one built
 through the public constructor does, has it read into entries once, by the
@@ -98,14 +103,17 @@ from .scalars import XI, XiPoly, falling_factorial
 class _BlockTable(dict):
     """Mask -> block (its vertices in canonical order) for one size, filled on
     demand, so it holds at most 4^size entries; ``bits`` maps each vertex to
-    its bit: 2k-v for top vertex v, k-v for bottom vertex -v."""
+    its bit: 2k-v for top vertex v, k-v for bottom vertex -v.  ``pools``
+    holds the diagrams of this size, made by ``PartitionDiagram._from_masks``
+    only: ``pools[half]`` maps each block-mask tuple to its one diagram."""
 
-    __slots__ = ("size", "bits")
+    __slots__ = ("size", "bits", "pools")
 
     def __init__(self, size: int):
         super().__init__()
         self.size = size
         self.bits = {v: 2 * size - v if v > 0 else size + v for v in range(-size, size + 1) if v}
+        self.pools = ({}, {})
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
         """The mask's set bits, from the highest down, as vertices."""
@@ -126,11 +134,15 @@ def _block_table(size: int) -> _BlockTable:
 
 
 class PartitionDiagram:
-    """Set partition of {1..k, -1..-k} in canonical block order."""
+    """Set partition of {1..k, -1..-k} in canonical block order.
 
-    __slots__ = ("size", "half", "blocks", "_masks", "_rows", "_hash")
+    The process holds one object per (size, half flag, block masks), so
+    equality and hashing are those of the object: the constructor checks its
+    blocks and returns that object, made on first request."""
 
-    def __init__(self, size: int, blocks, half: bool = False):
+    __slots__ = ("size", "half", "blocks", "_masks", "_rows")
+
+    def __new__(cls, size: int, blocks, half: bool = False):
         if size < 1:
             raise ValueError("size must be positive")
         blocks = [tuple(b) for b in blocks]
@@ -157,22 +169,23 @@ class PartitionDiagram:
         masks = _vertex_masks(size, blocks)
         if half and not _joins_last_column(masks, size):
             raise ValueError(f"half diagram must join {size} and {size}'")
-        self._set(size, masks, half)
-
-    def _set(self, size: int, masks: tuple, half: bool) -> None:
-        table = _block_table(size)
-        self.size = size
-        self.half = half
-        self.blocks = tuple([table[m] for m in masks])
-        self._masks = masks
-        self._rows = None
-        self._hash = None
+        return cls._from_masks(size, masks, bool(half))
 
     @classmethod
     def _from_masks(cls, size: int, masks: tuple, half: bool) -> "PartitionDiagram":
-        """Diagram from disjoint block masks in descending order, without checks."""
-        d = object.__new__(cls)
-        d._set(size, masks, half)
+        """The diagram of disjoint block masks in descending order, without
+        checks: the one object of its size's pool for (half, masks), made
+        here the first time it is asked for.  Every diagram is made here."""
+        table = _block_table(size)
+        pool = table.pools[half]
+        d = pool.get(masks)
+        if d is None:
+            d = pool[masks] = object.__new__(cls)
+            d.size = size
+            d.half = half
+            d.blocks = tuple([table[m] for m in masks])
+            d._masks = masks
+            d._rows = None
         return d
 
     @classmethod
@@ -198,16 +211,6 @@ class PartitionDiagram:
     def bottom_partition(self) -> tuple:
         """Restriction to the bottom row, unprimed."""
         return self._row_partitions()[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionDiagram):
-            return NotImplemented
-        return self._masks == other._masks and self.half == other.half and self.size == other.size
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.size, self.half, self.blocks))
-        return self._hash
 
     def __lt__(self, other):
         return (self.size, self.half, self.blocks) < (other.size, other.half, other.blocks)
@@ -410,8 +413,8 @@ class AlgebraElement:
     @classmethod
     def _from_masks(cls, size: int, basis: str, terms: dict, half: bool) -> "AlgebraElement":
         """Element of ``{masks: coefficient}``, the masks canonical at (size,
-        half) and the coefficients nonzero, with one diagram made per term and
-        no checks; the coefficients are kept as they are."""
+        half) and the coefficients nonzero, each term at the pooled diagram of
+        its masks, with no checks; the coefficients are kept as they are."""
         make = PartitionDiagram._from_masks
         s = FormalSum._from_dict({make(size, m, half): c for m, c in terms.items()})
         a = object.__new__(cls)
@@ -515,26 +518,24 @@ def _entries(a: AlgebraElement) -> tuple[list, int]:
 
 
 def _entry_values(a: AlgebraElement) -> dict:
-    """{(masks, j): c} over the entries of a."""
-    return {(d._masks, j): x for d, j, x in _entries(a)[0]}
+    """{(diagram, j): c} over the entries of a."""
+    return {(d, j): x for d, j, x in _entries(a)[0]}
 
 
 class _Coeffs(dict):
     """The coefficients of a result, summed per key: its block-mask tuple,
-    or its id in the product table.
+    or its id in the product table whose ``masks`` list is given.
 
     Each value lists the coefficient of xi^0 .. xi^(width-1), kept as ints
-    while integral.  ``made`` lists, in key order, a diagram that already
-    exists for every key, to be reused; it is empty when the diagrams are to
-    be built from mask keys.
+    while integral.
     """
 
-    __slots__ = ("width", "made")
+    __slots__ = ("width", "masks")
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, masks: list | None = None):
         super().__init__()
         self.width = width
-        self.made = []
+        self.masks = masks
 
     def __missing__(self, key) -> list:
         row = self[key] = [0] * self.width
@@ -545,14 +546,14 @@ class _Coeffs(dict):
         (see ``_entries``), in key order, each an int where integral; a key
         gives one entry per nonzero power, so it ends as an XiPoly exactly
         when a positive power survives.  Keys whose sums are all zero are
-        dropped here and every diagram is made at a's level, so the element
-        skips the public constructors' zero filter and level check.  No
-        Fraction, XiPoly or FormalSum is built: the element's sum is made
-        when it is first read."""
-        k, half = a.size, a.half
+        dropped here, and each other key's masks give its pooled diagram at
+        a's level, so the element skips the public constructors' zero filter
+        and level check.  No Fraction, XiPoly or FormalSum is built: the
+        element's sum is made when it is first read."""
+        k, half, masks = a.size, a.half, self.masks
         entries = []
         degree = 0
-        for (key, row), d in zip(self.items(), self.made or repeat(None)):
+        for key, row in self.items():
             if any(row[1:]):
                 powers = [(j, x) for j, x in enumerate(row) if x]
                 degree = max(degree, powers[-1][0])
@@ -560,7 +561,7 @@ class _Coeffs(dict):
                 powers = ((0, row[0]),)
             else:
                 continue
-            d = d or PartitionDiagram._from_masks(k, key, half)
+            d = PartitionDiagram._from_masks(k, key if masks is None else masks[key], half)
             for j, x in powers:
                 if type(x) is not int and x.denominator == 1:
                     x = x.numerator
@@ -613,17 +614,12 @@ class _ProductTable(dict):
     closure element is a diagram of size k, so the closure is all of A_k
     exactly when it has Bell(2k) elements; this is checked on every build,
     and a shortfall raises RuntimeError naming the size reached.
-
-    ``diagrams(half)`` lists the diagram of each id, made once per half flag,
-    so the products read at this size share their result diagrams (and the
-    hashes and coarsening tables cached on them).
     """
 
-    __slots__ = ("size", "cap", "masks", "cells", "_made")
+    __slots__ = ("size", "cap", "masks", "cells")
 
     def __init__(self, size: int):
         super().__init__()
-        self._made = {}
         k = self.size = size
         width = k + 1
         cap = self.cap = bell(2 * k)
@@ -654,14 +650,6 @@ class _ProductTable(dict):
             if step is None:
                 step = steps[g, loops] = [c + r - loops for c in columns[g] for r in range(width)]
             cells[j::cap] = array("i", itemgetter(*cells[p::cap])(step))
-
-    def diagrams(self, half: bool) -> list[PartitionDiagram]:
-        """The diagram of each id, with the half flag given, built the first
-        time that flag is asked for and kept with the table."""
-        made = self._made.get(half)
-        if made is None:
-            made = self._made[half] = [PartitionDiagram._from_masks(self.size, m, half) for m in self.masks]
-        return made
 
 
 @cache
@@ -709,10 +697,10 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     term's masks are looked up as an int id once, and the pair loop reads
     d1 ∘ d2 and l, packed in one int, from the product table of that size,
     built whole from a generator tree on first use and kept for the process
-    (see ``_ProductTable``).  Each packed cell is split once, the sums are
-    kept per result id, and each result term is the table's own diagram for
-    its id, so no diagram is built per product.  Past size 3 every pair is
-    composed, and each distinct result diagram is built once from its masks.
+    (see ``_ProductTable``).  Each packed cell is split once and the sums
+    are kept per result id.  Past size 3 every pair is composed and the sums
+    are kept per result masks.  Each result term is the pooled diagram of
+    its masks.
     """
     if a.basis != "diagram" or b.basis != "diagram":
         raise ValueError("diagram_product needs diagram-basis elements")
@@ -726,27 +714,23 @@ def diagram_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     table = _product_table(k) if k <= _MAX_TABLED_SIZE else None
     sums = _sums_by_composing(k, entries_a, right) if table is None else _sums_from_table(table, entries_a, right)
     # at most k loops, each holding a vertex of the middle row
-    acc = _Coeffs(degree_a + degree_b + width)
+    acc = _Coeffs(degree_a + degree_b + width, None if table is None else table.masks)
     for j, group in sums.items():
         for key, c in group.items():
             # a table cell packs the result's id and its loop count
             key, loops = key if table is None else divmod(key, width)
             acc[key][j + loops] += c
-    if table is not None:
-        made = table.diagrams(a.half)
-        acc.made = [made[i] for i in acc]
     return acc.element(a, "diagram")
 
 
 def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
-    """Each term of a spread over its upset, times the Möbius value or 1; the
-    upset's diagrams are the result's.
+    """Each term of a spread over its upset, times the Möbius value or 1.
 
     When every entry of a has one diagram d, the coarsenings of d are
     distinct and mu is never 0, so nothing is summed: at each coarsening c
     of the cached upset of d, in its order, each entry (d, j, x) of a gives
     the entry (c, j, mu x) or (c, j, x), an int wherever it is integral.
-    Two or more diagrams are summed per coarsening in a ``_Coeffs``."""
+    Two or more diagrams are summed per coarsening's masks in a ``_Coeffs``."""
     entries, degree = _entries(a)
     if entries and all(e[0] is entries[0][0] for e in entries):
         powers = [(j, x) for _, j, x in entries]
@@ -756,15 +740,9 @@ def _over_upset(a: AlgebraElement, basis: str, mobius: bool) -> AlgebraElement:
             out = [(c, j, y.numerator if y.denominator == 1 else y) for c, j, y in out]
         return AlgebraElement._from_entries(a.size, basis, out, degree, a.half)
     acc = _Coeffs(degree + 1)
-    width, made = acc.width, acc.made
     for d, j, x in entries:
         for c, mu in _upset(d):
-            masks = c._masks
-            row = acc.get(masks)
-            if row is None:
-                row = acc[masks] = [0] * width
-                made.append(c)
-            row[j] += mu * x if mobius else x
+            acc[c._masks][j] += mu * x if mobius else x
     return acc.element(a, basis)
 
 
@@ -773,7 +751,7 @@ def from_orbit(a: AlgebraElement) -> AlgebraElement:
     inversion: x_d = sum of mu(d, d') d' over the coarsenings d' of d.
 
     Each coefficient times mu is added as ints per power of xi over the
-    cached upset table of its diagram, whose diagrams the result reuses.
+    cached upset table of its diagram.
     """
     if a.basis != "orbit":
         raise ValueError("from_orbit needs an orbit-basis element")
@@ -785,8 +763,7 @@ def to_orbit(a: AlgebraElement) -> AlgebraElement:
 
     Uses d = sum of x_{d'} over the upset table of d: every coarsening of a
     support diagram gets that diagram's coefficient added, as ints per power
-    of xi, and nothing outside the support's coarsenings is touched.  The
-    result reuses the table's diagrams.
+    of xi, and nothing outside the support's coarsenings is touched.
     """
     if a.basis != "diagram":
         raise ValueError("to_orbit needs a diagram-basis element")

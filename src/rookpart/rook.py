@@ -204,22 +204,30 @@ def algebra_mul(a: FormalSum, b: FormalSum) -> FormalSum:
     """Product in the monoid algebra.
 
     Each pair of terms composes its mapping tuples, as ``rook_mul`` does, and
-    the coefficient products are summed per composed tuple in one dict.  A
-    composition of partial injections is one, so each element of the result
-    is made once, unchecked, from its tuple.  Mixed sizes raise ValueError.
+    the coefficient products are summed per composed tuple in one dict, each
+    coefficient read as an int where it is integral, so that the sums stay
+    in ints.  A composition of partial injections is one, so each element of
+    the result is made once, unchecked, from its tuple, with one Fraction
+    per term.  Mixed sizes raise ValueError.
     """
     sizes = {x.n for x, _ in a.terms()} | {y.n for y, _ in b.terms()}
     if len(sizes) > 1:
         raise ValueError("size mismatch")
-    right = [(y.mapping, c) for y, c in b.terms()]
+    right = [(y.mapping, _int_first(c)) for y, c in b.terms()]
     acc = {}
     for x, c1 in a.terms():
+        c1 = _int_first(c1)
         image = (0,) + x.mapping  # image[j] is x(j), 0 at j = 0
         for m, c2 in right:
             key = tuple(map(image.__getitem__, m))
             acc[key] = acc.get(key, 0) + c1 * c2
     n = sizes.pop() if sizes else 0
-    return FormalSum._from_dict({RookElement._unchecked(n, m): c for m, c in acc.items() if c})
+    return FormalSum._from_dict({RookElement._unchecked(n, m): Fraction(c) for m, c in acc.items() if c})
+
+
+def _int_first(c):
+    """c as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
 @cache

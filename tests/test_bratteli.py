@@ -140,6 +140,19 @@ def test_trivial_paths_and_missing_vertices():
         g.level_index(9)
 
 
+def test_level_index_reads_ints_fractions_and_text():
+    g = ihat(3)
+    for i, level in enumerate(g.levels):
+        assert g.level_index(level) == g.level_index(str(level)) == i
+        if level.denominator == 1:
+            assert g.level_index(int(level)) == i
+    assert g.level_index("5/2") == g.level_index(Fraction(5, 2)) == g.levels.index(Fraction(5, 2))
+    assert g.level_index("6/4") == g.level_index(Fraction(3, 2))
+    for level, shown in ((9, "9"), (Fraction(7, 2), "7/2"), ("14/4", "7/2"), ("1/3", "1/3")):
+        with pytest.raises(ValueError, match=f"^no level {shown} in graph$"):
+            g.level_index(level)
+
+
 def test_enumeration_ceiling():
     # 365,232 paths, counted without being built, then refused
     g = ihat(10)

@@ -161,6 +161,26 @@ IDENTITY_11 = json.dumps([[v, -v] for v in range(1, 12)])
 # making a coarsening's diagram
 ORBIT_WORK = [(diagram, "_joined"), (diagram.PartitionDiagram, "_from_masks")]
 
+
+def _mark_work(monkeypatch, module, name, stub):
+    """Put stub in place of module.name.  ``PartitionDiagram._from_masks``
+    also makes the diagram that ``parse`` reads, so there the stub takes over
+    only for a diagram with a block of more than two vertices: never the
+    identity diagrams the orbit rows give, always their first coarsening
+    that merges blocks."""
+    if (module, name) == (diagram.PartitionDiagram, "_from_masks"):
+        real = module._from_masks
+
+        def merged_only(size, masks, half):
+            if any(m.bit_count() > 2 for m in masks):
+                return stub()
+            return real(size, masks, half)
+
+        monkeypatch.setattr(module, name, merged_only)
+    else:
+        monkeypatch.setattr(module, name, stub)
+
+
 # (argv, the refusal, the work the refusal must come before)
 REFUSALS = [
     (["dims", "--n", "41"], "rook irreducibles: n = 41 exceeds the limit 40", [(combinat, "partitions_upto")]),
@@ -259,7 +279,7 @@ def test_size_limits_refuse_before_any_work(capsys, monkeypatch, argv, refusal, 
         raise AssertionError("work started")
 
     for module, name in work:
-        monkeypatch.setattr(module, name, no_work)
+        _mark_work(monkeypatch, module, name, no_work)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -347,7 +367,7 @@ def test_orbit_reaches_each_coarsening_work_marker_when_admitted(monkeypatch, mo
         raise AssertionError("work started")
 
     diagram._upset.cache_clear()
-    monkeypatch.setattr(module, name, work_started)
+    _mark_work(monkeypatch, module, name, work_started)
     for direction in ("to-orbit", "from-orbit"):
         with pytest.raises(AssertionError, match="work started"):
             main(["orbit", "--diagram", "[[1,-1],[2,-2]]", "--direction", direction])

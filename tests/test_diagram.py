@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
@@ -689,13 +689,16 @@ def test_products_and_basis_changes_match_the_xipoly_summing_route():
 
 def _merged_over_upset(a, mobius):
     """_over_upset through its ``_Coeffs`` merge: a's entries, each split in
-    two between its diagram and an equal copy of it, so that no one diagram
-    holds them all."""
+    two, then 1 and -1 on a second diagram, so that no one diagram holds them
+    all.  The second is the one-block diagram, its own only coarsening and
+    one of every diagram's, so the merge has a's keys and a's values."""
     entries, degree = diagram._entries(a)
     split = []
     for d, j, x in entries:
-        copy = PartitionDiagram._from_masks(d.size, d._masks, d.half)
-        split += [(d, j, x - 1), (copy, j, 1)] if x != 1 else [(d, j, 2), (copy, j, -1)]
+        split += [(d, j, x - 1), (d, j, 1)] if x != 1 else [(d, j, 2), (d, j, -1)]
+    full = PartitionDiagram._from_masks(a.size, ((1 << 2 * a.size) - 1,), a.half)
+    assert all(d is not full for d, _, _ in entries)
+    split += [(full, 0, 1), (full, 0, -1)]
     merged = AlgebraElement._from_entries(a.size, a.basis, split, degree, a.half)
     return diagram._over_upset(merged, "diagram" if mobius else "orbit", mobius)
 
@@ -849,24 +852,22 @@ def _eager_sum(acc, a):
     rows reach the real body as they were."""
     k, half = a.size, a.half
     out = {}
-    for (key, row), d in zip(acc.items(), acc.made or repeat(None)):
+    for key, row in acc.items():
         row = list(row)
         while row and not row[-1]:
             row.pop()
         if not row:
             continue
         c = Fraction(row[0]) if len(row) == 1 else XiPoly(row)
-        out[d or PartitionDiagram._from_masks(k, key, half)] = c
+        out[PartitionDiagram._from_masks(k, key if acc.masks is None else acc.masks[key], half)] = c
     return FormalSum._from_dict(out)
 
 
 def _summed_entries(entries, degree):
     """The entries summed into a ``_Coeffs`` by block masks, as the merge
-    sums them, with each diagram kept to be reused."""
+    sums them."""
     acc = diagram._Coeffs(degree + 1)
     for d, j, x in entries:
-        if d._masks not in acc:
-            acc.made.append(d)
         acc[d._masks][j] += x
     return acc
 
@@ -1309,12 +1310,11 @@ def test_tabled_products_match_the_composing_route_term_for_term(monkeypatch):
     for (a, b), want in zip(elements, composed):
         got = diagram_product(a, b)
         _assert_same_sum(got, want.sum)
-        # each key is the table's own diagram for its id; the composing route built its own
+        # the table's ids and the composed masks give the same pooled diagrams
         table = diagram._product_table(a.size)
-        made = table.diagrams(a.half)
         for (d, _), (e, _) in zip(got.sum.items(), want.sum.items()):
-            assert d is made[table[d._masks]] and d.half == a.half, (a, b)
-            assert e is not d and e.blocks == d.blocks and e.half == d.half
+            assert d is e and d.half == a.half, (a, b)
+            assert d is PartitionDiagram._from_masks(a.size, table.masks[table[d._masks]], a.half)
 
 
 def test_basis_changes_build_no_product_table():
@@ -1590,3 +1590,64 @@ def test_half_monoid_matches_the_filtered_propagating_monoid():
     for k in (1, 2, 3, 4):
         filtered = sorted(with_half(d, True) for d in _oracle_monoid("I", k + 1) if is_half(d))
         assert enumerate_monoid("I_half", k) == filtered
+
+
+# --- one object per diagram: the pool, with the former value equality as oracle ---
+
+
+def _value(d):
+    """The former ``PartitionDiagram.__eq__`` and ``__hash__`` read these."""
+    return d.size, d.half, d._masks
+
+
+def _assert_pooled(diagrams):
+    """Each diagram is the one object its size, half flag and masks give,
+    whether asked for unchecked or through the public constructor."""
+    for d in diagrams:
+        assert PartitionDiagram._from_masks(d.size, d._masks, d.half) is d, d
+        assert PartitionDiagram(d.size, d.blocks, d.half) is d, d
+
+
+def test_every_route_returns_the_pooled_diagram():
+    d = PartitionDiagram(3, [(1, -1), (2, 3, -2, -3)])
+    reordered = [(-3, 3, -2, 2), (-1, 1)]
+    assert PartitionDiagram(3, reordered) is d is D("[[2,-3,3,-2],[1,-1]]")
+    assert PartitionDiagram.identity(3) is D("[[1,-1],[2,-2],[3,-3]]") is PartitionDiagram.identity(3)
+    assert PartitionDiagram.identity(2, half=True) is D("[[1,-1],[2,-2]]", half=True)
+    monoids = [enumerate_monoid(kind, k) for kind, k in (("A", 2), ("A", 3), ("I", 3), ("I_half", 2))]
+    for monoid in monoids:
+        _assert_pooled(monoid)
+        _assert_pooled(c for x in monoid[::7] for c in coarsenings(x))
+    # the tabled products (size 3), the composing ones (size 4) and the basis changes
+    rng = random.Random(83)
+    a_4 = [PartitionDiagram(4, blocks) for blocks in (
+        [(1, -2), (2, -1), (3, 4, -3), (-4,)],
+        [(1, 2, 3, 4, -1, -2, -3, -4)],
+        [(1,), (2, 3, -1), (4, -4), (-2, -3)],
+        [(1, -1), (2, -2), (3, -3), (4, -4)],
+    )]
+    for pool in monoids + [a_4]:
+        for _ in range(8):
+            y1, y2 = (_random_element(rng, pool, "diagram") for _ in range(2))
+            x1, x2 = (_random_element(rng, pool, "orbit") for _ in range(2))
+            for r in (diagram_product(y1, y2), to_orbit(y1), from_orbit(x1), orbit_product_general(x1, x2)):
+                _assert_pooled(d for d, _ in r.sum.terms())
+    _assert_pooled([compose(d, PartitionDiagram.identity(3))[0]])
+
+
+def test_identity_equality_matches_the_value_oracle():
+    for monoid in (enumerate_monoid("A", 2), enumerate_monoid("I", 3), enumerate_monoid("I_half", 2)):
+        rebuilt = [D(str(d), half=d.half) for d in reversed(monoid)]
+        for x in monoid:
+            for y in rebuilt:
+                same = _value(x) == _value(y)
+                assert (x == y) is same and (x is y) is same and (hash(x) == hash(y)) is same, (x, y)
+        assert len(set(monoid) | set(rebuilt)) == len(monoid)
+
+
+def test_a_half_diagram_is_not_its_integer_twin():
+    for size in (1, 2, 3):
+        whole, half = PartitionDiagram.identity(size), PartitionDiagram.identity(size, half=True)
+        assert whole._masks == half._masks and whole is not half and whole != half
+        assert (whole.half, half.half) == (False, True)
+        _assert_pooled([whole, half])

@@ -243,3 +243,60 @@ def test_tuple_products_match_the_bilinear_route():
 def test_algebra_mul_size_mismatch():
     with pytest.raises(ValueError, match="size mismatch"):
         algebra_mul(FormalSum.term(RookElement.identity(2)), FormalSum.term(RookElement.identity(3)))
+
+
+def _fraction_mul(a, b):
+    """``algebra_mul``'s former body: the coefficients multiplied and summed
+    as they are, pair by pair."""
+    sizes = {x.n for x, _ in a.terms()} | {y.n for y, _ in b.terms()}
+    right = [(y.mapping, c) for y, c in b.terms()]
+    acc = {}
+    for x, c1 in a.terms():
+        image = (0,) + x.mapping
+        for m, c2 in right:
+            key = tuple(map(image.__getitem__, m))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    n = sizes.pop() if sizes else 0
+    return FormalSum._from_dict({RookElement._unchecked(n, m): c for m, c in acc.items() if c})
+
+
+def _fraction_families(n):
+    """X_i and X~_i for i = 1..n along their recursions, through ``_fraction_mul``."""
+    xs = [FormalSum([(RookElement.identity(n), Fraction(1)), (generator("P", 1, n), Fraction(-1))])]
+    xts = [FormalSum.zero()]
+    for i in range(2, n + 1):
+        s = FormalSum.term(generator("s", i - 1, n))
+        g = FormalSum.term(generator("gamma", i - 1, n))
+        q = FormalSum.term(generator("Q", i, n))
+        xs.append(_fraction_mul(_fraction_mul(s, xs[-1]), s))
+        xts.append(_fraction_mul(_fraction_mul(s, xts[-1]), s) + s - _fraction_mul(s, g) - _fraction_mul(g, s) + q)
+    return xs, xts
+
+
+def test_int_first_products_match_the_fraction_route():
+    for n in range(1, 5):
+        xs, xts = _fraction_families(n)
+        for i in range(1, n + 1):
+            _assert_same_sum(jm_x(i, n), xs[i - 1])
+            _assert_same_sum(jm_x_tilde(i, n), xts[i - 1])
+        total, total_tilde = FormalSum.zero(), FormalSum.zero()
+        for x, xt in zip(xs, xts):
+            total, total_tilde = total + x, total_tilde + xt
+        _assert_same_sum(kappa(n), total)
+        _assert_same_sum(kappa_tilde(n), total_tilde)
+        fam = xs + xts + [total, total_tilde]
+        for a in fam:
+            for b in fam:
+                got = algebra_mul(a, b)
+                _assert_same_sum(got, _fraction_mul(a, b))
+                assert all(type(c) is Fraction for _, c in got.terms())
+    # seeded sums with non-integral coefficients, some of whose products are integral
+    rng = random.Random(61)
+    coeffs = [Fraction(-3, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1), Fraction(4), Fraction(5, 6)]
+    for n in (2, 3):
+        pool = enumerate_rook(n)
+        for _ in range(60):
+            a, b = (FormalSum([(rho, rng.choice(coeffs)) for rho in rng.sample(pool, 5)]) for _ in range(2))
+            got = algebra_mul(a, b)
+            _assert_same_sum(got, _fraction_mul(a, b))
+            assert all(type(c) is Fraction for _, c in got.terms())

@@ -244,3 +244,37 @@ def test_names_in_docstrings_resolve():
 
     assert [f"{where} ``{text}``" for where, text in quoted if not resolves(text)] == []
     assert len(quoted) > 100
+
+
+def test_diagrams_compare_by_identity_and_are_made_in_one_place():
+    # the process holds one PartitionDiagram per diagram, so equality and
+    # hashing are the object's own: a value __eq__ or __hash__, or a second
+    # place that allocates one, would let two equal diagrams coexist
+    found = []
+    allocations = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            in_class = isinstance(top, ast.ClassDef) and top.name == "PartitionDiagram"
+            if in_class:
+                for node in top.body:
+                    names = [node.name] if isinstance(node, _DEFS) else []
+                    if isinstance(node, ast.Assign):
+                        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    found += [f"{path.name}:{node.lineno} defines {n}" for n in names if n in ("__eq__", "__hash__")]
+            for (_, owner), nodes in _owned_pieces(path, top):
+                for node in nodes:
+                    for call in ast.walk(node):
+                        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+                            continue
+                        if call.func.attr != "__new__":
+                            continue
+                        named = [call.func.value, *call.args]
+                        if in_class or any(isinstance(n, ast.Name) and n.id == "PartitionDiagram" for n in named):
+                            allocations.append((owner, f"{path.name}:{call.lineno}"))
+    found += [
+        f"{where} allocates a PartitionDiagram in {owner}"
+        for owner, where in allocations
+        if owner != "PartitionDiagram._from_masks"
+    ]
+    assert found == []
+    assert [owner for owner, _ in allocations] == ["PartitionDiagram._from_masks"]
